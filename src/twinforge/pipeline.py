@@ -258,7 +258,7 @@ def run_pipeline(spec: SceneSpec, config: PipelineConfig | None = None,
 
     # -- simulation + result-check -------------------------------------------
     def simulation_stage():
-        simulator = SettleSimulator(config.sim)
+        simulator = SettleSimulator(result.twin, config.sim)
         evaluator = GeometricEvaluator(spec.goal)
         labeled = label_samples(result.twin, state["samples"], simulator,
                                 evaluator, spec.instruction)

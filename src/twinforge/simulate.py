@@ -7,6 +7,12 @@ when unstable. Friction and restitution are carried in the material model
 but unused here; density only matters through the uniform-density center of
 mass. The ground plane z=0 is always present as an implicit static support.
 
+Everything that depends only on the scene is built once per scene: surface
+samples and their k-d trees, and a ``MeshIndex`` for each static mesh in
+world coordinates and for the manipulated mesh in its own frame (the
+symmetric penetration check). ``SettleSimulator`` builds it once per
+labeling run, so a scene that cannot be simulated fails once.
+
 Outcome checking is pluggable; the built-in evaluator tests geometric
 placement predicates on the settled scene, standing in for a VLM judge.
 """
@@ -25,8 +31,7 @@ from .errors import RejectedInput, StageFailureError
 from .geometry import RigidPose, TriangleMesh, sample_mesh_surface
 from .materials import MaterialProps, material_lookup
 from .render import RenderedView, render_scene
-from .solids import (is_watertight, point_mesh_distance, points_inside,
-                     volume_and_com)
+from .solids import MeshIndex, is_watertight, volume_and_com
 from .strategy import StrategySample
 
 ROLES = ("manipulated", "interactive", "static")
@@ -120,7 +125,9 @@ def checker_intrinsics(size: int) -> CameraIntrinsics:
 
 
 class _SettleContext:
-    """Precomputed geometry for one scene + one candidate pose."""
+    """Precomputed geometry for one scene: surface samples, k-d trees, mesh
+    indexes and bounding boxes. Read-only once built, so one context serves
+    every sample of a labeling run, from any number of workers."""
 
     def __init__(self, scene: SceneTwin, config: SimConfig):
         self.scene = scene
@@ -128,11 +135,16 @@ class _SettleContext:
         manip = scene.manipulated
         if not is_watertight(manip.mesh):
             raise StageFailureError("simulation", "non-watertight-mesh")
-        self.manip = manip
         self.local_samples = sample_mesh_surface(
             manip.mesh, config.surface_samples, config.seed).points
         self.local_tree = cKDTree(self.local_samples)
+        self.local_index = MeshIndex(manip.mesh)
+        self.local_box = (self.local_samples.min(axis=0) - 1e-6,
+                          self.local_samples.max(axis=0) + 1e-6)
         _, self.local_com = volume_and_com(manip.mesh)
+        # per static object, in world coordinates: surface samples, their
+        # k-d tree, the mesh index, and the mesh's bounding box padded for
+        # the penetration and the contact queries
         self.others = []
         for oi, obj in enumerate(scene.objects):
             if obj.role == "manipulated":
@@ -141,7 +153,12 @@ class _SettleContext:
             pts = sample_mesh_surface(obj.mesh, config.surface_samples,
                                       config.seed + 1 + oi).points
             world_pts = obj.pose.apply(pts)
-            self.others.append((obj, world_mesh, world_pts, cKDTree(world_pts)))
+            lo = world_mesh.vertices.min(axis=0)
+            hi = world_mesh.vertices.max(axis=0)
+            band = 2 * config.contact_tol
+            self.others.append((world_pts, cKDTree(world_pts),
+                                MeshIndex(world_mesh), (lo - 1e-6, hi + 1e-6),
+                                (lo - band, hi + band)))
 
     def penetration_depth(self, pose: RigidPose) -> float:
         """Deepest interpenetration of the manipulated object at this pose
@@ -149,22 +166,19 @@ class _SettleContext:
         pts = pose.apply(self.local_samples)
         depth = max(0.0, float(-pts[:, 2].min()))
         inv = pose.inverse()
-        for obj, world_mesh, world_pts, tree in self.others:
-            lo = world_mesh.vertices.min(axis=0) - 1e-6
-            hi = world_mesh.vertices.max(axis=0) + 1e-6
+        lo2, hi2 = self.local_box
+        for world_pts, tree, index, (lo, hi), _ in self.others:
             inside_box = np.all((pts >= lo) & (pts <= hi), axis=1)
             if inside_box.any():
-                inside = points_inside(pts[inside_box], world_mesh)
+                inside = index.inside(pts[inside_box])
                 if inside.any():
                     d, _ = tree.query(pts[inside_box][inside])
                     depth = max(depth, float(d.max()))
             # symmetric check: the other object's surface inside the manipulated solid
             local_other = inv.apply(world_pts)
-            lo2 = self.local_samples.min(axis=0) - 1e-6
-            hi2 = self.local_samples.max(axis=0) + 1e-6
             cand = np.all((local_other >= lo2) & (local_other <= hi2), axis=1)
             if cand.any():
-                inside = points_inside(local_other[cand], self.manip.mesh)
+                inside = self.local_index.inside(local_other[cand])
                 if inside.any():
                     d, _ = self.local_tree.query(local_other[cand][inside])
                     depth = max(depth, float(d.max()))
@@ -214,15 +228,10 @@ class _SettleContext:
         pts = pose.apply(self.local_samples)
         tol = self.config.contact_tol
         near = pts[:, 2] <= tol
-        for obj, world_mesh, world_pts, tree in self.others:
-            lo = world_mesh.vertices.min(axis=0) - 2 * tol
-            hi = world_mesh.vertices.max(axis=0) + 2 * tol
+        for _, _, index, _, (lo, hi) in self.others:
             cand = np.all((pts >= lo) & (pts <= hi), axis=1) & ~near
             if cand.any():
-                d = point_mesh_distance(pts[cand], world_mesh)
-                sub = np.zeros(len(pts), dtype=bool)
-                sub[np.flatnonzero(cand)[d <= tol]] = True
-                near |= sub
+                near[np.flatnonzero(cand)[index.within(pts[cand], tol)]] = True
         return pts[near]
 
     def com_world(self, pose: RigidPose) -> np.ndarray:
@@ -327,7 +336,7 @@ def _finish(ctx, pose, stable, penetration, contacts, topple_steps):
     rendered = None
     if config.render:
         all_pts = [pose.apply(ctx.local_samples)]
-        all_pts += [wp for _, _, wp, _ in ctx.others]
+        all_pts += [world_pts for world_pts, *_ in ctx.others]
         all_pts = np.vstack(all_pts)
         center = 0.5 * (all_pts.min(axis=0) + all_pts.max(axis=0))
         view = checker_viewpoint(center, config.standoff, config.tilt_deg)
@@ -338,21 +347,21 @@ def _finish(ctx, pose, stable, penetration, contacts, topple_steps):
 
 
 class SettleSimulator:
-    """Simulator interface wrapper around settle_simulate.
+    """Simulator interface over settle_simulate for one scene.
 
-    Caches the per-scene precomputation (surface samples, k-d trees) so
-    repeated calls over one scene amortize it. The cache is read-only after
-    construction, so concurrent labeling remains deterministic."""
+    The scene's settle context (surface samples, k-d trees, mesh indexes) is
+    built once, here, so a scene that cannot be simulated fails once, before
+    any sample is labeled. The context is read-only, so concurrent labeling
+    stays deterministic."""
 
-    def __init__(self, config: SimConfig = SimConfig()):
+    def __init__(self, scene: SceneTwin, config: SimConfig = SimConfig()):
+        self.scene = scene
         self.config = config
-        self._ctx_scene = None
-        self._ctx = None
+        self._ctx = _SettleContext(scene, config)
 
     def __call__(self, scene, sample):
-        if self._ctx_scene is not scene:
-            ctx = _SettleContext(scene, self.config)
-            self._ctx, self._ctx_scene = ctx, scene
+        if scene is not self.scene:
+            raise RejectedInput("simulator was built for another scene")
         return settle_simulate(scene, sample, self.config, _ctx=self._ctx)
 
 

@@ -1,0 +1,40 @@
+"""Brute-force reference for the parity inside test.
+
+Runs Moller-Trumbore on every (point, triangle) pair with no bucketing. Used
+only to cross-check ``twinforge.solids.MeshIndex`` bit for bit.
+"""
+
+import numpy as np
+
+from twinforge.solids import PARITY_DIRECTION
+
+
+def ray_triangle_hits(origins, direction, mesh, eps=1e-12):
+    """Count ray/triangle crossings per origin along one shared direction.
+
+    Vectorized Moller-Trumbore over all (origin, triangle) pairs; returns an
+    integer hit count per origin (t > eps, strict interior hits).
+    """
+    origins = np.atleast_2d(np.asarray(origins, dtype=float))
+    d = np.asarray(direction, dtype=float)
+    v0 = mesh.vertices[mesh.triangles[:, 0]]
+    e1 = mesh.vertices[mesh.triangles[:, 1]] - v0
+    e2 = mesh.vertices[mesh.triangles[:, 2]] - v0
+    pvec = np.cross(d, e2)  # (T, 3)
+    det = np.einsum("tj,tj->t", e1, pvec)
+    ok_tri = np.abs(det) > eps
+    inv_det = np.zeros_like(det)
+    inv_det[ok_tri] = 1.0 / det[ok_tri]
+
+    tvec = origins[:, None, :] - v0[None, :, :]          # (N, T, 3)
+    u = np.einsum("ntj,tj->nt", tvec, pvec) * inv_det
+    qvec = np.cross(tvec, e1[None, :, :])                # (N, T, 3)
+    v = np.einsum("ntj,j->nt", qvec, d) * inv_det
+    t = np.einsum("ntj,tj->nt", qvec, e2) * inv_det
+    hit = (ok_tri[None, :] & (u >= 0) & (v >= 0) & (u + v <= 1) & (t > eps))
+    return hit.sum(axis=1)
+
+
+def ref_points_inside(points, mesh, direction=PARITY_DIRECTION):
+    """Odd crossing count along the parity direction."""
+    return ray_triangle_hits(points, direction, mesh) % 2 == 1

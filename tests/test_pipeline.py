@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from twinforge.errors import NoFeasibleGrasp, RejectedInput
-from twinforge.fileio import save_mask_pgm
+from twinforge.fileio import load_mesh, save_mask_pgm, save_ply
 from twinforge.camera import BinaryMask
+from twinforge.geometry import TriangleMesh
 from twinforge.pipeline import (STAGES, PipelineConfig, grasp_with_retry,
                                 run_and_write, run_pipeline)
 from twinforge.scene import load_scene_spec
@@ -87,3 +88,25 @@ def test_pipeline_seed_defaults_to_spec(tmp_path):
     assert rep.seed == 9
     rep2 = run_pipeline(spec, seed=123).report
     assert rep2.seed == 123
+
+
+def test_pipeline_fails_simulation_once_on_non_watertight_mesh(tmp_path):
+    scene_path = generate_synthetic_scene("cube-onto-cube", str(tmp_path), seed=0)
+    spec = load_scene_spec(scene_path)
+    # drop one triangle: the mesh still aligns but encloses no solid
+    path = spec.path(spec.manipulated.mesh)
+    mesh = load_mesh(path)
+    save_ply(path, TriangleMesh(mesh.vertices, mesh.triangles[1:],
+                                mesh.vertex_colors))
+
+    out_dir = tmp_path / "out"
+    rep = run_and_write(spec, str(out_dir)).report
+    assert rep.status == "failure"
+    assert rep.failed_stage == "simulation"
+    assert rep.failure_reason == "non-watertight-mesh"
+    assert rep.stages[-1] == "simulation"
+    assert "labels" not in rep.data
+
+    doc = json.loads((out_dir / "report.json").read_text())
+    assert (doc["failed_stage"], doc["failure_reason"]) == (
+        "simulation", "non-watertight-mesh")

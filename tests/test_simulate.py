@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from twinforge import quaternions as quat
-from twinforge.errors import RejectedInput
-from twinforge.geometry import RigidPose
+from twinforge.errors import RejectedInput, StageFailureError
+from twinforge.geometry import RigidPose, TriangleMesh
 from twinforge.simulate import (GeometricEvaluator, SceneObject, SceneTwin,
                                 SettleSimulator, SimConfig, checker_intrinsics,
                                 checker_viewpoint, geometric_evaluator,
@@ -112,15 +112,32 @@ def test_translation_equivariance():
                        out_b.settled_poses["cube"].rotation, atol=1e-9)
 
 
-def test_settle_simulator_caches_and_is_deterministic():
+def test_settle_simulator_is_deterministic():
     twin = scene_with(cube())
-    sim = SettleSimulator(FAST)
+    sim = SettleSimulator(twin, FAST)
     start = sample_at(RigidPose(quat.IDENTITY, [0.0, 0.0, 0.1]))
     a = sim(twin, start)
     b = sim(twin, start)
-    assert np.array_equal(a.settled_poses["cube"].translation,
-                          b.settled_poses["cube"].translation)
-    assert sim._ctx_scene is twin
+    fresh = settle_simulate(twin, start, FAST)
+    for out in (b, fresh):
+        assert np.array_equal(a.settled_poses["cube"].translation,
+                              out.settled_poses["cube"].translation)
+        assert np.array_equal(a.settled_poses["cube"].rotation,
+                              out.settled_poses["cube"].rotation)
+    with pytest.raises(RejectedInput):
+        sim(scene_with(cube()), start)
+
+
+def test_settle_simulator_rejects_non_watertight_when_built():
+    box = make_box([0.05] * 3)
+    open_mesh = TriangleMesh(box.vertices, box.triangles[1:])
+    twin = scene_with(SceneObject("cube", open_mesh,
+                                  RigidPose(quat.IDENTITY, [0, 0, 0.1]),
+                                  role="manipulated"))
+    with pytest.raises(StageFailureError) as info:
+        SettleSimulator(twin, FAST)
+    assert (info.value.stage, info.value.reason) == ("simulation",
+                                                     "non-watertight-mesh")
 
 
 def test_rendered_outcome_when_enabled():
@@ -222,7 +239,7 @@ def test_unknown_predicate_rejected():
 
 def test_label_samples():
     twin = scene_with(cube())
-    sim = SettleSimulator(FAST)
+    sim = SettleSimulator(twin, FAST)
     ev = GeometricEvaluator(("upright", ["cube"]))
     samples = [
         StrategySample(RigidPose(quat.IDENTITY, [0.0, 0.0, 0.1]), 0),

@@ -1,11 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from twinforge import quaternions as quat
 from twinforge.errors import RejectedInput
-from twinforge.geometry import TriangleMesh, sample_mesh_surface
-from twinforge.solids import (is_watertight, point_mesh_distance, points_inside,
+from twinforge.geometry import RigidPose, TriangleMesh, sample_mesh_surface
+from twinforge.solids import (PARITY_DIRECTION, MeshIndex, is_watertight,
+                              point_mesh_distance, points_inside,
                               ray_mesh_depth, signed_volume, volume_and_com)
 from twinforge.synth import make_box, make_cup, make_cylinder, make_open_box, make_ramp
+
+from solids_reference import ref_points_inside
 
 
 def test_box_is_watertight_with_correct_volume():
@@ -92,3 +98,86 @@ def test_point_mesh_distance_matches_dense_sampling():
     approx, _ = cKDTree(surf).query(pts)
     assert np.all(exact <= approx + 1e-9)
     assert np.max(approx - exact) < 0.005
+
+
+# ---------------------------------------------------------------------------
+# MeshIndex against the brute-force scans
+
+def _with_degenerate(mesh):
+    """The mesh plus an exactly collinear, a repeated-vertex and a nearly
+    collinear triangle, each spanning the mesh's longest vertex chord."""
+    v = mesh.vertices
+    far = int(np.argmax(np.linalg.norm(v - v[0], axis=1)))
+    a, b = v[0], v[far]
+    extra = np.array([0.5 * (a + b), 0.5 * (a + b) + [0.0, 0.0, 1e-12]])
+    n = len(v)
+    tris = np.vstack([mesh.triangles, [[0, far, n], [0, 0, far], [0, n + 1, far]]])
+    return TriangleMesh(np.vstack([v, extra]), tris)
+
+
+MESHES = {
+    "box": make_box([0.06, 0.05, 0.04]),
+    "cylinder": make_cylinder(0.03, 0.08),
+    "open_box": make_open_box([0.12, 0.1, 0.06], 0.012),
+    "cup": make_cup(0.035, 0.09, 0.005),
+    "ramp": make_ramp([0.1, 0.08, 0.05]),
+}
+MESHES["box+degenerate"] = _with_degenerate(MESHES["box"])
+
+_unit = st.floats(-1.0, 1.0, allow_nan=False)
+poses = st.builds(
+    lambda q, t: RigidPose(quat.quat_normalize(np.array(q)), np.array(t)),
+    st.tuples(_unit, _unit, _unit, _unit).filter(
+        lambda q: np.linalg.norm(q) > 0.1),
+    st.tuples(*[st.floats(-0.3, 0.3)] * 3))
+
+
+def _query_points(mesh, tol, seed, per_kind=80):
+    """Vertices, edge midpoints, face points, face points moved +-tol along
+    the face normal, and points far outside the mesh."""
+    rng = np.random.default_rng(seed)
+    tri = mesh.vertices[mesh.triangles]
+    mids = (0.5 * (tri + np.roll(tri, 1, axis=1))).reshape(-1, 3)
+    faces = np.einsum("tk,tkj->tj", rng.dirichlet(np.ones(3), len(tri)), tri)
+    normal = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
+    length = np.linalg.norm(normal, axis=1)
+    keep = length > 0
+    unit = normal[keep] / length[keep, None]
+    center = mesh.vertices.mean(axis=0)
+    dirs = rng.normal(size=(per_kind, 3))
+    far = center + dirs / np.linalg.norm(dirs, axis=1, keepdims=True) * 2.0
+
+    def pick(p):
+        return p[rng.choice(len(p), min(per_kind, len(p)), replace=False)]
+
+    return np.vstack([pick(mesh.vertices), pick(mids), pick(faces),
+                      pick(faces[keep] + tol * unit),
+                      pick(faces[keep] - tol * unit), far])
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(MESHES)), pose=poses,
+       tol=st.sampled_from([0.0, 0.001, 0.003]) | st.floats(-0.005, 0.02),
+       seed=st.integers(0, 2**16))
+def test_mesh_index_matches_brute_force(name, pose, tol, seed):
+    mesh = MESHES[name].transformed(pose)
+    pts = _query_points(mesh, tol, seed)
+    index = MeshIndex(mesh)
+    assert np.array_equal(index.inside(pts), ref_points_inside(pts, mesh))
+    assert np.array_equal(index.within(pts, tol),
+                          point_mesh_distance(pts, mesh) <= tol)
+
+
+@settings(max_examples=20, deadline=None)
+@given(name=st.sampled_from(sorted(MESHES)),
+       direction=st.sampled_from([PARITY_DIRECTION, (0.0, 0.0, 1.0),
+                                  (1.0, 1.0, 0.0)])
+       | st.tuples(_unit, _unit, _unit).filter(
+           lambda d: np.linalg.norm(d) > 0.1),
+       seed=st.integers(0, 2**16))
+def test_points_inside_any_direction_matches_brute_force(name, direction, seed):
+    # axis-aligned rays run parallel to whole faces of the box primitives
+    mesh = MESHES[name]
+    pts = _query_points(mesh, 0.002, seed)
+    assert np.array_equal(points_inside(pts, mesh, direction),
+                          ref_points_inside(pts, mesh, direction))
