@@ -1,15 +1,20 @@
 """Quasi-static outcome simulation and weak labeling.
 
 The built-in simulator settles the manipulated object by dropping it along
-gravity to first contact (bisection), checks static stability via the
-support polygon, and topples over the nearest hull edge in bounded steps
-when unstable. Friction and restitution are carried in the material model
-but unused here; density only matters through the uniform-density center of
-mass. The ground plane z=0 is always present as an implicit static support.
+gravity to first contact, checks static stability via the support polygon,
+and topples over the nearest hull edge in bounded steps when unstable.
+Friction and restitution are carried in the material model but unused here;
+density only matters through the uniform-density center of mass. The ground
+plane z=0 is always present as an implicit static support, so gravity must
+point along -z.
 
-Everything that depends only on the scene is built once per scene: surface
-samples and their k-d trees, and a ``MeshIndex`` for each static mesh in
-world coordinates and for the manipulated mesh in its own frame (the
+Drop and lift distances are closed form: surface samples are cast as rays
+along gravity against the meshes (``MeshIndex.cast``), manipulated samples
+down onto the static meshes and static samples up onto the manipulated mesh,
+and the ground is analytic. Everything that depends only on the scene is
+built once per scene: surface samples and their k-d trees, and for each
+static mesh in world coordinates a parity index and a down- and an up-cast
+index; the manipulated mesh gets a parity index in its own frame (the
 symmetric penetration check). ``SettleSimulator`` builds it once per
 labeling run, so a scene that cannot be simulated fails once.
 
@@ -20,6 +25,7 @@ placement predicates on the settled scene, standing in for a VLM judge.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError, cKDTree
@@ -37,6 +43,13 @@ from .strategy import StrategySample
 ROLES = ("manipulated", "interactive", "static")
 GRAVITY = np.array([0.0, 0.0, -9.81])
 UP = np.array([0.0, 0.0, 1.0])
+# Gap (meters, along gravity) left between surfaces when a drop or a lift
+# ends. Without it a sample lands exactly on a face, where the parity inside
+# test is a coin flip and the nearest-sample penetration depth then reads
+# several millimeters.
+_CLEARANCE = 1e-6
+# highest a lift may raise the object before the pose counts as stuck
+_MAX_LIFT = 0.1
 
 
 @dataclass(frozen=True)
@@ -62,7 +75,13 @@ class SceneTwin:
         if sum(1 for o in objs if o.role == "manipulated") != 1:
             raise RejectedInput("scene must contain exactly one manipulated object")
         object.__setattr__(self, "objects", objs)
-        object.__setattr__(self, "gravity", np.asarray(self.gravity, dtype=float))
+        g = np.asarray(self.gravity, dtype=float)
+        # the ground plane, the contact band and the support hull all
+        # assume gravity along -z
+        if (g.shape != (3,) or not np.all(np.isfinite(g)) or not g[2] < 0
+                or np.hypot(g[0], g[1]) > 1e-9 * -g[2]):
+            raise RejectedInput("gravity must be finite and point along -z")
+        object.__setattr__(self, "gravity", g)
 
     @property
     def manipulated(self) -> SceneObject:
@@ -94,10 +113,7 @@ class SimConfig:
     standoff: float = 0.8
     tilt_deg: float = -60.0
     contact_tol: float = 0.001      # contact band, meters
-    bisect_tol: float = 0.0005      # drop bisection resolution
-    march_step: float = 0.005
     penetration_tol: float = 0.001  # initial-pose rejection depth
-    collide_tol: float = 0.00025    # depth counted as collision during drop
     max_topple_steps: int = 6
     topple_step_deg: float = 15.0
     render: bool = True
@@ -124,6 +140,23 @@ def checker_intrinsics(size: int) -> CameraIntrinsics:
                             width=size, height=size)
 
 
+class _Static(NamedTuple):
+    """One static object in world coordinates."""
+    samples: np.ndarray     # surface samples
+    tree: cKDTree           # over the samples
+    index: MeshIndex        # parity and contact band
+    down: MeshIndex         # casts along -z
+    up: MeshIndex           # casts along +z
+    box: tuple              # mesh bounding box padded for the inside tests
+    band: tuple             # mesh bounding box padded for the contact band
+
+
+def _in_box(points, box, dims=3):
+    lo, hi = box
+    return np.all((points[:, :dims] >= lo[:dims])
+                  & (points[:, :dims] <= hi[:dims]), axis=1)
+
+
 class _SettleContext:
     """Precomputed geometry for one scene: surface samples, k-d trees, mesh
     indexes and bounding boxes. Read-only once built, so one context serves
@@ -135,6 +168,7 @@ class _SettleContext:
         manip = scene.manipulated
         if not is_watertight(manip.mesh):
             raise StageFailureError("simulation", "non-watertight-mesh")
+        self.mesh = manip.mesh
         self.local_samples = sample_mesh_surface(
             manip.mesh, config.surface_samples, config.seed).points
         self.local_tree = cKDTree(self.local_samples)
@@ -142,9 +176,6 @@ class _SettleContext:
         self.local_box = (self.local_samples.min(axis=0) - 1e-6,
                           self.local_samples.max(axis=0) + 1e-6)
         _, self.local_com = volume_and_com(manip.mesh)
-        # per static object, in world coordinates: surface samples, their
-        # k-d tree, the mesh index, and the mesh's bounding box padded for
-        # the penetration and the contact queries
         self.others = []
         for oi, obj in enumerate(scene.objects):
             if obj.role == "manipulated":
@@ -156,82 +187,111 @@ class _SettleContext:
             lo = world_mesh.vertices.min(axis=0)
             hi = world_mesh.vertices.max(axis=0)
             band = 2 * config.contact_tol
-            self.others.append((world_pts, cKDTree(world_pts),
-                                MeshIndex(world_mesh), (lo - 1e-6, hi + 1e-6),
-                                (lo - band, hi + band)))
+            self.others.append(_Static(
+                world_pts, cKDTree(world_pts), MeshIndex(world_mesh),
+                MeshIndex(world_mesh, -UP, cast_only=True),
+                MeshIndex(world_mesh, UP, cast_only=True),
+                (lo - 1e-6, hi + 1e-6), (lo - band, hi + band)))
+
+    def _inside(self, pose: RigidPose):
+        """The manipulated samples at this pose (world), and per static
+        object the manipulated samples inside it (world) and its samples
+        inside the manipulated solid (manipulated frame)."""
+        pts = pose.apply(self.local_samples)
+        inv = pose.inverse()
+        found = []
+        for s in self.others:
+            mine = pts[_in_box(pts, s.box)]
+            local_other = inv.apply(s.samples)
+            theirs = local_other[_in_box(local_other, self.local_box)]
+            found.append((s, mine[s.index.inside(mine)],
+                          theirs[self.local_index.inside(theirs)]))
+        return pts, found
 
     def penetration_depth(self, pose: RigidPose) -> float:
         """Deepest interpenetration of the manipulated object at this pose
         against the ground and all other objects."""
-        pts = pose.apply(self.local_samples)
+        pts, found = self._inside(pose)
         depth = max(0.0, float(-pts[:, 2].min()))
-        inv = pose.inverse()
-        lo2, hi2 = self.local_box
-        for world_pts, tree, index, (lo, hi), _ in self.others:
-            inside_box = np.all((pts >= lo) & (pts <= hi), axis=1)
-            if inside_box.any():
-                inside = index.inside(pts[inside_box])
-                if inside.any():
-                    d, _ = tree.query(pts[inside_box][inside])
-                    depth = max(depth, float(d.max()))
+        for s, mine, theirs in found:
+            if len(mine):
+                d, _ = s.tree.query(mine)
+                depth = max(depth, float(d.max()))
             # symmetric check: the other object's surface inside the manipulated solid
-            local_other = inv.apply(world_pts)
-            cand = np.all((local_other >= lo2) & (local_other <= hi2), axis=1)
-            if cand.any():
-                inside = self.local_index.inside(local_other[cand])
-                if inside.any():
-                    d, _ = self.local_tree.query(local_other[cand][inside])
-                    depth = max(depth, float(d.max()))
+            if len(theirs):
+                d, _ = self.local_tree.query(theirs)
+                depth = max(depth, float(d.max()))
         return depth
 
-    def collides(self, pose: RigidPose) -> bool:
-        return self.penetration_depth(pose) > self.config.collide_tol
+    def _cast_self(self, pose: RigidPose, direction, local_points):
+        """First hit along the world direction of rays from points in the
+        manipulated frame against the manipulated mesh at this pose."""
+        d = quat.quat_rotate(quat.quat_conjugate(pose.rotation), direction)
+        return MeshIndex(self.mesh, d, cast_only=True).cast(local_points)
 
     def drop(self, pose: RigidPose) -> RigidPose:
-        """Translate along gravity to first contact (march + bisection)."""
-        g_hat = self.scene.gravity / np.linalg.norm(self.scene.gravity)
+        """Translate along gravity to first contact, less _CLEARANCE.
 
-        def at(d):
-            return RigidPose(pose.rotation, pose.translation + d * g_hat)
-
+        The drop distance is the smallest of the ground gap, the first hit of
+        each manipulated sample cast down onto each static mesh, and the
+        first hit of each static sample under the manipulated mesh's
+        footprint cast up onto it. The pose must be free: a sample already
+        inside a solid would report its exit instead of its entry."""
         pts = pose.apply(self.local_samples)
-        ground_drop = max(0.0, float(pts[:, 2].min()))
-        limit = ground_drop + 2 * self.config.collide_tol + 1e-6
-        lo = 0.0
-        step = self.config.march_step
-        while lo < limit:
-            hi = min(lo + step, limit)
-            if self.collides(at(hi)):
-                break
-            lo = hi
-        else:
-            return at(limit)
-        while hi - lo > self.config.bisect_tol:
-            mid = 0.5 * (lo + hi)
-            if self.collides(at(mid)):
-                hi = mid
-            else:
-                lo = mid
-        return at(lo)
+        gap = float(pts[:, 2].min())
+        for s in self.others:
+            cand = _in_box(pts, s.box, dims=2) & (pts[:, 2] >= s.box[0][2])
+            if cand.any():
+                gap = min(gap, float(s.down.cast(pts[cand]).min()))
+        verts = pose.apply(self.mesh.vertices)
+        foot = (verts.min(axis=0) - 1e-6, verts.max(axis=0) + 1e-6)
+        under = np.vstack([s.samples[_in_box(s.samples, foot, dims=2)
+                                     & (s.samples[:, 2] <= foot[1][2])]
+                           for s in self.others] or [np.empty((0, 3))])
+        if len(under):
+            gap = min(gap, float(self._cast_self(
+                pose, UP, pose.inverse().apply(under)).min()))
+        return RigidPose(pose.rotation,
+                         pose.translation - max(0.0, gap - _CLEARANCE) * UP)
 
-    def lift_free(self, pose: RigidPose) -> RigidPose:
-        """Raise against gravity until collision-free (after a topple step)."""
-        g_hat = self.scene.gravity / np.linalg.norm(self.scene.gravity)
-        d = 0.0
-        while self.collides(RigidPose(pose.rotation, pose.translation - d * g_hat)):
-            d += self.config.bisect_tol
-            if d > 0.1:
-                break
-        return RigidPose(pose.rotation, pose.translation - d * g_hat)
+    def lift_free(self, pose: RigidPose) -> RigidPose | None:
+        """Raise against gravity until no sample is inside a solid, or None
+        when no free height lies within _MAX_LIFT.
+
+        Each round lifts by the largest exit distance over the samples that
+        are inside, plus _CLEARANCE: a manipulated sample below the ground
+        exits at z=0, one inside a static mesh exits upward through that
+        mesh, and a static sample inside the manipulated mesh exits
+        downward through it. Parity comes from ``MeshIndex.inside``; the
+        lifted pose is tested again, since a sample can rise into an
+        overhang."""
+        lifted = 0.0
+        while True:
+            pts, found = self._inside(pose)
+            exits = [-pts[pts[:, 2] < 0, 2]]
+            exits += [s.up.cast(mine) for s, mine, _ in found]
+            theirs = np.vstack([t for *_, t in found] or [np.empty((0, 3))])
+            if len(theirs):
+                exits.append(self._cast_self(pose, -UP, theirs))
+            exits = np.concatenate(exits)
+            if not len(exits):
+                return pose
+            # an exit ray that finds no face makes the step inf: stuck
+            step = float(exits.max()) + _CLEARANCE
+            lifted += step
+            if lifted > _MAX_LIFT:
+                return None
+            pose = RigidPose(pose.rotation, pose.translation + step * UP)
 
     def contact_points(self, pose: RigidPose) -> np.ndarray:
         pts = pose.apply(self.local_samples)
         tol = self.config.contact_tol
         near = pts[:, 2] <= tol
-        for _, _, index, _, (lo, hi) in self.others:
-            cand = np.all((pts >= lo) & (pts <= hi), axis=1) & ~near
+        for s in self.others:
+            cand = _in_box(pts, s.band) & ~near
             if cand.any():
-                near[np.flatnonzero(cand)[index.within(pts[cand], tol)]] = True
+                hit = s.index.within(pts[cand], tol)
+                near[np.flatnonzero(cand)[hit]] = True
         return pts[near]
 
     def com_world(self, pose: RigidPose) -> np.ndarray:
@@ -283,11 +343,16 @@ def settle_simulate(scene: SceneTwin, sample: StrategySample,
     ctx = _SettleContext(scene, config) if _ctx is None else _ctx
     pose = sample.object_pose
 
-    if ctx.penetration_depth(pose) > config.penetration_tol:
+    depth = ctx.penetration_depth(pose)
+    if depth > config.penetration_tol:
         return _finish(ctx, pose, stable=False, penetration=True,
                        contacts=np.empty((0, 3)), topple_steps=0)
-
-    pose = ctx.drop(pose)
+    # a start within the tolerance is pushed out first, so the drop starts free
+    free = ctx.lift_free(pose) if depth > 0 else pose
+    if free is None:
+        return _finish(ctx, pose, stable=False, penetration=True,
+                       contacts=np.empty((0, 3)), topple_steps=0)
+    pose = ctx.drop(free)
     topples = 0
     stable = False
     while True:
@@ -319,9 +384,12 @@ def settle_simulate(scene: SceneTwin, sample: StrategySample,
         rot = quat.quat_from_axis_angle(axis, sgn * np.deg2rad(config.topple_step_deg))
         step = RigidPose(rot, pivot - quat.quat_rotate(rot, pivot))
         pose = step.compose(pose)
-        pose = ctx.lift_free(pose)
-        pose = ctx.drop(pose)
         topples += 1
+        free = ctx.lift_free(pose)
+        if free is None:
+            return _finish(ctx, pose, stable=False, penetration=True,
+                           contacts=np.empty((0, 3)), topple_steps=topples)
+        pose = ctx.drop(free)
 
     contacts = ctx.contact_points(pose)
     return _finish(ctx, pose, stable=stable, penetration=False,
@@ -336,7 +404,7 @@ def _finish(ctx, pose, stable, penetration, contacts, topple_steps):
     rendered = None
     if config.render:
         all_pts = [pose.apply(ctx.local_samples)]
-        all_pts += [world_pts for world_pts, *_ in ctx.others]
+        all_pts += [s.samples for s in ctx.others]
         all_pts = np.vstack(all_pts)
         center = 0.5 * (all_pts.min(axis=0) + all_pts.max(axis=0))
         view = checker_viewpoint(center, config.standoff, config.tilt_deg)

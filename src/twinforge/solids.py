@@ -5,8 +5,9 @@ Volume integrals use the divergence theorem over signed tetrahedra, which is
 exact for watertight meshes with consistent outward orientation (sign is
 fixed up from the total volume).
 
-``MeshIndex`` is built once per fixed mesh and answers the two queries the
-settle simulator repeats: the parity inside test and the contact band
+``MeshIndex`` is built once per fixed mesh and direction and answers the
+queries the settle simulator repeats: the parity inside test, the first hit
+of a ray cast along the index's direction, and the contact band
 (``point_mesh_distance <= tol``). It buckets triangles in a 2-D grid so the
 exact per-pair arithmetic runs only on candidate pairs, and its answers are
 bit-identical to the brute-force point x triangle scans.
@@ -139,7 +140,7 @@ PARITY_DIRECTION = (0.37139, 0.55708, 0.74278)
 # and a computed closest point lies inside the triangle's box, zero-area
 # triangles included.
 _PAD = 1e-9
-# parallel-ray determinant threshold and minimum hit distance of the parity ray
+# parallel-ray determinant threshold and minimum hit distance of a ray
 _EPS = 1e-12
 
 
@@ -154,28 +155,37 @@ class MeshIndex:
     """Query structure for one fixed mesh, built once and reused.
 
     Triangles are bucketed in a uniform 2-D grid over the plane orthogonal
-    to the parity ray, each under every cell its projected bounding box
-    (padded by a tiny absolute slack) touches (Ericson, Real-Time Collision
-    Detection, ch. 7). A ray along that direction, or a ball whose radius is
-    the query tolerance, can only meet triangles listed in the cells it
-    projects onto, so the exact per-pair arithmetic runs on those pairs
-    only. Both queries are bit-identical to brute-force point x triangle
-    scans.
+    to the index's ray direction, each under every cell its projected
+    bounding box (padded by a tiny absolute slack) touches (Ericson,
+    Real-Time Collision Detection, ch. 7). A ray along that direction, or a
+    ball whose radius is the query tolerance, can only meet triangles listed
+    in the cells it projects onto, so the exact per-pair arithmetic runs on
+    those pairs only. Every query is bit-identical to a brute-force
+    point x triangle scan.
+
+    With ``cast_only`` the index leaves out the triangles parallel to its
+    ray, which no ray along it can hit; ``inside`` and ``cast`` are
+    unchanged, and ``within`` is unavailable.
     """
 
-    def __init__(self, mesh: TriangleMesh, direction=PARITY_DIRECTION):
+    def __init__(self, mesh: TriangleMesh, direction=PARITY_DIRECTION,
+                 cast_only: bool = False):
         d = np.asarray(direction, dtype=float)
         tri = mesh.vertices[mesh.triangles]                  # (T, 3, 3)
-        self.a, self.b, self.c = tri[:, 0], tri[:, 1], tri[:, 2]
-        self.lo, self.hi = tri.min(axis=1), tri.max(axis=1)
-        e1, e2 = self.b - self.a, self.c - self.a
+        e1, e2 = tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]
 
         # Moller-Trumbore terms; a triangle parallel to the ray gets
-        # inv_det 0, so its t is 0 and it never counts as a crossing
-        self.d, self.e1, self.e2 = d, e1, e2
-        self.pvec = np.cross(d, e2)
-        det = np.einsum("tj,tj->t", e1, self.pvec)
+        # inv_det 0, so its t is 0 and it is never hit
+        pvec = np.cross(d, e2)
+        det = np.einsum("tj,tj->t", e1, pvec)
         ok = np.abs(det) > _EPS
+        if cast_only:
+            tri, e1, e2, pvec, det, ok = (x[ok] for x in (tri, e1, e2, pvec,
+                                                           det, ok))
+        self.cast_only = cast_only
+        self.a, self.b, self.c = tri[:, 0], tri[:, 1], tri[:, 2]
+        self.lo, self.hi = tri.min(axis=1), tri.max(axis=1)
+        self.d, self.e1, self.e2, self.pvec = d, e1, e2, pvec
         self.inv_det = np.zeros_like(det)
         self.inv_det[ok] = 1.0 / det[ok]
 
@@ -221,9 +231,10 @@ class MeshIndex:
         owner, pos = _ranges(first, self.cell_start[cell + 1] - first)
         return owner, self.cell_tris[pos]
 
-    def inside(self, points) -> np.ndarray:
-        """Parity inside test for each point (odd crossing count)."""
-        points = np.atleast_2d(np.asarray(points, dtype=float))
+    def _hits(self, points):
+        """(point index, distance t) of every crossing with t > _EPS of the
+        rays from the points along the index's direction; t is in units of
+        the direction's length."""
         ij = self._cells(points @ self.basis)
         pi, ti = self._listed(ij[:, 0] * self.shape[1] + ij[:, 1])
         inv_det = self.inv_det[ti]
@@ -233,11 +244,33 @@ class MeshIndex:
         v = np.einsum("pj,j->p", qvec, self.d) * inv_det
         t = np.einsum("pj,pj->p", qvec, self.e2[ti]) * inv_det
         hit = (u >= 0) & (v >= 0) & (u + v <= 1) & (t > _EPS)
-        return np.bincount(pi[hit], minlength=len(points)) % 2 == 1
+        return pi[hit], t[hit]
+
+    def inside(self, points) -> np.ndarray:
+        """Parity inside test for each point (odd crossing count)."""
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        if not len(points):
+            return np.zeros(0, dtype=bool)
+        pi, _ = self._hits(points)
+        return np.bincount(pi, minlength=len(points)) % 2 == 1
+
+    def cast(self, points) -> np.ndarray:
+        """First hit distance t > _EPS of the ray from each point along the
+        index's direction, in units of the direction's length; inf on a
+        miss."""
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        out = np.full(len(points), np.inf)
+        if len(points):
+            pi, t = self._hits(points)
+            np.minimum.at(out, pi, t)
+        return out
 
     def within(self, points, tol: float) -> np.ndarray:
         """Whether each point lies within tol of the surface; equal to
         ``point_mesh_distance(points, mesh) <= tol``."""
+        if self.cast_only:
+            raise ValueError("within needs every triangle; the index was "
+                             "built with cast_only")
         points = np.atleast_2d(np.asarray(points, dtype=float))
         if tol < 0:
             return np.zeros(len(points), dtype=bool)

@@ -1,4 +1,4 @@
-"""Brute-force reference for the parity inside test.
+"""Brute-force references for the parity inside test and the ray cast.
 
 Runs Moller-Trumbore on every (point, triangle) pair with no bucketing. Used
 only to cross-check ``twinforge.solids.MeshIndex`` bit for bit.
@@ -9,12 +9,10 @@ import numpy as np
 from twinforge.solids import PARITY_DIRECTION
 
 
-def ray_triangle_hits(origins, direction, mesh, eps=1e-12):
-    """Count ray/triangle crossings per origin along one shared direction.
-
-    Vectorized Moller-Trumbore over all (origin, triangle) pairs; returns an
-    integer hit count per origin (t > eps, strict interior hits).
-    """
+def _pair_hits(origins, direction, mesh, eps=1e-12):
+    """Vectorized Moller-Trumbore over all (origin, triangle) pairs along one
+    shared direction: (hit, t), each (N, T); a hit is a strict crossing with
+    t > eps."""
     origins = np.atleast_2d(np.asarray(origins, dtype=float))
     d = np.asarray(direction, dtype=float)
     v0 = mesh.vertices[mesh.triangles[:, 0]]
@@ -32,9 +30,22 @@ def ray_triangle_hits(origins, direction, mesh, eps=1e-12):
     v = np.einsum("ntj,j->nt", qvec, d) * inv_det
     t = np.einsum("ntj,tj->nt", qvec, e2) * inv_det
     hit = (ok_tri[None, :] & (u >= 0) & (v >= 0) & (u + v <= 1) & (t > eps))
+    return hit, t
+
+
+def ray_triangle_hits(origins, direction, mesh, eps=1e-12):
+    """Ray/triangle crossing count per origin along one shared direction."""
+    hit, _ = _pair_hits(origins, direction, mesh, eps)
     return hit.sum(axis=1)
 
 
 def ref_points_inside(points, mesh, direction=PARITY_DIRECTION):
     """Odd crossing count along the parity direction."""
     return ray_triangle_hits(points, direction, mesh) % 2 == 1
+
+
+def ref_first_hit(origins, direction, mesh, eps=1e-12):
+    """Smallest crossing distance t > eps per origin, in units of the
+    direction's length; inf where the ray meets no triangle."""
+    hit, t = _pair_hits(origins, direction, mesh, eps)
+    return np.where(hit, t, np.inf).min(axis=1, initial=np.inf)

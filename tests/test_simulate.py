@@ -5,9 +5,10 @@ from twinforge import quaternions as quat
 from twinforge.errors import RejectedInput, StageFailureError
 from twinforge.geometry import RigidPose, TriangleMesh
 from twinforge.simulate import (GeometricEvaluator, SceneObject, SceneTwin,
-                                SettleSimulator, SimConfig, checker_intrinsics,
-                                checker_viewpoint, geometric_evaluator,
-                                label_samples, settle_simulate)
+                                SettleSimulator, SimConfig, _SettleContext,
+                                checker_intrinsics, checker_viewpoint,
+                                geometric_evaluator, label_samples,
+                                settle_simulate)
 from twinforge.strategy import StrategySample
 from twinforge.synth import make_box, make_open_box
 
@@ -40,6 +41,21 @@ def test_scene_twin_validation():
         twin.by_name("nope")
 
 
+@pytest.mark.parametrize("gravity", [
+    [0.0, 0.0, 0.0], [0.0, 0.0, np.nan], [0.0, 0.0, -np.inf],
+    [0.0, 0.0, 9.81], [1.0, 0.0, -9.81], [0.0, 1e-3, -9.81], [0.0, -9.81]])
+def test_scene_twin_rejects_gravity_off_minus_z(gravity):
+    with pytest.raises(RejectedInput):
+        SceneTwin((cube(),), gravity=gravity)
+
+
+def test_scene_twin_accepts_gravity_along_minus_z():
+    twin = SceneTwin((cube(),), gravity=[0.0, 0.0, -1.62])
+    out = settle_simulate(twin, sample_at(RigidPose(quat.IDENTITY, [0, 0, 0.1])),
+                          FAST)
+    assert out.stable
+
+
 def test_checker_viewpoint_tilt_and_lookat():
     center = np.array([0.1, -0.05, 0.04])
     pose = checker_viewpoint(center, standoff=0.8, tilt_deg=-60.0)
@@ -64,6 +80,98 @@ def test_drop_to_ground_settles_flat():
     assert z == pytest.approx(0.025, abs=0.002)
     assert out.topple_steps == 0
     assert len(out.contacts) > 0
+
+
+def support_box(height=0.06, size=0.09):
+    return SceneObject("base", make_box([size, size, height]),
+                       RigidPose(quat.IDENTITY, [0.0, 0.0, height / 2]),
+                       role="interactive")
+
+
+@pytest.mark.parametrize("start_z", [0.1234, 0.0255, 0.025])
+def test_drop_lands_at_exact_ground_contact(start_z):
+    # 0.0255 is free and 0.5 mm up; 0.025 touches the floor
+    twin = scene_with(cube())
+    out = settle_simulate(twin, sample_at(RigidPose(quat.IDENTITY, [0, 0, start_z])),
+                          FAST)
+    assert out.stable and not out.penetration
+    assert out.settled_poses["cube"].translation[2] == pytest.approx(0.025, abs=1e-5)
+
+
+def test_drop_lands_at_exact_support_contact():
+    twin = scene_with(cube(), support_box())
+    ctx = _SettleContext(twin, FAST)
+    start = RigidPose(quat.quat_from_axis_angle([0, 0, 1], 0.4), [0.01, 0.0, 0.15])
+    landed = ctx.drop(start)
+    assert landed.translation[2] == pytest.approx(0.06 + 0.025, abs=1e-5)
+    assert np.array_equal(landed.rotation, start.rotation)
+    assert ctx.penetration_depth(landed) == 0.0
+
+
+def test_start_within_tolerance_is_pushed_out_then_settles():
+    twin = scene_with(cube())
+    ctx = _SettleContext(twin, FAST)
+    sunk = RigidPose(quat.IDENTITY, [0.0, 0.0, 0.0245])  # 0.5 mm into the floor
+    assert 0 < ctx.penetration_depth(sunk) <= FAST.penetration_tol
+    out = settle_simulate(twin, sample_at(sunk), FAST, _ctx=ctx)
+    assert out.stable and not out.penetration
+    settled = out.settled_poses["cube"]
+    assert settled.translation[2] == pytest.approx(0.025, abs=1e-5)
+    assert ctx.penetration_depth(settled) == 0.0
+
+
+def test_lift_free_clears_a_pose_rotated_into_the_support():
+    twin = scene_with(cube(), support_box())
+    ctx = _SettleContext(twin, FAST)
+    tilted = RigidPose(quat.quat_from_axis_angle([1, 0, 0], np.deg2rad(20)),
+                       [0.0, 0.0, 0.06 + 0.025])
+    assert ctx.penetration_depth(tilted) > 0
+    free = ctx.lift_free(tilted)
+    assert ctx.penetration_depth(free) == 0.0
+    rise = free.translation[2] - tilted.translation[2]
+    # the lowest corner started this far inside the support
+    corner = 0.025 * (np.cos(np.deg2rad(20)) + np.sin(np.deg2rad(20))) - 0.025
+    assert corner - 0.002 < rise < corner + 0.001
+    assert np.array_equal(free.rotation, tilted.rotation)
+
+
+def test_lift_free_gives_up_when_no_free_height_within_cap():
+    tower = SceneObject("tower", make_box([0.2, 0.2, 0.4]),
+                        RigidPose(quat.IDENTITY, [0.0, 0.0, 0.2]), role="static")
+    twin = scene_with(cube(), tower)
+    ctx = _SettleContext(twin, FAST)
+    buried = RigidPose(quat.IDENTITY, [0.0, 0.0, 0.1])
+    assert ctx.lift_free(buried) is None
+
+
+def test_topple_into_a_tall_wall_ends_as_penetration():
+    # the overhanging cube tips toward a 0.4 m wall 5 mm beside it; no lift
+    # within the cap frees it, so it must not be labelled stable
+    base = support_box(height=0.04, size=0.06)
+    wall = SceneObject("wall", make_box([0.2, 0.2, 0.4]),
+                       RigidPose(quat.IDENTITY, [0.175, 0.0, 0.2]), role="static")
+    twin = scene_with(cube(), base, wall)
+    out = settle_simulate(twin, sample_at(RigidPose(quat.IDENTITY, [0.045, 0.0, 0.12])),
+                          FAST)
+    assert out.penetration and not out.stable
+    assert out.topple_steps == 1
+
+
+def test_settle_makes_at_most_two_penetration_queries(monkeypatch):
+    calls = []
+    depth = _SettleContext.penetration_depth
+
+    def counted(self, pose):
+        calls.append(pose)
+        return depth(self, pose)
+
+    monkeypatch.setattr(_SettleContext, "penetration_depth", counted)
+    twin = scene_with(cube(), support_box(height=0.04, size=0.06))
+    ctx = _SettleContext(twin, FAST)
+    out = settle_simulate(twin, sample_at(RigidPose(quat.IDENTITY, [0.055, 0.0, 0.12])),
+                          FAST, _ctx=ctx)
+    assert out.topple_steps > 0
+    assert len(calls) <= 2
 
 
 def test_initial_penetration_rejected():

@@ -11,7 +11,7 @@ from twinforge.solids import (PARITY_DIRECTION, MeshIndex, is_watertight,
                               ray_mesh_depth, signed_volume, volume_and_com)
 from twinforge.synth import make_box, make_cup, make_cylinder, make_open_box, make_ramp
 
-from solids_reference import ref_points_inside
+from solids_reference import ref_first_hit, ref_points_inside
 
 
 def test_box_is_watertight_with_correct_volume():
@@ -181,3 +181,42 @@ def test_points_inside_any_direction_matches_brute_force(name, direction, seed):
     pts = _query_points(mesh, 0.002, seed)
     assert np.array_equal(points_inside(pts, mesh, direction),
                           ref_points_inside(pts, mesh, direction))
+
+
+CAST_DIRECTIONS = [(0.0, 0.0, -1.0), (0.0, 0.0, 1.0), (0.3, -0.2, 0.9)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(MESHES)), pose=poses,
+       direction=st.sampled_from(CAST_DIRECTIONS),
+       gap=st.sampled_from([1e-9, 1e-6, 1e-3]),
+       seed=st.integers(0, 2**16))
+def test_cast_matches_brute_force_first_hit(name, pose, direction, gap, seed):
+    mesh = MESHES[name].transformed(pose)
+    pts = _query_points(mesh, gap, seed)
+    expect = ref_first_hit(pts, direction, mesh)
+    for cast_only in (False, True):
+        index = MeshIndex(mesh, direction, cast_only=cast_only)
+        assert np.array_equal(index.cast(pts), expect)
+    # rays that start beside the mesh, off the index's grid, hit nothing;
+    # the far query points sit 2.0 from the mesh centre, so shifting by 2.0
+    # could bring one back over the mesh: shift well past that radius
+    d = np.asarray(direction) / np.linalg.norm(direction)
+    side = np.cross(d, [1.0, 0.0, 0.0] if abs(d[0]) < 0.9 else [0.0, 1.0, 0.0])
+    side /= np.linalg.norm(side)
+    off = pts + 5.0 * side
+    assert np.all(index.cast(off) == np.inf)
+    assert np.all(ref_first_hit(off, direction, mesh) == np.inf)
+
+
+def test_cast_only_index_drops_parallel_triangles():
+    cup = make_cup(0.035, 0.09, 0.005)
+    box = make_box([0.06, 0.05, 0.04])
+    assert len(MeshIndex(cup, (0, 0, -1), cast_only=True).a) == 80
+    assert len(MeshIndex(box, (0, 0, 1), cast_only=True).a) == 64
+    index = MeshIndex(box, (0, 0, -1), cast_only=True)
+    # down onto the top face, 0.02 below the origin
+    assert index.cast([[0.0, 0.0, 0.1]])[0] == pytest.approx(0.08, abs=1e-12)
+    assert index.cast(np.empty((0, 3))).shape == (0,)
+    with pytest.raises(ValueError):
+        index.within([[0.0, 0.0, 0.0]], 0.001)
