@@ -205,15 +205,21 @@ def _scoring_intrinsics(intrinsics: CameraIntrinsics) -> CameraIntrinsics:
     s = _SCORE_MAX_DIM / max(intrinsics.width, intrinsics.height)
     if s >= 1.0:
         return intrinsics
-    return CameraIntrinsics(intrinsics.fx * s, intrinsics.fy * s,
-                            intrinsics.cx * s, intrinsics.cy * s,
-                            max(1, round(intrinsics.width * s)),
-                            max(1, round(intrinsics.height * s)))
+    cx, cy = intrinsics.cx * s, intrinsics.cy * s
+
+    def size(n, c):
+        # rounding down may cut off a principal point near the far edge
+        n = max(1, round(n * s))
+        return n if c < n else int(np.floor(c)) + 1
+
+    return CameraIntrinsics(intrinsics.fx * s, intrinsics.fy * s, cx, cy,
+                            size(intrinsics.width, cx),
+                            size(intrinsics.height, cy))
 
 
 def select_coarse_pose(mesh: TriangleMesh, hypotheses: PoseHypothesisSet,
                        observation: ColorImage, obs_mask: BinaryMask,
-                       intrinsics: CameraIntrinsics, extractor=None) -> CoarseAlignment:
+                       intrinsics: CameraIntrinsics) -> CoarseAlignment:
     """Render and score every hypothesis against the masked observation.
 
     Hypotheses are rendered at a scoring resolution capped at 40 px per
@@ -223,14 +229,13 @@ def select_coarse_pose(mesh: TriangleMesh, hypotheses: PoseHypothesisSet,
     """
     if len(hypotheses) == 0:
         raise RejectedInput("empty hypothesis set")
-    extract = extractor if extractor is not None else grid_descriptor
-    obs_feat = extract(mask_observation(observation, obs_mask))
+    obs_feat = grid_descriptor(mask_observation(observation, obs_mask))
     score_intr = _scoring_intrinsics(intrinsics)
 
     views = render_batch(mesh, hypotheses.poses, score_intr, cull=True)
 
     def score(view):
-        return cosine_similarity(extract(view.rgb), obs_feat)
+        return cosine_similarity(grid_descriptor(view.rgb), obs_feat)
 
     sims = parallel_map(score, views)
     best_idx = int(np.argmax(sims))

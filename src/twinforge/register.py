@@ -6,9 +6,11 @@ All randomized steps take explicit seeds and are deterministic.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csr_matrix
 from scipy.spatial import cKDTree
 
 from . import quaternions as quat
@@ -148,34 +150,41 @@ def compute_fpfh(cloud: PointCloud, normals, radius: float | None = None,
         d1, _ = tree.query(pts, k=2)
         radius = 5.0 * float(np.mean(d1[:, 1]))
 
+    # neighbour pairs (i, j), flattened in query-ball order
     neighbor_lists = tree.query_ball_point(pts, radius)
-    pi, pj = [], []
-    for i, lst in enumerate(neighbor_lists):
-        if not valid[i]:
-            continue
-        for j in lst:
-            if j != i and valid[j]:
-                pi.append(i)
-                pj.append(j)
+    sizes = np.fromiter(map(len, neighbor_lists), dtype=np.intp, count=n)
+    pj = np.fromiter(itertools.chain.from_iterable(neighbor_lists),
+                     dtype=np.intp, count=int(sizes.sum()))
+    pi = np.repeat(np.arange(n), sizes)
+    use = valid[pi] & valid[pj] & (pi != pj)
+    pi, pj = pi[use], pj[use]
     spfh = np.zeros((n, 3 * _BINS))
-    if not pi:
+    if len(pi) == 0:
         return spfh
-    pi = np.asarray(pi)
-    pj = np.asarray(pj)
     alpha, phi, theta, ok = _pair_features(pts[pi], pts[pj], normals[pi], normals[pj])
     pi, pj = pi[ok], pj[ok]
     ba = _bin_index(alpha[ok], -1.0, 1.0)
     bp = _bin_index(phi[ok], -1.0, 1.0)
     bt = _bin_index(theta[ok], -np.pi, np.pi)
-    np.add.at(spfh, (pi, ba), 1.0)
-    np.add.at(spfh, (pi, _BINS + bp), 1.0)
-    np.add.at(spfh, (pi, 2 * _BINS + bt), 1.0)
+    cells = np.concatenate([pi * (3 * _BINS) + ba,
+                            pi * (3 * _BINS) + _BINS + bp,
+                            pi * (3 * _BINS) + 2 * _BINS + bt])
+    spfh = np.bincount(cells, minlength=n * 3 * _BINS).reshape(n, 3 * _BINS)
+    spfh = spfh.astype(float)
 
+    # fpfh[i] = spfh[i] + sum_j w_ij spfh[j], added in pair order, as one
+    # CSR product: a stable sort by row puts each row's unit self weight
+    # ahead of its pair weights
     dist = np.linalg.norm(pts[pi] - pts[pj], axis=1)
     counts = np.bincount(pi, minlength=n).astype(float)
-    fpfh = spfh.copy()
     weights = 1.0 / np.maximum(dist, 1e-9) / np.maximum(counts[pi], 1.0)
-    np.add.at(fpfh, pi, spfh[pj] * weights[:, None])
+    rows = np.concatenate([np.arange(n), pi])
+    order = np.argsort(rows, kind="stable")
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+    weight_matrix = csr_matrix(
+        (np.concatenate([np.ones(n), weights])[order],
+         np.concatenate([np.arange(n), pj])[order], indptr), shape=(n, n))
+    fpfh = weight_matrix @ spfh
 
     sums = fpfh.sum(axis=1, keepdims=True)
     nz = sums[:, 0] > 0

@@ -5,6 +5,12 @@ top-left edge ownership, per-triangle near-plane rejection and headlight
 Lambertian shading. Depth is interpolated perspective-correctly (linear in
 1/z), so per-pixel depth matches ray casting up to floating-point error.
 
+Triangles are scan-converted by row spans: on each pixel-centre row of a
+triangle's bounding box, the three edge lines bound x to one interval,
+widened by a slack far above float rounding, and only the pixels inside it
+become fragments. Every fragment still runs the exact edge-function test
+(Pineda 1988), so coverage is the same as testing the whole bounding box.
+
 ``render`` is a pure function; callers may run many renders in parallel.
 """
 
@@ -14,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import quaternions as quat
 from .camera import CameraIntrinsics, ColorImage, DepthImage
 from .fileio import save_color_ppm, save_depth_pgm
 from .geometry import RigidPose, TriangleMesh
@@ -21,6 +28,11 @@ from .geometry import RigidPose, TriangleMesh
 DEFAULT_NEAR = 0.01
 DEFAULT_BACKGROUND = (0.5, 0.5, 0.5)
 AMBIENT = 0.25
+# row-span widening, in px per px of the triangle's largest coordinate: the
+# float error of an edge crossing is ~1e-15 of that, so no pixel that passes
+# the exact edge test falls outside its span
+_SPAN_SLACK = 1e-6
+_MAX_TILES = 64          # atlas tiles per rasterizer pass in render_batch
 
 
 def _cross3(a, b):
@@ -30,6 +42,19 @@ def _cross3(a, b):
     out[:, 1] = a[:, 2] * b[:, 0] - a[:, 0] * b[:, 2]
     out[:, 2] = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
     return out
+
+
+def _headlight(v):
+    """Per-triangle Lambert factor under a light at the camera, and the
+    normal length, for (T, 3, 3) camera-frame triangles. A triangle with a
+    zero normal or centroid gets the ambient term alone."""
+    n = _cross3(v[:, 1] - v[:, 0], v[:, 2] - v[:, 0])
+    nn = np.sqrt(np.einsum("ij,ij->i", n, n))
+    centroid = v.mean(axis=1)
+    cn = np.sqrt(np.einsum("ij,ij->i", centroid, centroid))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cosine = np.abs(np.einsum("ij,ij->i", n, -centroid) / (nn * cn))
+    return AMBIENT + (1.0 - AMBIENT) * np.where(nn * cn > 0, cosine, 0.0), nn
 
 
 @dataclass(frozen=True)
@@ -73,9 +98,6 @@ def _rasterize(vertices_cam, triangles, vertex_colors, tri_object_ids,
     in_front = z_all > near
     proj[in_front] = intrinsics.project(vertices_cam[in_front])
 
-    px = np.arange(W) + 0.5
-    py = np.arange(H) + 0.5
-
     live = np.nonzero(keep)[0]
     if len(live) == 0:
         return depth_buf, color_buf, id_buf
@@ -114,13 +136,7 @@ def _rasterize(vertices_cam, triangles, vertex_colors, tri_object_ids,
 
     v = vertices_cam[tri]                          # (T, 3, 3)
     if lambert is None:
-        n = _cross3(v[:, 1] - v[:, 0], v[:, 2] - v[:, 0])
-        nn = np.sqrt(np.einsum("ij,ij->i", n, n))
-        centroid = v.mean(axis=1)
-        cn = np.sqrt(np.einsum("ij,ij->i", centroid, centroid))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cosine = np.abs(np.einsum("ij,ij->i", n, -centroid) / (nn * cn))
-        lambert_all = AMBIENT + (1.0 - AMBIENT) * cosine
+        lambert_all, nn = _headlight(v)
         valid_n = nn > 0.0
     else:
         lambert_all = lambert
@@ -131,42 +147,69 @@ def _rasterize(vertices_cam, triangles, vertex_colors, tri_object_ids,
     if tile_bounds is not None:
         xlo, xhi = tile_bounds[:, 0], tile_bounds[:, 1]
         ylo, yhi = tile_bounds[:, 2], tile_bounds[:, 3]
-    xmin = np.maximum(np.floor(p[:, :, 0].min(axis=1) - 0.5).astype(int), xlo)
-    xmax = np.minimum(np.ceil(p[:, :, 0].max(axis=1) + 0.5).astype(int), xhi)
-    ymin = np.maximum(np.floor(p[:, :, 1].min(axis=1) - 0.5).astype(int), ylo)
-    ymax = np.minimum(np.ceil(p[:, :, 1].max(axis=1) + 0.5).astype(int), yhi)
+    # bbox in float, cast to int only once it is known to lie in the image
+    xmin = np.maximum(np.floor(p[:, :, 0].min(axis=1) - 0.5), xlo)
+    xmax = np.minimum(np.ceil(p[:, :, 0].max(axis=1) + 0.5), xhi)
+    ymin = np.maximum(np.floor(p[:, :, 1].min(axis=1) - 0.5), ylo)
+    ymax = np.minimum(np.ceil(p[:, :, 1].max(axis=1) + 0.5), yhi)
 
     ok = (area2 > 0.0) & valid_n & (xmin <= xmax) & (ymin <= ymax)
     if not ok.any():
         return depth_buf, color_buf, id_buf
-    (p, area2, tri, lambert_all, inv_z_v, xmin, xmax, ymin, ymax, live) = (
-        p[ok], area2[ok], tri[ok], lambert_all[ok], inv_z_v[ok],
-        xmin[ok], xmax[ok], ymin[ok], ymax[ok], live[ok])
+    (p, area2, tri, lambert_all, inv_z_v, live) = (
+        p[ok], area2[ok], tri[ok], lambert_all[ok], inv_z_v[ok], live[ok])
+    xmin, xmax, ymin, ymax = (b[ok].astype(np.int64)
+                              for b in (xmin, xmax, ymin, ymax))
 
-    # expand every triangle's bbox into a flat fragment list
-    wid = xmax - xmin + 1
+    # edge k runs from a = p[(k+1)%3] to b = p[(k+2)%3], opposite p[k];
+    # per-edge arrays are (3, T) so that gathers read contiguous rows
+    ax = np.ascontiguousarray(p[:, [1, 2, 0], 0].T)
+    ay = np.ascontiguousarray(p[:, [1, 2, 0], 1].T)
+    dx = p[:, [2, 0, 1], 0].T - ax
+    dy = p[:, [2, 0, 1], 1].T - ay
+    # top-left ownership for pixels exactly on an edge
+    top_left = (dy < 0) | ((dy == 0) & (dx < 0))
+
+    # Row spans. On row y the edge function e = dx (gy - ay) - dy (gx - ax)
+    # is >= 0 left of the crossing gx = ax + (gy - ay) dx / dy when dy > 0,
+    # and right of it when dy < 0; a horizontal edge leaves the span to the
+    # other two. Adding +-inf drops an edge from the bound it does not set,
+    # and fmin/fmax skip the NaN of a crossing that overflows.
     hgt = ymax - ymin + 1
-    counts = wid * hgt
-    total = int(counts.sum())
-    fid = np.repeat(np.arange(len(tri)), counts)       # fragment -> triangle
-    starts = np.cumsum(counts) - counts
-    local = np.arange(total) - starts[fid]
-    fx = xmin[fid] + local % wid[fid]
-    fy = ymin[fid] + local // wid[fid]
-    gx = px[fx]
-    gy = py[fy]
+    rid = np.repeat(np.arange(len(tri)), hgt)           # row -> triangle
+    ry = ymin[rid] + np.arange(len(rid)) - np.repeat(np.cumsum(hgt) - hgt, hgt)
+    gy = ry + 0.5
+    lo = np.full(len(rid), -np.inf)
+    hi = np.full(len(rid), np.inf)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        slope = dx / dy
+        for k in range(3):
+            xc = ax[k][rid] + (gy - ay[k][rid]) * slope[k][rid]
+            lo = np.fmax(lo, xc + np.where(dy[k] < 0, 0.0, -np.inf)[rid])
+            hi = np.fmin(hi, xc + np.where(dy[k] > 0, 0.0, np.inf)[rid])
+    # widen by the slack and clip to the bbox in float before the int cast
+    slack = (_SPAN_SLACK * (1.0 + np.abs(p).max(axis=(1, 2))))[rid]
+    x0 = np.clip(np.ceil(lo - slack - 0.5), xmin[rid], xmax[rid] + 1)
+    x1 = np.clip(np.floor(hi + slack - 0.5), xmin[rid] - 1, xmax[rid])
+    x0, x1 = x0.astype(np.int64), x1.astype(np.int64)
+    wid = np.maximum(x1 - x0 + 1, 0)
 
-    # edge functions with top-left ownership for pixels exactly on an edge
+    # expand the spans into a flat fragment list, ordered by triangle
+    total = int(wid.sum())
+    fid = np.repeat(rid, wid)                           # fragment -> triangle
+    fx = (np.repeat(x0, wid) + np.arange(total)
+          - np.repeat(np.cumsum(wid) - wid, wid))
+    fy = np.repeat(ry, wid)
+    gx = fx + 0.5
+    gy = fy + 0.5
+
+    # the exact edge test on every fragment
     inside = np.ones(total, dtype=bool)
     bary = np.empty((3, total))
-    for e_i, (ia, ib) in enumerate(((1, 2), (2, 0), (0, 1))):
-        ax, ay = p[:, ia, 0], p[:, ia, 1]
-        bx, by = p[:, ib, 0], p[:, ib, 1]
-        dx, dy = bx - ax, by - ay
-        top_left = (dy < 0) | ((dy == 0) & (dx < 0))
-        e = dx[fid] * (gy - ay[fid]) - dy[fid] * (gx - ax[fid])
-        inside &= np.where(top_left[fid], e >= 0, e > 0)
-        bary[e_i] = e / area2[fid]
+    for k in range(3):
+        e = dx[k][fid] * (gy - ay[k][fid]) - dy[k][fid] * (gx - ax[k][fid])
+        inside &= np.where(top_left[k][fid], e >= 0, e > 0)
+        bary[k] = e / area2[fid]
 
     fid, fx, fy = fid[inside], fx[inside], fy[inside]
     if len(fid) == 0:
@@ -179,12 +222,16 @@ def _rasterize(vertices_cam, triangles, vertex_colors, tri_object_ids,
         z = np.where(inv_z > 0, 1.0 / inv_z, np.inf)
 
     # z-buffer resolve: per pixel keep the closest fragment; exact depth
-    # ties go to the earliest triangle, matching sequential draw order
+    # ties go to the earliest triangle, matching sequential draw order.
+    # Fragments are ordered by triangle, so among a pixel's closest ones
+    # the earliest triangle's has the lowest index.
     pix = fy * W + fx
-    order = np.lexsort((fid, z, pix))
-    keep = np.ones(len(order), dtype=bool)
-    keep[1:] = pix[order][1:] != pix[order][:-1]
-    win = order[keep]
+    zmin = np.full(H * W, np.inf)
+    np.minimum.at(zmin, pix, z)
+    closest = np.flatnonzero(z == zmin[pix])
+    first = np.full(H * W, len(z))
+    np.minimum.at(first, pix[closest], closest)
+    win = first[first < len(z)]
     fid, fx, fy, z = fid[win], fx[win], fy[win], z[win]
     w0, w1, w2 = w0[win], w1[win], w2[win]
 
@@ -222,21 +269,21 @@ def render(mesh: TriangleMesh, pose: RigidPose, intrinsics: CameraIntrinsics,
 
 
 def render_batch(mesh: TriangleMesh, poses, intrinsics: CameraIntrinsics,
-                 near=DEFAULT_NEAR, background=DEFAULT_BACKGROUND,
-                 cull=False, max_tiles=64):
+                 near=DEFAULT_NEAR, background=DEFAULT_BACKGROUND, cull=False):
     """Render one mesh under many poses via tiled atlas rasterization.
 
     Amortizes the per-call rasterizer overhead: poses are packed into a grid
     of image-sized tiles, each tile's vertices are sheared so its projection
     lands in the right cell (a pure pixel translation; depth and backface
     decisions are unchanged), and one rasterizer pass fills the whole atlas.
-    Returns one RenderedView per pose, matching per-pose ``render`` output
-    up to the float rounding of the pixel translation.
+    Each atlas is assembled for all its poses at once. Returns one
+    RenderedView per pose, matching per-pose ``render`` output up to the
+    float rounding of the pixel translation.
     """
     poses = list(poses)
     W, H = intrinsics.width, intrinsics.height
-    T = len(mesh.triangles)
-    ntile = max(1, min(max_tiles, (256 * 256) // max(1, W * H)))
+    V, T = len(mesh.vertices), len(mesh.triangles)
+    ntile = max(1, min(_MAX_TILES, (256 * 256) // max(1, W * H)))
     views = []
     for c0 in range(0, len(poses), ntile):
         batch = poses[c0:c0 + ntile]
@@ -246,42 +293,31 @@ def render_batch(mesh: TriangleMesh, poses, intrinsics: CameraIntrinsics,
         atlas_intr = CameraIntrinsics(intrinsics.fx, intrinsics.fy,
                                       intrinsics.cx, intrinsics.cy,
                                       W * cols, H * rows)
-        all_verts, all_tris, all_lam, all_bounds = [], [], [], []
-        for i, pose in enumerate(batch):
-            r, c = divmod(i, cols)
-            vc = pose.apply(mesh.vertices)
-            tv = vc[mesh.triangles]
-            n = _cross3(tv[:, 1] - tv[:, 0], tv[:, 2] - tv[:, 0])
-            nn = np.sqrt(np.einsum("ij,ij->i", n, n))
-            cen = tv.mean(axis=1)
-            cn = np.sqrt(np.einsum("ij,ij->i", cen, cen))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                cosine = np.abs(np.einsum("ij,ij->i", n, -cen) / (nn * cn))
-            lam = AMBIENT + (1.0 - AMBIENT) * np.where(nn * cn > 0, cosine, 0.0)
-            sheared = vc.copy()
-            sheared[:, 0] += (c * W / intrinsics.fx) * vc[:, 2]
-            sheared[:, 1] += (r * H / intrinsics.fy) * vc[:, 2]
-            all_verts.append(sheared)
-            all_tris.append(mesh.triangles + i * len(mesh.vertices))
-            all_lam.append(lam)
-            all_bounds.append(np.broadcast_to(
-                np.array([c * W, c * W + W - 1, r * H, r * H + H - 1]), (T, 4)))
-        verts = np.vstack(all_verts)
-        tris = np.vstack(all_tris)
+        r, c = np.divmod(np.arange(B), cols)
+        # (B, V, 3) camera-frame vertices: one matmul per pose, the same
+        # arithmetic as RigidPose.apply
+        rot = np.ascontiguousarray(np.moveaxis(
+            quat.quat_to_matrix(np.array([p.rotation for p in batch]).T), -1, 0))
+        vc = (np.matmul(mesh.vertices, rot.transpose(0, 2, 1))
+              + np.array([p.translation for p in batch])[:, None])
+        lam, _ = _headlight(vc[:, mesh.triangles].reshape(-1, 3, 3))
+        sheared = vc.copy()
+        sheared[:, :, 0] += (c * W / intrinsics.fx)[:, None] * vc[:, :, 2]
+        sheared[:, :, 1] += (r * H / intrinsics.fy)[:, None] * vc[:, :, 2]
+        tris = (mesh.triangles + V * np.arange(B)[:, None, None]).reshape(-1, 3)
+        bounds = np.repeat(np.stack([c * W, c * W + W - 1, r * H, r * H + H - 1],
+                                    axis=1), T, axis=0)
         colors = (np.tile(mesh.vertex_colors, (B, 1))
                   if mesh.vertex_colors is not None else None)
         ids = np.zeros(len(tris), dtype=np.int64)
-        depth, color, _ = _rasterize(verts, tris, colors, ids, atlas_intr,
-                                     near, background, cull=cull,
-                                     lambert=np.concatenate(all_lam),
-                                     tile_bounds=np.vstack(all_bounds))
+        depth, color, _ = _rasterize(sheared.reshape(-1, 3), tris, colors, ids,
+                                     atlas_intr, near, background, cull=cull,
+                                     lambert=lam, tile_bounds=bounds)
         depth = np.where(np.isfinite(depth), depth, 0.0)
         for i, pose in enumerate(batch):
-            r, c = divmod(i, cols)
-            tile_d = depth[r * H:(r + 1) * H, c * W:(c + 1) * W]
-            tile_c = color[r * H:(r + 1) * H, c * W:(c + 1) * W]
-            views.append(RenderedView(ColorImage(tile_c), DepthImage(tile_d),
-                                      pose, intrinsics))
+            tile = np.s_[r[i] * H:(r[i] + 1) * H, c[i] * W:(c[i] + 1) * W]
+            views.append(RenderedView(ColorImage(color[tile]),
+                                      DepthImage(depth[tile]), pose, intrinsics))
     return views
 
 

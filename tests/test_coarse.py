@@ -132,3 +132,56 @@ def test_select_coarse_pose_empty_hypotheses():
         select_coarse_pose(mesh, hyps, ColorImage(np.zeros((8, 8, 3))),
                            BinaryMask(np.zeros((8, 8), dtype=bool)),
                            default_intrinsics(8, 10.0))
+
+
+def _mask_at(row, col, size, shape=(240, 320)):
+    mask = np.zeros(shape, dtype=bool)
+    mask[row:row + size, col:col + size] = True
+    return BinaryMask(mask)
+
+
+def test_select_coarse_pose_on_crop_with_principal_point_at_far_edge():
+    # a 10 px mask at row 108, col 294 of a 320x240, f=300 camera crops to a
+    # 146x16 viewport with cy = 15; scaled to 40x4.38 px, rounding the height
+    # down to 4 used to leave cy = 4.11 outside and reject the observation
+    from twinforge.camera import CameraIntrinsics
+    from twinforge.register import _crop_to_mask
+    cam = CameraIntrinsics(300.0, 300.0, 160.0, 120.0, 320, 240)
+    rng = np.random.default_rng(0)
+    color, mask, crop = _crop_to_mask(ColorImage(rng.random((240, 320, 3))),
+                                      _mask_at(108, 294, 10), cam)
+    assert (crop.cx, crop.cy, crop.width, crop.height) == (0, 15, 146, 16)
+    hyps = generate_hypotheses([0.2, -0.02, 0.5], 8)
+    result = select_coarse_pose(make_box([0.06, 0.05, 0.04]), hyps, color,
+                                mask, crop)
+    assert len(result.all_scores) == 8
+    assert np.isfinite(result.similarity)
+
+
+def test_scoring_intrinsics_keep_principal_point_and_rounded_size():
+    # every crop scales to at most 40 px a side with the principal point
+    # inside; a dimension grows past its rounded size only when the point
+    # would otherwise fall outside
+    from twinforge.camera import CameraIntrinsics
+    from twinforge.coarse import _SCORE_MAX_DIM, _scoring_intrinsics
+    from twinforge.register import _crop_to_mask
+    cam = CameraIntrinsics(300.0, 300.0, 160.0, 120.0, 320, 240)
+    color = ColorImage(np.zeros((240, 320, 3)))
+    grown = 0
+    for size in (4, 10):
+        for row in range(0, 240 - size + 1, 6):
+            for col in range(0, 320 - size + 1, 6):
+                _, _, crop = _crop_to_mask(color, _mask_at(row, col, size), cam)
+                out = _scoring_intrinsics(crop)
+                s = _SCORE_MAX_DIM / max(crop.width, crop.height)
+                if s >= 1.0:
+                    assert out == crop
+                    continue
+                assert max(out.width, out.height) <= _SCORE_MAX_DIM
+                for n, c, got in ((crop.width, out.cx, out.width),
+                                  (crop.height, out.cy, out.height)):
+                    rounded = max(1, round(n * s))
+                    assert got == (rounded if c < rounded
+                                   else int(np.floor(c)) + 1)
+                    grown += got != rounded
+    assert grown > 0

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twinforge import quaternions as quat
 from twinforge.errors import RejectedInput, StageFailureError
@@ -10,6 +12,8 @@ from twinforge.register import (AlignConfig, IcpParams, RansacParams,
                                 kabsch, mutual_correspondences,
                                 ransac_register, two_stage_align)
 from twinforge.synth import make_ramp, synthetic_observation
+
+from register_reference import ref_compute_fpfh
 
 
 def _aabb_corner_cloud(extents):
@@ -93,6 +97,39 @@ def test_fpfh_edge_differs_from_plane():
     d_int = np.abs(desc[interior] - ref).sum(axis=1).mean()
     d_edge = np.abs(desc[edge] - ref).sum(axis=1).mean()
     assert d_edge > 2 * d_int
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(3, 300), seed=st.integers(0, 2**16),
+       invalid=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+       isolated=st.integers(0, 5), duplicates=st.integers(0, 5),
+       radius=st.none() | st.floats(0.001, 0.05))
+def test_fpfh_matches_loop_reference(n, seed, invalid, isolated, duplicates,
+                                     radius):
+    # clustered points, a few far from everything, a few exact duplicates
+    # (zero-length pairs), some normals invalid; descriptors bit for bit
+    rng = np.random.default_rng(seed)
+    pts = rng.normal(scale=0.02, size=(n, 3))
+    pts[:isolated] += rng.choice([-1.0, 1.0], (min(isolated, n), 3))
+    dup = rng.integers(0, n, duplicates)
+    pts = np.vstack([pts, pts[dup]])
+    normals = rng.normal(size=pts.shape)
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    valid = rng.random(len(pts)) >= invalid
+    cloud = PointCloud(pts)
+    got = compute_fpfh(cloud, normals, radius, valid)
+    want = ref_compute_fpfh(cloud, normals, radius, valid)
+    assert got.shape == want.shape == (len(pts), 33)
+    assert np.array_equal(got, want)
+
+
+def test_fpfh_matches_loop_reference_on_alignment_clouds():
+    obs = synthetic_observation("cup:0.035,0.09", seed=0)
+    for mesh_pts in (sample_mesh_surface(obs.unit_mesh, 800, seed=1),
+                     _ramp_cloud(800, seed=2)):
+        normals, valid = estimate_normals(mesh_pts)
+        assert np.array_equal(compute_fpfh(mesh_pts, normals, valid=valid),
+                              ref_compute_fpfh(mesh_pts, normals, valid=valid))
 
 
 def test_kabsch_exact():

@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from render_reference import ref_rasterize, ref_render_batch
 from twinforge import quaternions as quat
 from twinforge.camera import CameraIntrinsics, backproject
 from twinforge.geometry import RigidPose, TriangleMesh
-from twinforge.render import DEFAULT_BACKGROUND, render, render_scene
+from twinforge.render import (DEFAULT_BACKGROUND, _rasterize, render,
+                              render_batch, render_scene)
 from twinforge.solids import point_mesh_distance, ray_mesh_depth
-from twinforge.synth import make_box
+from twinforge.synth import (PRIMITIVES, make_box, make_cup, make_cylinder,
+                             make_open_box, make_ramp)
 
 
 def intr(size=64, focal=80.0):
@@ -157,7 +162,6 @@ def test_backface_cull_image_identical():
 
 
 def test_render_batch_matches_single_renders():
-    from twinforge.render import render_batch
     cam = intr()
     mesh = make_box([0.08, 0.06, 0.05])
     poses = [box_pose(s) for s in range(9)]
@@ -173,3 +177,152 @@ def test_render_batch_matches_single_renders():
         assert np.mean(agree) > 0.995
         assert np.allclose(single.rgb.values[agree],
                            batched.rgb.values[agree], atol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# Row-span rasterizer and vectorized atlas against the bounding-box reference
+
+PRIMITIVE_MESHES = {
+    "box": make_box([0.06, 0.05, 0.04]),
+    "cylinder": make_cylinder(0.03, 0.08),
+    "open_box": make_open_box([0.12, 0.1, 0.06], 0.012),
+    "cup": make_cup(0.035, 0.09, 0.005),
+    "ramp": make_ramp([0.1, 0.08, 0.05]),
+}
+assert set(PRIMITIVE_MESHES) == set(PRIMITIVES)
+
+_unit = st.floats(-1.0, 1.0, allow_nan=False)
+# z from behind the camera, through the near plane, out to far away
+poses = st.builds(
+    lambda q, xy, z: RigidPose(quat.quat_normalize(np.array(q)),
+                               np.array([xy[0], xy[1], z])),
+    st.tuples(_unit, _unit, _unit, _unit).filter(
+        lambda q: np.linalg.norm(q) > 0.1),
+    st.tuples(st.floats(-0.15, 0.15), st.floats(-0.15, 0.15)),
+    st.sampled_from([0.0, 0.02, 0.04]) | st.floats(-0.1, 1.0))
+cameras = st.builds(
+    lambda w, h, f, cx, cy: CameraIntrinsics(f, f, cx * w, cy * h, w, h),
+    st.integers(1, 48), st.integers(1, 48), st.floats(20.0, 200.0),
+    st.floats(0.0, 0.999), st.floats(0.0, 0.999))
+
+
+def _assert_same_buffers(got, want):
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        assert np.array_equal(g, w)
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(PRIMITIVE_MESHES)), pose=poses, cam=cameras,
+       cull=st.booleans(), colored=st.booleans())
+def test_rasterize_primitives_match_bbox_reference(name, pose, cam, cull,
+                                                   colored):
+    mesh = PRIMITIVE_MESHES[name]
+    verts = pose.apply(mesh.vertices)
+    colors = mesh.vertex_colors if colored else None
+    ids = np.arange(len(mesh.triangles))
+    args = (verts, mesh.triangles, colors, ids, cam, 0.01, (0.5, 0.5, 0.5))
+    _assert_same_buffers(_rasterize(*args, cull=cull),
+                         ref_rasterize(*args, cull=cull))
+
+
+def _pixel_soup(kind, rng, w, h):
+    """(T, 3, 2) pixel-space triangles of one stress kind."""
+    n = 24
+    if kind == "centres":  # every vertex on a pixel centre
+        return rng.integers(-3, max(w, h) + 3, (n, 3, 2)) + 0.5
+    if kind == "axis":  # one horizontal and one vertical edge each
+        a = rng.uniform(-2, max(w, h) + 2, (n, 2))
+        ext = rng.choice([-1, 1], (n, 2)) * rng.uniform(0.3, 8, (n, 2))
+        b = a + np.stack([ext[:, 0], np.zeros(n)], axis=1)
+        c = a + np.stack([np.zeros(n), ext[:, 1]], axis=1)
+        return np.round(np.stack([a, b, c], axis=1) * 4) / 4
+    if kind == "subpixel":
+        a = rng.uniform(0, max(w, h), (n, 1, 2))
+        return a + rng.uniform(-0.6, 0.6, (n, 3, 2))
+    if kind == "sliver":  # nearly collinear, from 1e-9 px to 1e-2 px thick
+        a = rng.uniform(0, max(w, h), (n, 2))
+        b = a + rng.uniform(-20, 20, (n, 2))
+        d = b - a
+        perp = np.stack([-d[:, 1], d[:, 0]], axis=1)
+        perp /= np.maximum(np.linalg.norm(perp, axis=1, keepdims=True), 1e-12)
+        c = (a + rng.uniform(-0.5, 1.5, (n, 1)) * d
+             + 10.0 ** rng.uniform(-9, -2, (n, 1)) * perp)
+        return np.stack([a, b, c], axis=1)
+    if kind == "through":  # edges through pixel centres, off-grid endpoints
+        p = rng.integers(0, max(w, h), (n, 2)) + 0.5
+        q = p + rng.integers(-6, 7, (n, 2))
+        s, t = rng.choice([1 / 3, 0.1, 0.7, 1 / 7], (2, n, 1))
+        a, b = p - s * (q - p), q + t * (q - p)
+        c = rng.uniform(-2, max(w, h) + 2, (n, 2))
+        return np.stack([a, b, c], axis=1)
+    return rng.uniform(-0.5 * w, 1.5 * max(w, h), (n, 3, 2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(["centres", "axis", "subpixel", "sliver",
+                             "through", "random"]),
+       size=st.tuples(st.integers(1, 40), st.integers(1, 40)),
+       seed=st.integers(0, 2**16), cull=st.booleans(), tiled=st.booleans(),
+       shaded=st.booleans())
+def test_rasterize_stress_triangles_match_bbox_reference(kind, size, seed, cull,
+                                                         tiled, shaded):
+    # unit focal length and principal point at the origin: a vertex at
+    # (u z, v z, z) with a power-of-two z projects to exactly (u, v)
+    w, h = size
+    rng = np.random.default_rng(seed)
+    uv = _pixel_soup(kind, rng, w, h)
+    z = 2.0 ** rng.integers(-1, 3, uv.shape[:2])
+    # a few vertices on or in front of the near plane
+    z[rng.random(z.shape) < 0.05] = rng.choice([0.01, 0.005, -1.0])
+    verts = np.concatenate([uv * z[..., None], z[..., None]], axis=2)
+    verts = verts.reshape(-1, 3)
+    tris = np.arange(len(verts)).reshape(-1, 3)
+    colors = rng.random((len(verts), 3))
+    ids = np.arange(len(tris))
+    cam = CameraIntrinsics(1.0, 1.0, 0.0, 0.0, w, h)
+    kw = {"cull": cull}
+    if shaded:
+        kw["lambert"] = rng.uniform(0.25, 1.0, len(tris))
+    if tiled:  # tile borders through the middle of the triangles
+        x0 = rng.integers(0, w, len(tris))
+        y0 = rng.integers(0, h, len(tris))
+        kw["tile_bounds"] = np.stack([x0, rng.integers(x0, w), y0,
+                                      rng.integers(y0, h)], axis=1)
+    args = (verts, tris, colors, ids, cam, 0.01, (0.5, 0.5, 0.5))
+    _assert_same_buffers(_rasterize(*args, **kw), ref_rasterize(*args, **kw))
+
+
+def test_exact_depth_ties_go_to_the_earliest_triangle():
+    # the same quad twice: every covered pixel ties exactly in depth
+    verts = np.array([[-0.1, -0.1, 0.5], [0.1, -0.1, 0.5],
+                      [0.1, 0.1, 0.5], [-0.1, 0.1, 0.5]])
+    tris = np.array([[0, 1, 2], [0, 2, 3], [0, 1, 2], [0, 2, 3]])
+    ids = np.array([0, 0, 1, 1])
+    args = (verts, tris, None, ids, intr(), 0.01, (0.5, 0.5, 0.5))
+    got = _rasterize(*args)
+    _assert_same_buffers(got, ref_rasterize(*args))
+    assert np.all(got[2][got[0] < np.inf] == 0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(name=st.sampled_from(sorted(PRIMITIVE_MESHES)),
+       pose_list=st.lists(poses, min_size=1, max_size=10),
+       size=st.sampled_from([(12, 9), (40, 37), (128, 128)]),
+       cull=st.booleans(), colored=st.booleans())
+def test_render_batch_matches_per_pose_reference(name, pose_list, size, cull,
+                                                 colored):
+    # (128, 128) puts four tiles in an atlas, so ten poses span three
+    # atlases; poses off to the side cross their tile's borders
+    mesh = PRIMITIVE_MESHES[name]
+    if not colored:
+        mesh = TriangleMesh(mesh.vertices, mesh.triangles)
+    w, h = size
+    cam = CameraIntrinsics(60.0, 60.0, w / 2, h / 2, w, h)
+    got = render_batch(mesh, pose_list, cam, cull=cull)
+    want = ref_render_batch(mesh, pose_list, cam, cull=cull)
+    assert len(got) == len(want) == len(pose_list)
+    for g, r in zip(got, want):
+        assert g.pose is r.pose and g.intrinsics == r.intrinsics
+        _assert_same_buffers((g.depth.values, g.rgb.values),
+                             (r.depth.values, r.rgb.values))
