@@ -11,13 +11,11 @@ Usage:
 import argparse
 import os
 
-import numpy as np
-
 from twinforge import quaternions as quat
 from twinforge.fileio import save_color_ppm
 from twinforge.geometry import RigidPose
 from twinforge.simulate import (GeometricEvaluator, SceneObject, SceneTwin,
-                                SimConfig, settle_simulate)
+                                SimConfig, render_outcome, settle_simulate)
 from twinforge.strategy import StrategySample
 from twinforge.synth import primitive_from_spec
 
@@ -37,7 +35,7 @@ def main():
                     role="static"),
     ))
     evaluator = GeometricEvaluator(("on_top", ("cube", "base")))
-    cfg = SimConfig(render=True, render_size=192, surface_samples=900)
+    cfg = SimConfig(surface_samples=900)
 
     releases = {
         "centered": [0.0, 0.0, 0.12],
@@ -53,9 +51,8 @@ def main():
               f"settled z={settled.translation[2]:.3f} "
               f"stable={out.stable} topple_steps={out.topple_steps} "
               f"on_top={ok}")
-        if out.rendered is not None:
-            path = os.path.join(args.out, f"outcome_{name}.ppm")
-            save_color_ppm(path, out.rendered.rgb)
+        path = os.path.join(args.out, f"outcome_{name}.ppm")
+        save_color_ppm(path, render_outcome(out).rgb)
     print(f"renders written to {args.out}")
 
 

@@ -50,8 +50,7 @@ def main():
                                 seed=args.seed, vertical_offset=0.05)
     print(f"sampled {len(samples)} candidate strategies")
 
-    sim = SettleSimulator(twin, SimConfig(render=False, surface_samples=900,
-                                          seed=args.seed))
+    sim = SettleSimulator(twin, SimConfig(surface_samples=900, seed=args.seed))
     evaluator = GeometricEvaluator(("inside", ("cube", "container")))
     labeled = label_samples(twin, samples, sim, evaluator)
     positives = sum(1 for s in labeled if s.weak_label)

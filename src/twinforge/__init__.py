@@ -6,15 +6,13 @@ __version__ = "0.1.0"
 from .camera import BinaryMask, CameraIntrinsics, ColorImage, DepthImage, backproject
 from .errors import NoFeasibleGrasp, RejectedInput, StageFailureError
 from .geometry import (Aabb, PointCloud, RigidPose, SpatialIndex, TriangleMesh,
-                       compute_aabb, nearest_distance, quaternion_chordal_distance,
-                       sample_mesh_surface, transform_cloud)
+                       compute_aabb, sample_mesh_surface)
 from .render import RenderedView, render, render_scene
 
 __all__ = [
     "Aabb", "BinaryMask", "CameraIntrinsics", "ColorImage", "DepthImage",
     "NoFeasibleGrasp", "PointCloud", "RejectedInput", "RenderedView",
     "RigidPose", "SpatialIndex", "StageFailureError", "TriangleMesh",
-    "backproject", "compute_aabb", "nearest_distance",
-    "quaternion_chordal_distance", "render", "render_scene",
-    "sample_mesh_surface", "transform_cloud",
+    "backproject", "compute_aabb", "render", "render_scene",
+    "sample_mesh_surface",
 ]

@@ -12,7 +12,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .geometry import RigidPose
 from .pipeline import PipelineConfig, align_scene, run_and_write
 from .register import AlignConfig
 from .scene import load_scene_spec, pose_to_json
-from .simulate import SimConfig, settle_simulate
+from .simulate import render_outcome, settle_simulate
 from .strategy import StrategySample
 from .synth import TASKS, generate_synthetic_scene
 
@@ -42,24 +42,29 @@ def _load_config(path) -> dict:
     return doc
 
 
-def _apply_section(default, section: dict):
-    known = {f.name for f in fields(type(default))}
+def _apply_section(default, section):
+    """Overlay a JSON object onto a config dataclass, recursing into every
+    field whose default is itself a dataclass."""
+    if not isinstance(section, dict):
+        raise RejectedInput(
+            f"config section for {type(default).__name__} must be an object")
+    known = {f.name for f in fields(default)}
     unknown = set(section) - known
     if unknown:
         raise RejectedInput(f"unknown config keys: {sorted(unknown)}")
-    return replace(default, **section)
+    changes = {}
+    for name, value in section.items():
+        current = getattr(default, name)
+        changes[name] = (_apply_section(current, value)
+                         if is_dataclass(current) else value)
+    return replace(default, **changes)
 
 
 def build_pipeline_config(doc: dict) -> PipelineConfig:
-    """Overlay a JSON config document onto the pipeline defaults. Sections
-    "align", "sim" and top-level PipelineConfig field names are honored."""
-    cfg = PipelineConfig()
-    if "align" in doc:
-        cfg = replace(cfg, align=_apply_section(cfg.align, doc["align"]))
-    if "sim" in doc:
-        cfg = replace(cfg, sim=_apply_section(cfg.sim, doc["sim"]))
-    rest = {k: v for k, v in doc.items() if k not in ("align", "sim")}
-    return _apply_section(cfg, rest)
+    """Overlay a JSON config document onto the pipeline defaults. Keys are
+    PipelineConfig field names; nested config objects ("align", "sim",
+    "gp", "align.ransac", ...) take sections of their own field names."""
+    return _apply_section(PipelineConfig(), doc)
 
 
 def _require(args, name):
@@ -155,8 +160,7 @@ def cmd_simulate(args) -> int:
         return EXIT_STAGE_FAILURE
     pose = (_parse_pose(args.pose) if args.pose
             else twin.manipulated.pose)
-    sim_cfg = replace(config.sim, render=True)
-    outcome = settle_simulate(twin, StrategySample(pose, 0), sim_cfg)
+    outcome = settle_simulate(twin, StrategySample(pose, 0), config.sim)
     doc = {
         "stable": bool(outcome.stable),
         "penetration": bool(outcome.penetration),
@@ -168,8 +172,7 @@ def cmd_simulate(args) -> int:
     with open(path, "w") as f:
         json.dump(doc, f, indent=2, sort_keys=True)
         f.write("\n")
-    if outcome.rendered is not None:
-        outcome.rendered.dump(os.path.join(out, "outcome"))
+    render_outcome(outcome).dump(os.path.join(out, "outcome"))
     print(f"stable={outcome.stable} penetration={outcome.penetration}")
     print(f"outcome written: {path}")
     return EXIT_OK

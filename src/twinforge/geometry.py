@@ -183,14 +183,6 @@ class SpatialIndex:
         return self._tree.query_ball_point(np.asarray(points, dtype=float), radius)
 
 
-def transform_cloud(cloud: PointCloud, pose: RigidPose) -> PointCloud:
-    return PointCloud(pose.apply(cloud.points), cloud.colors)
-
-
-def nearest_distance(query, index: SpatialIndex) -> float:
-    return index.nearest_distance(query)
-
-
 def compute_aabb(cloud) -> Aabb:
     pts = cloud.points if isinstance(cloud, PointCloud) else np.asarray(cloud, dtype=float)
     if len(pts) == 0:
@@ -227,7 +219,3 @@ def sample_mesh_surface(mesh: TriangleMesh, n: int, seed: int) -> PointCloud:
         cc = mesh.vertex_colors[mesh.triangles[tri_idx, 2]]
         colors = ca + u[:, None] * (cb - ca) + v[:, None] * (cc - ca)
     return PointCloud(pts, colors)
-
-
-def quaternion_chordal_distance(q1, q2) -> float:
-    return quat.chordal_distance(q1, q2)

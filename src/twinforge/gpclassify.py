@@ -8,11 +8,10 @@ the linear embedding of the chordal metric.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import quaternions as quat
 from .errors import RejectedInput
 from .geometry import RigidPose
 
@@ -28,15 +27,6 @@ class Se3KernelParams:
         if min(self.signal_variance, self.translation_scale,
                self.rotation_scale, self.jitter) <= 0:
             raise RejectedInput("kernel parameters must all be positive")
-
-
-def se3_kernel(a: RigidPose, b: RigidPose,
-               params: Se3KernelParams = Se3KernelParams()) -> float:
-    dt2 = float(np.sum((a.translation - b.translation) ** 2))
-    dr = quat.chordal_distance(a.rotation, b.rotation)
-    return params.signal_variance * np.exp(
-        -dt2 / (2 * params.translation_scale ** 2)
-        - dr ** 2 / (2 * params.rotation_scale ** 2))
 
 
 def _pose_arrays(poses):

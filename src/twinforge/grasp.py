@@ -1,5 +1,5 @@
-"""Grasp candidate filtering: top-K by confidence, object-proximity rule,
-final selection, and the ASCII candidate file format.
+"""Grasp candidate filtering: top-K by confidence, the object-proximity
+rule, and the ASCII candidate file format.
 
 Candidate files are whitespace-separated records, one per line:
 qw qx qy qz tx ty tz gx gy gz width confidence
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoFeasibleGrasp, RejectedInput
+from .errors import RejectedInput
 from .geometry import PointCloud, RigidPose, SpatialIndex
 
 DEFAULT_TOP_K = 1000
@@ -82,15 +82,6 @@ def filter_by_object_proximity(candidates, object_cloud: PointCloud,
     index = SpatialIndex(object_cloud)
     return [c for c in candidates
             if index.nearest_distance(c.grasp_point) <= threshold]
-
-
-def select_best_grasp(candidates) -> GraspCandidate:
-    """Highest-confidence survivor; ties broken by lowest index."""
-    if not candidates:
-        raise NoFeasibleGrasp("no grasp candidates survived filtering")
-    best = max(range(len(candidates)),
-               key=lambda i: (candidates[i].confidence, -i))
-    return candidates[best]
 
 
 def synthetic_grasp_provider(object_cloud: PointCloud, n: int = 50, seed: int = 0):

@@ -15,20 +15,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import gpclassify
-from .camera import BinaryMask
 from .errors import NoFeasibleGrasp, RejectedInput, StageFailureError
 from .fileio import (load_color_ppm, load_depth_pgm, load_depth_raw,
                      load_mask_pgm, load_mesh)
-from .geometry import Aabb, PointCloud, RigidPose
+from .geometry import Aabb
 from .grasp import (filter_by_object_proximity, load_grasp_candidates,
-                    select_best_grasp, synthetic_grasp_provider,
-                    top_k_by_confidence)
+                    synthetic_grasp_provider, top_k_by_confidence)
 from .materials import material_lookup
 from .quaternions import quat_to_matrix
 from .register import AlignConfig, two_stage_align
 from .scene import RunReport, SceneSpec, pose_to_json
 from .simulate import (GeometricEvaluator, SceneObject, SceneTwin, SettleSimulator,
-                       SimConfig, label_samples, settle_simulate)
+                       SimConfig, label_samples, render_outcome)
 from .strategy import (builtin_reachability, interaction_region,
                        sample_strategies)
 
@@ -49,12 +47,11 @@ class PipelineConfig:
     align: AlignConfig = field(
         default_factory=lambda: AlignConfig(rotation_count=384))
     sim: SimConfig = field(
-        default_factory=lambda: SimConfig(render=False, contact_tol=0.003))
+        default_factory=lambda: SimConfig(contact_tol=0.003))
     gp: gpclassify.Se3KernelParams = field(default_factory=gpclassify.Se3KernelParams)
     grasp_top_k: int = 1000
     grasp_proximity: float = 0.01
     grasp_retries: int = 3
-    render_selected: bool = True
 
 
 @dataclass
@@ -291,12 +288,7 @@ def run_pipeline(spec: SceneSpec, config: PipelineConfig | None = None,
             raise StageFailureError("select", "no-positive-strategy")
         chosen = ranking.priority[0]
         result.selected = chosen
-        if config.render_selected:
-            from dataclasses import replace as _dc_replace
-            cfg = _dc_replace(config.sim, render=True)
-            result.outcome = settle_simulate(result.twin, chosen, cfg)
-        else:
-            result.outcome = chosen.outcome
+        result.outcome = chosen.outcome
         report.data["selected"] = {
             "sample_id": chosen.sample_id,
             "pose_world": pose_to_json(chosen.object_pose),
@@ -319,10 +311,11 @@ def run_pipeline(spec: SceneSpec, config: PipelineConfig | None = None,
 def run_and_write(spec: SceneSpec, out_dir: str,
                   config: PipelineConfig | None = None,
                   seed: int | None = None) -> PipelineResult:
-    """run_pipeline plus artifact dump (report.json, outcome render, GP)."""
+    """run_pipeline plus artifact dump: report.json and, after a successful
+    plan, the selected outcome's render (outcome_rgb.ppm, outcome_depth.pgm)."""
     os.makedirs(out_dir, exist_ok=True)
     result = run_pipeline(spec, config, seed)
     result.report.dump(os.path.join(out_dir, "report.json"))
-    if result.outcome is not None and result.outcome.rendered is not None:
-        result.outcome.rendered.dump(os.path.join(out_dir, "outcome"))
+    if result.outcome is not None:
+        render_outcome(result.outcome).dump(os.path.join(out_dir, "outcome"))
     return result

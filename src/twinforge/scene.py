@@ -67,35 +67,64 @@ class SceneSpec:
         return next(o for o in self.objects if o.role == "manipulated")
 
 
+def _text(value):
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
+def _corner(value):
+    corner = tuple(float(x) for x in value)
+    if len(corner) != 3:
+        raise ValueError(f"workspace corner needs 3 values, got {value!r}")
+    return corner
+
+
 def load_scene_spec(path) -> SceneSpec:
+    """Read a scene spec. A missing or mistyped field raises RejectedInput."""
     with open(path, "r") as f:
         doc = json.load(f)
+    if not isinstance(doc, dict):
+        raise RejectedInput("scene spec must hold a JSON object")
     if doc.get("schema_version") != SCENE_SCHEMA_VERSION:
         raise RejectedInput(
             f"unsupported scene schema version {doc.get('schema_version')!r}")
+    try:
+        spec = _parse_scene_spec(doc, os.path.dirname(os.path.abspath(path)))
+    except KeyError as exc:
+        raise RejectedInput(f"scene spec is missing key {exc}") from None
+    except (TypeError, ValueError, IndexError) as exc:
+        raise RejectedInput(f"malformed scene spec: {exc}") from None
+    if sum(1 for o in spec.objects if o.role == "manipulated") != 1:
+        raise RejectedInput("scene must declare exactly one manipulated object")
+    return spec
+
+
+def _parse_scene_spec(doc, base_dir) -> SceneSpec:
     cam = doc["camera"]
     intr = CameraIntrinsics(fx=float(cam["fx"]), fy=float(cam["fy"]),
                             cx=float(cam["cx"]), cy=float(cam["cy"]),
                             width=int(cam["width"]), height=int(cam["height"]))
-    objects = tuple(ObjectSpec(o["name"], o["role"], o["mesh"], o["mask"],
-                               o.get("material", "default"))
+    objects = tuple(ObjectSpec(_text(o["name"]), _text(o["role"]),
+                               _text(o["mesh"]), _text(o["mask"]),
+                               _text(o.get("material", "default")))
                     for o in doc["objects"])
-    if sum(1 for o in objects if o.role == "manipulated") != 1:
-        raise RejectedInput("scene must declare exactly one manipulated object")
     goal = doc["goal"]
     ws = doc["workspace"]
+    grasps = doc.get("grasps")
     return SceneSpec(
         intrinsics=intr,
         camera_pose=pose_from_json(doc["camera_pose"]),
-        rgb=doc["rgb"], depth=doc["depth"], region_mask=doc["region_mask"],
+        rgb=_text(doc["rgb"]), depth=_text(doc["depth"]),
+        region_mask=_text(doc["region_mask"]),
         objects=objects,
-        instruction=doc.get("instruction", ""),
-        goal=(goal["predicate"], list(goal["args"])),
-        workspace=(tuple(ws[0]), tuple(ws[1])),
-        grasps=doc.get("grasps"),
+        instruction=_text(doc.get("instruction", "")),
+        goal=(_text(goal["predicate"]), list(goal["args"])),
+        workspace=(_corner(ws[0]), _corner(ws[1])),
+        grasps=None if grasps is None else _text(grasps),
         seed=int(doc.get("seed", 0)),
         sampler=dict(doc.get("sampler", {})),
-        base_dir=os.path.dirname(os.path.abspath(path)),
+        base_dir=base_dir,
     )
 
 

@@ -18,13 +18,17 @@ index; the manipulated mesh gets a parity index in its own frame (the
 symmetric penetration check). ``SettleSimulator`` builds it once per
 labeling run, so a scene that cannot be simulated fails once.
 
+A settle returns poses, contacts and flags only. ``render_outcome`` draws a
+settled scene from the fixed checker viewpoint, for callers that write an
+image of it.
+
 Outcome checking is pluggable; the built-in evaluator tests geometric
 placement predicates on the settled scene, standing in for a VLM judge.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -50,6 +54,8 @@ UP = np.array([0.0, 0.0, 1.0])
 _CLEARANCE = 1e-6
 # highest a lift may raise the object before the pose counts as stuck
 _MAX_LIFT = 0.1
+# side of the square outcome image, pixels
+RENDER_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -99,7 +105,6 @@ class SimOutcome:
     settled_poses: dict
     stable: bool
     penetration: bool
-    rendered: RenderedView
     contacts: np.ndarray
     scene: SceneTwin
     topple_steps: int = 0
@@ -109,14 +114,10 @@ class SimOutcome:
 class SimConfig:
     surface_samples: int = 1200
     seed: int = 0
-    render_size: int = 256
-    standoff: float = 0.8
-    tilt_deg: float = -60.0
     contact_tol: float = 0.001      # contact band, meters
     penetration_tol: float = 0.001  # initial-pose rejection depth
     max_topple_steps: int = 6
     topple_step_deg: float = 15.0
-    render: bool = True
 
 
 def checker_viewpoint(scene_center, standoff: float = 0.8,
@@ -338,8 +339,8 @@ def _nearest_hull_edge(p, hull):
 def settle_simulate(scene: SceneTwin, sample: StrategySample,
                     config: SimConfig = SimConfig(),
                     _ctx: _SettleContext | None = None) -> SimOutcome:
-    """Built-in Simulator: penetration check, gravity drop, support-polygon
-    stability with bounded toppling, and fixed-viewpoint outcome rendering."""
+    """Built-in Simulator: penetration check, gravity drop, and
+    support-polygon stability with bounded toppling."""
     ctx = _SettleContext(scene, config) if _ctx is None else _ctx
     pose = sample.object_pose
 
@@ -397,21 +398,21 @@ def settle_simulate(scene: SceneTwin, sample: StrategySample,
 
 
 def _finish(ctx, pose, stable, penetration, contacts, topple_steps):
-    scene, config = ctx.scene, ctx.config
-    settled = {}
-    for obj in scene.objects:
-        settled[obj.name] = pose if obj.role == "manipulated" else obj.pose
-    rendered = None
-    if config.render:
-        all_pts = [pose.apply(ctx.local_samples)]
-        all_pts += [s.samples for s in ctx.others]
-        all_pts = np.vstack(all_pts)
-        center = 0.5 * (all_pts.min(axis=0) + all_pts.max(axis=0))
-        view = checker_viewpoint(center, config.standoff, config.tilt_deg)
-        objects = [(obj.mesh, settled[obj.name]) for obj in scene.objects]
-        rendered = render_scene(objects, view, checker_intrinsics(config.render_size))
-    return SimOutcome(settled, stable, penetration, rendered, contacts,
-                      scene, topple_steps)
+    settled = {obj.name: pose if obj.role == "manipulated" else obj.pose
+               for obj in ctx.scene.objects}
+    return SimOutcome(settled, stable, penetration, contacts, ctx.scene,
+                      topple_steps)
+
+
+def render_outcome(outcome: SimOutcome) -> RenderedView:
+    """The settled scene from the fixed checker viewpoint, centred on the
+    bounding box of the settled meshes' vertices."""
+    objects = [(obj.mesh, outcome.settled_poses[obj.name])
+               for obj in outcome.scene.objects]
+    verts = np.vstack([pose.apply(mesh.vertices) for mesh, pose in objects])
+    center = 0.5 * (verts.min(axis=0) + verts.max(axis=0))
+    return render_scene(objects, checker_viewpoint(center),
+                        checker_intrinsics(RENDER_SIZE))
 
 
 class SettleSimulator:

@@ -277,7 +277,7 @@ def test_criterion_7_determinism(task_runs):
 
 def test_criterion_8_simulation_invariants():
     from twinforge.simulate import SceneObject, SceneTwin
-    cfg = SimConfig(render=False, surface_samples=800)
+    cfg = SimConfig(surface_samples=800)
     specs = ("box:0.06,0.05,0.04", "cylinder:0.03,0.08",
              "cup:0.035,0.09,0.005", "ramp:0.1,0.08,0.05")
     rng = np.random.default_rng(5)

@@ -7,6 +7,8 @@ import pytest
 from twinforge.cli import (EXIT_INVALID_INPUT, EXIT_OK, EXIT_STAGE_FAILURE,
                            build_pipeline_config, main)
 from twinforge.errors import RejectedInput
+from twinforge.gpclassify import Se3KernelParams
+from twinforge.register import IcpParams, RansacParams
 from twinforge.fileio import save_mask_pgm
 from twinforge.camera import BinaryMask
 from twinforge.scene import load_scene_spec
@@ -27,11 +29,27 @@ def test_build_pipeline_config_sections():
                                  "grasp_top_k": 10})
     assert cfg.align.rotation_count == 24
     assert cfg.sim.surface_samples == 500
+    assert cfg.sim.contact_tol == 0.003  # pipeline default kept
     assert cfg.grasp_top_k == 10
     with pytest.raises(RejectedInput):
         build_pipeline_config({"align": {"bogus": 1}})
     with pytest.raises(RejectedInput):
         build_pipeline_config({"bogus": 1})
+    # nested config objects become their dataclasses, not plain dicts
+    cfg = build_pipeline_config({"align": {"ransac": {"trials": 10},
+                                           "icp": {"max_iterations": 7}},
+                                 "gp": {"rotation_scale": 0.3}})
+    assert isinstance(cfg.align.ransac, RansacParams)
+    assert (cfg.align.ransac.trials, cfg.align.ransac.seed) == (10, 0)
+    assert isinstance(cfg.align.icp, IcpParams)
+    assert cfg.align.icp.max_iterations == 7
+    assert cfg.align.rotation_count == 384  # siblings keep pipeline defaults
+    assert isinstance(cfg.gp, Se3KernelParams)
+    assert cfg.gp.rotation_scale == 0.3
+    for bad in ({"align": {"ransac": {"bogus": 1}}}, {"align": {"ransac": 5}},
+                {"sim": [1]}, {"gp": None}):
+        with pytest.raises(RejectedInput):
+            build_pipeline_config(bad)
 
 
 def test_gen_scene_writes_spec(scene_dir):
@@ -58,6 +76,35 @@ def test_missing_scene_file(tmp_path):
     assert rc == EXIT_INVALID_INPUT
 
 
+DROP = object()
+SPEC_FAULTS = [{key: DROP} for key in (
+    "camera", "camera_pose", "rgb", "depth", "region_mask", "objects",
+    "goal", "workspace")] + [
+    {"camera": 5}, {"camera": {"fx": "wide"}}, {"rgb": 7},
+    {"objects": [{"name": "cube", "role": "manipulated"}]},
+    {"objects": [{"name": "cube", "role": "manipulated", "mesh": None,
+                  "mask": "m.pgm"}]},
+    {"goal": {"predicate": "on_top"}}, {"goal": ["on_top"]},
+    {"workspace": [[0.0, 0.0, 0.0]]}, {"workspace": [[0, 0], [1, 1]]},
+    {"camera_pose": {"rotation": [1, 0, 0]}}]
+
+
+@pytest.mark.parametrize("fault", SPEC_FAULTS)
+def test_plan_rejects_incomplete_or_mistyped_spec(scene_dir, tmp_path, capsys,
+                                                  fault):
+    doc = json.loads((scene_dir / "scene.json").read_text())
+    doc.update(fault)
+    doc = {k: v for k, v in doc.items() if v is not DROP}
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(doc))
+    rc = main(["plan", "--scene", str(path), "--out", str(tmp_path / "out")])
+    assert rc == EXIT_INVALID_INPUT
+    err = capsys.readouterr().err
+    for key, value in fault.items():
+        if value is DROP:
+            assert f"missing key {key!r}" in err
+
+
 def test_bad_config_keys(scene_dir, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"align": {"wat": 1}}))
@@ -68,6 +115,16 @@ def test_bad_config_keys(scene_dir, tmp_path):
     rc = main(["align", "--scene", str(scene_dir / "scene.json"),
                "--out", str(tmp_path), "--config", str(cfg)])
     assert rc == EXIT_INVALID_INPUT
+    # a nested section that is not an object, or names an unknown key;
+    # the removed render options are unknown keys
+    for doc in ({"align": {"ransac": 5}}, {"align": {"ransac": {"wat": 1}}},
+                {"sim": {"render": True}}, {"sim": {"render_size": 64}},
+                {"sim": {"standoff": 0.5}}, {"sim": {"tilt_deg": -45.0}},
+                {"render_selected": False}):
+        cfg.write_text(json.dumps(doc))
+        rc = main(["align", "--scene", str(scene_dir / "scene.json"),
+                   "--out", str(tmp_path), "--config", str(cfg)])
+        assert rc == EXIT_INVALID_INPUT, doc
 
 
 def test_align_verb(scene_dir, tmp_path):
@@ -86,9 +143,9 @@ def test_align_verb(scene_dir, tmp_path):
 
 def test_simulate_verb_with_explicit_pose(scene_dir, tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"align": {"rotation_count": 24},
-                               "sim": {"render_size": 64,
-                                       "surface_samples": 600}}))
+    cfg.write_text(json.dumps({"align": {"rotation_count": 24,
+                                         "ransac": {"trials": 512}},
+                               "sim": {"surface_samples": 600}}))
     out = tmp_path / "sim_out"
     rc = main(["simulate", "--scene", str(scene_dir / "scene.json"),
                "--out", str(out), "--config", str(cfg),
@@ -97,6 +154,7 @@ def test_simulate_verb_with_explicit_pose(scene_dir, tmp_path):
     doc = json.loads((out / "simulate.json").read_text())
     assert {"stable", "penetration", "settled_poses", "topple_steps"} <= set(doc)
     assert os.path.exists(out / "outcome_rgb.ppm")
+    assert os.path.exists(out / "outcome_depth.pgm")
 
 
 def test_simulate_rejects_short_pose(scene_dir, tmp_path):

@@ -4,9 +4,7 @@ import pytest
 from twinforge import quaternions as quat
 from twinforge.errors import RejectedInput
 from twinforge.geometry import (Aabb, PointCloud, RigidPose, SpatialIndex,
-                                TriangleMesh, compute_aabb, nearest_distance,
-                                quaternion_chordal_distance,
-                                sample_mesh_surface, transform_cloud)
+                                TriangleMesh, compute_aabb, sample_mesh_surface)
 
 
 def random_pose(rng):
@@ -108,20 +106,12 @@ def test_spatial_index_matches_brute_force():
         SpatialIndex(np.empty((0, 3)))
 
 
-def test_transform_cloud_and_aabb():
-    cloud = PointCloud([[0, 0, 0], [1, 1, 1]])
-    moved = transform_cloud(cloud, RigidPose(quat.IDENTITY, [1, 0, 0]))
-    assert np.allclose(moved.points[0], [1, 0, 0])
-    box = compute_aabb(moved)
+def test_compute_aabb():
+    box = compute_aabb(PointCloud([[1, 0, 0], [2, 1, 1]]))
     assert np.allclose(box.min, [1, 0, 0])
     assert np.allclose(box.max, [2, 1, 1])
     with pytest.raises(RejectedInput):
         compute_aabb(np.empty((0, 3)))
-
-
-def test_nearest_distance_helper():
-    idx = SpatialIndex(np.array([[0.0, 0.0, 0.0]]))
-    assert nearest_distance([3.0, 4.0, 0.0], idx) == pytest.approx(5.0)
 
 
 def test_sample_mesh_surface_area_weighting():
@@ -157,7 +147,3 @@ def test_sample_mesh_surface_interpolates_colors():
     assert cloud.colors is not None
     assert np.allclose(cloud.colors.sum(axis=1), 1.0)
 
-
-def test_quaternion_chordal_distance_reexport():
-    q180 = quat.quat_from_axis_angle([0, 0, 1], np.pi)
-    assert quaternion_chordal_distance(quat.IDENTITY, q180) == pytest.approx(np.sqrt(2))

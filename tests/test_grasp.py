@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from twinforge.errors import NoFeasibleGrasp, RejectedInput
+from twinforge.errors import RejectedInput
 from twinforge.geometry import PointCloud, RigidPose
 from twinforge.grasp import (GraspCandidate, filter_by_object_proximity,
                              load_grasp_candidates, save_grasp_candidates,
-                             select_best_grasp, synthetic_grasp_provider,
-                             top_k_by_confidence)
+                             synthetic_grasp_provider, top_k_by_confidence)
 
 
 def cand(point, confidence, width=0.04):
@@ -49,14 +48,6 @@ def test_proximity_filter_preserves_order():
         filter_by_object_proximity([a], PointCloud(np.empty((0, 3))), 0.01)
     with pytest.raises(RejectedInput):
         filter_by_object_proximity([a], cloud, 0.0)
-
-
-def test_select_best_grasp():
-    a, b, c = cand([0, 0, 0], 0.5), cand([1, 0, 0], 0.9), cand([2, 0, 0], 0.9)
-    best = select_best_grasp([a, b, c])
-    assert best is b  # highest confidence, earlier index on ties
-    with pytest.raises(NoFeasibleGrasp):
-        select_best_grasp([])
 
 
 def test_candidate_file_roundtrip(tmp_path):

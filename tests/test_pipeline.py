@@ -1,8 +1,11 @@
 import json
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from twinforge import simulate
 from twinforge.errors import NoFeasibleGrasp, RejectedInput
 from twinforge.fileio import load_mesh, save_mask_pgm, save_ply
 from twinforge.camera import BinaryMask
@@ -22,7 +25,7 @@ def test_stage_names():
 def test_pipeline_config_defaults():
     cfg = PipelineConfig()
     assert cfg.align.rotation_count == 384
-    assert cfg.sim.render is False
+    assert cfg.sim.contact_tol == 0.003
     assert cfg.grasp_top_k == 1000
     assert cfg.grasp_proximity == 0.01
 
@@ -46,6 +49,10 @@ def test_grasp_with_retry_picks_best_feasible():
     assert chosen.confidence == 0.5  # best feasible of the first batch
     assert calls == [0]
 
+    # equal confidence goes to the earlier candidate
+    tied = [_Cand(0.5, True), _Cand(0.9, True), _Cand(0.9, True)]
+    assert grasp_with_retry(lambda _: tied, lambda c: c.ok) is tied[1]
+
 
 def test_grasp_with_retry_exhausts_attempts():
     def provider(attempt):
@@ -55,6 +62,36 @@ def test_grasp_with_retry_exhausts_attempts():
         grasp_with_retry(provider, lambda c: c.ok, max_attempts=2)
     with pytest.raises(RejectedInput):
         grasp_with_retry(provider, lambda c: c.ok, max_attempts=0)
+
+
+def test_plan_settles_each_strategy_once(tmp_path, monkeypatch):
+    scene_path = generate_synthetic_scene("cube-into-box", str(tmp_path), seed=0)
+    spec = load_scene_spec(scene_path)
+    spec = replace(spec, sampler={**spec.sampler, "n_rotations": 1,
+                                  "n_offsets": 1})
+    calls = []
+    original = simulate.settle_simulate
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    # count calls under every module name bound to the simulator
+    for name, mod in list(sys.modules.items()):
+        if name == "twinforge" or name.startswith("twinforge."):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counted)
+
+    out_dir = tmp_path / "out"
+    result = run_and_write(spec, str(out_dir), seed=0)
+    rep = result.report
+    assert rep.status == "success"
+    assert len(calls) == rep.data["labels"]["total"] == 6
+    # select reuses the outcome labelling computed
+    assert result.outcome is result.selected.outcome
+    assert (out_dir / "outcome_rgb.ppm").exists()
+    assert (out_dir / "outcome_depth.pgm").exists()
 
 
 def test_pipeline_failure_report_on_empty_mask(tmp_path):

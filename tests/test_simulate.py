@@ -4,15 +4,15 @@ import pytest
 from twinforge import quaternions as quat
 from twinforge.errors import RejectedInput, StageFailureError
 from twinforge.geometry import RigidPose, TriangleMesh
-from twinforge.simulate import (GeometricEvaluator, SceneObject, SceneTwin,
-                                SettleSimulator, SimConfig, _SettleContext,
-                                checker_intrinsics, checker_viewpoint,
-                                geometric_evaluator, label_samples,
-                                settle_simulate)
+from twinforge.simulate import (RENDER_SIZE, GeometricEvaluator, SceneObject,
+                                SceneTwin, SettleSimulator, SimConfig,
+                                _SettleContext, checker_intrinsics,
+                                checker_viewpoint, geometric_evaluator,
+                                label_samples, render_outcome, settle_simulate)
 from twinforge.strategy import StrategySample
 from twinforge.synth import make_box, make_open_box
 
-FAST = SimConfig(render=False, surface_samples=900)
+FAST = SimConfig(surface_samples=900)
 
 
 def cube(name="cube", size=0.05, role="manipulated", pose=None):
@@ -248,14 +248,19 @@ def test_settle_simulator_rejects_non_watertight_when_built():
                                                      "non-watertight-mesh")
 
 
-def test_rendered_outcome_when_enabled():
-    twin = scene_with(cube())
-    cfg = SimConfig(render=True, render_size=64, surface_samples=600)
+def test_render_outcome():
+    base = cube("base", role="static",
+                pose=RigidPose(quat.IDENTITY, [0.1, 0.0, 0.025]))
+    twin = scene_with(cube(), base)
     out = settle_simulate(twin, sample_at(RigidPose(quat.IDENTITY, [0, 0, 0.1])),
-                          cfg)
-    assert out.rendered is not None
-    assert out.rendered.depth.values.shape == (64, 64)
-    assert (out.rendered.object_ids >= 0).any()
+                          FAST)
+    view = render_outcome(out)
+    assert view.depth.values.shape == (RENDER_SIZE, RENDER_SIZE)
+    assert set(np.unique(view.object_ids)) == {-1, 0, 1}
+    # the camera looks at the centre of the settled meshes' bounding box:
+    # the cube rests on the ground at the origin, next to the base
+    expected = checker_viewpoint([0.05, 0.0, 0.025])
+    assert np.allclose(view.pose.matrix(), expected.matrix(), atol=1e-5)
 
 
 # ---------------------------------------------------------------------------
