@@ -79,8 +79,6 @@ class TrialResult:
     arm: str          # "two-stage" | "direct"
     success: bool
     rmse: float
-    rot_err_deg: float
-    trans_err: float
 
 
 @dataclass(frozen=True)
@@ -115,26 +113,17 @@ def run_trial(primitive_spec: str, seed: int, arm: str,
         res = two_stage_align(obs.unit_mesh, obs.color, obs.depth, obs.mask,
                               obs.intrinsics, cfg)
     except StageFailureError:
-        return TrialResult(primitive_spec, seed, arm, False, np.inf,
-                           180.0, np.inf)
-    group = symmetry_group(primitive_spec)
-    est, truth = res.final_pose, obs.true_pose_cam
-    rot_err = min(quat.geodesic_angle(
-        est.rotation,
-        quat.quat_normalize(quat.quat_multiply(truth.rotation, s)))
-        for s in group)
-    trans_err = float(np.linalg.norm(est.translation - truth.translation))
-    ok = (symmetry_aware_success(est, truth, obs.diameter, group)
+        return TrialResult(primitive_spec, seed, arm, False, np.inf)
+    ok = (symmetry_aware_success(res.final_pose, obs.true_pose_cam,
+                                 obs.diameter, symmetry_group(primitive_spec))
           and res.registration.rmse < 0.01)
     return TrialResult(primitive_spec, seed, arm, bool(ok),
-                       float(res.registration.rmse),
-                       float(np.rad2deg(rot_err)), trans_err)
+                       float(res.registration.rmse))
 
 
 def alignment_benchmark(trials: int = 40, seed0: int = 0,
                         config: AlignConfig | None = None,
-                        primitives=BENCHMARK_PRIMITIVES,
-                        progress=None) -> BenchmarkReport:
+                        primitives=BENCHMARK_PRIMITIVES) -> BenchmarkReport:
     """Run both arms over every primitive class; seeds are shared across
     arms so each comparison sees the identical observation."""
     config = config or AlignConfig(rotation_count=384)
@@ -148,8 +137,6 @@ def alignment_benchmark(trials: int = 40, seed0: int = 0,
                 tr = run_trial(prim, seed0 + k, arm, config)
                 per[arm].append(tr)
                 agg[arm].append(tr.success)
-            if progress is not None:
-                progress(prim, k, per)
         def rate(arm):
             return float(np.mean([t.success for t in per[arm]]))
         def mean_rmse(arm):

@@ -34,17 +34,6 @@ _CELL_IDX = ((np.arange(_RESIZE_TO)[:, None] // (_RESIZE_TO // DESCRIPTOR_GRID))
 
 
 @dataclass(frozen=True)
-class PoseHypothesisSet:
-    poses: tuple
-    anchor_translation: np.ndarray
-    rotation_count: int
-    seed: int
-
-    def __len__(self):
-        return len(self.poses)
-
-
-@dataclass(frozen=True)
 class CoarseAlignment:
     best_pose: RigidPose
     similarity: float
@@ -66,8 +55,10 @@ def _cube_rotations():
     return mats
 
 
-def generate_hypotheses(anchor_translation, rotation_count: int, seed: int = 0) -> PoseHypothesisSet:
-    """Quasi-uniform rotation hypotheses sharing one anchor translation.
+def generate_hypotheses(anchor_translation, rotation_count: int,
+                        seed: int = 0) -> tuple:
+    """Quasi-uniform rotation hypotheses sharing one anchor translation, as a
+    tuple of poses.
 
     The deterministic base set is 24 cube-group rotations crossed with yaw
     offsets of 0/30/60 degrees (72 rotations); identity comes first. Counts
@@ -89,8 +80,7 @@ def generate_hypotheses(anchor_translation, rotation_count: int, seed: int = 0) 
     rng = np.random.default_rng(seed)
     while len(quats) < rotation_count:
         quats.append(quat.random_quat(rng))
-    poses = tuple(RigidPose(q, anchor) for q in quats[:rotation_count])
-    return PoseHypothesisSet(poses, anchor, rotation_count, seed)
+    return tuple(RigidPose(q, anchor) for q in quats[:rotation_count])
 
 
 @functools.lru_cache(maxsize=64)
@@ -217,10 +207,10 @@ def _scoring_intrinsics(intrinsics: CameraIntrinsics) -> CameraIntrinsics:
                             size(intrinsics.height, cy))
 
 
-def select_coarse_pose(mesh: TriangleMesh, hypotheses: PoseHypothesisSet,
+def select_coarse_pose(mesh: TriangleMesh, hypotheses,
                        observation: ColorImage, obs_mask: BinaryMask,
                        intrinsics: CameraIntrinsics) -> CoarseAlignment:
-    """Render and score every hypothesis against the masked observation.
+    """Render and score every hypothesis pose against the masked observation.
 
     Hypotheses are rendered at a scoring resolution capped at 40 px per
     side (the descriptor resamples to 32x32 regardless). Ties are broken
@@ -232,14 +222,14 @@ def select_coarse_pose(mesh: TriangleMesh, hypotheses: PoseHypothesisSet,
     obs_feat = grid_descriptor(mask_observation(observation, obs_mask))
     score_intr = _scoring_intrinsics(intrinsics)
 
-    views = render_batch(mesh, hypotheses.poses, score_intr, cull=True)
+    views = render_batch(mesh, hypotheses, score_intr, cull=True)
 
     def score(view):
         return cosine_similarity(grid_descriptor(view.rgb), obs_feat)
 
     sims = parallel_map(score, views)
     best_idx = int(np.argmax(sims))
-    best_pose = hypotheses.poses[best_idx]
+    best_pose = hypotheses[best_idx]
     partial = partial_cloud_from_pose(mesh, best_pose, intrinsics)
     return CoarseAlignment(best_pose, float(sims[best_idx]), partial,
                            tuple(enumerate(float(s) for s in sims)))

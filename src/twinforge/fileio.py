@@ -137,18 +137,6 @@ def load_obj(path) -> TriangleMesh:
     return TriangleMesh(np.array(vertices), np.array(triangles, dtype=np.int64), vc)
 
 
-def save_obj(path, mesh: TriangleMesh):
-    with open(path, "w") as f:
-        for i, v in enumerate(mesh.vertices):
-            if mesh.vertex_colors is not None:
-                c = mesh.vertex_colors[i]
-                f.write(f"v {v[0]:.9g} {v[1]:.9g} {v[2]:.9g} {c[0]:.6g} {c[1]:.6g} {c[2]:.6g}\n")
-            else:
-                f.write(f"v {v[0]:.9g} {v[1]:.9g} {v[2]:.9g}\n")
-        for t in mesh.triangles:
-            f.write(f"f {t[0] + 1} {t[1] + 1} {t[2] + 1}\n")
-
-
 def load_ply(path) -> TriangleMesh:
     """ASCII PLY with optional uchar red/green/blue vertex properties."""
     with open(path, "r") as f:

@@ -38,11 +38,6 @@ class RigidPose:
         return RigidPose(quat.IDENTITY.copy(), np.zeros(3))
 
     @staticmethod
-    def from_matrix(T) -> "RigidPose":
-        T = np.asarray(T, dtype=float)
-        return RigidPose(quat.matrix_to_quat(T[:3, :3]), T[:3, 3])
-
-    @staticmethod
     def from_rotation_matrix(R, t) -> "RigidPose":
         return RigidPose(quat.matrix_to_quat(R), np.asarray(t, dtype=float))
 
@@ -175,12 +170,6 @@ class SpatialIndex:
     def nearest_distance(self, query) -> float:
         d, _ = self._tree.query(np.asarray(query, dtype=float))
         return float(d)
-
-    def query(self, points, k=1):
-        return self._tree.query(np.asarray(points, dtype=float), k=k)
-
-    def query_ball(self, points, radius):
-        return self._tree.query_ball_point(np.asarray(points, dtype=float), radius)
 
 
 def compute_aabb(cloud) -> Aabb:

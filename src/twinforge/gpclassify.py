@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RejectedInput
-from .geometry import RigidPose
 
 
 @dataclass(frozen=True)
@@ -59,7 +58,6 @@ def _sigmoid(x):
 @dataclass(frozen=True)
 class GpModel:
     poses: tuple
-    labels: np.ndarray            # {0, 1}
     params: Se3KernelParams
     mode: np.ndarray              # latent posterior mode f_hat
     grad_at_mode: np.ndarray      # d log p(y|f) / df at the mode
@@ -92,7 +90,7 @@ def fit(samples_or_poses, labels=None,
         raise RejectedInput("need at least 2 labeled samples")
     if y01.min() == y01.max():
         rate = (y01.sum() + 1.0) / (n + 2.0)
-        return GpModel(tuple(poses), y01, params, np.zeros(n), np.zeros(n),
+        return GpModel(tuple(poses), params, np.zeros(n), np.zeros(n),
                        np.zeros(n), np.eye(n), degenerate=True,
                        degenerate_rate=float(rate))
 
@@ -122,12 +120,8 @@ def fit(samples_or_poses, labels=None,
     sw = np.sqrt(W)
     B = np.eye(n) + sw[:, None] * K * sw[None, :]
     L = np.linalg.cholesky(B)
-    return GpModel(tuple(poses), y01, params, f, grad, sw, L,
+    return GpModel(tuple(poses), params, f, grad, sw, L,
                    newton_iterations=iters)
-
-
-def predict_prob(model: GpModel, pose: RigidPose) -> float:
-    return float(predict_prob_batch(model, [pose])[0])
 
 
 def predict_prob_batch(model: GpModel, poses) -> np.ndarray:
@@ -163,18 +157,3 @@ def rank_and_select(model: GpModel, candidates) -> Ranking:
     ranked = sorted(annotated, key=lambda c: (-c.success_prob, c.sample_id))
     priority = [c for c in ranked if c.weak_label]
     return Ranking(ranked[0], ranked, priority)
-
-
-def dump_model(path, model: GpModel):
-    """ASCII dump (poses, labels, params, mode) for reproducibility audits."""
-    with open(path, "w") as f:
-        f.write("twinforge-gp v1\n")
-        p = model.params
-        f.write(f"params {p.signal_variance:.17g} {p.translation_scale:.17g} "
-                f"{p.rotation_scale:.17g} {p.jitter:.17g}\n")
-        f.write(f"degenerate {int(model.degenerate)} {model.degenerate_rate:.17g}\n")
-        f.write(f"n {len(model.poses)}\n")
-        for pose, y, m in zip(model.poses, model.labels, model.mode):
-            q, t = pose.rotation, pose.translation
-            f.write(" ".join(f"{x:.17g}" for x in (*q, *t)))
-            f.write(f" {int(y)} {m:.17g}\n")

@@ -51,15 +51,6 @@ def load_grasp_candidates(path) -> list[GraspCandidate]:
     return candidates
 
 
-def save_grasp_candidates(path, candidates):
-    with open(path, "w") as f:
-        f.write("# qw qx qy qz tx ty tz gx gy gz width confidence\n")
-        for c in candidates:
-            q, t, g = c.pose.rotation, c.pose.translation, c.grasp_point
-            f.write(" ".join(f"{x:.9g}" for x in (*q, *t, *g, c.width, c.confidence)))
-            f.write("\n")
-
-
 def top_k_by_confidence(candidates, k: int = DEFAULT_TOP_K) -> list:
     """k highest-confidence candidates, descending, input order on ties."""
     if k < 1:

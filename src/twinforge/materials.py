@@ -1,85 +1,21 @@
-"""Material table mapping predicted material names to physical properties.
+"""Material names a scene spec may give its objects.
 
-Shipped as a versioned ASCII table; unknown names fall back to the default
-row with a warning flag so the caller can log it.
+The settle simulator is quasi-static and uniform-density, so it reads no
+material property; the planner only reports whether a spec's material name
+is one it knows. Unknown names fall back to "default" with known=False so
+the caller can log it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import RejectedInput
-
-TABLE_VERSION = 1
-
-_DEFAULT_TABLE = """\
-# twinforge-materials v1
-# name density_kg_m3 static_friction dynamic_friction restitution
-wood      700  0.50 0.40 0.30
-plastic   950  0.40 0.30 0.40
-ceramic   2300 0.60 0.50 0.10
-metal     7800 0.50 0.40 0.20
-glass     2500 0.50 0.40 0.10
-cardboard 300  0.50 0.45 0.05
-rubber    1100 0.90 0.80 0.70
-foam      100  0.70 0.60 0.10
-default   500  0.50 0.40 0.10
-"""
+MATERIALS = ("wood", "plastic", "ceramic", "metal", "glass", "cardboard",
+             "rubber", "foam", "default")
 
 
-@dataclass(frozen=True)
-class MaterialProps:
-    name: str
-    density: float
-    static_friction: float
-    dynamic_friction: float
-    restitution: float
-
-    def __post_init__(self):
-        if self.density <= 0:
-            raise RejectedInput("density must be positive")
-        if not (0 <= self.dynamic_friction <= self.static_friction):
-            raise RejectedInput("need 0 <= dynamic_friction <= static_friction")
-        if not (0 <= self.restitution <= 1):
-            raise RejectedInput("restitution must lie in [0, 1]")
-
-
-def parse_material_table(text) -> dict[str, MaterialProps]:
-    table = {}
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        name, density, mus, mud, e = line.split()
-        table[name] = MaterialProps(name, float(density), float(mus),
-                                    float(mud), float(e))
-    if "default" not in table:
-        raise RejectedInput("material table must contain a 'default' row")
-    return table
-
-
-def load_material_table(path) -> dict[str, MaterialProps]:
-    with open(path, "r") as f:
-        return parse_material_table(f.read())
-
-
-def save_material_table(path, table):
-    with open(path, "w") as f:
-        f.write(f"# twinforge-materials v{TABLE_VERSION}\n")
-        f.write("# name density_kg_m3 static_friction dynamic_friction restitution\n")
-        for m in table.values():
-            f.write(f"{m.name} {m.density:g} {m.static_friction:g} "
-                    f"{m.dynamic_friction:g} {m.restitution:g}\n")
-
-
-BUILTIN_MATERIALS = parse_material_table(_DEFAULT_TABLE)
-
-
-def material_lookup(name, table=None):
-    """Exact-name lookup. Returns (props, known); unknown names yield the
-    default row with known=False."""
-    table = BUILTIN_MATERIALS if table is None else table
+def material_lookup(name):
+    """Exact-name lookup after stripping and lower-casing. Returns
+    (canonical name, known); unknown names yield "default" with known=False."""
     key = str(name).strip().lower()
-    if key in table:
-        return table[key], True
-    return table["default"], False
+    if key in MATERIALS:
+        return key, True
+    return "default", False

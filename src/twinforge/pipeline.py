@@ -106,9 +106,9 @@ def align_scene(spec: SceneSpec, align_config: AlignConfig,
         res = two_stage_align(mesh, color, depth, mask, spec.intrinsics,
                               align_config)
         world_pose = cam.compose(res.final_pose)
-        mat, known = material_lookup(obj.material)
+        material, known = material_lookup(obj.material)
         twins.append(SceneObject(obj.name, res.scaled_mesh, world_pose,
-                                 mat, obj.role))
+                                 material, obj.role))
         info[obj.name] = {
             "pose_world": pose_to_json(world_pose),
             "rmse": res.registration.rmse,

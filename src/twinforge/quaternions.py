@@ -98,13 +98,6 @@ def quat_rotate(q, points):
     return np.asarray(points, dtype=float) @ quat_to_matrix(q).T
 
 
-def chordal_distance(q1, q2):
-    """min(|q1 - q2|, |q1 + q2|); sign-flip invariant, range [0, sqrt(2)]."""
-    q1 = check_unit(q1)
-    q2 = check_unit(q2)
-    return min(np.linalg.norm(q1 - q2), np.linalg.norm(q1 + q2))
-
-
 def geodesic_angle(q1, q2):
     """Rotation angle in radians between the two orientations."""
     q1 = check_unit(q1)

@@ -19,6 +19,7 @@ import numpy as np
 from .camera import CameraIntrinsics
 from .errors import RejectedInput
 from .geometry import RigidPose
+from .simulate import ROLES, check_predicate
 
 SCENE_SCHEMA_VERSION = 1
 REPORT_SCHEMA_VERSION = 1
@@ -81,7 +82,10 @@ def _corner(value):
 
 
 def load_scene_spec(path) -> SceneSpec:
-    """Read a scene spec. A missing or mistyped field raises RejectedInput."""
+    """Read a scene spec. A missing or mistyped field, an unknown role or
+    goal predicate, a repeated object name, or a goal that names an
+    undeclared object or takes the wrong number of them raises
+    RejectedInput."""
     with open(path, "r") as f:
         doc = json.load(f)
     if not isinstance(doc, dict):
@@ -95,8 +99,17 @@ def load_scene_spec(path) -> SceneSpec:
         raise RejectedInput(f"scene spec is missing key {exc}") from None
     except (TypeError, ValueError, IndexError) as exc:
         raise RejectedInput(f"malformed scene spec: {exc}") from None
+    names = [o.name for o in spec.objects]
+    if len(set(names)) != len(names):
+        raise RejectedInput(f"object names must be unique, got {names}")
+    for o in spec.objects:
+        if o.role not in ROLES:
+            raise RejectedInput(f"object {o.name!r} has unknown role {o.role!r}")
     if sum(1 for o in spec.objects if o.role == "manipulated") != 1:
         raise RejectedInput("scene must declare exactly one manipulated object")
+    for arg in check_predicate(spec.goal)[1]:
+        if arg not in names:
+            raise RejectedInput(f"goal names undeclared object {arg!r}")
     return spec
 
 

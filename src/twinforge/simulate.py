@@ -3,10 +3,9 @@
 The built-in simulator settles the manipulated object by dropping it along
 gravity to first contact, checks static stability via the support polygon,
 and topples over the nearest hull edge in bounded steps when unstable.
-Friction and restitution are carried in the material model but unused here;
-density only matters through the uniform-density center of mass. The ground
-plane z=0 is always present as an implicit static support, so gravity must
-point along -z.
+The center of mass is that of a uniform-density solid. The ground plane
+z=0 is always present as an implicit static support, so gravity must point
+along -z.
 
 Drop and lift distances are closed form: surface samples are cast as rays
 along gravity against the meshes (``MeshIndex.cast``), manipulated samples
@@ -39,7 +38,6 @@ from ._parallel import parallel_map
 from .camera import CameraIntrinsics
 from .errors import RejectedInput, StageFailureError
 from .geometry import RigidPose, TriangleMesh, sample_mesh_surface
-from .materials import MaterialProps, material_lookup
 from .render import RenderedView, render_scene
 from .solids import MeshIndex, is_watertight, volume_and_com
 from .strategy import StrategySample
@@ -63,7 +61,7 @@ class SceneObject:
     name: str
     mesh: TriangleMesh
     pose: RigidPose
-    material: MaterialProps = field(default_factory=lambda: material_lookup("default")[0])
+    material: str = "default"   # name from materials.MATERIALS
     role: str = "static"
 
     def __post_init__(self):
@@ -437,7 +435,9 @@ class SettleSimulator:
 # ---------------------------------------------------------------------------
 # Outcome evaluation
 
-PREDICATES = ("inside", "on_top", "upright", "upside_down", "bridges", "in_gap")
+# placement predicates and the number of object names each takes
+PREDICATES = {"inside": 2, "on_top": 2, "upright": 1, "upside_down": 1,
+              "bridges": 3, "in_gap": 3}
 _AXIS_TOL_DEG = 20.0
 _SAMPLES = 600
 
@@ -456,15 +456,26 @@ def _settled_up(outcome, name):
     return quat.quat_rotate(outcome.settled_poses[name].rotation, UP)
 
 
+def check_predicate(predicate):
+    """(name, args as a list) of a placement predicate; RejectedInput for an
+    unknown name or the wrong number of object names."""
+    name, args = predicate
+    if name not in PREDICATES:
+        raise RejectedInput(f"unknown predicate {name!r}")
+    args = list(args)
+    if len(args) != PREDICATES[name]:
+        raise RejectedInput(f"predicate {name!r} takes {PREDICATES[name]} "
+                            f"object names, got {len(args)}")
+    return name, args
+
+
 def geometric_evaluator(outcome: SimOutcome, predicate) -> bool:
     """Deterministic placement predicates over the settled scene.
 
     predicate is (name, args), e.g. ("inside", ["cube", "box"]). All
     predicates require a stable, penetration-free outcome.
     """
-    name, args = predicate
-    if name not in PREDICATES:
-        raise RejectedInput(f"unknown predicate {name!r}")
+    name, args = check_predicate(predicate)
     if outcome.penetration or not outcome.stable:
         return False
 
@@ -539,10 +550,7 @@ class GeometricEvaluator:
     instruction is accepted for interface compatibility but unused."""
 
     def __init__(self, predicate):
-        pname, _ = predicate
-        if pname not in PREDICATES:
-            raise RejectedInput(f"unknown predicate {pname!r}")
-        self.predicate = (predicate[0], list(predicate[1]))
+        self.predicate = check_predicate(predicate)
 
     def __call__(self, outcome, instruction=""):
         return geometric_evaluator(outcome, self.predicate)

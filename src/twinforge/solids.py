@@ -1,5 +1,5 @@
 """Solid-mesh queries: watertightness, volume and center of mass for uniform
-density, ray depth, exact point-to-mesh distance, and inside/outside parity.
+density, exact point-to-mesh distance, and inside/outside parity.
 
 Volume integrals use the divergence theorem over signed tetrahedra, which is
 exact for watertight meshes with consistent outward orientation (sign is
@@ -52,26 +52,6 @@ def volume_and_com(mesh: TriangleMesh):
     centroids = (a + b + c) / 4.0  # tetra centroid with the origin as apex
     com = (vols[:, None] * centroids).sum(axis=0) / total
     return abs(float(total)), com
-
-
-def ray_mesh_depth(origin, direction, mesh: TriangleMesh, eps=1e-12):
-    """Smallest positive hit distance along the ray, or inf if it misses."""
-    origin = np.asarray(origin, dtype=float)
-    d = np.asarray(direction, dtype=float)
-    v0 = mesh.vertices[mesh.triangles[:, 0]]
-    e1 = mesh.vertices[mesh.triangles[:, 1]] - v0
-    e2 = mesh.vertices[mesh.triangles[:, 2]] - v0
-    pvec = np.cross(d, e2)
-    det = np.einsum("tj,tj->t", e1, pvec)
-    ok = np.abs(det) > eps
-    inv_det = np.where(ok, 1.0 / np.where(ok, det, 1.0), 0.0)
-    tvec = origin - v0
-    u = np.einsum("tj,tj->t", tvec, pvec) * inv_det
-    qvec = np.cross(tvec, e1)
-    v = qvec @ d * inv_det
-    t = np.einsum("tj,tj->t", qvec, e2) * inv_det
-    hit = ok & (u >= -eps) & (v >= -eps) & (u + v <= 1 + eps) & (t > eps)
-    return float(t[hit].min()) if hit.any() else np.inf
 
 
 def _closest_on_triangles(p, a, b, c):

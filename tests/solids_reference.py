@@ -1,11 +1,13 @@
 """Brute-force references for the parity inside test and the ray cast.
 
 Runs Moller-Trumbore on every (point, triangle) pair with no bucketing. Used
-only to cross-check ``twinforge.solids.MeshIndex`` bit for bit.
+to cross-check ``twinforge.solids.MeshIndex`` bit for bit, and, through
+``ray_mesh_depth``, as the per-pixel ray oracle for the rasterizer.
 """
 
 import numpy as np
 
+from twinforge.geometry import TriangleMesh
 from twinforge.solids import PARITY_DIRECTION
 
 
@@ -49,3 +51,23 @@ def ref_first_hit(origins, direction, mesh, eps=1e-12):
     direction's length; inf where the ray meets no triangle."""
     hit, t = _pair_hits(origins, direction, mesh, eps)
     return np.where(hit, t, np.inf).min(axis=1, initial=np.inf)
+
+
+def ray_mesh_depth(origin, direction, mesh: TriangleMesh, eps=1e-12):
+    """Smallest positive hit distance along the ray, or inf if it misses."""
+    origin = np.asarray(origin, dtype=float)
+    d = np.asarray(direction, dtype=float)
+    v0 = mesh.vertices[mesh.triangles[:, 0]]
+    e1 = mesh.vertices[mesh.triangles[:, 1]] - v0
+    e2 = mesh.vertices[mesh.triangles[:, 2]] - v0
+    pvec = np.cross(d, e2)
+    det = np.einsum("tj,tj->t", e1, pvec)
+    ok = np.abs(det) > eps
+    inv_det = np.where(ok, 1.0 / np.where(ok, det, 1.0), 0.0)
+    tvec = origin - v0
+    u = np.einsum("tj,tj->t", tvec, pvec) * inv_det
+    qvec = np.cross(tvec, e1)
+    v = qvec @ d * inv_det
+    t = np.einsum("tj,tj->t", qvec, e2) * inv_det
+    hit = ok & (u >= -eps) & (v >= -eps) & (u + v <= 1 + eps) & (t > eps)
+    return float(t[hit].min()) if hit.any() else np.inf

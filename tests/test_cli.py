@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -89,16 +90,34 @@ SPEC_FAULTS = [{key: DROP} for key in (
     {"camera_pose": {"rotation": [1, 0, 0]}}]
 
 
+def _objects(*name_roles):
+    return [{"name": name, "role": role, "mesh": f"{name}.ply",
+             "mask": f"mask_{name}.pgm"} for name, role in name_roles]
+
+
+# well-typed but meaningless: an unknown role or predicate, a goal naming an
+# undeclared object or too few of them, and two objects with one name
+SPEC_FAULTS += [
+    {"objects": _objects(("cube", "manipulated"), ("base", "wat"))},
+    {"goal": {"predicate": "levitate", "args": ["cube", "base"]}},
+    {"goal": {"predicate": "on_top", "args": ["cube", "nope"]}},
+    {"goal": {"predicate": "on_top", "args": ["cube"]}},
+    {"objects": _objects(("cube", "manipulated"), ("cube", "interactive"))}]
+
+
 @pytest.mark.parametrize("fault", SPEC_FAULTS)
 def test_plan_rejects_incomplete_or_mistyped_spec(scene_dir, tmp_path, capsys,
                                                   fault):
     doc = json.loads((scene_dir / "scene.json").read_text())
     doc.update(fault)
     doc = {k: v for k, v in doc.items() if v is not DROP}
+    # next to the scene's assets, so the spec is the only fault
+    shutil.copytree(scene_dir, tmp_path, dirs_exist_ok=True)
     path = tmp_path / "scene.json"
     path.write_text(json.dumps(doc))
     rc = main(["plan", "--scene", str(path), "--out", str(tmp_path / "out")])
     assert rc == EXIT_INVALID_INPUT
+    assert not (tmp_path / "out").exists()  # rejected before any stage ran
     err = capsys.readouterr().err
     for key, value in fault.items():
         if value is DROP:

@@ -16,12 +16,12 @@ from twinforge.synth import default_intrinsics, make_box
 def test_hypotheses_count_and_anchor():
     hyps = generate_hypotheses([0.0, 0.0, 0.5], 72)
     assert len(hyps) == 72
-    for p in hyps.poses:
+    for p in hyps:
         assert np.allclose(p.translation, [0.0, 0.0, 0.5])
     # identity comes first
-    assert np.allclose(hyps.poses[0].rotation, quat.IDENTITY, atol=1e-12)
+    assert np.allclose(hyps[0].rotation, quat.IDENTITY, atol=1e-12)
     # all distinct
-    quats = np.array([p.rotation for p in hyps.poses])
+    quats = np.array([p.rotation for p in hyps])
     dots = np.abs(quats @ quats.T)
     np.fill_diagonal(dots, 0.0)
     assert dots.max() < 1.0 - 1e-9
@@ -30,10 +30,10 @@ def test_hypotheses_count_and_anchor():
 def test_hypotheses_random_supplement_deterministic():
     a = generate_hypotheses(np.zeros(3), 100, seed=5)
     b = generate_hypotheses(np.zeros(3), 100, seed=5)
-    for pa, pb in zip(a.poses, b.poses):
+    for pa, pb in zip(a, b):
         assert np.array_equal(pa.rotation, pb.rotation)
     c = generate_hypotheses(np.zeros(3), 100, seed=6)
-    assert not np.array_equal(a.poses[99].rotation, c.poses[99].rotation)
+    assert not np.array_equal(a[99].rotation, c[99].rotation)
     with pytest.raises(RejectedInput):
         generate_hypotheses(np.zeros(3), 0)
 
@@ -42,7 +42,7 @@ def test_72_hypothesis_covering_radius():
     # Monte-Carlo covering radius of the deterministic 72-rotation set:
     # every random rotation is within 0.62 chordal of some hypothesis
     hyps = generate_hypotheses(np.zeros(3), 72)
-    H = np.array([p.rotation for p in hyps.poses])
+    H = np.array([p.rotation for p in hyps])
     rng = np.random.default_rng(0)
     samples = np.array([quat.random_quat(rng) for _ in range(10000)])
     dots = np.clip(np.abs(samples @ H.T), 0.0, 1.0)
@@ -115,10 +115,10 @@ def test_select_coarse_pose_finds_rendered_truth():
     intr = default_intrinsics(size=120, focal=150.0)
     hyps = generate_hypotheses([0.0, 0.0, 0.4], 24)
     true_idx = 13
-    view = render(mesh, hyps.poses[true_idx], intr)
+    view = render(mesh, hyps[true_idx], intr)
     mask = BinaryMask(view.object_ids >= 0)
     result = select_coarse_pose(mesh, hyps, view.rgb, mask, intr)
-    assert np.allclose(result.best_pose.rotation, hyps.poses[true_idx].rotation)
+    assert np.allclose(result.best_pose.rotation, hyps[true_idx].rotation)
     assert result.similarity > 0.9
     assert result.similarity == max(s for _, s in result.all_scores)
     assert len(result.all_scores) == 24
@@ -126,10 +126,8 @@ def test_select_coarse_pose_finds_rendered_truth():
 
 def test_select_coarse_pose_empty_hypotheses():
     mesh = make_box([0.06, 0.06, 0.06])
-    hyps = generate_hypotheses(np.zeros(3), 1)
-    object.__setattr__(hyps, "poses", ())
     with pytest.raises(RejectedInput):
-        select_coarse_pose(mesh, hyps, ColorImage(np.zeros((8, 8, 3))),
+        select_coarse_pose(mesh, (), ColorImage(np.zeros((8, 8, 3))),
                            BinaryMask(np.zeros((8, 8), dtype=bool)),
                            default_intrinsics(8, 10.0))
 

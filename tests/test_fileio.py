@@ -6,7 +6,7 @@ from twinforge.errors import RejectedInput
 from twinforge.fileio import (load_color_ppm, load_depth_pgm, load_depth_raw,
                               load_mask_pgm, load_mesh, load_obj, load_ply,
                               save_color_ppm, save_depth_pgm, save_depth_raw,
-                              save_mask_pgm, save_obj, save_ply)
+                              save_mask_pgm, save_ply)
 from twinforge.geometry import TriangleMesh
 
 
@@ -80,14 +80,27 @@ def _mesh(colors=False):
     return TriangleMesh(verts, tris, vc)
 
 
+# _mesh(colors=True) as OBJ text: the per-vertex colour extension, a
+# comment, texture indices and one quad face, which load_obj fans into the
+# mesh's two triangles
+_OBJ_TEXT = """\
+# two triangles as one quad
+v 0 0 0 1 0 0
+v 1 0 0 0 1 0
+v 0 1 0 0 0 1
+v 0 0 1 1 1 0
+f 1/1 2/2 3/3 4/4
+"""
+
+
 def test_obj_roundtrip(tmp_path):
     mesh = _mesh(colors=True)
     path = tmp_path / "m.obj"
-    save_obj(path, mesh)
+    path.write_text(_OBJ_TEXT)
     back = load_obj(str(path))
-    assert np.allclose(back.vertices, mesh.vertices)
+    assert np.array_equal(back.vertices, mesh.vertices)
     assert np.array_equal(back.triangles, mesh.triangles)
-    assert np.allclose(back.vertex_colors, mesh.vertex_colors, atol=1e-5)
+    assert np.array_equal(back.vertex_colors, mesh.vertex_colors)
 
 
 def test_ply_roundtrip(tmp_path):
@@ -110,7 +123,8 @@ def test_ply_without_colors(tmp_path):
 
 def test_load_mesh_dispatch(tmp_path):
     mesh = _mesh()
-    save_obj(tmp_path / "a.obj", mesh)
+    (tmp_path / "a.obj").write_text(
+        "v 0 0 0\nv 1 0 0\nv 0 1 0\nv 0 0 1\nf 1 2 3\nf 1 3 4\n")
     save_ply(tmp_path / "a.ply", mesh)
     assert len(load_mesh(str(tmp_path / "a.obj")).triangles) == 2
     assert len(load_mesh(str(tmp_path / "a.ply")).triangles) == 2

@@ -37,7 +37,7 @@ def test_pose_apply_matches_matrix():
 def test_pose_from_matrix_roundtrip():
     rng = np.random.default_rng(3)
     p = random_pose(rng)
-    q = RigidPose.from_matrix(p.matrix())
+    q = RigidPose.from_rotation_matrix(p.rotation_matrix(), p.translation)
     assert np.allclose(q.matrix(), p.matrix(), atol=1e-9)
 
 

@@ -4,8 +4,7 @@ import pytest
 from twinforge import quaternions as quat
 from twinforge.errors import RejectedInput
 from twinforge.geometry import RigidPose
-from twinforge.gpclassify import (GpModel, Se3KernelParams, dump_model, fit,
-                                  gram_matrix, predict_prob,
+from twinforge.gpclassify import (GpModel, Se3KernelParams, fit, gram_matrix,
                                   predict_prob_batch, rank_and_select)
 from twinforge.strategy import StrategySample
 
@@ -65,7 +64,7 @@ def test_degenerate_all_positive_rate():
 def test_degenerate_all_negative_rate():
     poses = random_poses(4, seed=6)
     model = fit(poses, [0, 0, 0, 0])
-    assert predict_prob(model, poses[0]) == pytest.approx(1.0 / 6.0)
+    assert predict_prob_batch(model, poses[:1])[0] == pytest.approx(1.0 / 6.0)
 
 
 def test_predictions_match_dense_reference():
@@ -149,13 +148,3 @@ def test_rank_ties_by_sample_id():
                StrategySample(pose, 2).with_outcome(None, True)]
     ranking = rank_and_select(model, samples)
     assert [c.sample_id for c in ranking.ranked] == [2, 5]
-
-
-def test_dump_model(tmp_path):
-    poses = random_poses(4, seed=16)
-    model = fit(poses, [1, 0, 1, 0])
-    path = tmp_path / "gp.txt"
-    dump_model(path, model)
-    text = path.read_text()
-    assert text.startswith("twinforge-gp v1")
-    assert f"n {len(poses)}" in text

@@ -4,7 +4,7 @@ import pytest
 from twinforge.errors import RejectedInput
 from twinforge.geometry import PointCloud, RigidPose
 from twinforge.grasp import (GraspCandidate, filter_by_object_proximity,
-                             load_grasp_candidates, save_grasp_candidates,
+                             load_grasp_candidates,
                              synthetic_grasp_provider, top_k_by_confidence)
 
 
@@ -57,7 +57,12 @@ def test_candidate_file_roundtrip(tmp_path):
                             rng.normal(size=3), 0.03, float(rng.random()))
              for _ in range(5)]
     path = tmp_path / "grasps.txt"
-    save_grasp_candidates(path, cands)
+    lines = ["# qw qx qy qz tx ty tz gx gy gz width confidence"]
+    for c in cands:
+        fields = (*c.pose.rotation, *c.pose.translation, *c.grasp_point,
+                  c.width, c.confidence)
+        lines.append(" ".join(f"{x:.9g}" for x in fields))
+    path.write_text("\n".join(lines) + "\n")
     back = load_grasp_candidates(path)
     assert len(back) == 5
     for a, b in zip(cands, back):

@@ -1,42 +1,13 @@
-import pytest
-
-from twinforge.errors import RejectedInput
-from twinforge.materials import (BUILTIN_MATERIALS, MaterialProps,
-                                 load_material_table, material_lookup,
-                                 parse_material_table, save_material_table)
+from twinforge.materials import MATERIALS, material_lookup
 
 
 def test_builtin_table_rows():
-    assert len(BUILTIN_MATERIALS) == 9
-    assert "default" in BUILTIN_MATERIALS
-    assert BUILTIN_MATERIALS["wood"].density == 700
+    assert len(MATERIALS) == 9
+    for name in MATERIALS:
+        assert material_lookup(name) == (name, True)
 
 
 def test_lookup_known_and_unknown():
-    props, known = material_lookup("ceramic")
-    assert known and props.name == "ceramic"
-    props, known = material_lookup("unobtanium")
-    assert not known and props.name == "default"
-    props, known = material_lookup("  Wood ")
-    assert known and props.name == "wood"
-
-
-def test_props_validation():
-    with pytest.raises(RejectedInput):
-        MaterialProps("x", -1.0, 0.5, 0.4, 0.1)
-    with pytest.raises(RejectedInput):
-        MaterialProps("x", 1.0, 0.3, 0.5, 0.1)  # dynamic > static
-    with pytest.raises(RejectedInput):
-        MaterialProps("x", 1.0, 0.5, 0.4, 1.5)
-
-
-def test_parse_requires_default():
-    with pytest.raises(RejectedInput):
-        parse_material_table("wood 700 0.5 0.4 0.3\n")
-
-
-def test_table_roundtrip(tmp_path):
-    path = tmp_path / "mat.txt"
-    save_material_table(path, BUILTIN_MATERIALS)
-    back = load_material_table(path)
-    assert back == BUILTIN_MATERIALS
+    assert material_lookup("ceramic") == ("ceramic", True)
+    assert material_lookup("unobtanium") == ("default", False)
+    assert material_lookup("  Wood ") == ("wood", True)

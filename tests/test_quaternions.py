@@ -73,19 +73,6 @@ def test_rotate_batch():
     assert np.allclose(quat.quat_rotate(q, pts), pts @ quat.quat_to_matrix(q).T)
 
 
-def test_chordal_distance_identity_vs_180z():
-    q180 = quat.quat_from_axis_angle([0, 0, 1], np.pi)
-    assert quat.chordal_distance(quat.IDENTITY, q180) == pytest.approx(np.sqrt(2.0))
-
-
-def test_chordal_sign_invariance():
-    rng = np.random.default_rng(7)
-    a = quat.random_quat(rng)
-    b = quat.random_quat(rng)
-    assert quat.chordal_distance(a, b) == pytest.approx(quat.chordal_distance(a, -b))
-    assert quat.chordal_distance(a, a) == 0.0
-
-
 def test_geodesic_angle():
     q = quat.quat_from_axis_angle([1, 0, 0], 0.3)
     assert quat.geodesic_angle(quat.IDENTITY, q) == pytest.approx(0.3, abs=1e-12)

@@ -4,12 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from render_reference import ref_rasterize, ref_render_batch
+from solids_reference import ray_mesh_depth
 from twinforge import quaternions as quat
 from twinforge.camera import CameraIntrinsics, backproject
 from twinforge.geometry import RigidPose, TriangleMesh
 from twinforge.render import (DEFAULT_BACKGROUND, _rasterize, render,
                               render_batch, render_scene)
-from twinforge.solids import point_mesh_distance, ray_mesh_depth
+from twinforge.solids import point_mesh_distance
 from twinforge.synth import (PRIMITIVES, make_box, make_cup, make_cylinder,
                              make_open_box, make_ramp)
 

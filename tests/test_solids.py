@@ -8,10 +8,10 @@ from twinforge.errors import RejectedInput
 from twinforge.geometry import RigidPose, TriangleMesh, sample_mesh_surface
 from twinforge.solids import (PARITY_DIRECTION, MeshIndex, is_watertight,
                               point_mesh_distance, points_inside,
-                              ray_mesh_depth, signed_volume, volume_and_com)
+                              signed_volume, volume_and_com)
 from twinforge.synth import make_box, make_cup, make_cylinder, make_open_box, make_ramp
 
-from solids_reference import ref_first_hit, ref_points_inside
+from solids_reference import ray_mesh_depth, ref_first_hit, ref_points_inside
 
 
 def test_box_is_watertight_with_correct_volume():
