@@ -10,12 +10,19 @@ along -z.
 Drop and lift distances are closed form: surface samples are cast as rays
 along gravity against the meshes (``MeshIndex.cast``), manipulated samples
 down onto the static meshes and static samples up onto the manipulated mesh,
-and the ground is analytic. Everything that depends only on the scene is
-built once per scene: surface samples and their k-d trees, and for each
-static mesh in world coordinates a parity index and a down- and an up-cast
-index; the manipulated mesh gets a parity index in its own frame (the
-symmetric penetration check). ``SettleSimulator`` builds it once per
-labeling run, so a scene that cannot be simulated fails once.
+and the ground is analytic. A drop needs only the least of these distances,
+so it starts from the ground gap and casts only the samples whose lower
+bound on their hit can still beat the gap so far (``MeshIndex.first_hit``);
+a static sample further below the manipulated mesh's lowest vertex than the
+gap is not cast at all. Everything that depends only on the scene is built
+once per scene: surface samples and their k-d trees, and for each static
+mesh in world coordinates a parity index and a down- and an up-cast index;
+the manipulated mesh gets a parity index in its own frame (the symmetric
+penetration check). ``SettleSimulator`` builds it once per labeling run, so
+a scene that cannot be simulated fails once. The context is read-only
+apart from one memo: the manipulated mesh's cast index per (rotation, cast
+direction), built on first use. An entry depends only on its key, so
+concurrent workers see the same answers whichever of them fills it.
 
 A settle returns poses, contacts and flags only. ``render_outcome`` draws a
 settled scene from the fixed checker viewpoint, for callers that write an
@@ -39,7 +46,7 @@ from .camera import CameraIntrinsics
 from .errors import RejectedInput, StageFailureError
 from .geometry import RigidPose, TriangleMesh, sample_mesh_surface
 from .render import RenderedView, render_scene
-from .solids import MeshIndex, is_watertight, volume_and_com
+from .solids import _PAD, MeshIndex, is_watertight, volume_and_com
 from .strategy import StrategySample
 
 ROLES = ("manipulated", "interactive", "static")
@@ -158,8 +165,10 @@ def _in_box(points, box, dims=3):
 
 class _SettleContext:
     """Precomputed geometry for one scene: surface samples, k-d trees, mesh
-    indexes and bounding boxes. Read-only once built, so one context serves
-    every sample of a labeling run, from any number of workers."""
+    indexes and bounding boxes. Read-only once built apart from the memo of
+    manipulated cast indexes, whose entries depend only on their key, so
+    one context serves every sample of a labeling run, from any number of
+    workers."""
 
     def __init__(self, scene: SceneTwin, config: SimConfig):
         self.scene = scene
@@ -175,6 +184,7 @@ class _SettleContext:
         self.local_box = (self.local_samples.min(axis=0) - 1e-6,
                           self.local_samples.max(axis=0) + 1e-6)
         _, self.local_com = volume_and_com(manip.mesh)
+        self._self_casts = {}
         self.others = []
         for oi, obj in enumerate(scene.objects):
             if obj.role == "manipulated":
@@ -222,11 +232,18 @@ class _SettleContext:
                 depth = max(depth, float(d.max()))
         return depth
 
-    def _cast_self(self, pose: RigidPose, direction, local_points):
-        """First hit along the world direction of rays from points in the
-        manipulated frame against the manipulated mesh at this pose."""
-        d = quat.quat_rotate(quat.quat_conjugate(pose.rotation), direction)
-        return MeshIndex(self.mesh, d, cast_only=True).cast(local_points)
+    def _self_index(self, rotation, direction) -> MeshIndex:
+        """Cast index of the manipulated mesh, in its own frame, for rays
+        along the world direction at this rotation. Kept in a memo keyed by
+        (rotation, direction): an entry depends only on its key, so workers
+        that race to fill one store equal indexes."""
+        key = (rotation.tobytes(), direction.tobytes())
+        index = self._self_casts.get(key)
+        if index is None:
+            d = quat.quat_rotate(quat.quat_conjugate(rotation), direction)
+            index = self._self_casts.setdefault(
+                key, MeshIndex(self.mesh, d, cast_only=True))
+        return index
 
     def drop(self, pose: RigidPose) -> RigidPose:
         """Translate along gravity to first contact, less _CLEARANCE.
@@ -234,22 +251,27 @@ class _SettleContext:
         The drop distance is the smallest of the ground gap, the first hit of
         each manipulated sample cast down onto each static mesh, and the
         first hit of each static sample under the manipulated mesh's
-        footprint cast up onto it. The pose must be free: a sample already
-        inside a solid would report its exit instead of its entry."""
+        footprint cast up onto it. Each cast is bounded by the gap so far
+        (``MeshIndex.first_hit``), and a static sample further below the
+        lowest vertex than the gap (less _PAD) is not cast at all, so the
+        manipulated index is fetched only when some sample can still set
+        the gap. The pose must be free: a sample already inside a solid
+        would report its exit instead of its entry."""
         pts = pose.apply(self.local_samples)
         gap = float(pts[:, 2].min())
         for s in self.others:
             cand = _in_box(pts, s.box, dims=2) & (pts[:, 2] >= s.box[0][2])
-            if cand.any():
-                gap = min(gap, float(s.down.cast(pts[cand]).min()))
+            gap = s.down.first_hit(pts[cand], gap)
         verts = pose.apply(self.mesh.vertices)
         foot = (verts.min(axis=0) - 1e-6, verts.max(axis=0) + 1e-6)
+        reach = float(verts[:, 2].min()) - _PAD - gap
         under = np.vstack([s.samples[_in_box(s.samples, foot, dims=2)
-                                     & (s.samples[:, 2] <= foot[1][2])]
+                                     & (s.samples[:, 2] <= foot[1][2])
+                                     & (s.samples[:, 2] > reach)]
                            for s in self.others] or [np.empty((0, 3))])
         if len(under):
-            gap = min(gap, float(self._cast_self(
-                pose, UP, pose.inverse().apply(under)).min()))
+            gap = self._self_index(pose.rotation, UP).first_hit(
+                pose.inverse().apply(under), gap)
         return RigidPose(pose.rotation,
                          pose.translation - max(0.0, gap - _CLEARANCE) * UP)
 
@@ -271,7 +293,7 @@ class _SettleContext:
             exits += [s.up.cast(mine) for s, mine, _ in found]
             theirs = np.vstack([t for *_, t in found] or [np.empty((0, 3))])
             if len(theirs):
-                exits.append(self._cast_self(pose, -UP, theirs))
+                exits.append(self._self_index(pose.rotation, -UP).cast(theirs))
             exits = np.concatenate(exits)
             if not len(exits):
                 return pose
@@ -364,9 +386,12 @@ def settle_simulate(scene: SceneTwin, sample: StrategySample,
         if topples >= config.max_topple_steps or len(contacts) == 0:
             break
         if hull is None:
-            # degenerate support (point/line): pivot about the contact line
+            # degenerate support (point/line): pivot about the line through
+            # the two contacts farthest apart
             if len(contacts) >= 2:
-                e = np.ptp(contacts[:, :2], axis=0)
+                c2 = contacts[:, :2]
+                end = c2[np.argmax(np.sum((c2 - c2[0]) ** 2, axis=1))]
+                e = c2[np.argmax(np.sum((c2 - end) ** 2, axis=1))] - end
                 axis2 = e / max(np.linalg.norm(e), 1e-12)
                 pivot2 = contacts[:, :2].mean(axis=0)
             else:
@@ -418,8 +443,9 @@ class SettleSimulator:
 
     The scene's settle context (surface samples, k-d trees, mesh indexes) is
     built once, here, so a scene that cannot be simulated fails once, before
-    any sample is labeled. The context is read-only, so concurrent labeling
-    stays deterministic."""
+    any sample is labeled. The context is read-only apart from its keyed
+    memo of manipulated cast indexes, so concurrent labeling stays
+    deterministic."""
 
     def __init__(self, scene: SceneTwin, config: SimConfig = SimConfig()):
         self.scene = scene

@@ -1,0 +1,38 @@
+"""Reference drop for the settle simulator.
+
+``ref_drop`` is ``_SettleContext.drop`` as it was before the bounded first
+hit: it casts every candidate sample in full and builds the manipulated
+mesh's cast index for each pose. Used to cross-check the bounded drop pose
+for pose, bit for bit.
+"""
+
+import numpy as np
+
+from twinforge import quaternions as quat
+from twinforge.geometry import RigidPose
+from twinforge.simulate import _CLEARANCE, UP, _in_box
+from twinforge.solids import MeshIndex
+
+
+def _cast_self(ctx, pose, direction, local_points):
+    d = quat.quat_rotate(quat.quat_conjugate(pose.rotation), direction)
+    return MeshIndex(ctx.mesh, d, cast_only=True).cast(local_points)
+
+
+def ref_drop(ctx, pose):
+    pts = pose.apply(ctx.local_samples)
+    gap = float(pts[:, 2].min())
+    for s in ctx.others:
+        cand = _in_box(pts, s.box, dims=2) & (pts[:, 2] >= s.box[0][2])
+        if cand.any():
+            gap = min(gap, float(s.down.cast(pts[cand]).min()))
+    verts = pose.apply(ctx.mesh.vertices)
+    foot = (verts.min(axis=0) - 1e-6, verts.max(axis=0) + 1e-6)
+    under = np.vstack([s.samples[_in_box(s.samples, foot, dims=2)
+                                 & (s.samples[:, 2] <= foot[1][2])]
+                       for s in ctx.others] or [np.empty((0, 3))])
+    if len(under):
+        gap = min(gap, float(_cast_self(
+            ctx, pose, UP, pose.inverse().apply(under)).min()))
+    return RigidPose(pose.rotation,
+                     pose.translation - max(0.0, gap - _CLEARANCE) * UP)

@@ -7,6 +7,7 @@ per session via module-scoped fixtures.
 
 import json
 import os
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -25,7 +26,7 @@ from twinforge.register import AlignConfig, IcpParams, icp_refine
 from twinforge.render import render
 from twinforge.scene import load_scene_spec, report_determinism_key
 from twinforge.simulate import (GeometricEvaluator, SettleSimulator, SimConfig,
-                                _SettleContext, settle_simulate)
+                                _SettleContext, label_samples, settle_simulate)
 from twinforge.strategy import StrategySample
 from twinforge.synth import (TASKS, generate_synthetic_scene, make_box,
                              primitive_from_spec, synthetic_observation)
@@ -296,6 +297,37 @@ def test_criterion_7_determinism(task_runs):
              "4-worker execution", ok,
              f"repeat={'==' if key0 == key1 else '!='} "
              f"threaded={'==' if key0 == key2 else '!='}")
+
+
+def test_label_samples_thread_determinism_cup_on_box(task_runs, monkeypatch):
+    # four workers share one settle context and race to fill its memo of
+    # manipulated cast indexes, switching threads often; no outcome may
+    # depend on that race
+    spec, result = task_runs["cup-on-box"]
+    samples = sorted(result.ranking.ranked, key=lambda s: s.sample_id)
+    evaluator = GeometricEvaluator(spec.goal)
+    runs = []
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-5)
+        for threads in ("1", "4"):
+            monkeypatch.setenv("TWINFORGE_THREADS", threads)
+            simulator = SettleSimulator(result.twin, PipelineConfig().sim)
+            runs.append(label_samples(result.twin, samples, simulator,
+                                      evaluator))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(runs[0]) == len(runs[1]) == 45
+    for a, b in zip(*runs):
+        assert (a.sample_id, a.weak_label, a.failure_reason) \
+            == (b.sample_id, b.weak_label, b.failure_reason)
+        assert (a.outcome.stable, a.outcome.penetration, a.outcome.topple_steps) \
+            == (b.outcome.stable, b.outcome.penetration, b.outcome.topple_steps)
+        assert np.array_equal(a.outcome.contacts, b.outcome.contacts)
+        for name, pose in a.outcome.settled_poses.items():
+            other = b.outcome.settled_poses[name]
+            assert np.array_equal(pose.rotation, other.rotation)
+            assert np.array_equal(pose.translation, other.translation)
 
 
 def test_criterion_8_simulation_invariants():

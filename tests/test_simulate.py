@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from twinforge import quaternions as quat
 from twinforge.errors import RejectedInput, StageFailureError
@@ -10,7 +12,9 @@ from twinforge.simulate import (RENDER_SIZE, GeometricEvaluator, SceneObject,
                                 checker_viewpoint, geometric_evaluator,
                                 label_samples, render_outcome, settle_simulate)
 from twinforge.strategy import StrategySample
-from twinforge.synth import make_box, make_open_box
+from twinforge.synth import make_box, make_cup, make_open_box
+
+from simulate_reference import ref_drop
 
 FAST = SimConfig(surface_samples=900)
 
@@ -147,10 +151,7 @@ def test_lift_free_gives_up_when_no_free_height_within_cap():
 def test_topple_into_a_tall_wall_ends_as_penetration():
     # the overhanging cube tips toward a 0.4 m wall 5 mm beside it; no lift
     # within the cap frees it, so it must not be labelled stable
-    base = support_box(height=0.04, size=0.06)
-    wall = SceneObject("wall", make_box([0.2, 0.2, 0.4]),
-                       RigidPose(quat.IDENTITY, [0.175, 0.0, 0.2]), role="static")
-    twin = scene_with(cube(), base, wall)
+    twin = tall_wall_scene()
     out = settle_simulate(twin, sample_at(RigidPose(quat.IDENTITY, [0.045, 0.0, 0.12])),
                           FAST)
     assert out.penetration and not out.stable
@@ -172,6 +173,66 @@ def test_settle_makes_at_most_two_penetration_queries(monkeypatch):
                           FAST, _ctx=ctx)
     assert out.topple_steps > 0
     assert len(calls) <= 2
+
+
+def tall_wall_scene():
+    base = support_box(height=0.04, size=0.06)
+    wall = SceneObject("wall", make_box([0.2, 0.2, 0.4]),
+                       RigidPose(quat.IDENTITY, [0.175, 0.0, 0.2]), role="static")
+    return scene_with(cube(), base, wall)
+
+
+DROP_SCENES = {
+    "cup-on-box": lambda: scene_with(
+        SceneObject("cup", make_cup(0.035, 0.09, 0.005), RigidPose.identity(),
+                    role="manipulated"),
+        SceneObject("box", make_box([0.12, 0.12, 0.04]),
+                    RigidPose(quat.IDENTITY, [0.0, 0.0, 0.02]),
+                    role="interactive")),
+    "cube-into-box": lambda: scene_with(
+        cube(), SceneObject("box", make_open_box([0.14, 0.14, 0.07], 0.012),
+                            RigidPose(quat.IDENTITY, [0.0, 0.0, 0.035]),
+                            role="interactive")),
+    "cube-onto-cube": lambda: scene_with(cube(), support_box()),
+    "support-box": lambda: scene_with(cube(), support_box(height=0.04,
+                                                          size=0.06)),
+    "tall-wall": tall_wall_scene,
+}
+
+
+@pytest.fixture(scope="module")
+def drop_contexts():
+    """One settle context per scene, shared by every example, so its memo
+    of manipulated cast indexes fills up as in a labeling run."""
+    return {name: _SettleContext(make(), FAST)
+            for name, make in DROP_SCENES.items()}
+
+
+_angle = st.floats(-np.pi, np.pi)
+
+
+@settings(max_examples=120, deadline=None)
+@given(name=st.sampled_from(sorted(DROP_SCENES)),
+       tilt=st.sampled_from([0.0, np.pi / 12, np.pi / 2, np.pi]) | _angle,
+       axis=st.tuples(*[st.floats(-1.0, 1.0)] * 2), yaw=_angle,
+       xy=st.tuples(*[st.floats(-0.15, 0.15)] * 2),
+       z=st.floats(-0.02, 0.25))
+def test_drop_matches_reference(drop_contexts, name, tilt, axis, yaw, xy, z):
+    # tilted, upside-down and overhanging starts over each support; a start
+    # inside a solid is lifted free first, as settle_simulate does
+    ctx = drop_contexts[name]
+    horizontal = np.array([axis[0], axis[1], 0.0])
+    assume(np.linalg.norm(horizontal) > 0.1)
+    q = quat.quat_normalize(quat.quat_multiply(
+        quat.quat_from_axis_angle([0, 0, 1], yaw),
+        quat.quat_from_axis_angle(horizontal, tilt)))
+    pose = RigidPose(q, [xy[0], xy[1], z])
+    if ctx.penetration_depth(pose) > 0:
+        pose = ctx.lift_free(pose)
+        assume(pose is not None)
+    landed, expect = ctx.drop(pose), ref_drop(ctx, pose)
+    assert np.array_equal(landed.translation, expect.translation)
+    assert np.array_equal(landed.rotation, expect.rotation)
 
 
 def test_initial_penetration_rejected():
@@ -202,6 +263,35 @@ def test_overhanging_cube_topples_off_edge():
     start = RigidPose(quat.IDENTITY, [0.055, 0.0, 0.12])
     out = settle_simulate(twin, sample_at(start), FAST)
     assert out.topple_steps > 0
+
+
+def test_two_contact_topple_is_mirror_symmetric():
+    # a cube rests on one bottom edge, tilted 30 degrees off the face beside
+    # it, with that edge along (1, -1) and, in the mirror image through the
+    # xz-plane, along (1, 1). Its samples are its eight corners, so each
+    # configuration has exactly the edge's two corners as contacts, a
+    # degenerate support, until it lies flat.
+    twin = scene_with(cube())
+    ctx = _SettleContext(twin, FAST)
+    # with the ground as the only support, no other sample set is read
+    ctx.local_samples = 0.025 * np.array(
+        [[x, y, z] for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)], float)
+    q = quat.quat_multiply(quat.quat_from_axis_angle([0, 0, 1], -np.pi / 4),
+                           quat.quat_from_axis_angle([1, 0, 0], np.pi / 6))
+    mirror = np.array([1.0, -1.0, 1.0, -1.0])    # y -> -y on a quaternion
+    start = RigidPose(q, [0.01, 0.02, 0.1])
+    mirrored = RigidPose(q * mirror, [0.01, -0.02, 0.1])
+    for pose in (start, mirrored):
+        assert len(ctx.contact_points(ctx.drop(pose))) == 2
+    out = settle_simulate(twin, sample_at(start), FAST, _ctx=ctx)
+    image = settle_simulate(twin, sample_at(mirrored), FAST, _ctx=ctx)
+    assert out.stable and image.stable
+    assert out.topple_steps == image.topple_steps == 2
+    a, b = out.settled_poses["cube"], image.settled_poses["cube"]
+    assert np.allclose(b.rotation, a.rotation * mirror, atol=1e-12)
+    assert np.allclose(b.translation, a.translation * [1, -1, 1], atol=1e-12)
+    # toppled onto the face beside the edge: flat on the ground
+    assert b.translation[2] == pytest.approx(0.025, abs=1e-5)
 
 
 def test_translation_equivariance():

@@ -220,3 +220,92 @@ def test_cast_only_index_drops_parallel_triangles():
     assert index.cast(np.empty((0, 3))).shape == (0,)
     with pytest.raises(ValueError):
         index.within([[0.0, 0.0, 0.0]], 0.001)
+
+
+# half turns about the axes keep faces square to the axis-aligned casts, so
+# rays from points just off a flat face tie on its distance up to rounding:
+# the cases where a bound with no slack would skip the nearest hit
+square_poses = st.builds(
+    lambda q, t: RigidPose(np.array(q, dtype=float), np.array(t)),
+    st.sampled_from([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]),
+    st.tuples(*[st.floats(-0.3, 0.3)] * 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(MESHES)), pose=poses | square_poses,
+       direction=st.sampled_from(CAST_DIRECTIONS),
+       gap=st.sampled_from([0.0, 1e-9, 1e-6, 1e-3]),
+       quantile=st.floats(0.0, 1.0), seed=st.integers(0, 2**16))
+def test_first_hit_matches_brute_force_min(name, pose, direction, gap,
+                                           quantile, seed):
+    mesh = MESHES[name].transformed(pose)
+    rng = np.random.default_rng(seed)
+    d = np.asarray(direction) / np.linalg.norm(direction)
+    # face points moved gap back along the ray, so each first hits its
+    # face about gap away, and points beside the mesh, off the grid
+    tri = mesh.vertices[mesh.triangles]
+    faces = np.einsum("tk,tkj->tj", rng.dirichlet(np.ones(3), len(tri)), tri)
+    side = np.cross(d, [1.0, 0.0, 0.0] if abs(d[0]) < 0.9 else [0.0, 1.0, 0.0])
+    side /= np.linalg.norm(side)
+    pts = _query_points(mesh, gap, seed)
+    pts = np.vstack([pts, faces - gap * d, pts[::7] + 5.0 * side])
+    expect = ref_first_hit(pts, direction, mesh)
+    finite = expect[np.isfinite(expect)]
+    between = float(np.quantile(finite, quantile)) if len(finite) else 0.05
+    subsets = [np.arange(len(pts)), rng.choice(len(pts), 3, replace=False)]
+    subsets += [rng.choice(len(pts), rng.integers(1, len(pts)), replace=False)
+                for _ in range(6)]
+    for cast_only in (False, True):
+        index = MeshIndex(mesh, direction, cast_only=cast_only)
+        for limit in (0.0, np.inf, between):
+            assert index.first_hit(np.empty((0, 3)), limit) == limit
+            for rows in subsets:
+                assert index.first_hit(pts[rows], limit) \
+                    == min(limit, expect[rows].min())
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(MESHES)), pose=square_poses,
+       direction=st.sampled_from(CAST_DIRECTIONS[:2]),
+       gap=st.sampled_from([1e-9, 1e-6, 1e-3, 0.02]),
+       seed=st.integers(0, 2**16))
+def test_first_hit_ties_on_a_face_square_to_the_ray(name, pose, direction,
+                                                     gap, seed):
+    # rays from one plane gap short of a flat face all hit it at gap, up to
+    # the last bits: the nearest is found however those bits fall
+    mesh = MESHES[name].transformed(pose)
+    rng = np.random.default_rng(seed)
+    v = mesh.vertices
+    pts = rng.uniform(v.min(axis=0), v.max(axis=0), size=(200, 3))
+    pts[:, 2] = (v @ direction).min() * direction[2] - gap * direction[2]
+    expect = ref_first_hit(pts, direction, mesh)
+    for cast_only in (False, True):
+        index = MeshIndex(mesh, direction, cast_only=cast_only)
+        for limit in (np.inf, gap):
+            assert index.first_hit(pts, limit) == min(limit, expect.min())
+
+
+@settings(max_examples=50, deadline=None)
+@given(tilt=st.floats(-10.5, -9.0), yaw=st.floats(0.0, 2 * np.pi),
+       offset=st.tuples(*[st.floats(-0.3, 0.3)] * 3),
+       seed=st.integers(0, 2**16))
+def test_first_hit_near_parallel_sliver(tilt, yaw, offset, seed):
+    # a triangle 10**tilt rad off parallel to the ray: rays a metre below
+    # its lowest edge compute hits up to ~1e-7 nearer than that edge, more
+    # than _PAD, so its lowest vertex bounds no ray. Four rays start
+    # highest and are cast first; the rest start a little lower.
+    c, s = np.cos(yaw), np.sin(yaw)
+    spin = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    v = np.array([[0.0, 0.0, 0.0], [0.1, 0.0, 0.0],
+                  [0.05, 0.1 * 10 ** tilt, 0.1]]) @ spin.T + offset
+    mesh = TriangleMesh(v, [[0, 1, 2]])
+    index = MeshIndex(mesh, (0.0, 0.0, 1.0), cast_only=True)
+    w = np.random.default_rng(seed).dirichlet(np.ones(3), 200)
+    w[:, 2] *= 1e-9
+    w /= w.sum(axis=1, keepdims=True)
+    for deeper in (1e-8, 3e-8, 1e-7):
+        pts = w @ v
+        pts[:, 2] = v[:, 2].min() - 1.0
+        pts[4:, 2] -= deeper
+        assert index.first_hit(pts) \
+            == ref_first_hit(pts, (0.0, 0.0, 1.0), mesh).min()
