@@ -126,7 +126,7 @@ def alignment_benchmark(trials: int = 40, seed0: int = 0,
                         primitives=BENCHMARK_PRIMITIVES) -> BenchmarkReport:
     """Run both arms over every primitive class; seeds are shared across
     arms so each comparison sees the identical observation."""
-    config = config or AlignConfig(rotation_count=384)
+    config = config or AlignConfig()
     t0 = time.perf_counter()
     rows = []
     agg = {"two-stage": [], "direct": []}

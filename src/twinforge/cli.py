@@ -61,9 +61,8 @@ def _apply_section(default, section):
 
 
 def build_pipeline_config(doc: dict) -> PipelineConfig:
-    """Overlay a JSON config document onto the pipeline defaults. Keys are
-    PipelineConfig field names; nested config objects ("align", "sim",
-    "gp", "align.ransac", ...) take sections of their own field names."""
+    """Overlay a JSON config document onto the pipeline defaults: an "align"
+    section of AlignConfig fields and a "sim" section of SimConfig fields."""
     return _apply_section(PipelineConfig(), doc)
 
 
@@ -105,8 +104,7 @@ def cmd_bench_align(args) -> int:
     doc = _load_config(args.config)
     trials = int(doc.pop("trials", 40))
     primitives = tuple(doc.pop("primitives", BENCHMARK_PRIMITIVES))
-    align_cfg = _apply_section(AlignConfig(rotation_count=384),
-                               doc.pop("align", {}))
+    align_cfg = _apply_section(AlignConfig(), doc.pop("align", {}))
     if doc:
         raise RejectedInput(f"unknown config keys: {sorted(doc)}")
     report = alignment_benchmark(trials=trials, seed0=args.seed or 0,

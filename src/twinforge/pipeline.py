@@ -23,7 +23,7 @@ from .grasp import (filter_by_object_proximity, load_grasp_candidates,
                     synthetic_grasp_provider, top_k_by_confidence)
 from .materials import material_lookup
 from .quaternions import quat_to_matrix
-from .register import AlignConfig, two_stage_align
+from .register import MIN_MASK_PIXELS, AlignConfig, two_stage_align
 from .scene import RunReport, SceneSpec, pose_to_json
 from .simulate import (GeometricEvaluator, SceneObject, SceneTwin, SettleSimulator,
                        SimConfig, label_samples, render_outcome)
@@ -34,24 +34,13 @@ STAGES = ("segmentation-load", "grasp", "coarse-align", "fine-register",
           "region", "sampling", "simulation", "result-check", "gp-rank",
           "select")
 
-# two_stage_align raises with its own internal stage names; map them onto
-# the pipeline taxonomy
-_STAGE_ALIASES = {"segmentation": "segmentation-load"}
-
 
 @dataclass
 class PipelineConfig:
-    # more rotation hypotheses than the library default: full-scene twins
-    # need accurate per-object scale, which is driven by coarse quality;
-    # the widened contact band absorbs residual reconstruction error
-    align: AlignConfig = field(
-        default_factory=lambda: AlignConfig(rotation_count=384))
-    sim: SimConfig = field(
-        default_factory=lambda: SimConfig(contact_tol=0.003))
-    gp: gpclassify.Se3KernelParams = field(default_factory=gpclassify.Se3KernelParams)
-    grasp_top_k: int = 1000
-    grasp_proximity: float = 0.01
-    grasp_retries: int = 3
+    """What a run may set. Every other value is a module constant or the
+    default of the layer function that uses it."""
+    align: AlignConfig = field(default_factory=AlignConfig)
+    sim: SimConfig = field(default_factory=SimConfig)
 
 
 @dataclass
@@ -134,9 +123,8 @@ def run_pipeline(spec: SceneSpec, config: PipelineConfig | None = None,
         try:
             fn()
         except StageFailureError as exc:
-            stage = _STAGE_ALIASES.get(exc.stage, exc.stage) or name
             report.status = "failure"
-            report.failed_stage = stage
+            report.failed_stage = exc.stage or name
             report.failure_reason = exc.reason
             return False
         except (NoFeasibleGrasp, RejectedInput) as exc:
@@ -158,9 +146,13 @@ def run_pipeline(spec: SceneSpec, config: PipelineConfig | None = None,
         from .camera import backproject
         for obj in spec.objects:
             mask = load_mask_pgm(spec.path(obj.mask))
-            if (mask.values & state["depth"].valid_mask()).sum() == 0:
+            valid = int((mask.values & state["depth"].valid_mask()).sum())
+            if valid == 0:
                 raise StageFailureError("segmentation-load",
                                         f"empty-mask:{obj.name}")
+            if valid < MIN_MASK_PIXELS:
+                raise StageFailureError("segmentation-load",
+                                        f"segmentation-too-small:{obj.name}")
             state["masks"][obj.name] = mask
             state["meshes"][obj.name] = load_mesh(spec.path(obj.mesh))
         manip = spec.manipulated
@@ -178,9 +170,8 @@ def run_pipeline(spec: SceneSpec, config: PipelineConfig | None = None,
                 cands = load_grasp_candidates(spec.path(spec.grasps))
             else:
                 cands = synthetic_grasp_provider(cloud, seed=seed + attempt)
-            cands = top_k_by_confidence(cands, config.grasp_top_k)
-            return filter_by_object_proximity(cands, cloud,
-                                              config.grasp_proximity)
+            return filter_by_object_proximity(top_k_by_confidence(cands),
+                                              cloud)
 
         def checker(cand):
             lo, hi = spec.workspace
@@ -188,7 +179,7 @@ def run_pipeline(spec: SceneSpec, config: PipelineConfig | None = None,
             return bool(np.all(p_world >= np.asarray(lo))
                         and np.all(p_world <= np.asarray(hi)))
 
-        chosen = grasp_with_retry(provider, checker, config.grasp_retries)
+        chosen = grasp_with_retry(provider, checker)
         state["grasp"] = chosen
         report.data["grasp"] = {
             "pose": pose_to_json(chosen.pose),
@@ -273,7 +264,7 @@ def run_pipeline(spec: SceneSpec, config: PipelineConfig | None = None,
 
     # -- gp-rank + select ----------------------------------------------------
     def gp_rank_stage():
-        model = gpclassify.fit(state["labeled"], params=config.gp)
+        model = gpclassify.fit(state["labeled"])
         ranking = gpclassify.rank_and_select(model, state["labeled"])
         result.ranking = ranking
         state["model"] = model

@@ -7,7 +7,7 @@ All randomized steps take explicit seeds and are deterministic.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -21,6 +21,13 @@ from .geometry import PointCloud, RigidPose, TriangleMesh, compute_aabb
 
 SCALE_CLAMP = (0.2, 5.0)
 RMSE_INF = np.finfo(float).max
+# seed of the coarse hypotheses; the two clouds are subsampled with the
+# next two seeds
+ALIGN_SEED = 0
+# points per cloud for normals, FPFH, RANSAC and ICP
+SUBSAMPLE = 1200
+# fewest valid (masked, finite-depth) pixels an observation may have
+MIN_MASK_PIXELS = 100
 
 
 @dataclass(frozen=True)
@@ -314,14 +321,7 @@ def icp_refine(source: PointCloud, target: PointCloud, init: RigidPose,
 
 @dataclass(frozen=True)
 class AlignConfig:
-    rotation_count: int = 72
-    seed: int = 0
-    normals_k: int = 15
-    fpfh_radius: float | None = None
-    ransac: RansacParams = field(default_factory=RansacParams)
-    icp: IcpParams = field(default_factory=IcpParams)
-    subsample: int = 1200
-    min_mask_pixels: int = 100
+    rotation_count: int = 384   # coarse rotation hypotheses
     skip_coarse: bool = False  # direct-alignment ablation: identity coarse pose
 
 
@@ -388,7 +388,7 @@ def two_stage_align(mesh: TriangleMesh, color: ColorImage, depth: DepthImage,
     produce a usable result.
     """
     valid = depth.valid_mask() & mask.values
-    if valid.sum() < config.min_mask_pixels:
+    if valid.sum() < MIN_MASK_PIXELS:
         raise StageFailureError("segmentation", "segmentation-too-small")
     observed = backproject(depth, intrinsics, mask)
     anchor = observed.points.mean(axis=0)
@@ -400,7 +400,7 @@ def two_stage_align(mesh: TriangleMesh, color: ColorImage, depth: DepthImage,
         coarse = CoarseAlignment(pose0, 1.0, partial, ((0, 1.0),))
     else:
         c_color, c_mask, c_intr = _crop_to_mask(color, mask, intrinsics)
-        hyps = generate_hypotheses(anchor, config.rotation_count, config.seed)
+        hyps = generate_hypotheses(anchor, config.rotation_count, ALIGN_SEED)
         coarse = select_coarse_pose(mesh, hyps, c_color, c_mask, c_intr)
     if len(coarse.rendered_partial) == 0:
         raise StageFailureError("coarse-align", "mesh-not-visible")
@@ -413,17 +413,17 @@ def two_stage_align(mesh: TriangleMesh, color: ColorImage, depth: DepthImage,
     scaled_partial = PointCloud(
         _scale_about(coarse.rendered_partial.points, anchor, scale.per_axis))
 
-    src = _subsample(scaled_partial, config.subsample, config.seed + 1)
-    tgt = _subsample(observed, config.subsample, config.seed + 2)
+    src = _subsample(scaled_partial, SUBSAMPLE, ALIGN_SEED + 1)
+    tgt = _subsample(observed, SUBSAMPLE, ALIGN_SEED + 2)
     try:
-        sn, sv = estimate_normals(src, config.normals_k)
-        tn, tv = estimate_normals(tgt, config.normals_k)
+        sn, sv = estimate_normals(src)
+        tn, tv = estimate_normals(tgt)
     except RejectedInput as exc:
         raise StageFailureError("fine-register", f"too-few-points: {exc}")
-    sd = compute_fpfh(src, sn, config.fpfh_radius, sv)
-    td = compute_fpfh(tgt, tn, config.fpfh_radius, tv)
-    ransac = ransac_register(src, tgt, sd, td, config.ransac)
-    icp = icp_refine(src, tgt, ransac.pose, config.icp)
+    sd = compute_fpfh(src, sn, valid=sv)
+    td = compute_fpfh(tgt, tn, valid=tv)
+    ransac = ransac_register(src, tgt, sd, td)
+    icp = icp_refine(src, tgt, ransac.pose)
     final_pose = icp.pose.compose(coarse.best_pose)
     return TwoStageResult(scaled_mesh, final_pose, icp, coarse, scale, ransac)
 

@@ -59,6 +59,15 @@ UP = np.array([0.0, 0.0, 1.0])
 _CLEARANCE = 1e-6
 # highest a lift may raise the object before the pose counts as stuck
 _MAX_LIFT = 0.1
+# contact band, meters: a sample this close to the ground or a static mesh
+# supports the object. Wide enough to absorb residual reconstruction error
+# in an aligned twin.
+CONTACT_TOL = 0.003
+# a start pose deeper than this into a solid (meters) counts as penetrating
+PENETRATION_TOL = 0.001
+# most topple steps a settle takes, and the tilt of one step
+MAX_TOPPLE_STEPS = 6
+TOPPLE_STEP_DEG = 15.0
 # side of the square outcome image, pixels
 RENDER_SIZE = 256
 
@@ -117,12 +126,9 @@ class SimOutcome:
 
 @dataclass(frozen=True)
 class SimConfig:
+    """Surface sampling of the settle context: samples per mesh and seed."""
     surface_samples: int = 1200
     seed: int = 0
-    contact_tol: float = 0.001      # contact band, meters
-    penetration_tol: float = 0.001  # initial-pose rejection depth
-    max_topple_steps: int = 6
-    topple_step_deg: float = 15.0
 
 
 def checker_viewpoint(scene_center, standoff: float = 0.8,
@@ -172,7 +178,6 @@ class _SettleContext:
 
     def __init__(self, scene: SceneTwin, config: SimConfig):
         self.scene = scene
-        self.config = config
         manip = scene.manipulated
         if not is_watertight(manip.mesh):
             raise StageFailureError("simulation", "non-watertight-mesh")
@@ -195,7 +200,7 @@ class _SettleContext:
             world_pts = obj.pose.apply(pts)
             lo = world_mesh.vertices.min(axis=0)
             hi = world_mesh.vertices.max(axis=0)
-            band = 2 * config.contact_tol
+            band = 2 * CONTACT_TOL
             self.others.append(_Static(
                 world_pts, cKDTree(world_pts), MeshIndex(world_mesh),
                 MeshIndex(world_mesh, -UP, cast_only=True),
@@ -306,12 +311,11 @@ class _SettleContext:
 
     def contact_points(self, pose: RigidPose) -> np.ndarray:
         pts = pose.apply(self.local_samples)
-        tol = self.config.contact_tol
-        near = pts[:, 2] <= tol
+        near = pts[:, 2] <= CONTACT_TOL
         for s in self.others:
             cand = _in_box(pts, s.band) & ~near
             if cand.any():
-                hit = s.index.within(pts[cand], tol)
+                hit = s.index.within(pts[cand], CONTACT_TOL)
                 near[np.flatnonzero(cand)[hit]] = True
         return pts[near]
 
@@ -360,12 +364,13 @@ def settle_simulate(scene: SceneTwin, sample: StrategySample,
                     config: SimConfig = SimConfig(),
                     _ctx: _SettleContext | None = None) -> SimOutcome:
     """Built-in Simulator: penetration check, gravity drop, and
-    support-polygon stability with bounded toppling."""
+    support-polygon stability with bounded toppling. config sets the surface
+    sampling of the context built here; a passed _ctx carries its own."""
     ctx = _SettleContext(scene, config) if _ctx is None else _ctx
     pose = sample.object_pose
 
     depth = ctx.penetration_depth(pose)
-    if depth > config.penetration_tol:
+    if depth > PENETRATION_TOL:
         return _finish(ctx, pose, stable=False, penetration=True,
                        contacts=np.empty((0, 3)), topple_steps=0)
     # a start within the tolerance is pushed out first, so the drop starts free
@@ -383,7 +388,7 @@ def settle_simulate(scene: SceneTwin, sample: StrategySample,
         if hull is not None and _point_in_hull(com[:2], hull):
             stable = True
             break
-        if topples >= config.max_topple_steps or len(contacts) == 0:
+        if topples >= MAX_TOPPLE_STEPS or len(contacts) == 0:
             break
         if hull is None:
             # degenerate support (point/line): pivot about the line through
@@ -405,7 +410,7 @@ def settle_simulate(scene: SceneTwin, sample: StrategySample,
             axis = np.array([e2[0], e2[1], 0.0])
         torque = np.cross(com - pivot, scene.gravity)
         sgn = 1.0 if float(torque @ axis) >= 0 else -1.0
-        rot = quat.quat_from_axis_angle(axis, sgn * np.deg2rad(config.topple_step_deg))
+        rot = quat.quat_from_axis_angle(axis, sgn * np.deg2rad(TOPPLE_STEP_DEG))
         step = RigidPose(rot, pivot - quat.quat_rotate(rot, pivot))
         pose = step.compose(pose)
         topples += 1
@@ -414,8 +419,7 @@ def settle_simulate(scene: SceneTwin, sample: StrategySample,
             return _finish(ctx, pose, stable=False, penetration=True,
                            contacts=np.empty((0, 3)), topple_steps=topples)
         pose = ctx.drop(free)
-
-    contacts = ctx.contact_points(pose)
+    # every break leaves pose where contacts was just computed
     return _finish(ctx, pose, stable=stable, penetration=False,
                    contacts=contacts, topple_steps=topples)
 
@@ -449,13 +453,12 @@ class SettleSimulator:
 
     def __init__(self, scene: SceneTwin, config: SimConfig = SimConfig()):
         self.scene = scene
-        self.config = config
         self._ctx = _SettleContext(scene, config)
 
     def __call__(self, scene, sample):
         if scene is not self.scene:
             raise RejectedInput("simulator was built for another scene")
-        return settle_simulate(scene, sample, self.config, _ctx=self._ctx)
+        return settle_simulate(scene, sample, _ctx=self._ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +526,7 @@ def geometric_evaluator(outcome: SimOutcome, predicate) -> bool:
         on_face = (lo[0] - margin <= lowest[0] <= hi[0] + margin
                    and lo[1] - margin <= lowest[1] <= hi[1] + margin
                    and abs(lowest[2] - hi[2]) <= margin)
-        com_a = _world_samples(outcome, a).mean(axis=0)
+        com_a = pa.mean(axis=0)
         return bool(on_face and com_a[2] > hi[2])
 
     if name in ("upright", "upside_down"):

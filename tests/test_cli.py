@@ -8,8 +8,9 @@ import pytest
 from twinforge.cli import (EXIT_INVALID_INPUT, EXIT_OK, EXIT_STAGE_FAILURE,
                            build_pipeline_config, main)
 from twinforge.errors import RejectedInput
-from twinforge.gpclassify import Se3KernelParams
-from twinforge.register import IcpParams, RansacParams
+from twinforge.pipeline import PipelineConfig
+from twinforge.register import AlignConfig
+from twinforge.simulate import SimConfig
 from twinforge.fileio import save_mask_pgm
 from twinforge.camera import BinaryMask
 from twinforge.scene import load_scene_spec
@@ -25,32 +26,46 @@ def scene_dir(tmp_path_factory):
 
 
 def test_build_pipeline_config_sections():
-    cfg = build_pipeline_config({"align": {"rotation_count": 24},
-                                 "sim": {"surface_samples": 500},
-                                 "grasp_top_k": 10})
-    assert cfg.align.rotation_count == 24
-    assert cfg.sim.surface_samples == 500
-    assert cfg.sim.contact_tol == 0.003  # pipeline default kept
-    assert cfg.grasp_top_k == 10
-    with pytest.raises(RejectedInput):
-        build_pipeline_config({"align": {"bogus": 1}})
-    with pytest.raises(RejectedInput):
-        build_pipeline_config({"bogus": 1})
-    # nested config objects become their dataclasses, not plain dicts
-    cfg = build_pipeline_config({"align": {"ransac": {"trials": 10},
-                                           "icp": {"max_iterations": 7}},
-                                 "gp": {"rotation_scale": 0.3}})
-    assert isinstance(cfg.align.ransac, RansacParams)
-    assert (cfg.align.ransac.trials, cfg.align.ransac.seed) == (10, 0)
-    assert isinstance(cfg.align.icp, IcpParams)
-    assert cfg.align.icp.max_iterations == 7
-    assert cfg.align.rotation_count == 384  # siblings keep pipeline defaults
-    assert isinstance(cfg.gp, Se3KernelParams)
-    assert cfg.gp.rotation_scale == 0.3
-    for bad in ({"align": {"ransac": {"bogus": 1}}}, {"align": {"ransac": 5}},
-                {"sim": [1]}, {"gp": None}):
+    cfg = build_pipeline_config({"align": {"rotation_count": 24,
+                                           "skip_coarse": True},
+                                 "sim": {"surface_samples": 500, "seed": 3}})
+    assert cfg.align == AlignConfig(rotation_count=24, skip_coarse=True)
+    assert cfg.sim == SimConfig(surface_samples=500, seed=3)
+    # a section left out keeps the defaults
+    cfg = build_pipeline_config({"sim": {"seed": 2}})
+    assert (cfg.align, cfg.sim) == (AlignConfig(), SimConfig(seed=2))
+    assert build_pipeline_config({}) == PipelineConfig()
+    for bad in ({"align": {"bogus": 1}}, {"bogus": 1}, {"sim": [1]},
+                {"align": None}):
         with pytest.raises(RejectedInput):
             build_pipeline_config(bad)
+
+
+# former config keys: each value is now a module constant or the default of
+# the layer function that uses it, so a config file cannot set it
+DELETED_CONFIG_KEYS = [
+    {"gp": {"rotation_scale": 0.3}}, {"grasp_top_k": 10},
+    {"grasp_proximity": 0.02}, {"grasp_retries": 1},
+    {"align": {"ransac": {"trials": 10}}},
+    {"align": {"icp": {"max_iterations": 7}}},
+    {"align": {"seed": 0}}, {"align": {"normals_k": 15}},
+    {"align": {"fpfh_radius": 0.01}}, {"align": {"subsample": 1200}},
+    {"align": {"min_mask_pixels": 100}}, {"sim": {"contact_tol": 0.003}},
+    {"sim": {"penetration_tol": 0.001}}, {"sim": {"max_topple_steps": 6}},
+    {"sim": {"topple_step_deg": 15.0}}]
+
+
+@pytest.mark.parametrize("doc", DELETED_CONFIG_KEYS)
+def test_deleted_config_keys_are_rejected(scene_dir, tmp_path, doc):
+    with pytest.raises(RejectedInput):
+        build_pipeline_config(doc)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    rc = main(["align", "--scene", str(scene_dir / "scene.json"),
+               "--out", str(out), "--config", str(cfg)])
+    assert rc == EXIT_INVALID_INPUT
+    assert not out.exists()  # rejected before any work
 
 
 def test_gen_scene_writes_spec(scene_dir):
@@ -134,9 +149,9 @@ def test_bad_config_keys(scene_dir, tmp_path):
     rc = main(["align", "--scene", str(scene_dir / "scene.json"),
                "--out", str(tmp_path), "--config", str(cfg)])
     assert rc == EXIT_INVALID_INPUT
-    # a nested section that is not an object, or names an unknown key;
-    # the removed render options are unknown keys
-    for doc in ({"align": {"ransac": 5}}, {"align": {"ransac": {"wat": 1}}},
+    # a section that is not an object, or names an unknown key; the removed
+    # render options are unknown keys
+    for doc in ({"align": 5}, {"sim": {"wat": 1}},
                 {"sim": {"render": True}}, {"sim": {"render_size": 64}},
                 {"sim": {"standoff": 0.5}}, {"sim": {"tilt_deg": -45.0}},
                 {"render_selected": False}):
@@ -162,8 +177,7 @@ def test_align_verb(scene_dir, tmp_path):
 
 def test_simulate_verb_with_explicit_pose(scene_dir, tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"align": {"rotation_count": 24,
-                                         "ransac": {"trials": 512}},
+    cfg.write_text(json.dumps({"align": {"rotation_count": 24},
                                "sim": {"surface_samples": 600}}))
     out = tmp_path / "sim_out"
     rc = main(["simulate", "--scene", str(scene_dir / "scene.json"),
@@ -192,6 +206,11 @@ def test_bench_align_verb(tmp_path):
     assert rc == EXIT_OK
     text = (out / "benchmark.csv").read_text().strip().splitlines()
     assert len(text) == 3  # header + one object x two arms
+    # its align section takes the same two keys as the planner's
+    cfg.write_text(json.dumps({"trials": 1, "align": {"seed": 0}}))
+    rc = main(["bench-align", "--out", str(tmp_path / "bad"),
+               "--config", str(cfg)])
+    assert rc == EXIT_INVALID_INPUT
 
 
 def test_plan_stage_failure_exit_code(tmp_path):

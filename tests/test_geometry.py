@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twinforge import quaternions as quat
 from twinforge.errors import RejectedInput
@@ -32,6 +34,31 @@ def test_pose_apply_matches_matrix():
     pts = rng.normal(size=(9, 3))
     hom = np.hstack([pts, np.ones((9, 1))])
     assert np.allclose(p.apply(pts), (p.matrix() @ hom.T).T[:, :3], atol=1e-12)
+
+
+unit_quats = st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).map(
+    np.array).filter(lambda q: np.linalg.norm(q) > 0.1).map(quat.quat_normalize)
+poses = st.builds(RigidPose, unit_quats,
+                  st.lists(st.floats(-5.0, 5.0), min_size=3, max_size=3))
+point_sets = st.lists(st.lists(st.floats(-5.0, 5.0), min_size=3, max_size=3),
+                      min_size=1, max_size=8).map(np.array)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=poses, b=poses, c=poses, pts=point_sets)
+def test_pose_algebra_properties(a, b, c, pts):
+    # compose is associative, on matrices and on points
+    left, right = a.compose(b).compose(c), a.compose(b.compose(c))
+    assert np.allclose(left.matrix(), right.matrix(), rtol=0, atol=1e-12)
+    assert np.allclose(left.apply(pts), right.apply(pts), rtol=0, atol=1e-12)
+    # an inverse undoes its pose from either side
+    for ident in (a.inverse().compose(a), a.compose(a.inverse())):
+        assert np.allclose(ident.matrix(), np.eye(4), rtol=0, atol=1e-12)
+        assert np.allclose(ident.apply(pts), pts, rtol=0, atol=1e-12)
+    # apply is the homogeneous matrix product
+    hom = np.hstack([pts, np.ones((len(pts), 1))])
+    assert np.allclose(a.apply(pts), (a.matrix() @ hom.T).T[:, :3],
+                       rtol=0, atol=1e-12)
 
 
 def test_pose_from_matrix_roundtrip():

@@ -1,17 +1,21 @@
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from twinforge import simulate
 from twinforge.errors import NoFeasibleGrasp, RejectedInput
-from twinforge.fileio import load_mesh, save_mask_pgm, save_ply
+from twinforge.cli import EXIT_STAGE_FAILURE, main
+from twinforge.fileio import (load_depth_raw, load_mask_pgm, load_mesh,
+                              save_mask_pgm, save_ply)
 from twinforge.camera import BinaryMask
 from twinforge.geometry import TriangleMesh
 from twinforge.pipeline import (STAGES, PipelineConfig, grasp_with_retry,
                                 run_and_write, run_pipeline)
+from twinforge.register import AlignConfig
+from twinforge.simulate import SimConfig
 from twinforge.scene import load_scene_spec
 from twinforge.synth import generate_synthetic_scene
 
@@ -23,11 +27,15 @@ def test_stage_names():
 
 
 def test_pipeline_config_defaults():
+    # the planner's values are the library defaults; the rest are constants
     cfg = PipelineConfig()
-    assert cfg.align.rotation_count == 384
-    assert cfg.sim.contact_tol == 0.003
-    assert cfg.grasp_top_k == 1000
-    assert cfg.grasp_proximity == 0.01
+    assert [f.name for f in fields(cfg)] == ["align", "sim"]
+    assert (cfg.align, cfg.sim) == (AlignConfig(), SimConfig())
+    assert [(f.name, f.default) for f in fields(AlignConfig)] == [
+        ("rotation_count", 384), ("skip_coarse", False)]
+    assert [(f.name, f.default) for f in fields(SimConfig)] == [
+        ("surface_samples", 1200), ("seed", 0)]
+    assert simulate.CONTACT_TOL == 0.003
 
 
 class _Cand:
@@ -113,6 +121,26 @@ def test_pipeline_failure_report_on_empty_mask(tmp_path):
     doc = json.loads((out_dir / "report.json").read_text())
     assert doc["status"] == "failure"
     assert doc["failed_stage"] == "segmentation-load"
+
+
+def test_pipeline_fails_segmentation_load_on_too_small_mask(tmp_path):
+    scene_path = generate_synthetic_scene("cube-onto-cube", str(tmp_path), seed=1)
+    spec = load_scene_spec(scene_path)
+    # keep the first 20 mask pixels with valid depth: not empty, too small
+    path = spec.path(spec.manipulated.mask)
+    depth = load_depth_raw(spec.path(spec.depth))
+    valid = load_mask_pgm(path).values & depth.valid_mask()
+    small = np.zeros_like(valid)
+    small.flat[np.flatnonzero(valid)[:20]] = True
+    save_mask_pgm(path, BinaryMask(small))
+
+    rep = run_and_write(spec, str(tmp_path / "out")).report
+    assert rep.status == "failure"
+    assert rep.failed_stage == "segmentation-load"
+    assert rep.failure_reason == "segmentation-too-small:cube"
+    assert rep.stages == ["segmentation-load"]
+    assert main(["plan", "--scene", scene_path,
+                 "--out", str(tmp_path / "cli")]) == EXIT_STAGE_FAILURE
 
 
 def test_pipeline_seed_defaults_to_spec(tmp_path):

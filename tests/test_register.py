@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from twinforge import quaternions as quat
@@ -141,6 +141,29 @@ def test_kabsch_exact():
     R, t = kabsch(src, tgt)
     assert np.allclose(R, R_true, atol=1e-10)
     assert np.allclose(t, t_true, atol=1e-10)
+
+
+unit_quats = st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).map(
+    np.array).filter(lambda q: np.linalg.norm(q) > 0.1).map(quat.quat_normalize)
+
+
+@settings(max_examples=200, deadline=None)
+@given(points=st.integers(3, 40).flatmap(lambda n: st.lists(
+           st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+           min_size=n, max_size=n)),
+       q=unit_quats,
+       t=st.lists(st.floats(-5.0, 5.0), min_size=3, max_size=3))
+def test_kabsch_recovers_random_rigid_transform(points, q, t):
+    src = np.array(points)
+    # non-collinear: the spread across the best-fit line is not negligible
+    sv = np.linalg.svd(src - src.mean(axis=0), compute_uv=False)
+    assume(sv[1] > 0.05)
+    R_true = quat.quat_to_matrix(q)
+    tgt = src @ R_true.T + np.array(t)
+    R, t_est = kabsch(src, tgt)
+    assert np.linalg.det(R) == pytest.approx(1.0, abs=1e-12)
+    assert np.allclose(R, R_true, rtol=0, atol=1e-9)
+    assert np.allclose(t_est, t, rtol=0, atol=1e-9)
 
 
 def test_mutual_correspondences_excludes_zero_descriptors():

@@ -6,11 +6,12 @@ from hypothesis import strategies as st
 from twinforge import quaternions as quat
 from twinforge.errors import RejectedInput, StageFailureError
 from twinforge.geometry import RigidPose, TriangleMesh
-from twinforge.simulate import (RENDER_SIZE, GeometricEvaluator, SceneObject,
-                                SceneTwin, SettleSimulator, SimConfig,
-                                _SettleContext, checker_intrinsics,
-                                checker_viewpoint, geometric_evaluator,
-                                label_samples, render_outcome, settle_simulate)
+from twinforge.simulate import (PENETRATION_TOL, RENDER_SIZE,
+                                GeometricEvaluator, SceneObject, SceneTwin,
+                                SettleSimulator, SimConfig, _SettleContext,
+                                checker_intrinsics, checker_viewpoint,
+                                geometric_evaluator, label_samples,
+                                render_outcome, settle_simulate)
 from twinforge.strategy import StrategySample
 from twinforge.synth import make_box, make_cup, make_open_box
 
@@ -116,7 +117,7 @@ def test_start_within_tolerance_is_pushed_out_then_settles():
     twin = scene_with(cube())
     ctx = _SettleContext(twin, FAST)
     sunk = RigidPose(quat.IDENTITY, [0.0, 0.0, 0.0245])  # 0.5 mm into the floor
-    assert 0 < ctx.penetration_depth(sunk) <= FAST.penetration_tol
+    assert 0 < ctx.penetration_depth(sunk) <= PENETRATION_TOL
     out = settle_simulate(twin, sample_at(sunk), FAST, _ctx=ctx)
     assert out.stable and not out.penetration
     settled = out.settled_poses["cube"]
@@ -173,6 +174,27 @@ def test_settle_makes_at_most_two_penetration_queries(monkeypatch):
                           FAST, _ctx=ctx)
     assert out.topple_steps > 0
     assert len(calls) <= 2
+
+
+@pytest.mark.parametrize("start,topples", [([0.0, 0.0, 0.12], False),
+                                          ([0.055, 0.0, 0.12], True)])
+def test_settle_makes_one_contact_query_per_resting_pose(monkeypatch, start,
+                                                         topples):
+    calls = []
+    contacts = _SettleContext.contact_points
+
+    def counted(self, pose):
+        calls.append(pose)
+        return contacts(self, pose)
+
+    monkeypatch.setattr(_SettleContext, "contact_points", counted)
+    twin = scene_with(cube(), support_box(height=0.04, size=0.06))
+    out = settle_simulate(twin, sample_at(RigidPose(quat.IDENTITY, start)), FAST)
+    assert not out.penetration
+    assert (out.topple_steps > 0) is topples
+    assert len(calls) == out.topple_steps + 1
+    # the outcome's contacts are those of the last query, at the settled pose
+    assert calls[-1] is out.settled_poses["cube"]
 
 
 def tall_wall_scene():
