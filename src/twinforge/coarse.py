@@ -1,9 +1,14 @@
 """Coarse pose alignment: hypothesis generation, view features, best-pose search.
 
-Stage 1 of the two-stage alignment. Each rotation hypothesis is rendered,
-described by an appearance feature vector and scored by cosine similarity
-against the (masked) observation; the winner seeds the fine registration
-stage with a rendered partial cloud.
+Stage 1 of the two-stage alignment. All rotation hypotheses are rendered
+into one stack of small tiles, the stack is described by appearance
+feature vectors in one batched pass, and each vector is scored by cosine
+similarity against the (masked) observation's; the winner seeds the fine
+registration stage with a rendered partial cloud.
+
+The batched descriptors and similarities are bit-identical to describing
+and scoring one image at a time, so the winner never depends on how the
+hypotheses are batched.
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ from . import quaternions as quat
 from .camera import BinaryMask, CameraIntrinsics, ColorImage, backproject
 from .geometry import PointCloud, RejectedInput, RigidPose, TriangleMesh
 from .render import DEFAULT_BACKGROUND, render, render_batch
-from ._parallel import parallel_map
 
 DESCRIPTOR_GRID = 8          # cells per side
 DESCRIPTOR_BINS = 8          # gradient orientation bins per cell
@@ -99,72 +103,71 @@ def _resize_weights(n_in, n_out):
     return Wm
 
 
-def _area_resize(img, out_h, out_w):
-    """Exact area-weighted resampling via interval-overlap averaging matrices."""
-    return (_resize_weights(img.shape[0], out_h) @ img
-            @ _resize_weights(img.shape[1], out_w).T)
+def _area_resize(images, out_h, out_w):
+    """Exact area-weighted resampling of (..., H, W) images via
+    interval-overlap averaging matrices."""
+    return (_resize_weights(images.shape[-2], out_h) @ images
+            @ _resize_weights(images.shape[-1], out_w).T)
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    values: np.ndarray
+def grid_descriptor(images) -> np.ndarray:
+    """Luminance grid descriptors of a (B, H, W, 3) RGB stack, as (B, 576).
 
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float).ravel()
-        if not np.all(np.isfinite(v)):
-            raise RejectedInput("feature vector must be finite")
-        object.__setattr__(self, "values", v)
-        v.setflags(write=False)
-
-    def __len__(self):
-        return len(self.values)
-
-
-def grid_descriptor(image: ColorImage) -> FeatureVector:
-    """Luminance grid descriptor: per-cell mean intensity + 8-bin gradient
-    orientation histogram over an 8x8 grid of a 32x32 area-averaged image.
-
-    Dimension 8*8*9 = 576, L2-normalized (all-zero images stay zero).
+    Each image is area-averaged to 32x32 and cut into an 8x8 grid; a cell
+    holds its mean intensity and an 8-bin histogram of Sobel gradient
+    orientations weighted by magnitude. Rows are L2-normalized (all-zero
+    images stay zero). Every array step runs over the whole stack at once.
     """
-    lum = image.values @ _LUMA
-    small = _area_resize(lum, _RESIZE_TO, _RESIZE_TO)
+    images = np.asarray(images, dtype=float)
+    if images.ndim != 4 or images.shape[3] != 3:
+        raise RejectedInput(f"need a (B, H, W, 3) image stack, got {images.shape}")
+    if not np.all(np.isfinite(images)):
+        raise RejectedInput("images must be finite")
+    B = len(images)
+    small = _area_resize(images @ _LUMA, _RESIZE_TO, _RESIZE_TO)
 
-    padded = small[_PAD_IDX][:, _PAD_IDX]  # edge-replicating pad by one
-    kx = _SOBEL
+    padded = small[:, _PAD_IDX][:, :, _PAD_IDX]  # edge-replicating pad by one
+    # zero taps add an exact zero, so skipping them leaves every sum unchanged
     gx = np.zeros_like(small)
     gy = np.zeros_like(small)
     for dy in range(3):
         for dx in range(3):
-            block = padded[dy:dy + _RESIZE_TO, dx:dx + _RESIZE_TO]
-            gx += kx[dy, dx] * block
-            gy += kx[dx, dy] * block
+            block = padded[:, dy:dy + _RESIZE_TO, dx:dx + _RESIZE_TO]
+            for grad, k in ((gx, _SOBEL[dy, dx]), (gy, _SOBEL[dx, dy])):
+                if k:
+                    grad += k * block
     mag = np.hypot(gx, gy)
     orient = np.arctan2(gy, gx)  # [-pi, pi]
     bins = np.clip(((orient + np.pi) / (2 * np.pi) * DESCRIPTOR_BINS).astype(int),
                    0, DESCRIPTOR_BINS - 1)
 
     cell = _RESIZE_TO // DESCRIPTOR_GRID
-    hists = np.bincount((_CELL_IDX * DESCRIPTOR_BINS + bins).ravel(),
-                        weights=mag.ravel(),
-                        minlength=DESCRIPTOR_GRID ** 2 * DESCRIPTOR_BINS)
-    hists = hists.reshape(DESCRIPTOR_GRID ** 2, DESCRIPTOR_BINS)
-    means = (small.reshape(DESCRIPTOR_GRID, cell, DESCRIPTOR_GRID, cell)
-             .mean(axis=(1, 3)).reshape(-1, 1))
-    vec = np.concatenate([means, hists], axis=1).ravel()
-    norm = np.linalg.norm(vec)
-    if norm > 0:
-        vec = vec / norm
-    return FeatureVector(vec)
+    nhist = DESCRIPTOR_GRID ** 2 * DESCRIPTOR_BINS
+    slots = np.arange(B)[:, None, None] * nhist + _CELL_IDX * DESCRIPTOR_BINS + bins
+    hists = np.bincount(slots.ravel(), weights=mag.ravel(), minlength=B * nhist)
+    hists = hists.reshape(B, DESCRIPTOR_GRID ** 2, DESCRIPTOR_BINS)
+    means = (small.reshape(B, DESCRIPTOR_GRID, cell, DESCRIPTOR_GRID, cell)
+             .mean(axis=(2, 4)).reshape(B, -1, 1))
+    vecs = np.concatenate([means, hists], axis=2).reshape(B, DESCRIPTOR_DIM)
+    norms = _row_norms(vecs)
+    nz = norms > 0
+    vecs[nz] /= norms[nz, None]
+    return vecs
 
 
-def cosine_similarity(a: FeatureVector, b: FeatureVector) -> float:
-    va, vb = a.values, b.values
-    if len(va) != len(vb):
-        raise RejectedInput("feature dimensions differ")
-    na, nb = np.linalg.norm(va), np.linalg.norm(vb)
-    if na == 0 or nb == 0:
+def _row_norms(vecs):
+    """L2 norm of each row, summed the way np.linalg.norm sums one 1-D
+    vector (a BLAS dot), so a row's norm never depends on the batch."""
+    return np.sqrt([np.dot(v, v) for v in vecs])
+
+
+def _cosine_similarities(vecs, ref) -> np.ndarray:
+    """Cosine similarity of each row of ``vecs`` with the vector ``ref``."""
+    norms = _row_norms(vecs)
+    ref_norm = _row_norms(ref[None])[0]
+    if ref_norm == 0 or not norms.all():
         raise RejectedInput("cosine similarity undefined for zero vectors")
-    return float(np.dot(va, vb) / (na * nb))
+    return np.array([np.dot(v, ref) for v in vecs]) / (norms * ref_norm)
 
 
 def mask_observation(observation: ColorImage, mask: BinaryMask,
@@ -213,21 +216,18 @@ def select_coarse_pose(mesh: TriangleMesh, hypotheses,
     """Render and score every hypothesis pose against the masked observation.
 
     Hypotheses are rendered at a scoring resolution capped at 40 px per
-    side (the descriptor resamples to 32x32 regardless). Ties are broken
-    by lowest hypothesis index. The winning hypothesis's rendered depth is
+    side (the descriptor resamples to 32x32 regardless), described as one
+    stack and scored in one pass. Ties are broken by lowest hypothesis
+    index. The winning hypothesis's rendered depth is
     back-projected at full resolution into the stage-2 partial cloud.
     """
     if len(hypotheses) == 0:
         raise RejectedInput("empty hypothesis set")
-    obs_feat = grid_descriptor(mask_observation(observation, obs_mask))
-    score_intr = _scoring_intrinsics(intrinsics)
-
-    views = render_batch(mesh, hypotheses, score_intr, cull=True)
-
-    def score(view):
-        return cosine_similarity(grid_descriptor(view.rgb), obs_feat)
-
-    sims = parallel_map(score, views)
+    obs_feat = grid_descriptor(
+        mask_observation(observation, obs_mask).values[None])[0]
+    views = render_batch(mesh, hypotheses, _scoring_intrinsics(intrinsics),
+                         cull=True)
+    sims = _cosine_similarities(grid_descriptor(views.rgb), obs_feat)
     best_idx = int(np.argmax(sims))
     best_pose = hypotheses[best_idx]
     partial = partial_cloud_from_pose(mesh, best_pose, intrinsics)

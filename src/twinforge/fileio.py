@@ -19,9 +19,20 @@ DEFAULT_DEPTH_SCALE = 0.001
 # ---------------------------------------------------------------------------
 # PNM helpers
 
+def _positive_ints(tokens, what):
+    """Header fields as positive ints; anything else is RejectedInput."""
+    try:
+        values = [int(t) for t in tokens]
+    except ValueError:
+        raise RejectedInput(f"non-integer {what} header field in {tokens}") from None
+    if min(values) < 1:
+        raise RejectedInput(f"non-positive {what} header field in {tokens}")
+    return values
+
+
 def _read_pnm_header(f):
     """Parse a P5/P6 header, skipping '#' comments. Returns (magic, w, h, maxval)."""
-    magic = f.read(2).decode("ascii")
+    magic = f.read(2).decode("ascii", errors="replace")
     if magic not in ("P5", "P6"):
         raise RejectedInput(f"unsupported PNM magic {magic!r}")
     tokens = []
@@ -32,7 +43,7 @@ def _read_pnm_header(f):
         text = line.decode("ascii", errors="replace")
         text = text.split("#", 1)[0]
         tokens.extend(text.split())
-    w, h, maxval = (int(t) for t in tokens[:3])
+    w, h, maxval = _positive_ints(tokens[:3], "PNM")
     return magic, w, h, maxval
 
 
@@ -72,13 +83,14 @@ def save_depth_pgm(path, depth: DepthImage, depth_scale=DEFAULT_DEPTH_SCALE):
 
 def load_depth_raw(path) -> DepthImage:
     with open(path, "rb") as f:
-        header = f.readline().decode("ascii").split()
+        header = f.readline().decode("ascii", errors="replace").split()
         if len(header) != 3 or header[0] != "DEPTHF32":
             raise RejectedInput(f"bad raw depth header in {path}")
-        w, h = int(header[1]), int(header[2])
-        raw = np.frombuffer(f.read(), dtype="<f4", count=w * h)
-    if raw.size != w * h:
+        w, h = _positive_ints(header[1:], "raw depth")
+        payload = f.read()
+    if len(payload) < w * h * 4:
         raise RejectedInput(f"truncated raw depth payload in {path}")
+    raw = np.frombuffer(payload, dtype="<f4", count=w * h)
     return DepthImage(raw.reshape(h, w).astype(np.float64))
 
 

@@ -28,6 +28,8 @@ ALIGN_SEED = 0
 SUBSAMPLE = 1200
 # fewest valid (masked, finite-depth) pixels an observation may have
 MIN_MASK_PIXELS = 100
+# RANSAC trials scored per block
+_SCORE_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -231,6 +233,26 @@ def mutual_correspondences(desc_src, desc_tgt):
     return src_ok[mutual], tgt_ok[fwd[mutual]]
 
 
+def _trial_inliers(R, t, src, tgt, threshold):
+    """(T, C) mask: |R[k] @ src[c] + t[k] - tgt[c]| <= threshold.
+
+    Residuals are formed one output axis at a time and summed left to
+    right (over j, then t, then -tgt; the squares over the axes likewise),
+    with plain array ops, so every distance is the same on any machine.
+    Blocks of trials keep the (block, C) temporaries in cache.
+    """
+    inliers = np.empty((len(R), len(src)), dtype=bool)
+    for lo in range(0, len(R), _SCORE_BLOCK):
+        Rk, tk = R[lo:lo + _SCORE_BLOCK], t[lo:lo + _SCORE_BLOCK]
+        sq = np.zeros((len(Rk), len(src)))
+        for i in range(3):
+            r = (Rk[:, i, 0, None] * src[:, 0] + Rk[:, i, 1, None] * src[:, 1]
+                 + Rk[:, i, 2, None] * src[:, 2] + tk[:, i, None] - tgt[:, i])
+            sq += r * r
+        inliers[lo:lo + _SCORE_BLOCK] = np.sqrt(sq) <= threshold
+    return inliers
+
+
 def ransac_register(source: PointCloud, target: PointCloud,
                     source_desc, target_desc,
                     params: RansacParams = RansacParams()) -> RegistrationResult:
@@ -262,9 +284,8 @@ def ransac_register(source: PointCloud, target: PointCloud,
     R = np.einsum("tij,tjk,tkl->til", Vt.transpose(0, 2, 1), D, U.transpose(0, 2, 1))
     t = cb[:, 0, :] - np.einsum("tij,tj->ti", R, ca[:, 0, :])
 
-    moved = np.einsum("tij,cj->tci", R, src) + t[:, None, :]
-    dists = np.linalg.norm(moved - tgt[None], axis=2)
-    inliers = (dists <= params.inlier_threshold) & distinct[:, None]
+    inliers = (_trial_inliers(R, t, src, tgt, params.inlier_threshold)
+               & distinct[:, None])
     counts = inliers.sum(axis=1)
     best = int(np.argmax(counts))
     if counts[best] < 3:

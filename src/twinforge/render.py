@@ -11,7 +11,11 @@ widened by a slack far above float rounding, and only the pixels inside it
 become fragments. Every fragment still runs the exact edge-function test
 (Pineda 1988), so coverage is the same as testing the whole bounding box.
 
-``render`` is a pure function; callers may run many renders in parallel.
+``render`` and ``render_scene`` return one ``RenderedView``. ``render_batch``
+renders one mesh under many poses into tiled atlases, validates each atlas
+once and returns the tiles as (B, H, W, 3) colour and (B, H, W) depth
+stacks, which the coarse search describes in one pass. All three are pure
+functions.
 """
 
 from __future__ import annotations
@@ -236,7 +240,7 @@ def _rasterize(vertices_cam, triangles, vertex_colors, tri_object_ids,
     w0, w1, w2 = w0[win], w1[win], w2[win]
 
     if vertex_colors is not None:
-        cv = vertex_colors[tri[fid]] * inv_z_v[fid][:, :, None]  # (F, 3, 3)
+        cv = (vertex_colors[tri] * inv_z_v[:, :, None])[fid]  # (F, 3, 3)
         cint = (w0[:, None] * cv[:, 0] + w1[:, None] * cv[:, 1]
                 + w2[:, None] * cv[:, 2]) * z[:, None]
     else:
@@ -268,23 +272,36 @@ def render(mesh: TriangleMesh, pose: RigidPose, intrinsics: CameraIntrinsics,
     return RenderedView(ColorImage(color), DepthImage(depth), pose, intrinsics, id_buf)
 
 
+@dataclass(frozen=True)
+class RenderedBatch:
+    """One mesh rendered under B poses, as read-only stacks in pose order:
+    ``rgb`` is (B, H, W, 3) and ``depth`` (B, H, W) with 0 for background."""
+    rgb: np.ndarray
+    depth: np.ndarray
+
+    def __len__(self):
+        return len(self.rgb)
+
+
 def render_batch(mesh: TriangleMesh, poses, intrinsics: CameraIntrinsics,
-                 near=DEFAULT_NEAR, background=DEFAULT_BACKGROUND, cull=False):
+                 near=DEFAULT_NEAR, background=DEFAULT_BACKGROUND,
+                 cull=False) -> RenderedBatch:
     """Render one mesh under many poses via tiled atlas rasterization.
 
     Amortizes the per-call rasterizer overhead: poses are packed into a grid
     of image-sized tiles, each tile's vertices are sheared so its projection
     lands in the right cell (a pure pixel translation; depth and backface
     decisions are unchanged), and one rasterizer pass fills the whole atlas.
-    Each atlas is assembled for all its poses at once. Returns one
-    RenderedView per pose, matching per-pose ``render`` output up to the
-    float rounding of the pixel translation.
+    Each atlas is assembled for all its poses at once, validated as one
+    image and cut into its tiles. Tile i matches a per-pose ``render`` of
+    pose i up to the float rounding of the pixel translation.
     """
     poses = list(poses)
     W, H = intrinsics.width, intrinsics.height
     V, T = len(mesh.vertices), len(mesh.triangles)
     ntile = max(1, min(_MAX_TILES, (256 * 256) // max(1, W * H)))
-    views = []
+    rgb = np.empty((len(poses), H, W, 3))
+    depth = np.empty((len(poses), H, W))
     for c0 in range(0, len(poses), ntile):
         batch = poses[c0:c0 + ntile]
         B = len(batch)
@@ -310,15 +327,20 @@ def render_batch(mesh: TriangleMesh, poses, intrinsics: CameraIntrinsics,
         colors = (np.tile(mesh.vertex_colors, (B, 1))
                   if mesh.vertex_colors is not None else None)
         ids = np.zeros(len(tris), dtype=np.int64)
-        depth, color, _ = _rasterize(sheared.reshape(-1, 3), tris, colors, ids,
-                                     atlas_intr, near, background, cull=cull,
-                                     lambert=lam, tile_bounds=bounds)
-        depth = np.where(np.isfinite(depth), depth, 0.0)
-        for i, pose in enumerate(batch):
-            tile = np.s_[r[i] * H:(r[i] + 1) * H, c[i] * W:(c[i] + 1) * W]
-            views.append(RenderedView(ColorImage(color[tile]),
-                                      DepthImage(depth[tile]), pose, intrinsics))
-    return views
+        atlas_depth, atlas_color, _ = _rasterize(
+            sheared.reshape(-1, 3), tris, colors, ids, atlas_intr, near,
+            background, cull=cull, lambert=lam, tile_bounds=bounds)
+        atlas_depth = DepthImage(np.where(np.isfinite(atlas_depth),
+                                          atlas_depth, 0.0)).values
+        atlas_color = ColorImage(atlas_color).values
+        # (rows*H, cols*W, ...) atlas -> (rows*cols, H, W, ...) tiles, row-major
+        for out, atlas in ((rgb, atlas_color), (depth, atlas_depth)):
+            tiles = atlas.reshape(rows, H, cols, W, *atlas.shape[2:]).swapaxes(1, 2)
+            out[c0:c0 + B] = tiles.reshape(rows * cols, H, W,
+                                           *atlas.shape[2:])[:B]
+    rgb.setflags(write=False)
+    depth.setflags(write=False)
+    return RenderedBatch(rgb, depth)
 
 
 def render_scene(objects, view_pose: RigidPose, intrinsics: CameraIntrinsics,

@@ -1,12 +1,19 @@
-"""Reference FPFH: the neighbour pairs built by a Python double loop and
-aggregated with a row-indexed ``np.add.at``. Kept only to cross-check
-``twinforge.register.compute_fpfh`` bit for bit.
+"""Reference registration steps, kept only to cross-check
+``twinforge.register`` bit for bit.
+
+``ref_compute_fpfh`` builds the neighbour pairs with a Python double loop
+and aggregates them with a row-indexed ``np.add.at``. ``ref_ransac_register``
+scores its hypotheses by moving every correspondence under every hypothesis
+with one ``einsum`` into a (trials, C, 3) array and taking its norm.
 """
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from twinforge.register import _BINS, _bin_index, _pair_features
+from twinforge.geometry import RigidPose
+from twinforge.register import (_BINS, RMSE_INF, RansacParams,
+                                RegistrationResult, _bin_index, _pair_features,
+                                kabsch, mutual_correspondences)
 
 
 def ref_compute_fpfh(cloud, normals, radius=None, valid=None):
@@ -54,3 +61,51 @@ def ref_compute_fpfh(cloud, normals, radius=None, valid=None):
     nz = sums[:, 0] > 0
     fpfh[nz] = fpfh[nz] / sums[nz]
     return fpfh
+
+
+def ref_ransac_register(source, target, source_desc, target_desc,
+                        params=RansacParams()):
+    """RANSAC registration as ``ransac_register`` computed it with einsum."""
+    si, ti = mutual_correspondences(source_desc, target_desc)
+    if len(si) < 3:
+        return RegistrationResult(RigidPose.identity(), RMSE_INF, 0.0, False, 0)
+    src = source.points[si]
+    tgt = target.points[ti]
+    C = len(src)
+    rng = np.random.default_rng(params.seed)
+    T = params.trials
+    idx = rng.integers(0, C, size=(T, 3))
+    distinct = ((idx[:, 0] != idx[:, 1]) & (idx[:, 0] != idx[:, 2])
+                & (idx[:, 1] != idx[:, 2]))
+
+    a = src[idx]
+    b = tgt[idx]
+    ca = a.mean(axis=1, keepdims=True)
+    cb = b.mean(axis=1, keepdims=True)
+    H = np.einsum("tki,tkj->tij", a - ca, b - cb)
+    U, _, Vt = np.linalg.svd(H)
+    det = np.linalg.det(np.einsum("tij,tjk->tik", Vt.transpose(0, 2, 1),
+                                  U.transpose(0, 2, 1)))
+    D = np.repeat(np.eye(3)[None], T, axis=0).copy()
+    D[:, 2, 2] = np.sign(det)
+    R = np.einsum("tij,tjk,tkl->til", Vt.transpose(0, 2, 1), D,
+                  U.transpose(0, 2, 1))
+    t = cb[:, 0, :] - np.einsum("tij,tj->ti", R, ca[:, 0, :])
+
+    moved = np.einsum("tij,cj->tci", R, src) + t[:, None, :]
+    dists = np.linalg.norm(moved - tgt[None], axis=2)
+    inliers = (dists <= params.inlier_threshold) & distinct[:, None]
+    counts = inliers.sum(axis=1)
+    best = int(np.argmax(counts))
+    if counts[best] < 3:
+        return RegistrationResult(RigidPose.identity(), RMSE_INF, 0.0, False,
+                                  params.trials)
+
+    mask = inliers[best]
+    Rb, tb = kabsch(src[mask], tgt[mask])
+    resid = src[mask] @ Rb.T + tb - tgt[mask]
+    rmse = float(np.sqrt(np.mean(np.sum(resid ** 2, axis=1))))
+    frac = float(counts[best] / C)
+    pose = RigidPose.from_rotation_matrix(Rb, tb)
+    return RegistrationResult(pose, rmse, frac, frac >= params.min_inlier_fraction,
+                              params.trials)

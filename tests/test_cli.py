@@ -227,3 +227,33 @@ def test_plan_stage_failure_exit_code(tmp_path):
     assert rc == EXIT_STAGE_FAILURE
     doc = json.loads((out / "report.json").read_text())
     assert doc["status"] == "failure"
+
+
+def _truncate(path):
+    path.write_bytes(path.read_bytes()[:-3])
+
+
+def _mangle_header(path):
+    head, rest = path.read_bytes().split(b"\n", 1)
+    path.write_bytes(b"DEPTHF32 two " + head.split()[2] + b"\n" + rest)
+
+
+def _mangle_pnm_size(path):
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\nsix ", 1))
+
+
+# a depth payload cut short, a raw depth header "DEPTHF32 two <h>" and a PNM
+# size "six <w> <h>": unreadable observations, reported like a bad magic
+@pytest.mark.parametrize("asset, damage", [("depth.f32", _truncate),
+                                           ("depth.f32", _mangle_header),
+                                           ("rgb.ppm", _mangle_pnm_size)])
+def test_plan_reports_unreadable_observation(scene_dir, tmp_path, asset, damage):
+    shutil.copytree(scene_dir, tmp_path / "scene")
+    damage(tmp_path / "scene" / asset)
+    out = tmp_path / "out"
+    rc = main(["plan", "--scene", str(tmp_path / "scene" / "scene.json"),
+               "--out", str(out)])
+    assert rc == EXIT_STAGE_FAILURE
+    doc = json.loads((out / "report.json").read_text())
+    assert doc["status"] == "failure"
+    assert doc["failed_stage"] == "segmentation-load"

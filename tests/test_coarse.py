@@ -1,16 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
+from coarse_reference import ref_cosine_similarity, ref_grid_descriptor
 from twinforge import quaternions as quat
+from twinforge.benchmark import BENCHMARK_PRIMITIVES
 from twinforge.camera import BinaryMask, ColorImage
-from twinforge.coarse import (DESCRIPTOR_DIM, FeatureVector, cosine_similarity,
-                              generate_hypotheses, grid_descriptor,
-                              mask_observation, partial_cloud_from_pose,
-                              select_coarse_pose)
+from twinforge.coarse import (DESCRIPTOR_DIM, _cosine_similarities,
+                              _scoring_intrinsics, generate_hypotheses,
+                              grid_descriptor, mask_observation,
+                              partial_cloud_from_pose, select_coarse_pose)
 from twinforge.errors import RejectedInput
 from twinforge.geometry import RigidPose, sample_mesh_surface
-from twinforge.synth import default_intrinsics, make_box
+from twinforge.render import render_batch
+from twinforge.synth import default_intrinsics, make_box, primitive_from_spec
 
 
 def test_hypotheses_count_and_anchor():
@@ -52,37 +57,94 @@ def test_72_hypothesis_covering_radius():
 
 def test_descriptor_dimension_and_norm():
     rng = np.random.default_rng(1)
-    img = ColorImage(rng.random((60, 60, 3)))
-    f = grid_descriptor(img)
-    assert len(f) == DESCRIPTOR_DIM == 576
-    assert np.linalg.norm(f.values) == pytest.approx(1.0)
-    zero = grid_descriptor(ColorImage(np.zeros((32, 32, 3))))
-    assert np.allclose(zero.values, 0.0)
+    f = grid_descriptor(rng.random((1, 60, 60, 3)))
+    assert f.shape == (1, DESCRIPTOR_DIM) and DESCRIPTOR_DIM == 576
+    assert np.linalg.norm(f[0]) == pytest.approx(1.0)
+    zero = grid_descriptor(np.zeros((1, 32, 32, 3)))
+    assert np.allclose(zero, 0.0)
 
 
 def test_descriptor_discriminates_90_degree_rotation():
     rng = np.random.default_rng(2)
     img = rng.random((64, 64, 3))
-    a = grid_descriptor(ColorImage(img))
-    b = grid_descriptor(ColorImage(np.rot90(img).copy()))
-    assert cosine_similarity(a, b) < 0.95
+    a, b = grid_descriptor(np.stack([img, np.rot90(img)]))
+    assert _cosine_similarities(b[None], a)[0] < 0.95
 
 
 def test_descriptor_identical_images():
     rng = np.random.default_rng(3)
-    img = ColorImage(rng.random((48, 48, 3)))
-    assert cosine_similarity(grid_descriptor(img), grid_descriptor(img)) == \
-        pytest.approx(1.0)
+    f = grid_descriptor(np.repeat(rng.random((1, 48, 48, 3)), 2, axis=0))
+    assert np.array_equal(f[0], f[1])
+    assert _cosine_similarities(f[:1], f[1])[0] == pytest.approx(1.0)
 
 
 def test_cosine_similarity_validation():
-    a = FeatureVector(np.ones(4))
+    # a zero descriptor (an all-black observation filling its mask) has no
+    # direction to compare; a non-finite image has no descriptor
     with pytest.raises(RejectedInput):
-        cosine_similarity(a, FeatureVector(np.ones(5)))
+        _cosine_similarities(np.ones((2, 4)), np.zeros(4))
     with pytest.raises(RejectedInput):
-        cosine_similarity(a, FeatureVector(np.zeros(4)))
+        _cosine_similarities(np.array([[1.0, 0.0], [0.0, 0.0]]), np.ones(2))
     with pytest.raises(RejectedInput):
-        FeatureVector(np.array([np.nan, 1.0]))
+        select_coarse_pose(make_box([0.06, 0.06, 0.06]),
+                           generate_hypotheses([0.0, 0.0, 0.4], 2),
+                           ColorImage(np.zeros((8, 8, 3))),
+                           BinaryMask(np.ones((8, 8), dtype=bool)),
+                           default_intrinsics(8, 10.0))
+    with pytest.raises(RejectedInput):
+        grid_descriptor(np.full((1, 8, 8, 3), np.nan))
+    with pytest.raises(RejectedInput):
+        grid_descriptor(np.zeros((8, 8, 3)))
+
+
+_STACK_KINDS = ("random", "zero", "constant", "blocks", "mixed")
+
+
+def _image_stack(rng, kind, b, h, w):
+    if kind == "zero":
+        return np.zeros((b, h, w, 3))
+    if kind == "constant":
+        return np.broadcast_to(rng.random((b, 1, 1, 3)), (b, h, w, 3)).copy()
+    if kind == "blocks":  # flat regions with exact zero gradients and edges
+        return np.round(rng.random((b, h, w, 3)) * 2) / 2
+    stack = rng.random((b, h, w, 3))
+    if kind == "mixed":  # zero and constant images among random ones
+        stack[::3] = 0.0
+        stack[1::3] = rng.random(3)
+    return stack
+
+
+@settings(max_examples=80, deadline=None)
+@given(b=st.integers(1, 7), h=st.integers(1, 48), w=st.integers(1, 48),
+       kind=st.sampled_from(_STACK_KINDS), seed=st.integers(0, 2**16))
+def test_descriptor_batch_matches_per_image_reference(b, h, w, kind, seed):
+    # one pass over a (B, H, W, 3) stack equals describing each image alone,
+    # bit for bit, at every size the area resize handles (up and down)
+    stack = _image_stack(np.random.default_rng(seed), kind, b, h, w)
+    got = grid_descriptor(stack)
+    assert got.shape == (b, DESCRIPTOR_DIM)
+    for g, img in zip(got, stack):
+        assert np.array_equal(g, ref_grid_descriptor(img))
+
+
+@pytest.mark.parametrize("spec", BENCHMARK_PRIMITIVES)
+def test_select_coarse_pose_scores_match_per_image_reference(spec):
+    # the hypothesis tiles of a real search, described and scored one at a
+    # time by the reference: every similarity is bit-identical
+    from twinforge.render import render
+    mesh = primitive_from_spec(spec)
+    intr = default_intrinsics(size=120, focal=150.0)
+    hyps = generate_hypotheses([0.0, 0.01, 0.4], 96, seed=3)
+    obs = render(mesh, RigidPose(quat.random_quat(np.random.default_rng(5)),
+                                 [0.0, 0.0, 0.4]), intr)
+    mask = BinaryMask(obs.object_ids >= 0)
+    result = select_coarse_pose(mesh, hyps, obs.rgb, mask, intr)
+    obs_feat = ref_grid_descriptor(mask_observation(obs.rgb, mask).values)
+    tiles = render_batch(mesh, hyps, _scoring_intrinsics(intr), cull=True).rgb
+    want = [ref_cosine_similarity(ref_grid_descriptor(t), obs_feat)
+            for t in tiles]
+    assert [s for _, s in result.all_scores] == want
+    assert result.similarity == max(want)
 
 
 def test_mask_observation_replaces_background():

@@ -72,6 +72,32 @@ def test_truncated_pnm_rejected(tmp_path):
         load_mask_pgm(path)
 
 
+@pytest.mark.parametrize("header", [b"P5\n4 four\n255\n", b"P5\n4 4\n2.5e2\n",
+                                    b"P5\n0 4\n255\n", b"\xff\xfe\n4 4\n255\n"])
+def test_malformed_pnm_header_rejected(tmp_path, header):
+    path = tmp_path / "t.pgm"
+    path.write_bytes(header + bytes(16))
+    with pytest.raises(RejectedInput):
+        load_mask_pgm(path)
+
+
+@pytest.mark.parametrize("header", [b"DEPTHF32 two 200\n", b"DEPTHF32 4 -4\n",
+                                    b"DEPTHF32 4 4.0\n", b"\xffDEPTHF32 4 4\n"])
+def test_malformed_raw_depth_header_rejected(tmp_path, header):
+    path = tmp_path / "d.f32"
+    path.write_bytes(header + bytes(64))
+    with pytest.raises(RejectedInput):
+        load_depth_raw(path)
+
+
+def test_truncated_raw_depth_rejected(tmp_path):
+    path = tmp_path / "d.f32"
+    save_depth_raw(path, DepthImage(np.ones((4, 5))))
+    path.write_bytes(path.read_bytes()[:-1])
+    with pytest.raises(RejectedInput, match="truncated raw depth payload"):
+        load_depth_raw(path)
+
+
 def _mesh(colors=False):
     verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], dtype=float)
     tris = np.array([[0, 1, 2], [0, 2, 3]])

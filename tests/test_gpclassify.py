@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twinforge import quaternions as quat
 from twinforge.errors import RejectedInput
@@ -80,6 +82,35 @@ def test_predictions_match_dense_reference():
         ours = predict_prob_batch(model, tests)
         ref = ref_predict(poses, labels, params, tests)
         assert np.max(np.abs(ours - ref)) < 1e-6
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 30), seed=st.integers(0, 2**16),
+       positive=st.floats(0.05, 0.95),
+       signal_variance=st.floats(0.5, 2.0),
+       translation_scale=st.floats(0.03, 0.1),
+       rotation_scale=st.floats(0.3, 1.0))
+def test_fit_and_predict_match_dense_reference(n, seed, positive,
+                                               signal_variance,
+                                               translation_scale,
+                                               rotation_scale):
+    # two-class label sets over random poses and kernel settings: the
+    # Cholesky-based fit and prediction agree with the explicit-inverse
+    # reference, at the tolerances of the fixed-case tests above
+    params = Se3KernelParams(signal_variance, translation_scale,
+                             rotation_scale)
+    poses = random_poses(n, seed=seed)
+    rng = np.random.default_rng(seed + 1)
+    labels = (rng.random(n) < positive).astype(int)
+    labels[rng.choice(n, 2, replace=False)] = [0, 1]
+    tests = random_poses(7, seed=seed + 2) + poses[:2]
+    assert np.allclose(gram_matrix(poses, tests, params),
+                       ref_gram(poses, tests, params), atol=1e-14)
+    model = fit(poses, labels, params=params)
+    assert not model.degenerate
+    ours = predict_prob_batch(model, tests)
+    ref = ref_predict(poses, labels, params, tests)
+    assert np.max(np.abs(ours - ref)) < 1e-6
 
 
 def test_far_field_reverts_to_half():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -7,13 +9,13 @@ from twinforge import quaternions as quat
 from twinforge.errors import RejectedInput, StageFailureError
 from twinforge.geometry import PointCloud, RigidPose, sample_mesh_surface
 from twinforge.register import (AlignConfig, IcpParams, RansacParams,
-                                alignment_success, compute_fpfh,
+                                _trial_inliers, alignment_success, compute_fpfh,
                                 estimate_normals, estimate_scale, icp_refine,
                                 kabsch, mutual_correspondences,
                                 ransac_register, two_stage_align)
 from twinforge.synth import make_ramp, synthetic_observation
 
-from register_reference import ref_compute_fpfh
+from register_reference import ref_compute_fpfh, ref_ransac_register
 
 
 def _aabb_corner_cloud(extents):
@@ -215,6 +217,82 @@ def test_ransac_too_few_correspondences():
     res = ransac_register(cloud, cloud, zeros, zeros)
     assert not res.converged
     assert res.inlier_fraction == 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(0, 150), seed=st.integers(0, 2**16),
+       zero=st.sampled_from([0.0, 0.3, 1.0]),
+       noise=st.sampled_from([0.0, 0.003, 0.05]),
+       trials=st.sampled_from([1, 50, 4096]))
+def test_ransac_matches_einsum_reference(n, seed, zero, noise, trials):
+    # a rigidly moved, noisy, shuffled copy of a random cloud with its
+    # descriptors shuffled alike; some descriptors all zero, on either side,
+    # so anywhere from no correspondence to all of them survive
+    rng = np.random.default_rng(seed)
+    pts = rng.normal(scale=0.05, size=(n, 3))
+    move = RigidPose(quat.random_quat(rng), rng.uniform(-0.1, 0.1, 3))
+    perm = rng.permutation(n)
+    moved = move.apply(pts) + rng.normal(scale=noise, size=(n, 3))
+    desc = rng.random((n, 33))
+    desc[rng.random(n) < zero] = 0.0
+    tdesc = desc[perm]
+    tdesc[rng.random(n) < zero / 2] = 0.0
+    source, target = PointCloud(pts), PointCloud(moved[perm])
+    params = RansacParams(trials=trials, seed=seed)
+    got = ransac_register(source, target, desc, tdesc, params)
+    want = ref_ransac_register(source, target, desc, tdesc, params)
+    assert np.array_equal(got.pose.rotation, want.pose.rotation)
+    assert np.array_equal(got.pose.translation, want.pose.translation)
+    assert (got.rmse, got.inlier_fraction, got.converged, got.iterations) == \
+        (want.rmse, want.inlier_fraction, want.converged, want.iterations)
+
+
+def _scalar_distance(R, t, p, q):
+    """|R p + t - q| in Python floats, summed left to right axis by axis."""
+    sq = 0.0
+    for i in range(3):
+        r = R[i][0] * p[0] + R[i][1] * p[1] + R[i][2] * p[2] + t[i] - q[i]
+        sq += r * r
+    return math.sqrt(sq)
+
+
+@settings(max_examples=40, deadline=None)
+@given(trials=st.integers(1, 1300), c=st.integers(1, 60),
+       seed=st.integers(0, 2**16))
+def test_trial_inliers_sum_left_to_right(trials, c, seed):
+    # a threshold equal to one element's scalar distance keeps that element
+    # and the next float below drops it, so each distance is pinned to the
+    # bit; trial counts above one block cross blocks
+    rng = np.random.default_rng(seed)
+    R = np.array([quat.quat_to_matrix(quat.random_quat(rng))
+                  for _ in range(trials)])
+    t = rng.normal(scale=0.05, size=(trials, 3))
+    src = rng.normal(scale=0.05, size=(c, 3))
+    tgt = rng.normal(scale=0.05, size=(c, 3))
+    for k, j in zip(rng.integers(0, trials, 6), rng.integers(0, c, 6)):
+        d = _scalar_distance(R[k].tolist(), t[k].tolist(), src[j].tolist(),
+                             tgt[j].tolist())
+        assert _trial_inliers(R, t, src, tgt, d)[k, j]
+        assert not _trial_inliers(R, t, src, tgt, np.nextafter(d, 0.0))[k, j]
+
+
+def test_ransac_matches_einsum_reference_on_alignment_clouds():
+    cloud = _ramp_cloud()
+    normals, valid = estimate_normals(cloud)
+    desc = compute_fpfh(cloud, normals, valid=valid)
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        move = RigidPose(quat.random_quat(rng), rng.uniform(-0.05, 0.05, 3))
+        target = PointCloud(move.apply(cloud.points)
+                            + rng.normal(scale=0.002, size=cloud.points.shape))
+        tn, tv = estimate_normals(target)
+        td = compute_fpfh(target, tn, valid=tv)
+        got = ransac_register(cloud, target, desc, td)
+        want = ref_ransac_register(cloud, target, desc, td)
+        assert np.array_equal(got.pose.rotation, want.pose.rotation)
+        assert np.array_equal(got.pose.translation, want.pose.translation)
+        assert (got.rmse, got.inlier_fraction, got.converged) == \
+            (want.rmse, want.inlier_fraction, want.converged)
 
 
 def test_icp_identical_clouds_zero_rmse():
