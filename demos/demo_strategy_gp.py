@@ -47,7 +47,7 @@ def main():
 
     samples = sample_strategies(region, n_rotations=3, n_offsets=5,
                                 offset_radius=0.03, reach=None,
-                                seed=args.seed, vertical_offset=0.05)
+                                vertical_offset=0.05)
     print(f"sampled {len(samples)} candidate strategies")
 
     sim = SettleSimulator(twin, SimConfig(surface_samples=900, seed=args.seed))

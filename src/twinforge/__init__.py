@@ -7,12 +7,10 @@ from .camera import BinaryMask, CameraIntrinsics, ColorImage, DepthImage, backpr
 from .errors import NoFeasibleGrasp, RejectedInput, StageFailureError
 from .geometry import (Aabb, PointCloud, RigidPose, SpatialIndex, TriangleMesh,
                        compute_aabb, sample_mesh_surface)
-from .render import RenderedView, render, render_scene
 
 __all__ = [
     "Aabb", "BinaryMask", "CameraIntrinsics", "ColorImage", "DepthImage",
-    "NoFeasibleGrasp", "PointCloud", "RejectedInput", "RenderedView",
-    "RigidPose", "SpatialIndex", "StageFailureError", "TriangleMesh",
-    "backproject", "compute_aabb", "render", "render_scene",
-    "sample_mesh_surface",
+    "NoFeasibleGrasp", "PointCloud", "RejectedInput", "RigidPose",
+    "SpatialIndex", "StageFailureError", "TriangleMesh", "backproject",
+    "compute_aabb", "sample_mesh_surface",
 ]

@@ -22,7 +22,7 @@ import numpy as np
 from . import quaternions as quat
 from .camera import BinaryMask, CameraIntrinsics, ColorImage, backproject
 from .geometry import PointCloud, RejectedInput, RigidPose, TriangleMesh
-from .render import DEFAULT_BACKGROUND, render, render_batch
+from .render import BACKGROUND, render, render_batch
 
 DESCRIPTOR_GRID = 8          # cells per side
 DESCRIPTOR_BINS = 8          # gradient orientation bins per cell
@@ -170,11 +170,10 @@ def _cosine_similarities(vecs, ref) -> np.ndarray:
     return np.array([np.dot(v, ref) for v in vecs]) / (norms * ref_norm)
 
 
-def mask_observation(observation: ColorImage, mask: BinaryMask,
-                     background=DEFAULT_BACKGROUND) -> ColorImage:
+def mask_observation(observation: ColorImage, mask: BinaryMask) -> ColorImage:
     """Replace background pixels with the renderer's background color."""
     out = np.empty_like(observation.values)
-    out[:] = background
+    out[:] = BACKGROUND
     out[mask.values] = observation.values[mask.values]
     return ColorImage(out)
 
@@ -225,8 +224,7 @@ def select_coarse_pose(mesh: TriangleMesh, hypotheses,
         raise RejectedInput("empty hypothesis set")
     obs_feat = grid_descriptor(
         mask_observation(observation, obs_mask).values[None])[0]
-    views = render_batch(mesh, hypotheses, _scoring_intrinsics(intrinsics),
-                         cull=True)
+    views = render_batch(mesh, hypotheses, _scoring_intrinsics(intrinsics))
     sims = _cosine_similarities(grid_descriptor(views.rgb), obs_feat)
     best_idx = int(np.argmax(sims))
     best_pose = hypotheses[best_idx]

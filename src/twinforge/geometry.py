@@ -98,6 +98,8 @@ class TriangleMesh:
     def __post_init__(self):
         v = np.asarray(self.vertices, dtype=float).reshape(-1, 3)
         t = np.asarray(self.triangles, dtype=np.int64).reshape(-1, 3)
+        if not np.all(np.isfinite(v)):
+            raise RejectedInput("mesh vertices must be finite")
         if t.size and t.max() >= len(v):
             raise RejectedInput("triangle index out of range")
         if t.size and t.min() < 0:

@@ -27,8 +27,8 @@ from .register import MIN_MASK_PIXELS, AlignConfig, two_stage_align
 from .scene import RunReport, SceneSpec, pose_to_json
 from .simulate import (GeometricEvaluator, SceneObject, SceneTwin, SettleSimulator,
                        SimConfig, label_samples, render_outcome)
-from .strategy import (builtin_reachability, interaction_region,
-                       sample_strategies)
+from .strategy import (DEFAULT_OFFSET_RADIUS, builtin_reachability,
+                       interaction_region, sample_strategies)
 
 STAGES = ("segmentation-load", "grasp", "coarse-align", "fine-register",
           "region", "sampling", "simulation", "result-check", "gp-rank",
@@ -236,9 +236,9 @@ def run_pipeline(spec: SceneSpec, config: PipelineConfig | None = None,
             state["region"],
             n_rotations=int(s.get("n_rotations", 4)),
             n_offsets=int(s.get("n_offsets", 5)),
-            offset_radius=float(s.get("offset_radius", 0.03)),
+            offset_radius=float(s.get("offset_radius", DEFAULT_OFFSET_RADIUS)),
             reach=lambda p: builtin_reachability(p, ws),
-            seed=seed, vertical_offset=lift)
+            vertical_offset=lift)
         if not samples:
             raise StageFailureError("sampling", "no-reachable-samples")
         state["samples"] = samples

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-UNIT_TOL = 1e-9
-
 
 def quat_normalize(q):
     q = np.asarray(q, dtype=float)
@@ -19,7 +17,7 @@ def check_unit(q, tol=1e-6):
     q = np.asarray(q, dtype=float)
     if q.shape != (4,):
         raise ValueError(f"quaternion must have shape (4,), got {q.shape}")
-    if abs(np.linalg.norm(q) - 1.0) > tol:
+    if not abs(np.linalg.norm(q) - 1.0) <= tol:  # also rejects NaN and inf
         raise ValueError(f"quaternion is not unit norm: {q}")
     return q
 

@@ -15,7 +15,8 @@ from scipy.spatial import cKDTree
 
 from . import quaternions as quat
 from .camera import BinaryMask, CameraIntrinsics, ColorImage, DepthImage, backproject
-from .coarse import CoarseAlignment, generate_hypotheses, select_coarse_pose
+from .coarse import (CoarseAlignment, generate_hypotheses,
+                     partial_cloud_from_pose, select_coarse_pose)
 from .errors import RejectedInput, StageFailureError
 from .geometry import PointCloud, RigidPose, TriangleMesh, compute_aabb
 
@@ -278,10 +279,11 @@ def ransac_register(source: PointCloud, target: PointCloud,
     cb = b.mean(axis=1, keepdims=True)
     H = np.einsum("tki,tkj->tij", a - ca, b - cb)
     U, _, Vt = np.linalg.svd(H)
-    det = np.linalg.det(np.einsum("tij,tjk->tik", Vt.transpose(0, 2, 1), U.transpose(0, 2, 1)))
-    D = np.repeat(np.eye(3)[None], T, axis=0).copy()
-    D[:, 2, 2] = np.sign(det)
-    R = np.einsum("tij,tjk,tkl->til", Vt.transpose(0, 2, 1), D, U.transpose(0, 2, 1))
+    # R = V diag(1, 1, sign det(V U^T)) U^T: flip V's last column to avoid
+    # a reflection
+    V = Vt.transpose(0, 2, 1).copy()
+    V[:, :, 2] *= np.sign(np.linalg.det(U) * np.linalg.det(Vt))[:, None]
+    R = np.matmul(V, U.transpose(0, 2, 1))
     t = cb[:, 0, :] - np.einsum("tij,tj->ti", R, ca[:, 0, :])
 
     inliers = (_trial_inliers(R, t, src, tgt, params.inlier_threshold)
@@ -415,7 +417,6 @@ def two_stage_align(mesh: TriangleMesh, color: ColorImage, depth: DepthImage,
     anchor = observed.points.mean(axis=0)
 
     if config.skip_coarse:
-        from .coarse import partial_cloud_from_pose
         pose0 = RigidPose(quat.IDENTITY.copy(), anchor)
         partial = partial_cloud_from_pose(mesh, pose0, intrinsics)
         coarse = CoarseAlignment(pose0, 1.0, partial, ((0, 1.0),))

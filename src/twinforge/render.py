@@ -11,11 +11,12 @@ widened by a slack far above float rounding, and only the pixels inside it
 become fragments. Every fragment still runs the exact edge-function test
 (Pineda 1988), so coverage is the same as testing the whole bounding box.
 
-``render`` and ``render_scene`` return one ``RenderedView``. ``render_batch``
-renders one mesh under many poses into tiled atlases, validates each atlas
-once and returns the tiles as (B, H, W, 3) colour and (B, H, W) depth
-stacks, which the coarse search describes in one pass. All three are pure
-functions.
+``render`` (one mesh) and ``render_scene`` (meshes in the world, seen from a
+camera pose) draw every face and return one ``RenderedView``.
+``render_batch`` renders one mesh under many poses into tiled atlases,
+culling back faces, and returns the tiles as (B, H, W, 3) colour and
+(B, H, W) depth stacks. All three are pure functions and build their
+rasterizer input with one ``_assemble``.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from .camera import CameraIntrinsics, ColorImage, DepthImage
 from .fileio import save_color_ppm, save_depth_pgm
 from .geometry import RigidPose, TriangleMesh
 
-DEFAULT_NEAR = 0.01
-DEFAULT_BACKGROUND = (0.5, 0.5, 0.5)
+NEAR = 0.01                     # triangles touching z <= NEAR are dropped
+BACKGROUND = (0.5, 0.5, 0.5)
 AMBIENT = 0.25
 # row-span widening, in px per px of the triangle's largest coordinate: the
 # float error of an edge crossing is ~1e-15 of that, so no pixel that passes
@@ -64,10 +65,8 @@ def _headlight(v):
 @dataclass(frozen=True)
 class RenderedView:
     rgb: ColorImage
-    depth: DepthImage
-    pose: RigidPose
-    intrinsics: CameraIntrinsics
-    object_ids: np.ndarray = None  # (H, W) int, -1 = background
+    depth: DepthImage       # 0 = background
+    object_ids: np.ndarray  # (H, W) int, -1 = background
 
     def dump(self, prefix):
         """Debug dump: <prefix>_rgb.ppm and <prefix>_depth.pgm."""
@@ -76,10 +75,11 @@ class RenderedView:
 
 
 def _rasterize(vertices_cam, triangles, vertex_colors, tri_object_ids,
-               intrinsics, near, background, cull=False,
-               lambert=None, tile_bounds=None):
+               intrinsics, cull=False, lambert=None, tile_bounds=None):
     """Rasterize camera-frame triangles into depth/color/id buffers.
 
+    ``cull=True`` drops back faces; it leaves the image unchanged only for
+    meshes with consistent outward winding (all built-in primitives).
     ``lambert`` optionally overrides the per-triangle shading factor (one
     value per input triangle); ``tile_bounds`` optionally clamps each
     triangle's fragment bbox to (x0, x1, y0, y1) inclusive, which lets a
@@ -88,18 +88,15 @@ def _rasterize(vertices_cam, triangles, vertex_colors, tri_object_ids,
     H, W = intrinsics.height, intrinsics.width
     depth_buf = np.full((H, W), np.inf)
     color_buf = np.empty((H, W, 3))
-    color_buf[:] = background
+    color_buf[:] = BACKGROUND
     id_buf = np.full((H, W), -1, dtype=np.int64)
 
-    if len(triangles) == 0:
-        return depth_buf, color_buf, id_buf
-
     z_all = vertices_cam[:, 2]
-    # Per-triangle near-plane rejection: drop any triangle touching z <= near.
-    keep = np.all(z_all[triangles] > near, axis=1)
+    # Per-triangle near-plane rejection: drop any triangle touching z <= NEAR.
+    keep = np.all(z_all[triangles] > NEAR, axis=1)
 
     proj = np.empty((len(vertices_cam), 2))
-    in_front = z_all > near
+    in_front = z_all > NEAR
     proj[in_front] = intrinsics.project(vertices_cam[in_front])
 
     live = np.nonzero(keep)[0]
@@ -255,21 +252,37 @@ def _rasterize(vertices_cam, triangles, vertex_colors, tri_object_ids,
     return depth_buf, color_buf, id_buf
 
 
-def render(mesh: TriangleMesh, pose: RigidPose, intrinsics: CameraIntrinsics,
-           near=DEFAULT_NEAR, background=DEFAULT_BACKGROUND,
-           cull=False) -> RenderedView:
-    """Render a single mesh posed in the camera frame.
+def _assemble(meshes, verts_cam):
+    """The input table of one rasterizer pass over posed meshes.
 
-    ``cull=True`` enables backface culling; only valid for meshes with
-    consistent outward winding (all built-in primitives), where it produces
-    an identical image faster.
+    ``verts_cam[i]`` holds ``meshes[i]``'s vertices in the camera frame.
+    Returns the stacked vertices, the triangles offset object by object,
+    per-vertex colours (None when no mesh has colours, else 0.8 grey for
+    each mesh without them) and each triangle's object index.
     """
-    verts_cam = pose.apply(mesh.vertices)
-    ids = np.zeros(len(mesh.triangles), dtype=np.int64)
-    depth, color, id_buf = _rasterize(verts_cam, mesh.triangles, mesh.vertex_colors,
-                                      ids, intrinsics, near, background, cull=cull)
+    offsets = np.cumsum([0] + [len(m.vertices) for m in meshes[:-1]])
+    tris = np.vstack([m.triangles + o for m, o in zip(meshes, offsets)])
+    colors = None
+    if any(m.vertex_colors is not None for m in meshes):
+        colors = np.vstack([np.full((len(m.vertices), 3), 0.8)
+                            if m.vertex_colors is None else m.vertex_colors
+                            for m in meshes])
+    ids = np.repeat(np.arange(len(meshes), dtype=np.int64),
+                    [len(m.triangles) for m in meshes])
+    return np.vstack(verts_cam), tris, colors, ids
+
+
+def _view(meshes, verts_cam, intrinsics) -> RenderedView:
+    """Rasterize posed meshes, all faces drawn, into one view."""
+    depth, color, id_buf = _rasterize(*_assemble(meshes, verts_cam), intrinsics)
     depth = np.where(np.isfinite(depth), depth, 0.0)
-    return RenderedView(ColorImage(color), DepthImage(depth), pose, intrinsics, id_buf)
+    return RenderedView(ColorImage(color), DepthImage(depth), id_buf)
+
+
+def render(mesh: TriangleMesh, pose: RigidPose,
+           intrinsics: CameraIntrinsics) -> RenderedView:
+    """Render a single mesh posed in the camera frame."""
+    return _view([mesh], [pose.apply(mesh.vertices)], intrinsics)
 
 
 @dataclass(frozen=True)
@@ -283,22 +296,21 @@ class RenderedBatch:
         return len(self.rgb)
 
 
-def render_batch(mesh: TriangleMesh, poses, intrinsics: CameraIntrinsics,
-                 near=DEFAULT_NEAR, background=DEFAULT_BACKGROUND,
-                 cull=False) -> RenderedBatch:
+def render_batch(mesh: TriangleMesh, poses,
+                 intrinsics: CameraIntrinsics) -> RenderedBatch:
     """Render one mesh under many poses via tiled atlas rasterization.
 
     Amortizes the per-call rasterizer overhead: poses are packed into a grid
     of image-sized tiles, each tile's vertices are sheared so its projection
     lands in the right cell (a pure pixel translation; depth and backface
     decisions are unchanged), and one rasterizer pass fills the whole atlas.
-    Each atlas is assembled for all its poses at once, validated as one
-    image and cut into its tiles. Tile i matches a per-pose ``render`` of
-    pose i up to the float rounding of the pixel translation.
+    Back faces are culled, so the mesh must be wound consistently outward,
+    as every built-in primitive is. Each atlas is validated as one image
+    and cut into its tiles. Tile i matches a per-pose ``render`` of pose i
+    up to the float rounding of the pixel translation.
     """
     poses = list(poses)
     W, H = intrinsics.width, intrinsics.height
-    V, T = len(mesh.vertices), len(mesh.triangles)
     ntile = max(1, min(_MAX_TILES, (256 * 256) // max(1, W * H)))
     rgb = np.empty((len(poses), H, W, 3))
     depth = np.empty((len(poses), H, W))
@@ -321,15 +333,11 @@ def render_batch(mesh: TriangleMesh, poses, intrinsics: CameraIntrinsics,
         sheared = vc.copy()
         sheared[:, :, 0] += (c * W / intrinsics.fx)[:, None] * vc[:, :, 2]
         sheared[:, :, 1] += (r * H / intrinsics.fy)[:, None] * vc[:, :, 2]
-        tris = (mesh.triangles + V * np.arange(B)[:, None, None]).reshape(-1, 3)
         bounds = np.repeat(np.stack([c * W, c * W + W - 1, r * H, r * H + H - 1],
-                                    axis=1), T, axis=0)
-        colors = (np.tile(mesh.vertex_colors, (B, 1))
-                  if mesh.vertex_colors is not None else None)
-        ids = np.zeros(len(tris), dtype=np.int64)
+                                    axis=1), len(mesh.triangles), axis=0)
         atlas_depth, atlas_color, _ = _rasterize(
-            sheared.reshape(-1, 3), tris, colors, ids, atlas_intr, near,
-            background, cull=cull, lambert=lam, tile_bounds=bounds)
+            *_assemble([mesh] * B, list(sheared)), atlas_intr, cull=True,
+            lambert=lam, tile_bounds=bounds)
         atlas_depth = DepthImage(np.where(np.isfinite(atlas_depth),
                                           atlas_depth, 0.0)).values
         atlas_color = ColorImage(atlas_color).values
@@ -343,8 +351,8 @@ def render_batch(mesh: TriangleMesh, poses, intrinsics: CameraIntrinsics,
     return RenderedBatch(rgb, depth)
 
 
-def render_scene(objects, view_pose: RigidPose, intrinsics: CameraIntrinsics,
-                 near=DEFAULT_NEAR, background=DEFAULT_BACKGROUND) -> RenderedView:
+def render_scene(objects, view_pose: RigidPose,
+                 intrinsics: CameraIntrinsics) -> RenderedView:
     """Render multiple (mesh, world pose) objects from a camera at view_pose.
 
     Occlusion between objects is resolved by the shared depth buffer. The
@@ -353,29 +361,6 @@ def render_scene(objects, view_pose: RigidPose, intrinsics: CameraIntrinsics,
     if not objects:
         raise ValueError("render_scene needs at least one object")
     cam_from_world = view_pose.inverse()
-    all_verts = []
-    all_tris = []
-    all_colors = []
-    all_ids = []
-    offset = 0
-    use_colors = any(mesh.vertex_colors is not None for mesh, _ in objects)
-    for oi, (mesh, obj_pose) in enumerate(objects):
-        verts = cam_from_world.compose(obj_pose).apply(mesh.vertices)
-        all_verts.append(verts)
-        all_tris.append(mesh.triangles + offset)
-        if use_colors:
-            vc = mesh.vertex_colors
-            if vc is None:
-                vc = np.full((len(mesh.vertices), 3), 0.8)
-            all_colors.append(vc)
-        all_ids.append(np.full(len(mesh.triangles), oi, dtype=np.int64))
-        offset += len(mesh.vertices)
-    verts_cam = np.vstack(all_verts)
-    tris = np.vstack(all_tris)
-    colors = np.vstack(all_colors) if use_colors else None
-    ids = np.concatenate(all_ids)
-    depth, color, id_buf = _rasterize(verts_cam, tris, colors, ids,
-                                      intrinsics, near, background)
-    depth = np.where(np.isfinite(depth), depth, 0.0)
-    return RenderedView(ColorImage(color), DepthImage(depth), view_pose,
-                        intrinsics, id_buf)
+    return _view([mesh for mesh, _ in objects],
+                 [cam_from_world.compose(p).apply(mesh.vertices)
+                  for mesh, p in objects], intrinsics)

@@ -81,11 +81,28 @@ def _corner(value):
     return corner
 
 
+def _sampler(section):
+    """The sampler section as given: at most the two counts, as ints >= 1,
+    and the offset radius, finite and >= 0."""
+    if not isinstance(section, dict):
+        raise TypeError(f"sampler must be an object, got {section!r}")
+    for key, value in section.items():
+        if key in ("n_rotations", "n_offsets"):
+            ok = type(value) is int and value >= 1
+        elif key == "offset_radius":
+            ok = type(value) in (int, float) and 0 <= value < np.inf
+        else:
+            raise ValueError(f"unknown sampler key {key!r}")
+        if not ok:
+            raise ValueError(f"sampler {key} out of range: {value!r}")
+    return dict(section)
+
+
 def load_scene_spec(path) -> SceneSpec:
-    """Read a scene spec. A missing or mistyped field, an unknown role or
-    goal predicate, a repeated object name, or a goal that names an
-    undeclared object or takes the wrong number of them raises
-    RejectedInput."""
+    """Read a scene spec. A missing or mistyped field, a non-finite camera
+    value, an unknown role or goal predicate, a repeated object name, a goal
+    that names an undeclared object or takes the wrong number of them, or a
+    sampler key or value out of range raises RejectedInput."""
     with open(path, "r") as f:
         doc = json.load(f)
     if not isinstance(doc, dict):
@@ -136,7 +153,7 @@ def _parse_scene_spec(doc, base_dir) -> SceneSpec:
         workspace=(_corner(ws[0]), _corner(ws[1])),
         grasps=None if grasps is None else _text(grasps),
         seed=int(doc.get("seed", 0)),
-        sampler=dict(doc.get("sampler", {})),
+        sampler=_sampler(doc.get("sampler", {})),
         base_dir=base_dir,
     )
 

@@ -97,13 +97,14 @@ def _closest_on_triangles(p, a, b, c):
     return out
 
 
-def point_mesh_distance(points, mesh: TriangleMesh, chunk: int = 256):
+def point_mesh_distance(points, mesh: TriangleMesh):
     """Exact unsigned distance from each point to the mesh surface."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     a = mesh.vertices[mesh.triangles[:, 0]]
     b = mesh.vertices[mesh.triangles[:, 1]]
     c = mesh.vertices[mesh.triangles[:, 2]]
     nt = len(a)
+    chunk = 256  # query points per block
     out = np.empty(len(points))
     for start in range(0, len(points), chunk):
         p = points[start:start + chunk]

@@ -18,7 +18,7 @@ from .errors import RejectedInput
 from .geometry import Aabb, PointCloud, RigidPose
 
 DEFAULT_OFFSET_RADIUS = 0.03
-DEFAULT_CLEARANCE = 0.005
+CLEARANCE = 0.005        # release height above the lifted offset
 REST_TOLERANCE_DEG = 5.0
 
 UP = np.array([0.0, 0.0, 1.0])
@@ -95,13 +95,13 @@ def halton_disc_offsets(n, radius):
     return out
 
 
-def builtin_reachability(pose: RigidPose, workspace: Aabb,
-                         max_tilt_deg: float = 60.0) -> bool:
-    """Workspace box plus tilt limit; exact rest orientations always pass."""
+def builtin_reachability(pose: RigidPose, workspace: Aabb) -> bool:
+    """Workspace box plus a 60 degree tilt limit; exact rest orientations
+    always pass."""
     if not workspace.contains(pose.translation)[0]:
         return False
     tilt = np.arccos(np.clip(float(quat.quat_rotate(pose.rotation, UP) @ UP), -1, 1))
-    if np.rad2deg(tilt) <= max_tilt_deg:
+    if np.rad2deg(tilt) <= 60.0:
         return True
     tol = np.deg2rad(REST_TOLERANCE_DEG)
     return any(quat.geodesic_angle(pose.rotation, rq) <= tol
@@ -109,32 +109,29 @@ def builtin_reachability(pose: RigidPose, workspace: Aabb,
 
 
 def sample_strategies(region: InteractionRegion, n_rotations: int, n_offsets: int,
-                      offset_radius: float, reach, seed: int = 0,
-                      vertical_offset=0.0, clearance: float = DEFAULT_CLEARANCE,
-                      rest_quats=None) -> list[StrategySample]:
+                      offset_radius: float, reach,
+                      vertical_offset=0.0) -> list[StrategySample]:
     """Deterministic 6-DoF placement samples near the region centroid.
 
     vertical_offset may be a scalar (object half-height) or a callable
-    mapping a rotation quaternion to the rotated half-height along gravity.
-    Samples failing the reachability predicate are dropped; surviving
+    mapping a rotation quaternion to the rotated half-height along gravity;
+    each sample starts CLEARANCE above it. Samples failing the reachability predicate are dropped; surviving
     sample_ids are sequential.
     """
     if n_rotations < 1 or n_offsets < 1:
         raise RejectedInput("rotation and offset counts must be >= 1")
     if offset_radius < 0:
         raise RejectedInput("offset radius must be >= 0")
-    if rest_quats is None:
-        rest_quats = rest_orientations()
     offsets = halton_disc_offsets(n_offsets, offset_radius)
     samples = []
     sid = 0
-    for rest in rest_quats:
+    for rest in rest_orientations():
         for yi in range(n_rotations):
             yaw = quat.quat_from_axis_angle(UP, 2 * np.pi * yi / n_rotations)
             q = quat.quat_normalize(quat.quat_multiply(yaw, rest))
             lift = vertical_offset(q) if callable(vertical_offset) else vertical_offset
             for off in offsets:
-                t = region.centroid + off + (lift + clearance) * UP
+                t = region.centroid + off + (lift + CLEARANCE) * UP
                 pose = RigidPose(q, t)
                 if reach is not None and not reach(pose):
                     continue

@@ -301,7 +301,7 @@ def label_submesh(mesh: TriangleMesh, wanted) -> TriangleMesh:
                         mesh.vertex_colors, face_labels=labels)
 
 
-def _rest_world_pose(rng, x, y, base_z, yaw_only=True):
+def _rest_world_pose(rng, x, y, base_z):
     yaw = quat.quat_from_axis_angle([0, 0, 1], rng.uniform(0, 2 * np.pi))
     return RigidPose(yaw, np.array([x, y, base_z]))
 

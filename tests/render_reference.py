@@ -2,15 +2,14 @@
 
 ``ref_rasterize`` expands every triangle over its whole clipped bounding box
 and runs the edge test on each pixel; ``ref_render_batch`` assembles the
-atlas one pose at a time. Both are kept only to cross-check
-``twinforge.render`` bit for bit.
+atlas one pose at a time and ``ref_render_scene`` the scene one object at a
+time. They are kept only to cross-check ``twinforge.render`` bit for bit.
 """
 
 import numpy as np
 
 from twinforge.camera import CameraIntrinsics, ColorImage, DepthImage
-from twinforge.render import (AMBIENT, DEFAULT_BACKGROUND, DEFAULT_NEAR,
-                              RenderedView, _cross3)
+from twinforge.render import AMBIENT, BACKGROUND, NEAR, RenderedView, _cross3
 
 
 def ref_rasterize(vertices_cam, triangles, vertex_colors, tri_object_ids,
@@ -171,8 +170,8 @@ def ref_rasterize(vertices_cam, triangles, vertex_colors, tri_object_ids,
     return depth_buf, color_buf, id_buf
 
 
-def ref_render_batch(mesh, poses, intrinsics, near=DEFAULT_NEAR,
-                     background=DEFAULT_BACKGROUND, cull=False):
+def ref_render_batch(mesh, poses, intrinsics, near=NEAR,
+                     background=BACKGROUND, cull=False):
     """Tiled atlas render of one mesh under many poses, assembled pose by
     pose and rasterized by ``ref_rasterize`` (at most 64 tiles per atlas)."""
     poses = list(poses)
@@ -213,15 +212,41 @@ def ref_render_batch(mesh, poses, intrinsics, near=DEFAULT_NEAR,
         colors = (np.tile(mesh.vertex_colors, (B, 1))
                   if mesh.vertex_colors is not None else None)
         ids = np.zeros(len(tris), dtype=np.int64)
-        depth, color, _ = ref_rasterize(verts, tris, colors, ids, atlas_intr,
-                                        near, background, cull=cull,
-                                        lambert=np.concatenate(all_lam),
-                                        tile_bounds=np.vstack(all_bounds))
+        depth, color, id_buf = ref_rasterize(
+            verts, tris, colors, ids, atlas_intr, near, background, cull=cull,
+            lambert=np.concatenate(all_lam), tile_bounds=np.vstack(all_bounds))
         depth = np.where(np.isfinite(depth), depth, 0.0)
         for i, pose in enumerate(batch):
             r, c = divmod(i, cols)
             tile_d = depth[r * H:(r + 1) * H, c * W:(c + 1) * W]
             tile_c = color[r * H:(r + 1) * H, c * W:(c + 1) * W]
+            tile_i = id_buf[r * H:(r + 1) * H, c * W:(c + 1) * W]
             views.append(RenderedView(ColorImage(tile_c), DepthImage(tile_d),
-                                      pose, intrinsics))
+                                      tile_i))
     return views
+
+
+def ref_render_scene(objects, view_pose, intrinsics):
+    """Multi-object render, assembled one object at a time and rasterized by
+    ``ref_rasterize``; an uncoloured object is drawn 0.8 grey when another
+    object has colours."""
+    cam_from_world = view_pose.inverse()
+    use_colors = any(mesh.vertex_colors is not None for mesh, _ in objects)
+    all_verts, all_tris, all_colors, all_ids = [], [], [], []
+    offset = 0
+    for oi, (mesh, obj_pose) in enumerate(objects):
+        all_verts.append(cam_from_world.compose(obj_pose).apply(mesh.vertices))
+        all_tris.append(mesh.triangles + offset)
+        if use_colors:
+            vc = mesh.vertex_colors
+            if vc is None:
+                vc = np.full((len(mesh.vertices), 3), 0.8)
+            all_colors.append(vc)
+        all_ids.append(np.full(len(mesh.triangles), oi, dtype=np.int64))
+        offset += len(mesh.vertices)
+    colors = np.vstack(all_colors) if use_colors else None
+    depth, color, id_buf = ref_rasterize(
+        np.vstack(all_verts), np.vstack(all_tris), colors,
+        np.concatenate(all_ids), intrinsics, NEAR, BACKGROUND)
+    depth = np.where(np.isfinite(depth), depth, 0.0)
+    return RenderedView(ColorImage(color), DepthImage(depth), id_buf)

@@ -18,6 +18,13 @@ def test_intrinsics_validation():
         CameraIntrinsics(fx=1, fy=1, cx=10, cy=1, width=4, height=4)
 
 
+@pytest.mark.parametrize("fx, fy", [(np.nan, 1.0), (1.0, np.nan),
+                                    (np.inf, 1.0), (1.0, np.inf)])
+def test_intrinsics_reject_non_finite_focal_length(fx, fy):
+    with pytest.raises(RejectedInput):
+        CameraIntrinsics(fx=fx, fy=fy, cx=1, cy=1, width=4, height=4)
+
+
 def test_project_known_point():
     cam = intr()
     uv = cam.project([[0.0, 0.0, 1.0]])

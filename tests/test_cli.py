@@ -119,6 +119,18 @@ SPEC_FAULTS += [
     {"goal": {"predicate": "on_top", "args": ["cube"]}},
     {"objects": _objects(("cube", "manipulated"), ("cube", "interactive"))}]
 
+# a sampler key or value that sample_strategies cannot take, and non-finite
+# camera values
+SPEC_FAULTS += [
+    {"sampler": {"n_rotations": [1]}}, {"sampler": {"n_rotation": 2}},
+    {"sampler": {"n_rotations": 0}}, {"sampler": {"offset_radius": -1.0}},
+    {"camera_pose": {"rotation": [float("nan"), 0, 0, 0],
+                     "translation": [0.0, 0.0, 0.5]}},
+    {"camera": {"fx": float("nan"), "fy": 230.0, "cx": 100.0, "cy": 100.0,
+                "width": 200, "height": 200}},
+    {"camera": {"fx": 230.0, "fy": float("inf"), "cx": 100.0, "cy": 100.0,
+                "width": 200, "height": 200}}]
+
 
 @pytest.mark.parametrize("fault", SPEC_FAULTS)
 def test_plan_rejects_incomplete_or_mistyped_spec(scene_dir, tmp_path, capsys,
@@ -137,6 +149,22 @@ def test_plan_rejects_incomplete_or_mistyped_spec(scene_dir, tmp_path, capsys,
     for key, value in fault.items():
         if value is DROP:
             assert f"missing key {key!r}" in err
+
+
+def test_plan_reports_non_finite_mesh_vertex(scene_dir, tmp_path):
+    shutil.copytree(scene_dir, tmp_path / "scene")
+    ply = tmp_path / "scene" / "cube.ply"
+    head, body = ply.read_text().split("end_header\n")
+    first, rest = body.split("\n", 1)
+    ply.write_text(head + "end_header\nnan" + first[first.index(" "):]
+                   + "\n" + rest)
+    out = tmp_path / "out"
+    rc = main(["plan", "--scene", str(tmp_path / "scene" / "scene.json"),
+               "--out", str(out)])
+    assert rc == EXIT_STAGE_FAILURE
+    doc = json.loads((out / "report.json").read_text())
+    assert doc["failed_stage"] == "segmentation-load"
+    assert "finite" in doc["failure_reason"]
 
 
 def test_bad_config_keys(scene_dir, tmp_path):

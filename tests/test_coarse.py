@@ -14,7 +14,7 @@ from twinforge.coarse import (DESCRIPTOR_DIM, _cosine_similarities,
                               partial_cloud_from_pose, select_coarse_pose)
 from twinforge.errors import RejectedInput
 from twinforge.geometry import RigidPose, sample_mesh_surface
-from twinforge.render import render_batch
+from twinforge.render import render, render_batch
 from twinforge.synth import default_intrinsics, make_box, primitive_from_spec
 
 
@@ -131,7 +131,6 @@ def test_descriptor_batch_matches_per_image_reference(b, h, w, kind, seed):
 def test_select_coarse_pose_scores_match_per_image_reference(spec):
     # the hypothesis tiles of a real search, described and scored one at a
     # time by the reference: every similarity is bit-identical
-    from twinforge.render import render
     mesh = primitive_from_spec(spec)
     intr = default_intrinsics(size=120, focal=150.0)
     hyps = generate_hypotheses([0.0, 0.01, 0.4], 96, seed=3)
@@ -140,7 +139,7 @@ def test_select_coarse_pose_scores_match_per_image_reference(spec):
     mask = BinaryMask(obs.object_ids >= 0)
     result = select_coarse_pose(mesh, hyps, obs.rgb, mask, intr)
     obs_feat = ref_grid_descriptor(mask_observation(obs.rgb, mask).values)
-    tiles = render_batch(mesh, hyps, _scoring_intrinsics(intr), cull=True).rgb
+    tiles = render_batch(mesh, hyps, _scoring_intrinsics(intr)).rgb
     want = [ref_cosine_similarity(ref_grid_descriptor(t), obs_feat)
             for t in tiles]
     assert [s for _, s in result.all_scores] == want
@@ -172,7 +171,6 @@ def test_select_coarse_pose_finds_rendered_truth():
     # observation rendered from one of the hypotheses: that hypothesis must
     # win; similarity stays below 1.0 because hypotheses are scored at the
     # capped 40 px resolution while the observation render is 120 px
-    from twinforge.render import render
     mesh = make_box([0.08, 0.05, 0.04])
     intr = default_intrinsics(size=120, focal=150.0)
     hyps = generate_hypotheses([0.0, 0.0, 0.4], 24)

@@ -98,6 +98,11 @@ def test_mesh_validation_and_areas():
         TriangleMesh(verts, [[0, 1, 9]])
     with pytest.raises(RejectedInput):
         TriangleMesh(verts, [[0, 1, -1]])
+    for bad in (np.nan, np.inf):
+        broken = verts.copy()
+        broken[3, 1] = bad
+        with pytest.raises(RejectedInput):
+            TriangleMesh(broken, [[0, 1, 2]])
 
 
 def test_mesh_transform_and_scale():

@@ -21,6 +21,13 @@ def test_check_unit_shape_and_norm():
         quat.check_unit([2.0, 0.0, 0.0, 0.0])
 
 
+@pytest.mark.parametrize("q", [[np.nan, 0.0, 0.0, 0.0], [1.0, np.nan, 0.0, 0.0],
+                               [np.inf, 0.0, 0.0, 0.0]])
+def test_check_unit_rejects_non_finite(q):
+    with pytest.raises(ValueError):
+        quat.check_unit(q)
+
+
 def test_multiply_matches_matrix_product():
     rng = np.random.default_rng(3)
     for _ in range(20):

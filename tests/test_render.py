@@ -3,12 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from render_reference import ref_rasterize, ref_render_batch
+from render_reference import ref_rasterize, ref_render_batch, ref_render_scene
 from solids_reference import ray_mesh_depth
 from twinforge import quaternions as quat
 from twinforge.camera import CameraIntrinsics, backproject
 from twinforge.geometry import RigidPose, TriangleMesh
-from twinforge.render import (DEFAULT_BACKGROUND, _rasterize, render,
+from twinforge.render import (BACKGROUND, NEAR, _rasterize, render,
                               render_batch, render_scene)
 from twinforge.solids import point_mesh_distance
 from twinforge.synth import (PRIMITIVES, make_box, make_cup, make_cylinder,
@@ -28,7 +28,7 @@ def box_pose(seed=0, z=0.5):
 def test_background_and_empty_mesh():
     mesh = TriangleMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=int))
     view = render(mesh, RigidPose.identity(), intr())
-    assert np.allclose(view.rgb.values, DEFAULT_BACKGROUND)
+    assert np.allclose(view.rgb.values, BACKGROUND)
     assert np.all(view.depth.values == 0.0)
     assert np.all(view.object_ids == -1)
 
@@ -156,22 +156,23 @@ def test_backface_cull_image_identical():
     for spec in ([0.08, 0.06, 0.05], [0.04, 0.04, 0.09]):
         mesh = make_box(spec)
         for seed in range(3):
-            plain = render(mesh, box_pose(seed), cam)
-            culled = render(mesh, box_pose(seed), cam, cull=True)
-            assert np.array_equal(plain.depth.values, culled.depth.values)
-            assert np.array_equal(plain.rgb.values, culled.rgb.values)
+            args = (box_pose(seed).apply(mesh.vertices), mesh.triangles,
+                    mesh.vertex_colors, np.zeros(len(mesh.triangles), np.int64),
+                    cam)
+            _assert_same_buffers(_rasterize(*args, cull=True),
+                                 _rasterize(*args, cull=False))
 
 
 def test_render_batch_matches_single_renders():
     cam = intr()
     mesh = make_box([0.08, 0.06, 0.05])
     poses = [box_pose(s) for s in range(9)]
-    views = render_batch(mesh, poses, cam, cull=True)
+    views = render_batch(mesh, poses, cam)
     assert len(views) == 9
     assert views.rgb.shape == (9, cam.height, cam.width, 3)
     assert views.depth.shape == (9, cam.height, cam.width)
     for pose, rgb, depth in zip(poses, views.rgb, views.depth):
-        single = render(mesh, pose, cam, cull=True)
+        single = render(mesh, pose, cam)
         # the tiled render shifts pixel coordinates by a float translation,
         # so ownership of pixels exactly on an edge may flip; everywhere
         # else depth and color must agree
@@ -221,10 +222,9 @@ def test_rasterize_primitives_match_bbox_reference(name, pose, cam, cull,
     mesh = PRIMITIVE_MESHES[name]
     verts = pose.apply(mesh.vertices)
     colors = mesh.vertex_colors if colored else None
-    ids = np.arange(len(mesh.triangles))
-    args = (verts, mesh.triangles, colors, ids, cam, 0.01, (0.5, 0.5, 0.5))
+    args = (verts, mesh.triangles, colors, np.arange(len(mesh.triangles)), cam)
     _assert_same_buffers(_rasterize(*args, cull=cull),
-                         ref_rasterize(*args, cull=cull))
+                         ref_rasterize(*args, NEAR, BACKGROUND, cull=cull))
 
 
 def _pixel_soup(kind, rng, w, h):
@@ -290,8 +290,9 @@ def test_rasterize_stress_triangles_match_bbox_reference(kind, size, seed, cull,
         y0 = rng.integers(0, h, len(tris))
         kw["tile_bounds"] = np.stack([x0, rng.integers(x0, w), y0,
                                       rng.integers(y0, h)], axis=1)
-    args = (verts, tris, colors, ids, cam, 0.01, (0.5, 0.5, 0.5))
-    _assert_same_buffers(_rasterize(*args, **kw), ref_rasterize(*args, **kw))
+    args = (verts, tris, colors, ids, cam)
+    _assert_same_buffers(_rasterize(*args, **kw),
+                         ref_rasterize(*args, NEAR, BACKGROUND, **kw))
 
 
 def test_exact_depth_ties_go_to_the_earliest_triangle():
@@ -300,9 +301,9 @@ def test_exact_depth_ties_go_to_the_earliest_triangle():
                       [0.1, 0.1, 0.5], [-0.1, 0.1, 0.5]])
     tris = np.array([[0, 1, 2], [0, 2, 3], [0, 1, 2], [0, 2, 3]])
     ids = np.array([0, 0, 1, 1])
-    args = (verts, tris, None, ids, intr(), 0.01, (0.5, 0.5, 0.5))
+    args = (verts, tris, None, ids, intr())
     got = _rasterize(*args)
-    _assert_same_buffers(got, ref_rasterize(*args))
+    _assert_same_buffers(got, ref_rasterize(*args, NEAR, BACKGROUND))
     assert np.all(got[2][got[0] < np.inf] == 0)
 
 
@@ -310,19 +311,47 @@ def test_exact_depth_ties_go_to_the_earliest_triangle():
 @given(name=st.sampled_from(sorted(PRIMITIVE_MESHES)),
        pose_list=st.lists(poses, min_size=1, max_size=10),
        size=st.sampled_from([(12, 9), (40, 37), (128, 128)]),
-       cull=st.booleans(), colored=st.booleans())
-def test_render_batch_matches_per_pose_reference(name, pose_list, size, cull,
+       colored=st.booleans())
+def test_render_batch_matches_per_pose_reference(name, pose_list, size,
                                                  colored):
     # (128, 128) puts four tiles in an atlas, so ten poses span three
-    # atlases; poses off to the side cross their tile's borders
+    # atlases; poses off to the side cross their tile's borders. The batch
+    # always culls back faces; the stress test covers the unculled path.
     mesh = PRIMITIVE_MESHES[name]
     if not colored:
         mesh = TriangleMesh(mesh.vertices, mesh.triangles)
     w, h = size
     cam = CameraIntrinsics(60.0, 60.0, w / 2, h / 2, w, h)
-    got = render_batch(mesh, pose_list, cam, cull=cull)
-    want = ref_render_batch(mesh, pose_list, cam, cull=cull)
+    got = render_batch(mesh, pose_list, cam)
+    want = ref_render_batch(mesh, pose_list, cam, cull=True)
     assert len(got) == len(want) == len(pose_list)
     assert not (got.rgb.flags.writeable or got.depth.flags.writeable)
     for depth, rgb, r in zip(got.depth, got.rgb, want):
         _assert_same_buffers((depth, rgb), (r.depth.values, r.rgb.values))
+
+
+@settings(max_examples=40, deadline=None)
+@given(scene=st.lists(st.tuples(st.sampled_from(sorted(PRIMITIVE_MESHES)),
+                                st.booleans(), st.integers(0, 2**16)),
+                      min_size=1, max_size=3),
+       view_seed=st.integers(0, 2**16), standoff=st.floats(0.05, 0.8),
+       cam=cameras)
+def test_render_scene_matches_per_object_reference(scene, view_seed, standoff,
+                                                   cam):
+    # objects at random world poses round the origin, some without colours;
+    # the camera sits at a random orientation, looking at the origin from
+    # a standoff that puts some objects through the near plane
+    objects = []
+    for name, colored, seed in scene:
+        mesh = PRIMITIVE_MESHES[name]
+        if not colored:
+            mesh = TriangleMesh(mesh.vertices, mesh.triangles)
+        rng = np.random.default_rng(seed)
+        objects.append((mesh, RigidPose(quat.random_quat(rng),
+                                        rng.uniform(-0.1, 0.1, 3))))
+    q = quat.random_quat(np.random.default_rng(view_seed))
+    view = RigidPose(q, -quat.quat_rotate(q, [0.0, 0.0, standoff]))
+    got = render_scene(objects, view, cam)
+    want = ref_render_scene(objects, view, cam)
+    _assert_same_buffers((got.rgb.values, got.depth.values, got.object_ids),
+                         (want.rgb.values, want.depth.values, want.object_ids))

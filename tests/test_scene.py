@@ -71,6 +71,44 @@ def test_scene_spec_requires_one_manipulated(tmp_path):
         load_scene_spec(path)
 
 
+def _load_with(tmp_path, **changes):
+    path = tmp_path / "scene.json"
+    save_scene_spec(path, make_spec())
+    doc = json.loads(path.read_text())
+    doc.update(changes)
+    path.write_text(json.dumps(doc))
+    return load_scene_spec(path)
+
+
+def test_scene_spec_sampler_kept_as_given(tmp_path):
+    for sampler in ({}, {"n_rotations": 1, "n_offsets": 3},
+                    {"offset_radius": 0}, {"offset_radius": 0.025}):
+        assert _load_with(tmp_path, sampler=sampler).sampler == sampler
+
+
+@pytest.mark.parametrize("sampler", [
+    [1], {"n_rotation": 2}, {"n_rotations": [1]}, {"n_rotations": 0},
+    {"n_offsets": -1}, {"n_offsets": 2.0}, {"n_rotations": True},
+    {"offset_radius": -0.01}, {"offset_radius": float("nan")},
+    {"offset_radius": float("inf")}, {"offset_radius": "0.02"},
+    {"offset_radius": False}])
+def test_scene_spec_rejects_bad_sampler(tmp_path, sampler):
+    with pytest.raises(RejectedInput):
+        _load_with(tmp_path, sampler=sampler)
+
+
+@pytest.mark.parametrize("changes", [
+    {"camera_pose": {"rotation": [float("nan"), 0, 0, 0],
+                     "translation": [0, 0, 0.5]}},
+    {"camera": {"fx": float("nan"), "fy": 200.0, "cx": 100.0, "cy": 99.5,
+                "width": 200, "height": 200}},
+    {"camera": {"fx": 200.0, "fy": float("inf"), "cx": 100.0, "cy": 99.5,
+                "width": 200, "height": 200}}])
+def test_scene_spec_rejects_non_finite_camera(tmp_path, changes):
+    with pytest.raises(RejectedInput):
+        _load_with(tmp_path, **changes)
+
+
 def test_run_report_dump_and_determinism_key(tmp_path):
     rep = RunReport(seed=3)
     rep.stages = ["a", "b"]

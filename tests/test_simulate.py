@@ -4,8 +4,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from twinforge import quaternions as quat
+from twinforge import simulate
 from twinforge.errors import RejectedInput, StageFailureError
 from twinforge.geometry import RigidPose, TriangleMesh
+from twinforge.render import render_scene
 from twinforge.simulate import (PENETRATION_TOL, RENDER_SIZE,
                                 GeometricEvaluator, SceneObject, SceneTwin,
                                 SettleSimulator, SimConfig, _SettleContext,
@@ -360,19 +362,27 @@ def test_settle_simulator_rejects_non_watertight_when_built():
                                                      "non-watertight-mesh")
 
 
-def test_render_outcome():
+def test_render_outcome(monkeypatch):
     base = cube("base", role="static",
                 pose=RigidPose(quat.IDENTITY, [0.1, 0.0, 0.025]))
     twin = scene_with(cube(), base)
     out = settle_simulate(twin, sample_at(RigidPose(quat.IDENTITY, [0, 0, 0.1])),
                           FAST)
+    seen = []
+
+    def spy(objects, view_pose, intrinsics):
+        seen.append(view_pose)
+        return render_scene(objects, view_pose, intrinsics)
+
+    monkeypatch.setattr(simulate, "render_scene", spy)
     view = render_outcome(out)
     assert view.depth.values.shape == (RENDER_SIZE, RENDER_SIZE)
     assert set(np.unique(view.object_ids)) == {-1, 0, 1}
     # the camera looks at the centre of the settled meshes' bounding box:
     # the cube rests on the ground at the origin, next to the base
     expected = checker_viewpoint([0.05, 0.0, 0.025])
-    assert np.allclose(view.pose.matrix(), expected.matrix(), atol=1e-5)
+    assert len(seen) == 1
+    assert np.allclose(seen[0].matrix(), expected.matrix(), atol=1e-5)
 
 
 # ---------------------------------------------------------------------------

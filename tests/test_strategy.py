@@ -66,7 +66,7 @@ def region_at(center):
 def test_sample_strategies_count_and_ids():
     region = region_at([0.0, 0.0, 0.1])
     samples = sample_strategies(region, n_rotations=3, n_offsets=4,
-                                offset_radius=0.02, reach=None, seed=0,
+                                offset_radius=0.02, reach=None,
                                 vertical_offset=0.05)
     assert len(samples) == 6 * 3 * 4
     assert [s.sample_id for s in samples] == list(range(len(samples)))
