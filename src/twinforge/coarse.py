@@ -59,6 +59,25 @@ def _cube_rotations():
     return mats
 
 
+@functools.lru_cache(maxsize=8)
+def _hypothesis_quats(rotation_count: int, seed: int) -> np.ndarray:
+    """Read-only (rotation_count, 4) table of the hypothesis quaternions."""
+    cube = _cube_rotations()
+    quats = []
+    for yaw_step in range(3):
+        yaw = quat.quat_from_axis_angle([0, 0, 1], np.deg2rad(30.0 * yaw_step))
+        for R in cube:
+            q = quat.quat_multiply(yaw, quat.matrix_to_quat(R))
+            quats.append(quat.quat_normalize(q))
+    quats = quats[:rotation_count]
+    rng = np.random.default_rng(seed)
+    while len(quats) < rotation_count:
+        quats.append(quat.random_quat(rng))
+    table = np.array(quats)
+    table.setflags(write=False)
+    return table
+
+
 def generate_hypotheses(anchor_translation, rotation_count: int,
                         seed: int = 0) -> tuple:
     """Quasi-uniform rotation hypotheses sharing one anchor translation, as a
@@ -66,25 +85,14 @@ def generate_hypotheses(anchor_translation, rotation_count: int,
 
     The deterministic base set is 24 cube-group rotations crossed with yaw
     offsets of 0/30/60 degrees (72 rotations); identity comes first. Counts
-    beyond 72 are topped up with seeded uniform random rotations.
+    beyond 72 are topped up with seeded uniform random rotations. The
+    rotations depend only on (rotation_count, seed) and are built once.
     """
     if rotation_count < 1:
         raise RejectedInput("rotation_count must be >= 1")
     anchor = np.asarray(anchor_translation, dtype=float).reshape(3)
-    quats = []
-    for yaw_step in range(3):
-        yaw = quat.quat_from_axis_angle([0, 0, 1], np.deg2rad(30.0 * yaw_step))
-        for R in _cube_rotations():
-            q = quat.quat_multiply(yaw, quat.matrix_to_quat(R))
-            quats.append(quat.quat_normalize(q))
-            if len(quats) == rotation_count:
-                break
-        if len(quats) == rotation_count:
-            break
-    rng = np.random.default_rng(seed)
-    while len(quats) < rotation_count:
-        quats.append(quat.random_quat(rng))
-    return tuple(RigidPose(q, anchor) for q in quats[:rotation_count])
+    return tuple(RigidPose(q, anchor)
+                 for q in _hypothesis_quats(rotation_count, seed))
 
 
 @functools.lru_cache(maxsize=64)

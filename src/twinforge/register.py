@@ -6,7 +6,6 @@ All randomized steps take explicit seeds and are deterministic.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,15 +110,20 @@ def estimate_normals(cloud: PointCloud, k: int = 15):
 
 
 def _pair_features(p1, p2, n1, n2):
-    """Darboux-frame angle features (alpha, phi, theta) for point pairs."""
+    """Darboux-frame angle features (alpha, phi, theta) for point pairs.
+
+    Returns (alpha, phi, theta, ok, tie, d). The source of a pair is the
+    point whose normal makes the larger angle with the line between the
+    points, so (p2, p1) gives the same features bit for bit unless
+    ``tie`` (|n1.d| == |n2.d|). ``d`` is |p2 - p1|.
+    """
     dp = p2 - p1
     d = np.linalg.norm(dp, axis=1)
     ok = d > 1e-12
-    dpn = np.zeros_like(dp)
-    dpn[ok] = dp[ok] / d[ok, None]
-    a1 = np.einsum("ni,ni->n", n1, dpn)
-    a2 = np.einsum("ni,ni->n", n2, dpn)
-    swap = np.abs(a1) < np.abs(a2)
+    dpn = np.divide(dp, d[:, None], out=np.zeros_like(dp), where=ok[:, None])
+    a1 = np.abs(np.einsum("ni,ni->n", n1, dpn))
+    a2 = np.abs(np.einsum("ni,ni->n", n2, dpn))
+    swap = a1 < a2
     src_n = np.where(swap[:, None], n2, n1)
     tgt_n = np.where(swap[:, None], n1, n2)
     dpn = np.where(swap[:, None], -dpn, dpn)
@@ -127,12 +131,12 @@ def _pair_features(p1, p2, n1, n2):
     v = np.cross(dpn, src_n)
     vnorm = np.linalg.norm(v, axis=1)
     ok &= vnorm > 1e-12
-    v[ok] = v[ok] / vnorm[ok, None]
+    np.divide(v, vnorm[:, None], out=v, where=ok[:, None])
     w = np.cross(src_n, v)
     alpha = np.einsum("ni,ni->n", v, tgt_n)
     theta = np.arctan2(np.einsum("ni,ni->n", w, tgt_n),
                        np.einsum("ni,ni->n", src_n, tgt_n))
-    return alpha, phi, theta, ok
+    return alpha, phi, theta, ok, a1 == a2, d
 
 
 _BINS = 11
@@ -146,54 +150,75 @@ def compute_fpfh(cloud: PointCloud, normals, radius: float | None = None,
                  valid=None) -> np.ndarray:
     """Fast point feature histograms, 33 bins per point, L1-normalized.
 
-    Two passes: per-point simplified histograms over the Darboux angles,
-    then distance-weighted aggregation over each point's neighborhood.
-    Points with invalid normals or no neighbors get all-zero descriptors.
+    Two passes: per-point simplified histograms (SPFH) over the Darboux
+    angles, then distance-weighted aggregation over each point's
+    neighborhood. Each unordered neighbour pair within ``radius`` (default:
+    5x the mean nearest-neighbour distance) is described once and counted
+    in both points' SPFH; only a pair whose normals make equal angles with
+    the line between them is described again in reverse. Points with
+    invalid normals or no neighbors get all-zero descriptors.
+
+    ``normals`` is (N, 3), finite wherever ``valid`` (a boolean (N,) mask,
+    default all True) holds; a given ``radius`` must be finite and
+    positive. Anything else raises RejectedInput.
     """
     pts = cloud.points
     n = len(pts)
     normals = np.asarray(normals, dtype=float)
+    if normals.shape != (n, 3):
+        raise RejectedInput(f"normals must have shape ({n}, 3), got {normals.shape}")
     if valid is None:
         valid = np.ones(n, dtype=bool)
+    valid = np.asarray(valid)
+    if valid.dtype != bool or valid.shape != (n,):
+        raise RejectedInput(f"valid must be a boolean mask of shape ({n},)")
+    if not np.isfinite(normals[valid]).all():
+        raise RejectedInput("normals flagged valid must be finite")
+    if radius is not None and not (np.isfinite(radius) and radius > 0):
+        raise RejectedInput(f"radius must be finite and positive, got {radius}")
     tree = cKDTree(pts)
     if radius is None:
         d1, _ = tree.query(pts, k=2)
         radius = 5.0 * float(np.mean(d1[:, 1]))
 
-    # neighbour pairs (i, j), flattened in query-ball order
-    neighbor_lists = tree.query_ball_point(pts, radius)
-    sizes = np.fromiter(map(len, neighbor_lists), dtype=np.intp, count=n)
-    pj = np.fromiter(itertools.chain.from_iterable(neighbor_lists),
-                     dtype=np.intp, count=int(sizes.sum()))
-    pi = np.repeat(np.arange(n), sizes)
-    use = valid[pi] & valid[pj] & (pi != pj)
+    # unordered pairs i < j with both normals valid, each described once
+    pi, pj = tree.query_pairs(radius, output_type="ndarray").T
+    use = valid[pi] & valid[pj]
     pi, pj = pi[use], pj[use]
-    spfh = np.zeros((n, 3 * _BINS))
-    if len(pi) == 0:
-        return spfh
-    alpha, phi, theta, ok = _pair_features(pts[pi], pts[pj], normals[pi], normals[pj])
-    pi, pj = pi[ok], pj[ok]
-    ba = _bin_index(alpha[ok], -1.0, 1.0)
-    bp = _bin_index(phi[ok], -1.0, 1.0)
-    bt = _bin_index(theta[ok], -np.pi, np.pi)
-    cells = np.concatenate([pi * (3 * _BINS) + ba,
-                            pi * (3 * _BINS) + _BINS + bp,
-                            pi * (3 * _BINS) + 2 * _BINS + bt])
-    spfh = np.bincount(cells, minlength=n * 3 * _BINS).reshape(n, 3 * _BINS)
-    spfh = spfh.astype(float)
+    alpha, phi, theta, ok, tie, dist = _pair_features(
+        pts.take(pi, axis=0), pts.take(pj, axis=0),
+        normals.take(pi, axis=0), normals.take(pj, axis=0))
+    # a pair enters row i as read from i and row j as read from j; the two
+    # readings differ only for a tied pair, which is described again from j
+    m = len(pi)
+    rows, cols = np.concatenate([pi, pj]), np.concatenate([pj, pi])
+    alpha, phi, theta, ok, dist = (np.concatenate([x, x])
+                                   for x in (alpha, phi, theta, ok, dist))
+    tied = np.flatnonzero(tie)
+    i, j = pi[tied], pj[tied]
+    back = m + tied
+    alpha[back], phi[back], theta[back], ok[back], _, _ = _pair_features(
+        pts[j], pts[i], normals[j], normals[i])
+    keep = np.flatnonzero(ok)
+    rows, cols, dist = rows[keep], cols[keep], dist[keep]
+    cells = rows * (3 * _BINS)
+    cells = np.concatenate([cells + _bin_index(alpha[keep], -1.0, 1.0),
+                            cells + _BINS + _bin_index(phi[keep], -1.0, 1.0),
+                            cells + 2 * _BINS + _bin_index(theta[keep], -np.pi, np.pi)])
+    spfh = np.bincount(cells, minlength=n * 3 * _BINS)
+    spfh = spfh.reshape(n, 3 * _BINS).astype(float)
 
-    # fpfh[i] = spfh[i] + sum_j w_ij spfh[j], added in pair order, as one
-    # CSR product: a stable sort by row puts each row's unit self weight
-    # ahead of its pair weights
-    dist = np.linalg.norm(pts[pi] - pts[pj], axis=1)
-    counts = np.bincount(pi, minlength=n).astype(float)
-    weights = 1.0 / np.maximum(dist, 1e-9) / np.maximum(counts[pi], 1.0)
-    rows = np.concatenate([np.arange(n), pi])
-    order = np.argsort(rows, kind="stable")
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+    # fpfh[i] = spfh[i] + sum_j w_ij spfh[j] as one CSR product; each row
+    # holds its unit self weight first, then its neighbours in ascending
+    # order, the order the sum is taken in
+    counts = np.bincount(rows, minlength=n)
+    weights = 1.0 / np.maximum(dist, 1e-9) / counts[rows]
+    order = np.argsort(rows * n + cols)
+    starts = np.concatenate([[0], np.cumsum(counts)])
     weight_matrix = csr_matrix(
-        (np.concatenate([np.ones(n), weights])[order],
-         np.concatenate([np.arange(n), pj])[order], indptr), shape=(n, n))
+        (np.insert(weights[order], starts[:-1], 1.0),
+         np.insert(cols[order], starts[:-1], np.arange(n)),
+         starts + np.arange(n + 1)), shape=(n, n))
     fpfh = weight_matrix @ spfh
 
     sums = fpfh.sum(axis=1, keepdims=True)

@@ -1,15 +1,39 @@
 """Reference coarse scoring: one image at a time. The grid descriptor of a
 single (H, W, 3) image and the scalar cosine similarity of two descriptors,
 as ``twinforge.coarse`` computed them before it described and scored whole
-stacks in one pass. Kept only to cross-check ``grid_descriptor`` and
-``select_coarse_pose`` bit for bit.
+stacks in one pass, and the rotation hypotheses as it built them afresh on
+every call. Kept only to cross-check ``grid_descriptor``,
+``select_coarse_pose`` and ``generate_hypotheses`` bit for bit.
 """
 
 import numpy as np
 
+from twinforge import quaternions as quat
 from twinforge.coarse import (_CELL_IDX, _LUMA, _PAD_IDX, _RESIZE_TO, _SOBEL,
-                              DESCRIPTOR_BINS, DESCRIPTOR_GRID, _resize_weights)
+                              DESCRIPTOR_BINS, DESCRIPTOR_GRID, _cube_rotations,
+                              _resize_weights)
 from twinforge.errors import RejectedInput
+from twinforge.geometry import RigidPose
+
+
+def ref_generate_hypotheses(anchor_translation, rotation_count, seed=0):
+    """Cube-group rotations crossed with 0/30/60 degree yaws, topped up
+    with seeded random rotations, all at one anchor."""
+    anchor = np.asarray(anchor_translation, dtype=float).reshape(3)
+    quats = []
+    for yaw_step in range(3):
+        yaw = quat.quat_from_axis_angle([0, 0, 1], np.deg2rad(30.0 * yaw_step))
+        for R in _cube_rotations():
+            q = quat.quat_multiply(yaw, quat.matrix_to_quat(R))
+            quats.append(quat.quat_normalize(q))
+            if len(quats) == rotation_count:
+                break
+        if len(quats) == rotation_count:
+            break
+    rng = np.random.default_rng(seed)
+    while len(quats) < rotation_count:
+        quats.append(quat.random_quat(rng))
+    return tuple(RigidPose(q, anchor) for q in quats[:rotation_count])
 
 
 def ref_grid_descriptor(image):

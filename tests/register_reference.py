@@ -1,8 +1,10 @@
 """Reference registration steps, kept only to cross-check
 ``twinforge.register`` bit for bit.
 
-``ref_compute_fpfh`` builds the neighbour pairs with a Python double loop
-and aggregates them with a row-indexed ``np.add.at``. ``ref_ransac_register``
+``ref_compute_fpfh`` builds the ordered neighbour pairs with a Python double
+loop, describes every ordered pair (i, j) on its own with a frozen copy of
+the Darboux-feature step (``ref_pair_features``), and aggregates them with a
+row-indexed ``np.add.at``. ``ref_ransac_register``
 scores its hypotheses by moving every correspondence under every hypothesis
 with one ``einsum`` into a (trials, C, 3) array and taking its norm.
 """
@@ -12,8 +14,34 @@ from scipy.spatial import cKDTree
 
 from twinforge.geometry import RigidPose
 from twinforge.register import (_BINS, RMSE_INF, RansacParams,
-                                RegistrationResult, _bin_index, _pair_features,
-                                kabsch, mutual_correspondences)
+                                RegistrationResult, _bin_index, kabsch,
+                                mutual_correspondences)
+
+
+def ref_pair_features(p1, p2, n1, n2):
+    """Darboux-frame angle features (alpha, phi, theta) and a validity flag
+    for the ordered pairs (p1, n1) -> (p2, n2)."""
+    dp = p2 - p1
+    d = np.linalg.norm(dp, axis=1)
+    ok = d > 1e-12
+    dpn = np.zeros_like(dp)
+    dpn[ok] = dp[ok] / d[ok, None]
+    a1 = np.einsum("ni,ni->n", n1, dpn)
+    a2 = np.einsum("ni,ni->n", n2, dpn)
+    swap = np.abs(a1) < np.abs(a2)
+    src_n = np.where(swap[:, None], n2, n1)
+    tgt_n = np.where(swap[:, None], n1, n2)
+    dpn = np.where(swap[:, None], -dpn, dpn)
+    phi = np.einsum("ni,ni->n", src_n, dpn)
+    v = np.cross(dpn, src_n)
+    vnorm = np.linalg.norm(v, axis=1)
+    ok &= vnorm > 1e-12
+    v[ok] = v[ok] / vnorm[ok, None]
+    w = np.cross(src_n, v)
+    alpha = np.einsum("ni,ni->n", v, tgt_n)
+    theta = np.arctan2(np.einsum("ni,ni->n", w, tgt_n),
+                       np.einsum("ni,ni->n", src_n, tgt_n))
+    return alpha, phi, theta, ok
 
 
 def ref_compute_fpfh(cloud, normals, radius=None, valid=None):
@@ -42,7 +70,8 @@ def ref_compute_fpfh(cloud, normals, radius=None, valid=None):
         return spfh
     pi = np.asarray(pi)
     pj = np.asarray(pj)
-    alpha, phi, theta, ok = _pair_features(pts[pi], pts[pj], normals[pi], normals[pj])
+    alpha, phi, theta, ok = ref_pair_features(pts[pi], pts[pj], normals[pi],
+                                              normals[pj])
     pi, pj = pi[ok], pj[ok]
     ba = _bin_index(alpha[ok], -1.0, 1.0)
     bp = _bin_index(phi[ok], -1.0, 1.0)

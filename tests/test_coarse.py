@@ -4,12 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
-from coarse_reference import ref_cosine_similarity, ref_grid_descriptor
+from coarse_reference import (ref_cosine_similarity, ref_generate_hypotheses,
+                              ref_grid_descriptor)
 from twinforge import quaternions as quat
 from twinforge.benchmark import BENCHMARK_PRIMITIVES
 from twinforge.camera import BinaryMask, ColorImage
 from twinforge.coarse import (DESCRIPTOR_DIM, _cosine_similarities,
-                              _scoring_intrinsics, generate_hypotheses,
+                              _hypothesis_quats, _scoring_intrinsics,
+                              generate_hypotheses,
                               grid_descriptor, mask_observation,
                               partial_cloud_from_pose, select_coarse_pose)
 from twinforge.errors import RejectedInput
@@ -41,6 +43,22 @@ def test_hypotheses_random_supplement_deterministic():
     assert not np.array_equal(a[99].rotation, c[99].rotation)
     with pytest.raises(RejectedInput):
         generate_hypotheses(np.zeros(3), 0)
+
+
+@pytest.mark.parametrize("count,seed", [(1, 0), (24, 0), (72, 0), (73, 2),
+                                        (384, 0), (384, 7)])
+def test_hypotheses_match_reference_on_every_call(count, seed):
+    # the quaternion table is built once per (count, seed); a repeated call
+    # and a fresh build give the same poses bit for bit
+    want = ref_generate_hypotheses([0.01, -0.02, 0.4], count, seed)
+    for _ in range(2):
+        got = generate_hypotheses([0.01, -0.02, 0.4], count, seed)
+        assert len(got) == len(want) == count
+        for g, w in zip(got, want):
+            assert g.rotation.tobytes() == w.rotation.tobytes()
+            assert g.translation.tobytes() == w.translation.tobytes()
+    with pytest.raises(ValueError):
+        _hypothesis_quats(count, seed)[0, 0] = 2.0
 
 
 def test_72_hypothesis_covering_radius():

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from twinforge import quaternions as quat
+from twinforge import register
 from twinforge.errors import RejectedInput, StageFailureError
 from twinforge.geometry import PointCloud, RigidPose, sample_mesh_surface
 from twinforge.register import (AlignConfig, IcpParams, RansacParams,
@@ -15,7 +17,8 @@ from twinforge.register import (AlignConfig, IcpParams, RansacParams,
                                 ransac_register, two_stage_align)
 from twinforge.synth import make_ramp, synthetic_observation
 
-from register_reference import ref_compute_fpfh, ref_ransac_register
+from register_reference import (ref_compute_fpfh, ref_pair_features,
+                                ref_ransac_register)
 
 
 def _aabb_corner_cloud(extents):
@@ -132,6 +135,148 @@ def test_fpfh_matches_loop_reference_on_alignment_clouds():
         normals, valid = estimate_normals(mesh_pts)
         assert np.array_equal(compute_fpfh(mesh_pts, normals, valid=valid),
                               ref_compute_fpfh(mesh_pts, normals, valid=valid))
+
+
+def _unit_rows(rng, n):
+    v = rng.normal(size=(n, 3))
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+def _flat_grid(n=12, spacing=0.005):
+    # one normal for all: every pair line lies in the plane, |n.d| = 0 twice
+    cloud = _plane_cloud(n, spacing, z=0.3)
+    return cloud.points, np.tile([0.0, 0.0, -1.0], (len(cloud), 1))
+
+
+def _mirrored_pairs(n=60, seed=0):
+    # each point and normal mirrored about z = 0: n1.d == -(n2.d)
+    rng = np.random.default_rng(seed)
+    top = np.column_stack([rng.uniform(0, 0.05, (n, 2)),
+                           rng.uniform(0.001, 0.01, n)])
+    flip = np.array([1.0, 1.0, -1.0])
+    normals = _unit_rows(rng, n)
+    return np.vstack([top, top * flip]), np.vstack([normals, normals * flip])
+
+
+def _stacked_twins(n=60, seed=0):
+    # each point has a twin 4 mm straight above it whose normal is its own
+    # turned about z: n1.d == n2.d, so read from the twin the pair's phi
+    # changes sign
+    rng = np.random.default_rng(seed)
+    low = np.column_stack([rng.uniform(0, 0.05, (n, 2)), np.full(n, 0.3)])
+    normals = _unit_rows(rng, n)
+    turn = rng.uniform(0, 2 * np.pi, n)
+    c, s = np.cos(turn), np.sin(turn)
+    turned = np.column_stack([c * normals[:, 0] - s * normals[:, 1],
+                              s * normals[:, 0] + c * normals[:, 1], normals[:, 2]])
+    return np.vstack([low, low + [0.0, 0.0, 0.004]]), np.vstack([normals, turned])
+
+
+def _recorded_fpfh(monkeypatch, pts, normals, radius=None, valid=None):
+    """compute_fpfh's output and the (i, j) index pairs each
+    ``_pair_features`` call described, with the first call's tie flags."""
+    calls = []
+    real = register._pair_features
+
+    def recording(p1, p2, n1, n2):
+        out = real(p1, p2, n1, n2)
+        calls.append((p1, p2, out[4]))
+        return out
+
+    monkeypatch.setattr(register, "_pair_features", recording)
+    desc = compute_fpfh(PointCloud(pts), normals, radius, valid)
+    index = {tuple(p): i for i, p in enumerate(pts)}
+    described = [[(index[tuple(a)], index[tuple(b)]) for a, b in zip(p1, p2)]
+                 for p1, p2, _ in calls]
+    return desc, described, calls[0][2]
+
+
+@pytest.mark.parametrize("make", [_flat_grid, _mirrored_pairs, _stacked_twins])
+def test_fpfh_matches_loop_reference_on_tied_pairs(make, monkeypatch):
+    pts, normals = make()
+    desc, _, tie = _recorded_fpfh(monkeypatch, pts, normals)
+    assert tie.sum() > 0
+    assert np.array_equal(desc, ref_compute_fpfh(PointCloud(pts), normals))
+
+
+def test_stacked_twins_read_differently_from_each_end():
+    # why a tied pair is described again: read backward, phi flips sign
+    pts, normals = _stacked_twins()
+    low, high = slice(0, 60), slice(60, 120)
+    phi_up = ref_pair_features(pts[low], pts[high], normals[low], normals[high])[1]
+    phi_down = ref_pair_features(pts[high], pts[low], normals[high], normals[low])[1]
+    assert np.array_equal(phi_down, -phi_up) and np.all(phi_up != 0)
+
+
+def test_fpfh_describes_each_pair_once_and_tied_pairs_twice(monkeypatch):
+    # stacked twins plus scattered points, some normals invalid
+    rng = np.random.default_rng(3)
+    twins, twin_normals = _stacked_twins(40, seed=3)
+    scatter = np.column_stack([rng.uniform(0, 0.05, (80, 2)),
+                               rng.uniform(0.29, 0.31, 80)])
+    pts = np.vstack([twins, scatter])
+    normals = np.vstack([twin_normals, _unit_rows(rng, 80)])
+    valid = rng.random(len(pts)) > 0.1
+    radius = 0.012
+    desc, described, tie = _recorded_fpfh(monkeypatch, pts, normals, radius, valid)
+    neighbours = cKDTree(pts).query_ball_point(pts, radius)
+    want = {(i, j) for i, lst in enumerate(neighbours) for j in lst
+            if i < j and valid[i] and valid[j]}
+    forward, backward = described[0], sum(described[1:], [])
+    assert len(forward) == len(want) == len(set(forward))
+    assert {tuple(sorted(p)) for p in forward} == want
+    tied = [p for p, t in zip(forward, tie) if t]
+    assert len(tied) >= 30
+    assert sorted(backward) == sorted((j, i) for i, j in tied)
+    assert np.array_equal(desc, ref_compute_fpfh(PointCloud(pts), normals,
+                                                 radius, valid))
+
+
+def test_fpfh_all_duplicate_cloud_is_all_zero():
+    pts = np.tile([[0.01, -0.02, 0.3]], (40, 1))
+    normals = _unit_rows(np.random.default_rng(0), 40)
+    for radius in (None, 0.01):
+        desc = compute_fpfh(PointCloud(pts), normals, radius)
+        assert desc.shape == (40, 33) and not desc.any()
+        assert np.array_equal(desc, ref_compute_fpfh(PointCloud(pts), normals,
+                                                     radius))
+
+
+def _nan_row(a, row):
+    a = a.copy()
+    a[row] = np.nan
+    return a
+
+
+_FPFH_NORMALS = _unit_rows(np.random.default_rng(1), 50)
+
+
+@pytest.mark.parametrize("bad", [
+    {"valid": np.ones(50, int)},  # an index array, not a mask
+    {"valid": np.ones(40, bool)},
+    {"valid": np.ones(60, bool)},
+    {"normals": _FPFH_NORMALS[:40]},
+    {"normals": _FPFH_NORMALS[:, :2]},
+    {"normals": _nan_row(_FPFH_NORMALS, 3)},
+    {"radius": -1.0},
+    {"radius": 0.0},
+    {"radius": float("nan")},
+    {"radius": float("inf")},
+])
+def test_fpfh_rejects_bad_input(bad):
+    cloud = PointCloud(np.random.default_rng(1).normal(scale=0.02, size=(50, 3)))
+    args = {"normals": _FPFH_NORMALS, "radius": None, "valid": None, **bad}
+    with pytest.raises(RejectedInput):
+        compute_fpfh(cloud, **args)
+
+
+def test_fpfh_ignores_nan_normals_flagged_invalid():
+    cloud = PointCloud(np.random.default_rng(2).normal(scale=0.02, size=(50, 3)))
+    normals = _nan_row(_FPFH_NORMALS, 3)
+    valid = np.arange(50) != 3
+    desc = compute_fpfh(cloud, normals, valid=valid)
+    assert not desc[3].any() and desc[valid].any()
+    assert np.array_equal(desc, ref_compute_fpfh(cloud, normals, valid=valid))
 
 
 def test_kabsch_exact():
