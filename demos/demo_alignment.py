@@ -1,7 +1,8 @@
 """Two-stage pose alignment on a synthetic RGB-D observation.
 
-Generates a rendered observation of a box with a random pose and scale,
-runs the coarse render-and-compare stage followed by FPFH RANSAC + ICP,
+Generates a rendered observation of a box with a random resting pose and
+scale, runs the coarse render-and-compare stage (rest poses under the
+camera's gravity) followed by FPFH RANSAC + ICP,
 and reports the pose error. Writes the observation and an overlay of the
 aligned model into --out.
 
@@ -26,7 +27,8 @@ def main():
     ap.add_argument("--out", required=True)
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--rotations", type=int, default=384,
-                    help="coarse hypothesis count (384 = production setting)")
+                    help="coarse hypothesis count, a multiple of 6 "
+                    "(384 = production setting)")
     args = ap.parse_args()
     os.makedirs(args.out, exist_ok=True)
 
@@ -38,7 +40,8 @@ def main():
           f"diameter {obs.diameter:.3f} m")
 
     res = two_stage_align(obs.unit_mesh, obs.color, obs.depth, obs.mask,
-                          obs.intrinsics, AlignConfig(rotation_count=args.rotations))
+                          obs.intrinsics, AlignConfig(rotation_count=args.rotations),
+                          obs.camera_pose)
 
     # a box looks identical under 180-degree flips, so measure the rotation
     # error modulo its D2 symmetry group
@@ -57,8 +60,8 @@ def main():
     print(f"rotation error    : {rot_err:.1f} deg "
           "(up to a box symmetry flip)")
     print(f"translation error : {trans_err * 1000:.1f} mm")
-    print(f"recovered scale   : {np.round(res.scale.per_axis, 3)} "
-          f"(true {np.round(obs.true_scale, 3)})")
+    print(f"recovered scale   : {res.scale:.3f} "
+          f"(true {obs.true_scale:.3f})")
 
     overlay = render(res.scaled_mesh, res.final_pose, obs.intrinsics)
     save_color_ppm(os.path.join(args.out, "aligned_overlay.ppm"), overlay.rgb)

@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Verbs: align (two-stage alignment only), bench-align (alignment benchmark),
-plan (full pipeline), simulate (settle one strategy), gen-scene (synthetic
-scene generator). Exit codes: 0 success, 2 stage failure (the report is
-still written), 3 invalid input.
+bench-plan (plans over scene seeds), plan (full pipeline), simulate (settle
+one strategy), gen-scene (synthetic scene generator). Exit codes: 0
+success, 2 stage failure (the report is still written), 3 invalid input.
 """
 
 from __future__ import annotations
@@ -12,12 +12,14 @@ import argparse
 import json
 import os
 import sys
+import time
 from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 
-from .benchmark import (BENCHMARK_PRIMITIVES, alignment_benchmark,
-                        write_benchmark_csv)
+from .benchmark import (BENCHMARK_PRIMITIVES, GOOD_TWIN_MM, PLAN_SEEDS,
+                        alignment_benchmark, plan_benchmark,
+                        write_benchmark_csv, write_plan_csv)
 from .errors import NoFeasibleGrasp, RejectedInput, StageFailureError
 from .geometry import RigidPose
 from .pipeline import PipelineConfig, align_scene, run_and_write
@@ -123,6 +125,31 @@ def cmd_bench_align(args) -> int:
     return EXIT_OK
 
 
+def cmd_bench_plan(args) -> int:
+    config = build_pipeline_config(_load_config(args.config))
+    seed0 = args.seed or 0
+    t0 = time.perf_counter()
+    rows = plan_benchmark(seed0, config)
+    elapsed = time.perf_counter() - t0
+    out = args.out or "."
+    os.makedirs(out, exist_ok=True)
+    path = os.path.join(out, "bench_plan.csv")
+    write_plan_csv(path, rows)
+    for task in dict.fromkeys(r.task for r in rows):
+        mine = [r for r in rows if r.task == task]
+        worst = [max(r.twin_err_mm.values()) for r in mine if r.twin_err_mm]
+        print(f"{task}: goal {sum(r.goal_met for r in mine)}/{len(mine)}, "
+              f"every object < {GOOD_TWIN_MM:g} mm "
+              f"{sum(r.twin_good for r in mine)}/{len(mine)}, median worst "
+              f"{np.median(worst) if worst else float('nan'):.1f} mm")
+    print(f"seeds {seed0}-{seed0 + PLAN_SEEDS - 1}: goal "
+          f"{sum(r.goal_met for r in rows)}/{len(rows)}, every object < "
+          f"{GOOD_TWIN_MM:g} mm {sum(r.twin_good for r in rows)}/{len(rows)}, "
+          f"{elapsed:.0f} s")
+    print(f"benchmark written: {path}")
+    return EXIT_OK
+
+
 def cmd_plan(args) -> int:
     spec = load_scene_spec(_require(args, "scene"))
     config = build_pipeline_config(_load_config(args.config))
@@ -195,6 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
     add("align", cmd_align, "two-stage alignment of every scene object")
     add("bench-align", cmd_bench_align,
         "two-stage vs direct alignment benchmark")
+    add("bench-plan", cmd_bench_plan,
+        f"plan {PLAN_SEEDS} scene seeds of every task, scored against the truth")
     add("plan", cmd_plan, "full observation-to-strategy pipeline")
     add("simulate", cmd_simulate, "settle one strategy in the aligned twin",
         extra=lambda p: p.add_argument(

@@ -1,6 +1,7 @@
 """Coarse pose alignment: hypothesis generation, view features, best-pose search.
 
-Stage 1 of the two-stage alignment. All rotation hypotheses are rendered
+Stage 1 of the two-stage alignment. The hypotheses are rest poses under
+gravity, seen from the camera. All rotation hypotheses are rendered
 into one stack of small tiles, the stack is described by appearance
 feature vectors in one batched pass, and each vector is scored by cosine
 similarity against the (masked) observation's; the winner seeds the fine
@@ -14,7 +15,6 @@ hypotheses are batched.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +23,7 @@ from . import quaternions as quat
 from .camera import BinaryMask, CameraIntrinsics, ColorImage, backproject
 from .geometry import PointCloud, RejectedInput, RigidPose, TriangleMesh
 from .render import BACKGROUND, render, render_batch
+from .strategy import UP, rest_orientations
 
 DESCRIPTOR_GRID = 8          # cells per side
 DESCRIPTOR_BINS = 8          # gradient orientation bins per cell
@@ -45,54 +46,34 @@ class CoarseAlignment:
     all_scores: tuple  # (hypothesis index, similarity) pairs
 
 
-def _cube_rotations():
-    """The 24 rotation matrices of the cube group, identity first."""
-    mats = []
-    for perm in itertools.permutations(range(3)):
-        for signs in itertools.product((1, -1), repeat=3):
-            R = np.zeros((3, 3))
-            for row, col in enumerate(perm):
-                R[row, col] = signs[row]
-            if np.linalg.det(R) > 0.5:
-                mats.append(R)
-    mats.sort(key=lambda R: round(float(np.linalg.norm(R - np.eye(3))), 9))
-    return mats
-
-
-@functools.lru_cache(maxsize=8)
-def _hypothesis_quats(rotation_count: int, seed: int) -> np.ndarray:
-    """Read-only (rotation_count, 4) table of the hypothesis quaternions."""
-    cube = _cube_rotations()
-    quats = []
-    for yaw_step in range(3):
-        yaw = quat.quat_from_axis_angle([0, 0, 1], np.deg2rad(30.0 * yaw_step))
-        for R in cube:
-            q = quat.quat_multiply(yaw, quat.matrix_to_quat(R))
-            quats.append(quat.quat_normalize(q))
-    quats = quats[:rotation_count]
-    rng = np.random.default_rng(seed)
-    while len(quats) < rotation_count:
-        quats.append(quat.random_quat(rng))
-    table = np.array(quats)
-    table.setflags(write=False)
-    return table
+def check_rotation_count(n) -> None:
+    """RejectedInput unless n is a positive multiple of 6: n / 6 yaws of each
+    rest orientation."""
+    if (isinstance(n, bool) or not isinstance(n, (int, np.integer))
+            or n <= 0 or n % 6):
+        raise RejectedInput(
+            f"rotation_count must be a positive multiple of 6, got {n!r}")
 
 
 def generate_hypotheses(anchor_translation, rotation_count: int,
-                        seed: int = 0) -> tuple:
-    """Quasi-uniform rotation hypotheses sharing one anchor translation, as a
-    tuple of poses.
-
-    The deterministic base set is 24 cube-group rotations crossed with yaw
-    offsets of 0/30/60 degrees (72 rotations); identity comes first. Counts
-    beyond 72 are topped up with seeded uniform random rotations. The
-    rotations depend only on (rotation_count, seed) and are built once.
-    """
-    if rotation_count < 1:
-        raise RejectedInput("rotation_count must be >= 1")
+                        world_from_camera: RigidPose | None = None) -> tuple:
+    """Rest-pose rotation hypotheses in the camera frame at one anchor
+    translation, as a tuple of poses: each of the six
+    ``strategy.rest_orientations()`` under ``rotation_count / 6`` evenly
+    spaced yaws about world +z (rest-major, yaw 0 first), composed with the
+    inverse of ``world_from_camera``'s rotation (None: identity, so the yaws
+    turn about the optical axis)."""
+    check_rotation_count(rotation_count)
+    yaws = rotation_count // 6
+    camera_from_world = (quat.IDENTITY if world_from_camera is None
+                         else quat.quat_conjugate(world_from_camera.rotation))
     anchor = np.asarray(anchor_translation, dtype=float).reshape(3)
-    return tuple(RigidPose(q, anchor)
-                 for q in _hypothesis_quats(rotation_count, seed))
+    return tuple(
+        RigidPose(quat.quat_normalize(quat.quat_multiply(
+            camera_from_world, quat.quat_multiply(
+                quat.quat_from_axis_angle(UP, 2 * np.pi * k / yaws), rest))),
+            anchor)
+        for rest in rest_orientations() for k in range(yaws))
 
 
 @functools.lru_cache(maxsize=64)

@@ -1,9 +1,10 @@
 """End-to-end run: observation -> digital twin -> ranked strategy.
 
-Stages execute in a fixed order; the first StageFailureError short-circuits
-the run into a failure report naming the stage and reason. All numeric
-results are deterministic for a fixed scene spec and seed, independent of
-the worker count.
+The twin is built by ``coarse-align`` (rest-pose search and scale) and
+``fine-register`` (RANSAC, ICP, grounding). Stages execute in a fixed
+order; the first StageFailureError short-circuits the run into a failure
+report naming the stage and reason. All numeric results are deterministic
+for a fixed scene spec and seed, independent of the worker count.
 """
 
 from __future__ import annotations
@@ -23,10 +24,11 @@ from .grasp import (filter_by_object_proximity, load_grasp_candidates,
                     synthetic_grasp_provider, top_k_by_confidence)
 from .materials import material_lookup
 from .quaternions import quat_to_matrix
-from .register import MIN_MASK_PIXELS, AlignConfig, two_stage_align
+from .register import (MIN_MASK_PIXELS, AlignConfig, coarse_align,
+                       fine_register)
 from .scene import RunReport, SceneSpec, pose_to_json
 from .simulate import (GeometricEvaluator, SceneObject, SceneTwin, SettleSimulator,
-                       SimConfig, label_samples, render_outcome)
+                       SimConfig, ground_objects, label_samples, render_outcome)
 from .strategy import (DEFAULT_OFFSET_RADIUS, builtin_reachability,
                        interaction_region, sample_strategies)
 
@@ -75,38 +77,57 @@ def _load_depth(path):
     return load_depth_raw(path)
 
 
+def _coarse_objects(spec: SceneSpec, align_config: AlignConfig, color, depth,
+                    masks, meshes) -> dict:
+    """The coarse step (hypothesis search and scale) of every object."""
+    return {obj.name: coarse_align(meshes[obj.name], color, depth,
+                                   masks[obj.name], spec.intrinsics,
+                                   align_config, spec.camera_pose)
+            for obj in spec.objects}
+
+
+def _register_objects(spec: SceneSpec, meshes, coarse: dict):
+    """The fine step (RANSAC and ICP) of every object, into the world frame,
+    then grounding. Returns (SceneTwin, per-object info dict)."""
+    fits = [fine_register(meshes[obj.name], *coarse[obj.name])
+            for obj in spec.objects]
+    grounded, shifts = ground_objects([
+        SceneObject(obj.name, fit.scaled_mesh,
+                    spec.camera_pose.compose(fit.final_pose),
+                    material_lookup(obj.material)[0], obj.role)
+        for obj, fit in zip(spec.objects, fits)])
+    info = {}
+    for obj, twin_obj, fit, shift in zip(spec.objects, grounded, fits, shifts):
+        info[obj.name] = {
+            "pose_world": pose_to_json(twin_obj.pose),
+            "rmse": fit.registration.rmse,
+            "converged": bool(fit.registration.converged),
+            "ransac_inlier_fraction": fit.ransac.inlier_fraction,
+            "ransac_converged": bool(fit.ransac.converged),
+            "ground_shift_m": shift,
+            "scale": fit.scale,
+            "coarse_similarity": fit.coarse.similarity,
+            "material_known": material_lookup(obj.material)[1],
+        }
+    return SceneTwin(grounded), info
+
+
 def align_scene(spec: SceneSpec, align_config: AlignConfig,
                 color=None, depth=None, masks=None, meshes=None):
-    """Two-stage alignment of every scene object into a world-frame twin.
+    """Two-stage alignment of every scene object into a grounded world-frame
+    twin: the coarse step of every object, then the fine step and grounding.
 
     Returns (SceneTwin, per-object info dict). Assets are loaded from the
     spec unless the caller passes them in.
     """
     color = color if color is not None else load_color_ppm(spec.path(spec.rgb))
     depth = depth if depth is not None else _load_depth(spec.path(spec.depth))
-    cam = spec.camera_pose
-    twins = []
-    info = {}
-    for obj in spec.objects:
-        mask = (masks[obj.name] if masks is not None
-                else load_mask_pgm(spec.path(obj.mask)))
-        mesh = (meshes[obj.name] if meshes is not None
-                else load_mesh(spec.path(obj.mesh)))
-        res = two_stage_align(mesh, color, depth, mask, spec.intrinsics,
-                              align_config)
-        world_pose = cam.compose(res.final_pose)
-        material, known = material_lookup(obj.material)
-        twins.append(SceneObject(obj.name, res.scaled_mesh, world_pose,
-                                 material, obj.role))
-        info[obj.name] = {
-            "pose_world": pose_to_json(world_pose),
-            "rmse": res.registration.rmse,
-            "converged": bool(res.registration.converged),
-            "scale": [float(s) for s in res.scale.per_axis],
-            "coarse_similarity": res.coarse.similarity,
-            "material_known": known,
-        }
-    return SceneTwin(tuple(twins)), info
+    masks = masks if masks is not None else {
+        obj.name: load_mask_pgm(spec.path(obj.mask)) for obj in spec.objects}
+    meshes = meshes if meshes is not None else {
+        obj.name: load_mesh(spec.path(obj.mesh)) for obj in spec.objects}
+    return _register_objects(spec, meshes, _coarse_objects(
+        spec, align_config, color, depth, masks, meshes))
 
 
 def run_pipeline(spec: SceneSpec, config: PipelineConfig | None = None,
@@ -188,12 +209,14 @@ def run_pipeline(spec: SceneSpec, config: PipelineConfig | None = None,
         }
 
     # -- coarse-align / fine-register ----------------------------------------
-    def align_all():
-        twin, info = align_scene(spec, config.align, state["color"],
-                                 state["depth"], state["masks"],
-                                 state["meshes"])
-        result.twin = twin
-        report.data["alignment"] = info
+    def coarse_stage():
+        state["coarse"] = _coarse_objects(spec, config.align, state["color"],
+                                          state["depth"], state["masks"],
+                                          state["meshes"])
+
+    def fine_stage():
+        result.twin, report.data["alignment"] = _register_objects(
+            spec, state["meshes"], state["coarse"])
 
     # -- region --------------------------------------------------------------
     def region_stage():
@@ -288,7 +311,7 @@ def run_pipeline(spec: SceneSpec, config: PipelineConfig | None = None,
         }
 
     plan = [("segmentation-load", seg_load), ("grasp", grasp_stage),
-            ("coarse-align", align_all), ("fine-register", lambda: None),
+            ("coarse-align", coarse_stage), ("fine-register", fine_stage),
             ("region", region_stage), ("sampling", sampling_stage),
             ("simulation", simulation_stage),
             ("result-check", result_check_stage),

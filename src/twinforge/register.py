@@ -1,5 +1,5 @@
-"""Fine registration: scale estimation, FPFH + RANSAC global registration,
-ICP refinement, and the two-stage alignment pipeline.
+"""Two-stage alignment of one object: ``coarse_align`` (rest-pose search and
+one similarity scale), then ``fine_register`` (FPFH + RANSAC, then ICP).
 
 All randomized steps take explicit seeds and are deterministic.
 """
@@ -14,28 +14,21 @@ from scipy.spatial import cKDTree
 
 from . import quaternions as quat
 from .camera import BinaryMask, CameraIntrinsics, ColorImage, DepthImage, backproject
-from .coarse import (CoarseAlignment, generate_hypotheses,
-                     partial_cloud_from_pose, select_coarse_pose)
+from .coarse import (CoarseAlignment, check_rotation_count,
+                     generate_hypotheses, partial_cloud_from_pose,
+                     select_coarse_pose)
 from .errors import RejectedInput, StageFailureError
 from .geometry import PointCloud, RigidPose, TriangleMesh, compute_aabb
 
 SCALE_CLAMP = (0.2, 5.0)
 RMSE_INF = np.finfo(float).max
-# seed of the coarse hypotheses; the two clouds are subsampled with the
-# next two seeds
-ALIGN_SEED = 0
-# points per cloud for normals, FPFH, RANSAC and ICP
+# points per cloud for normals, FPFH, RANSAC and ICP, drawn with seeds 1
+# (the coarse partial) and 2 (the observed cloud)
 SUBSAMPLE = 1200
 # fewest valid (masked, finite-depth) pixels an observation may have
 MIN_MASK_PIXELS = 100
 # RANSAC trials scored per block
 _SCORE_BLOCK = 512
-
-
-@dataclass(frozen=True)
-class ScaleEstimate:
-    per_axis: np.ndarray
-    uniform: float
 
 
 @dataclass(frozen=True)
@@ -68,10 +61,10 @@ class RansacParams:
     seed: int = 0
 
 
-def estimate_scale(rendered_partial: PointCloud, observed_partial: PointCloud) -> ScaleEstimate:
-    """Per-axis AABB extent ratio (observed / rendered) in the shared camera
-    frame; degenerate rendered axes fall back to the median ratio. Clamped
-    to [0.2, 5.0]."""
+def estimate_scale(rendered_partial: PointCloud, observed_partial: PointCloud) -> float:
+    """One scale factor: the median ratio (observed / rendered) of the AABB
+    extents in the shared camera frame, over the axes the rendered cloud
+    spans, clamped to SCALE_CLAMP."""
     if len(rendered_partial) == 0 or len(observed_partial) == 0:
         raise RejectedInput("cannot estimate scale from an empty cloud")
     ren = compute_aabb(rendered_partial).extents
@@ -79,12 +72,7 @@ def estimate_scale(rendered_partial: PointCloud, observed_partial: PointCloud) -
     ok = ren >= 1e-4
     if not ok.any():
         raise RejectedInput("rendered cloud is degenerate on all axes")
-    ratios = np.where(ok, obs / np.where(ok, ren, 1.0), np.nan)
-    uniform = float(np.median(ratios[ok]))
-    per_axis = np.where(ok, ratios, uniform)
-    per_axis = np.clip(per_axis, *SCALE_CLAMP)
-    uniform = float(np.clip(np.median(per_axis), *SCALE_CLAMP))
-    return ScaleEstimate(per_axis, uniform)
+    return float(np.clip(np.median(obs[ok] / ren[ok]), *SCALE_CLAMP))
 
 
 def estimate_normals(cloud: PointCloud, k: int = 15):
@@ -153,7 +141,7 @@ def compute_fpfh(cloud: PointCloud, normals, radius: float | None = None,
     Two passes: per-point simplified histograms (SPFH) over the Darboux
     angles, then distance-weighted aggregation over each point's
     neighborhood. Each unordered neighbour pair within ``radius`` (default:
-    5x the mean nearest-neighbour distance) is described once and counted
+    5x the mean nearest-neighbour distance, which needs 2 points) is described once and counted
     in both points' SPFH; only a pair whose normals make equal angles with
     the line between them is described again in reverse. Points with
     invalid normals or no neighbors get all-zero descriptors.
@@ -178,6 +166,8 @@ def compute_fpfh(cloud: PointCloud, normals, radius: float | None = None,
         raise RejectedInput(f"radius must be finite and positive, got {radius}")
     tree = cKDTree(pts)
     if radius is None:
+        if n < 2:
+            raise RejectedInput("the default radius needs at least 2 points")
         d1, _ = tree.query(pts, k=2)
         radius = 5.0 * float(np.mean(d1[:, 1]))
 
@@ -369,8 +359,11 @@ def icp_refine(source: PointCloud, target: PointCloud, init: RigidPose,
 
 @dataclass(frozen=True)
 class AlignConfig:
-    rotation_count: int = 384   # coarse rotation hypotheses
+    rotation_count: int = 384   # coarse hypotheses: rest orientations x yaws
     skip_coarse: bool = False  # direct-alignment ablation: identity coarse pose
+
+    def __post_init__(self):
+        check_rotation_count(self.rotation_count)
 
 
 @dataclass(frozen=True)
@@ -379,7 +372,7 @@ class TwoStageResult:
     final_pose: RigidPose
     registration: RegistrationResult
     coarse: CoarseAlignment
-    scale: ScaleEstimate
+    scale: float
     ransac: RegistrationResult
 
 
@@ -390,10 +383,6 @@ def _subsample(cloud: PointCloud, n: int, seed: int) -> PointCloud:
     idx = np.sort(rng.choice(len(cloud), size=n, replace=False))
     colors = cloud.colors[idx] if cloud.colors is not None else None
     return PointCloud(cloud.points[idx], colors)
-
-
-def _scale_about(points, anchor, factors):
-    return anchor + (points - anchor) * factors
 
 
 def _crop_to_mask(color: ColorImage, mask: BinaryMask,
@@ -426,15 +415,15 @@ def _crop_to_mask(color: ColorImage, mask: BinaryMask,
             cropped_intr)
 
 
-def two_stage_align(mesh: TriangleMesh, color: ColorImage, depth: DepthImage,
-                    mask: BinaryMask, intrinsics: CameraIntrinsics,
-                    config: AlignConfig = AlignConfig()) -> TwoStageResult:
-    """Coarse appearance search, bbox scale estimation, then RANSAC + ICP.
-
-    The returned pose maps the scaled mesh (in its original local frame)
-    into the camera frame. Raises StageFailureError when a stage cannot
-    produce a usable result.
-    """
+def coarse_align(mesh: TriangleMesh, color: ColorImage, depth: DepthImage,
+                 mask: BinaryMask, intrinsics: CameraIntrinsics,
+                 config: AlignConfig = AlignConfig(),
+                 world_from_camera: RigidPose | None = None):
+    """The coarse step: (observed camera-frame cloud, the best rest-pose
+    hypothesis by appearance at the cloud's centroid, one scale for the
+    mesh). ``world_from_camera`` gives gravity, see ``generate_hypotheses``.
+    StageFailureError when the mask is too small or the posed mesh is not
+    visible."""
     valid = depth.valid_mask() & mask.values
     if valid.sum() < MIN_MASK_PIXELS:
         raise StageFailureError("segmentation", "segmentation-too-small")
@@ -447,21 +436,25 @@ def two_stage_align(mesh: TriangleMesh, color: ColorImage, depth: DepthImage,
         coarse = CoarseAlignment(pose0, 1.0, partial, ((0, 1.0),))
     else:
         c_color, c_mask, c_intr = _crop_to_mask(color, mask, intrinsics)
-        hyps = generate_hypotheses(anchor, config.rotation_count, ALIGN_SEED)
+        hyps = generate_hypotheses(anchor, config.rotation_count,
+                                   world_from_camera)
         coarse = select_coarse_pose(mesh, hyps, c_color, c_mask, c_intr)
     if len(coarse.rendered_partial) == 0:
         raise StageFailureError("coarse-align", "mesh-not-visible")
+    return observed, coarse, estimate_scale(coarse.rendered_partial, observed)
 
-    scale = estimate_scale(coarse.rendered_partial, observed)
-    Rc = coarse.best_pose.rotation_matrix()
-    scaled_vertices = (mesh.vertices @ Rc.T * scale.per_axis) @ Rc
-    scaled_mesh = TriangleMesh(scaled_vertices, mesh.triangles,
-                               mesh.vertex_colors, mesh.face_labels)
+
+def fine_register(mesh: TriangleMesh, observed: PointCloud,
+                  coarse: CoarseAlignment, scale: float) -> TwoStageResult:
+    """The fine step after ``coarse_align``: RANSAC over FPFH
+    correspondences, then ICP, from the scaled coarse partial cloud to the
+    observed one. The final pose maps the scaled mesh into the camera frame.
+    StageFailureError when a cloud is too small to describe."""
+    anchor = coarse.best_pose.translation
     scaled_partial = PointCloud(
-        _scale_about(coarse.rendered_partial.points, anchor, scale.per_axis))
-
-    src = _subsample(scaled_partial, SUBSAMPLE, ALIGN_SEED + 1)
-    tgt = _subsample(observed, SUBSAMPLE, ALIGN_SEED + 2)
+        anchor + (coarse.rendered_partial.points - anchor) * scale)
+    src = _subsample(scaled_partial, SUBSAMPLE, 1)
+    tgt = _subsample(observed, SUBSAMPLE, 2)
     try:
         sn, sv = estimate_normals(src)
         tn, tv = estimate_normals(tgt)
@@ -470,9 +463,29 @@ def two_stage_align(mesh: TriangleMesh, color: ColorImage, depth: DepthImage,
     sd = compute_fpfh(src, sn, valid=sv)
     td = compute_fpfh(tgt, tn, valid=tv)
     ransac = ransac_register(src, tgt, sd, td)
-    icp = icp_refine(src, tgt, ransac.pose)
+    # ICP from RANSAC's pose and from the coarse pose itself: the smaller
+    # mean squared residual wins, an unmatched point counting as the
+    # correspondence cap, so a false RANSAC match cannot pull a good coarse
+    # pose away
+    cap = IcpParams().max_correspondence_distance
+    icp = min((icp_refine(src, tgt, init)
+               for init in (ransac.pose, RigidPose.identity())),
+              key=lambda fit: fit.inlier_fraction
+              * (min(fit.rmse, cap) ** 2 - cap ** 2))
     final_pose = icp.pose.compose(coarse.best_pose)
-    return TwoStageResult(scaled_mesh, final_pose, icp, coarse, scale, ransac)
+    return TwoStageResult(mesh.scaled(scale), final_pose, icp, coarse, scale,
+                          ransac)
+
+
+def two_stage_align(mesh: TriangleMesh, color: ColorImage, depth: DepthImage,
+                    mask: BinaryMask, intrinsics: CameraIntrinsics,
+                    config: AlignConfig = AlignConfig(),
+                    world_from_camera: RigidPose | None = None) -> TwoStageResult:
+    """``coarse_align`` then ``fine_register``. Only the frozen perfbench
+    ``align-trials`` workload leaves ``world_from_camera`` at None."""
+    return fine_register(mesh, *coarse_align(mesh, color, depth, mask,
+                                             intrinsics, config,
+                                             world_from_camera))
 
 
 def alignment_success(estimated: RigidPose, truth: RigidPose,

@@ -24,6 +24,9 @@ apart from one memo: the manipulated mesh's cast index per (rotation, cast
 direction), built on first use. An entry depends only on its key, so
 concurrent workers see the same answers whichever of them fills it.
 
+The same lift and drop ground an aligned twin (``ground_objects``), each
+object onto the ground or the objects grounded before it.
+
 A settle returns poses, contacts and flags only. ``render_outcome`` draws a
 settled scene from the fixed checker viewpoint, for callers that write an
 image of it.
@@ -34,7 +37,7 @@ placement predicates on the settled scene, standing in for a VLM judge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -179,8 +182,6 @@ class _SettleContext:
     def __init__(self, scene: SceneTwin, config: SimConfig):
         self.scene = scene
         manip = scene.manipulated
-        if not is_watertight(manip.mesh):
-            raise StageFailureError("simulation", "non-watertight-mesh")
         self.mesh = manip.mesh
         self.local_samples = sample_mesh_surface(
             manip.mesh, config.surface_samples, config.seed).points
@@ -323,6 +324,37 @@ class _SettleContext:
         return pose.apply(self.local_com)
 
 
+def _solid_context(scene: SceneTwin, config: SimConfig) -> _SettleContext:
+    """The settle context of a scene whose manipulated mesh encloses a
+    solid, as a settle's centre of mass and stability test need."""
+    if not is_watertight(scene.manipulated.mesh):
+        raise StageFailureError("simulation", "non-watertight-mesh")
+    return _SettleContext(scene, config)
+
+
+def ground_objects(objects, config: SimConfig = SimConfig()):
+    """Translate each scene object along z to its first contact below it:
+    the ground or an object grounded before it, lowest vertex first. An
+    object is freed with ``_SettleContext.lift_free`` and put down with
+    ``drop``, never toppled. Returns (grounded objects in the given order,
+    z shift of each); one that cannot be freed within _MAX_LIFT fails
+    fine-register with ``cannot-ground:<name>``."""
+    lowest = [float(o.pose.apply(o.mesh.vertices)[:, 2].min()) for o in objects]
+    grounded = {}
+    for i in np.argsort(lowest, kind="stable"):
+        obj = objects[i]
+        below = tuple(replace(o, role="static") for o in grounded.values())
+        ctx = _SettleContext(
+            SceneTwin((replace(obj, role="manipulated"),) + below), config)
+        free = ctx.lift_free(obj.pose)
+        if free is None:
+            raise StageFailureError("fine-register", f"cannot-ground:{obj.name}")
+        grounded[i] = replace(obj, pose=ctx.drop(free))
+    out = tuple(grounded[i] for i in range(len(objects)))
+    return out, [float(g.pose.translation[2] - o.pose.translation[2])
+                 for g, o in zip(out, objects)]
+
+
 def _hull_2d(points2d):
     """Ordered convex hull vertices, or None when degenerate."""
     if len(points2d) < 3:
@@ -366,7 +398,7 @@ def settle_simulate(scene: SceneTwin, sample: StrategySample,
     """Built-in Simulator: penetration check, gravity drop, and
     support-polygon stability with bounded toppling. config sets the surface
     sampling of the context built here; a passed _ctx carries its own."""
-    ctx = _SettleContext(scene, config) if _ctx is None else _ctx
+    ctx = _solid_context(scene, config) if _ctx is None else _ctx
     pose = sample.object_pose
 
     depth = ctx.penetration_depth(pose)
@@ -453,7 +485,7 @@ class SettleSimulator:
 
     def __init__(self, scene: SceneTwin, config: SimConfig = SimConfig()):
         self.scene = scene
-        self._ctx = _SettleContext(scene, config)
+        self._ctx = _solid_context(scene, config)
 
     def __call__(self, scene, sample):
         if scene is not self.scene:

@@ -22,6 +22,7 @@ from .geometry import RigidPose, TriangleMesh
 from .render import render_scene
 from .simulate import checker_viewpoint
 from .solids import signed_volume
+from .strategy import rest_orientations
 
 PRIMITIVES = ("box", "cylinder", "open_box", "cup", "ramp")
 
@@ -336,11 +337,8 @@ def synthetic_observation(primitive_spec: str, seed: int = 0,
     if intrinsics is None:
         intrinsics = default_intrinsics()
 
-    rests = (
-        quat.IDENTITY.copy(),
-        quat.quat_from_axis_angle([1, 0, 0], np.pi / 2),
-        quat.quat_from_axis_angle([0, 1, 0], np.pi / 2),
-    )
+    # identity and the +90 degree rolls about x and y
+    rests = [rest_orientations()[i] for i in (0, 1, 3)]
     ri = int(rng.integers(len(rests))) if rest_index is None else rest_index
     yaw = quat.quat_from_axis_angle([0, 0, 1], rng.uniform(0, 2 * np.pi))
     q = quat.quat_normalize(quat.quat_multiply(yaw, rests[ri]))

@@ -6,10 +6,14 @@ import pytest
 from twinforge import quaternions as quat
 from twinforge.benchmark import (BENCHMARK_PRIMITIVES, BenchmarkReport,
                                  BenchmarkRow, alignment_benchmark,
+                                 plan_trial, surface_distance_mm,
                                  symmetry_aware_success, symmetry_group,
-                                 write_benchmark_csv)
+                                 truth_twin, write_benchmark_csv,
+                                 write_plan_csv)
 from twinforge.geometry import RigidPose
 from twinforge.register import AlignConfig
+from twinforge.scene import load_scene_spec
+from twinforge.synth import generate_synthetic_scene
 
 
 def test_symmetry_group_sizes():
@@ -71,3 +75,27 @@ def test_small_benchmark_and_csv_layout(tmp_path):
 def test_benchmark_row_structure():
     row = BenchmarkRow("box:1,1,1", 10, 0.8, 0.002, 0.1, 0.005)
     assert row.two_stage_rate > row.direct_rate
+
+
+def test_plan_trial_scores_a_plan_against_its_truth(tmp_path):
+    spec = load_scene_spec(generate_synthetic_scene(
+        "cube-onto-cube", str(tmp_path / "scene"), seed=2))
+    truth = truth_twin(spec)
+    # the truth is its own twin: zero surface distance
+    cube = truth.by_name("cube")
+    assert surface_distance_mm(cube.mesh, cube.pose, cube.mesh,
+                               cube.pose) == pytest.approx(0.0, abs=1e-9)
+    row = plan_trial("cube-onto-cube", spec)
+    assert (row.task, row.seed, row.status, row.failed_stage) == (
+        "cube-onto-cube", 2, "success", None)
+    assert set(row.twin_err_mm) == {"cube", "base"}
+    assert row.goal_met and row.twin_good and row.positive > 0
+    path = tmp_path / "bench_plan.csv"
+    write_plan_csv(path, [row])
+    with open(path) as f:
+        rows = list(csv.reader(f))
+    assert rows[0] == ["task", "seed", "status", "failed_stage", "goal_met",
+                       "twin_err_mm", "worst_err_mm", "positive_labels",
+                       "plan_s"]
+    assert rows[1][:5] == ["cube-onto-cube", "2", "success", "", "1"]
+    assert rows[1][5].startswith("cube=") and ";base=" in rows[1][5]

@@ -41,6 +41,22 @@ def test_build_pipeline_config_sections():
             build_pipeline_config(bad)
 
 
+@pytest.mark.parametrize("count", [0, 25, 72.0, "384", True])
+def test_rotation_count_must_be_a_positive_multiple_of_6(scene_dir, tmp_path,
+                                                          count):
+    # six rest orientations share the hypotheses: any other count is invalid
+    # input, rejected before any work
+    with pytest.raises(RejectedInput):
+        AlignConfig(rotation_count=count)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"align": {"rotation_count": count}}))
+    out = tmp_path / "out"
+    rc = main(["plan", "--scene", str(scene_dir / "scene.json"),
+               "--out", str(out), "--config", str(cfg)])
+    assert rc == EXIT_INVALID_INPUT
+    assert not out.exists()
+
+
 # former config keys: each value is now a module constant or the default of
 # the layer function that uses it, so a config file cannot set it
 DELETED_CONFIG_KEYS = [
@@ -200,7 +216,10 @@ def test_align_verb(scene_dir, tmp_path):
     assert set(doc) == {"cube", "base"}
     for rec in doc.values():
         assert {"pose_world", "rmse", "converged", "scale",
-                "coarse_similarity", "material_known"} <= set(rec)
+                "coarse_similarity", "material_known",
+                "ransac_inlier_fraction", "ransac_converged",
+                "ground_shift_m"} <= set(rec)
+        assert isinstance(rec["scale"], float)
 
 
 def test_simulate_verb_with_explicit_pose(scene_dir, tmp_path):

@@ -4,19 +4,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
-from coarse_reference import (ref_cosine_similarity, ref_generate_hypotheses,
-                              ref_grid_descriptor)
+from coarse_reference import ref_cosine_similarity, ref_grid_descriptor
 from twinforge import quaternions as quat
 from twinforge.benchmark import BENCHMARK_PRIMITIVES
 from twinforge.camera import BinaryMask, ColorImage
 from twinforge.coarse import (DESCRIPTOR_DIM, _cosine_similarities,
-                              _hypothesis_quats, _scoring_intrinsics,
-                              generate_hypotheses,
+                              _scoring_intrinsics, generate_hypotheses,
                               grid_descriptor, mask_observation,
                               partial_cloud_from_pose, select_coarse_pose)
 from twinforge.errors import RejectedInput
 from twinforge.geometry import RigidPose, sample_mesh_surface
 from twinforge.render import render, render_batch
+from twinforge.strategy import rest_orientations
 from twinforge.synth import default_intrinsics, make_box, primitive_from_spec
 
 
@@ -25,7 +24,7 @@ def test_hypotheses_count_and_anchor():
     assert len(hyps) == 72
     for p in hyps:
         assert np.allclose(p.translation, [0.0, 0.0, 0.5])
-    # identity comes first
+    # identity (first rest orientation, yaw 0) comes first
     assert np.allclose(hyps[0].rotation, quat.IDENTITY, atol=1e-12)
     # all distinct
     quats = np.array([p.rotation for p in hyps])
@@ -34,43 +33,55 @@ def test_hypotheses_count_and_anchor():
     assert dots.max() < 1.0 - 1e-9
 
 
-def test_hypotheses_random_supplement_deterministic():
-    a = generate_hypotheses(np.zeros(3), 100, seed=5)
-    b = generate_hypotheses(np.zeros(3), 100, seed=5)
-    for pa, pb in zip(a, b):
-        assert np.array_equal(pa.rotation, pb.rotation)
-    c = generate_hypotheses(np.zeros(3), 100, seed=6)
-    assert not np.array_equal(a[99].rotation, c[99].rotation)
+@pytest.mark.parametrize("count", [0, -6, 1, 5, 7, 73, 6.0, True, "12"])
+def test_hypotheses_reject_counts_that_are_not_multiples_of_6(count):
     with pytest.raises(RejectedInput):
-        generate_hypotheses(np.zeros(3), 0)
+        generate_hypotheses(np.zeros(3), count)
 
 
-@pytest.mark.parametrize("count,seed", [(1, 0), (24, 0), (72, 0), (73, 2),
-                                        (384, 0), (384, 7)])
-def test_hypotheses_match_reference_on_every_call(count, seed):
-    # the quaternion table is built once per (count, seed); a repeated call
-    # and a fresh build give the same poses bit for bit
-    want = ref_generate_hypotheses([0.01, -0.02, 0.4], count, seed)
-    for _ in range(2):
-        got = generate_hypotheses([0.01, -0.02, 0.4], count, seed)
-        assert len(got) == len(want) == count
-        for g, w in zip(got, want):
-            assert g.rotation.tobytes() == w.rotation.tobytes()
-            assert g.translation.tobytes() == w.translation.tobytes()
-    with pytest.raises(ValueError):
-        _hypothesis_quats(count, seed)[0, 0] = 2.0
+_unit_quats = st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).filter(
+    lambda q: np.linalg.norm(q) > 0.1).map(quat.quat_normalize)
+_counts = st.integers(1, 64).map(lambda k: 6 * k)
+_anchors = st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3)
 
 
-def test_72_hypothesis_covering_radius():
-    # Monte-Carlo covering radius of the deterministic 72-rotation set:
-    # every random rotation is within 0.62 chordal of some hypothesis
-    hyps = generate_hypotheses(np.zeros(3), 72)
-    H = np.array([p.rotation for p in hyps])
-    rng = np.random.default_rng(0)
-    samples = np.array([quat.random_quat(rng) for _ in range(10000)])
-    dots = np.clip(np.abs(samples @ H.T), 0.0, 1.0)
-    chordal = np.sqrt(np.clip(2.0 - 2.0 * dots, 0.0, None))
-    assert chordal.min(axis=1).max() < 0.62
+def _world_rotations(hyps, camera):
+    return [camera.rotation_matrix() @ p.rotation_matrix() for p in hyps]
+
+
+@settings(max_examples=40, deadline=None)
+@given(count=_counts, anchor=_anchors, q=_unit_quats)
+def test_hypotheses_count_and_shared_anchor(count, anchor, q):
+    hyps = generate_hypotheses(anchor, count, RigidPose(q, [0.1, 0.2, 0.3]))
+    assert len(hyps) == count
+    for p in hyps:
+        assert np.array_equal(p.translation, np.asarray(anchor, dtype=float))
+
+
+@settings(max_examples=40, deadline=None)
+@given(count=_counts, q=_unit_quats)
+def test_hypotheses_rest_on_a_local_axis(count, q):
+    # seen from the world, every hypothesis points one local +-axis up
+    camera = RigidPose(q, np.zeros(3))
+    for R in _world_rotations(generate_hypotheses(np.zeros(3), count, camera),
+                              camera):
+        up_local = R.T @ [0.0, 0.0, 1.0]
+        assert np.abs(up_local).max() == pytest.approx(1.0, abs=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(count=_counts, q=_unit_quats, rest=st.integers(0, 5),
+       yaw=st.floats(0.0, 2 * np.pi))
+def test_hypotheses_cover_rest_yaw_rotations(count, q, rest, yaw):
+    # any rest orientation under any yaw about world up lies within half a
+    # yaw step of some hypothesis
+    camera = RigidPose(q, np.zeros(3))
+    hyps = generate_hypotheses(np.zeros(3), count, camera)
+    want = quat.quat_multiply(quat.quat_from_axis_angle([0, 0, 1], yaw),
+                              rest_orientations()[rest])
+    got = [quat.matrix_to_quat(R) for R in _world_rotations(hyps, camera)]
+    nearest = min(quat.geodesic_angle(g, want) for g in got)
+    assert nearest <= np.pi / (count // 6) + 1e-9
 
 
 def test_descriptor_dimension_and_norm():
@@ -105,7 +116,7 @@ def test_cosine_similarity_validation():
         _cosine_similarities(np.array([[1.0, 0.0], [0.0, 0.0]]), np.ones(2))
     with pytest.raises(RejectedInput):
         select_coarse_pose(make_box([0.06, 0.06, 0.06]),
-                           generate_hypotheses([0.0, 0.0, 0.4], 2),
+                           generate_hypotheses([0.0, 0.0, 0.4], 6),
                            ColorImage(np.zeros((8, 8, 3))),
                            BinaryMask(np.ones((8, 8), dtype=bool)),
                            default_intrinsics(8, 10.0))
@@ -151,7 +162,7 @@ def test_select_coarse_pose_scores_match_per_image_reference(spec):
     # time by the reference: every similarity is bit-identical
     mesh = primitive_from_spec(spec)
     intr = default_intrinsics(size=120, focal=150.0)
-    hyps = generate_hypotheses([0.0, 0.01, 0.4], 96, seed=3)
+    hyps = generate_hypotheses([0.0, 0.01, 0.4], 96)
     obs = render(mesh, RigidPose(quat.random_quat(np.random.default_rng(5)),
                                  [0.0, 0.0, 0.4]), intr)
     mask = BinaryMask(obs.object_ids >= 0)
@@ -227,10 +238,10 @@ def test_select_coarse_pose_on_crop_with_principal_point_at_far_edge():
     color, mask, crop = _crop_to_mask(ColorImage(rng.random((240, 320, 3))),
                                       _mask_at(108, 294, 10), cam)
     assert (crop.cx, crop.cy, crop.width, crop.height) == (0, 15, 146, 16)
-    hyps = generate_hypotheses([0.2, -0.02, 0.5], 8)
+    hyps = generate_hypotheses([0.2, -0.02, 0.5], 12)
     result = select_coarse_pose(make_box([0.06, 0.05, 0.04]), hyps, color,
                                 mask, crop)
-    assert len(result.all_scores) == 8
+    assert len(result.all_scores) == 12
     assert np.isfinite(result.similarity)
 
 

@@ -28,28 +28,25 @@ def _aabb_corner_cloud(extents):
     return PointCloud(corners)
 
 
-def test_estimate_scale_per_axis():
-    # rendered extents (1, 2, 4) vs observed (2, 2, 4): per-axis (2, 1, 1),
-    # uniform = median = 1
+def test_estimate_scale_is_median_ratio():
+    # rendered extents (1, 2, 4) vs observed (2, 2, 4): ratios (2, 1, 1),
+    # one scale, their median
     scale = estimate_scale(_aabb_corner_cloud((1, 2, 4)),
                            _aabb_corner_cloud((2, 2, 4)))
-    assert np.allclose(scale.per_axis, [2.0, 1.0, 1.0])
-    assert scale.uniform == pytest.approx(1.0)
+    assert scale == pytest.approx(1.0)
 
 
 def test_estimate_scale_degenerate_axis_falls_back_to_median():
+    # a flat rendered axis has no ratio; the others set the scale
     flat = PointCloud([[0, 0, 0], [1, 0, 0], [0, 2, 0], [1, 2, 0]])
     obs = _aabb_corner_cloud((2, 4, 1))
-    scale = estimate_scale(flat, obs)
-    assert scale.per_axis[0] == pytest.approx(2.0)
-    assert scale.per_axis[1] == pytest.approx(2.0)
-    assert scale.per_axis[2] == pytest.approx(2.0)  # median fallback
+    assert estimate_scale(flat, obs) == pytest.approx(2.0)
 
 
 def test_estimate_scale_clamped():
     scale = estimate_scale(_aabb_corner_cloud((1, 1, 1)),
                            _aabb_corner_cloud((100, 100, 100)))
-    assert np.allclose(scale.per_axis, 5.0)
+    assert scale == 5.0
     with pytest.raises(RejectedInput):
         estimate_scale(PointCloud(np.empty((0, 3))), _aabb_corner_cloud((1, 1, 1)))
 
@@ -268,6 +265,17 @@ def test_fpfh_rejects_bad_input(bad):
     args = {"normals": _FPFH_NORMALS, "radius": None, "valid": None, **bad}
     with pytest.raises(RejectedInput):
         compute_fpfh(cloud, **args)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_fpfh_default_radius_needs_two_points(n):
+    # no nearest-neighbour distance to scale the radius by: rejected, not a
+    # NaN or infinite radius; a given radius still describes the cloud
+    cloud = PointCloud(np.full((n, 3), 0.3))
+    normals = np.tile([0.0, 0.0, 1.0], (n, 1))
+    with pytest.raises(RejectedInput):
+        compute_fpfh(cloud, normals)
+    assert not compute_fpfh(cloud, normals, radius=0.01).any()
 
 
 def test_fpfh_ignores_nan_normals_flagged_invalid():
@@ -512,11 +520,12 @@ def test_two_stage_align_rejects_tiny_mask():
 def test_two_stage_align_recovers_synthetic_pose():
     obs = synthetic_observation("box:0.07,0.05,0.04", seed=1)
     res = two_stage_align(obs.unit_mesh, obs.color, obs.depth, obs.mask,
-                          obs.intrinsics, AlignConfig(rotation_count=384))
+                          obs.intrinsics, AlignConfig(rotation_count=384),
+                          obs.camera_pose)
     assert res.registration.rmse < 0.01
     # translation agrees with the ground truth up to the diameter threshold
     trans_err = np.linalg.norm(res.final_pose.translation
                                - obs.true_pose_cam.translation)
     assert trans_err <= max(0.01, 0.1 * obs.diameter)
-    # recovered scale is near the true scale on every axis
-    assert np.all(np.abs(res.scale.per_axis - obs.true_scale) < 0.25)
+    # the one recovered scale is near the true scale
+    assert abs(res.scale - obs.true_scale) < 0.25
