@@ -16,8 +16,7 @@ import numpy as np
 from twinforge import quaternions as quat
 from twinforge.geometry import PointCloud, RigidPose
 from twinforge.gpclassify import fit, rank_and_select
-from twinforge.simulate import (GeometricEvaluator, SceneObject, SceneTwin,
-                                SettleSimulator, SimConfig, label_samples)
+from twinforge.simulate import SceneObject, SceneTwin, SimConfig, label_samples
 from twinforge.strategy import InteractionRegion, sample_strategies
 from twinforge.synth import primitive_from_spec
 
@@ -50,9 +49,8 @@ def main():
                                 vertical_offset=0.05)
     print(f"sampled {len(samples)} candidate strategies")
 
-    sim = SettleSimulator(twin, SimConfig(surface_samples=900, seed=args.seed))
-    evaluator = GeometricEvaluator(("inside", ("cube", "container")))
-    labeled = label_samples(twin, samples, sim, evaluator)
+    labeled = label_samples(twin, samples, ("inside", ("cube", "container")),
+                            SimConfig(surface_samples=900, seed=args.seed))
     positives = sum(1 for s in labeled if s.weak_label)
     print(f"simulation labels: {positives} positive / "
           f"{len(labeled) - positives} negative")

@@ -27,8 +27,8 @@ from .quaternions import quat_to_matrix
 from .register import (MIN_MASK_PIXELS, AlignConfig, coarse_align,
                        fine_register)
 from .scene import RunReport, SceneSpec, pose_to_json
-from .simulate import (GeometricEvaluator, SceneObject, SceneTwin, SettleSimulator,
-                       SimConfig, ground_objects, label_samples, render_outcome)
+from .simulate import (SceneObject, SceneTwin, SimConfig, ground_objects,
+                       label_samples, render_outcome)
 from .strategy import (DEFAULT_OFFSET_RADIUS, builtin_reachability,
                        interaction_region, sample_strategies)
 
@@ -77,6 +77,31 @@ def _load_depth(path):
     return load_depth_raw(path)
 
 
+def _load_observation(spec: SceneSpec):
+    """The scene's color image, depth image, and each object's mask and mesh
+    (dicts by name). A mask must hold MIN_MASK_PIXELS pixels with valid
+    depth. An unreadable asset or a mask too small fails segmentation-load;
+    a missing file raises FileNotFoundError."""
+    try:
+        color = load_color_ppm(spec.path(spec.rgb))
+        depth = _load_depth(spec.path(spec.depth))
+        masks, meshes = {}, {}
+        for obj in spec.objects:
+            mask = load_mask_pgm(spec.path(obj.mask))
+            valid = int((mask.values & depth.valid_mask()).sum())
+            if valid == 0:
+                raise StageFailureError("segmentation-load",
+                                        f"empty-mask:{obj.name}")
+            if valid < MIN_MASK_PIXELS:
+                raise StageFailureError("segmentation-load",
+                                        f"segmentation-too-small:{obj.name}")
+            masks[obj.name] = mask
+            meshes[obj.name] = load_mesh(spec.path(obj.mesh))
+    except RejectedInput as exc:
+        raise StageFailureError("segmentation-load", str(exc)) from exc
+    return color, depth, masks, meshes
+
+
 def _coarse_objects(spec: SceneSpec, align_config: AlignConfig, color, depth,
                     masks, meshes) -> dict:
     """The coarse step (hypothesis search and scale) of every object."""
@@ -117,15 +142,11 @@ def align_scene(spec: SceneSpec, align_config: AlignConfig,
     """Two-stage alignment of every scene object into a grounded world-frame
     twin: the coarse step of every object, then the fine step and grounding.
 
-    Returns (SceneTwin, per-object info dict). Assets are loaded from the
-    spec unless the caller passes them in.
+    Returns (SceneTwin, per-object info dict). Pass all four assets or
+    none; without them they come from ``_load_observation``.
     """
-    color = color if color is not None else load_color_ppm(spec.path(spec.rgb))
-    depth = depth if depth is not None else _load_depth(spec.path(spec.depth))
-    masks = masks if masks is not None else {
-        obj.name: load_mask_pgm(spec.path(obj.mask)) for obj in spec.objects}
-    meshes = meshes if meshes is not None else {
-        obj.name: load_mesh(spec.path(obj.mesh)) for obj in spec.objects}
+    if color is None:
+        color, depth, masks, meshes = _load_observation(spec)
     return _register_objects(spec, meshes, _coarse_objects(
         spec, align_config, color, depth, masks, meshes))
 
@@ -160,22 +181,9 @@ def run_pipeline(spec: SceneSpec, config: PipelineConfig | None = None,
 
     # -- segmentation-load ---------------------------------------------------
     def seg_load():
-        state["color"] = load_color_ppm(spec.path(spec.rgb))
-        state["depth"] = _load_depth(spec.path(spec.depth))
-        state["masks"] = {}
-        state["meshes"] = {}
+        (state["color"], state["depth"], state["masks"],
+         state["meshes"]) = _load_observation(spec)
         from .camera import backproject
-        for obj in spec.objects:
-            mask = load_mask_pgm(spec.path(obj.mask))
-            valid = int((mask.values & state["depth"].valid_mask()).sum())
-            if valid == 0:
-                raise StageFailureError("segmentation-load",
-                                        f"empty-mask:{obj.name}")
-            if valid < MIN_MASK_PIXELS:
-                raise StageFailureError("segmentation-load",
-                                        f"segmentation-too-small:{obj.name}")
-            state["masks"][obj.name] = mask
-            state["meshes"][obj.name] = load_mesh(spec.path(obj.mesh))
         manip = spec.manipulated
         state["observed"] = backproject(state["depth"], spec.intrinsics,
                                         state["masks"][manip.name])
@@ -269,11 +277,8 @@ def run_pipeline(spec: SceneSpec, config: PipelineConfig | None = None,
 
     # -- simulation + result-check -------------------------------------------
     def simulation_stage():
-        simulator = SettleSimulator(result.twin, config.sim)
-        evaluator = GeometricEvaluator(spec.goal)
-        labeled = label_samples(result.twin, state["samples"], simulator,
-                                evaluator, spec.instruction)
-        state["labeled"] = labeled
+        state["labeled"] = label_samples(result.twin, state["samples"],
+                                         spec.goal, config.sim)
 
     def result_check_stage():
         labeled = state["labeled"]

@@ -426,7 +426,7 @@ def coarse_align(mesh: TriangleMesh, color: ColorImage, depth: DepthImage,
     visible."""
     valid = depth.valid_mask() & mask.values
     if valid.sum() < MIN_MASK_PIXELS:
-        raise StageFailureError("segmentation", "segmentation-too-small")
+        raise StageFailureError("segmentation-load", "segmentation-too-small")
     observed = backproject(depth, intrinsics, mask)
     anchor = observed.points.mean(axis=0)
 

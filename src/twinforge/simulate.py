@@ -1,11 +1,13 @@
 """Quasi-static outcome simulation and weak labeling.
 
-The built-in simulator settles the manipulated object by dropping it along
-gravity to first contact, checks static stability via the support polygon,
-and topples over the nearest hull edge in bounded steps when unstable.
-The center of mass is that of a uniform-density solid. The ground plane
-z=0 is always present as an implicit static support, so gravity must point
-along -z.
+A settle frees the manipulated object's start pose by lifting it against
+gravity (``lift_free``), drops it along gravity to first contact, checks
+static stability via the support polygon, and topples over the nearest hull
+edge in bounded steps when unstable. A start that cannot be lifted free, or
+must rise more than ``PENETRATION_TOL`` to be free, counts as penetrating.
+The center of mass is that of a uniform-density solid. Gravity points along
+-z, and the ground plane z=0 is always present as an implicit static
+support.
 
 Drop and lift distances are closed form: surface samples are cast as rays
 along gravity against the meshes (``MeshIndex.cast``), manipulated samples
@@ -15,12 +17,12 @@ so it starts from the ground gap and casts only the samples whose lower
 bound on their hit can still beat the gap so far (``MeshIndex.first_hit``);
 a static sample further below the manipulated mesh's lowest vertex than the
 gap is not cast at all. Everything that depends only on the scene is built
-once per scene: surface samples and their k-d trees, and for each static
-mesh in world coordinates a parity index and a down- and an up-cast index;
-the manipulated mesh gets a parity index in its own frame (the symmetric
-penetration check). ``SettleSimulator`` builds it once per labeling run, so
-a scene that cannot be simulated fails once. The context is read-only
-apart from one memo: the manipulated mesh's cast index per (rotation, cast
+once per scene: surface samples, and for each static mesh in world
+coordinates a parity index and a down- and an up-cast index; the
+manipulated mesh gets a parity index in its own frame, for the static
+samples inside it. ``label_samples`` builds it once per labeling run, so a
+scene that cannot be simulated fails once. The context is read-only apart
+from one memo: the manipulated mesh's cast index per (rotation, cast
 direction), built on first use. An entry depends only on its key, so
 concurrent workers see the same answers whichever of them fills it.
 
@@ -31,17 +33,17 @@ A settle returns poses, contacts and flags only. ``render_outcome`` draws a
 settled scene from the fixed checker viewpoint, for callers that write an
 image of it.
 
-Outcome checking is pluggable; the built-in evaluator tests geometric
-placement predicates on the settled scene, standing in for a VLM judge.
+``geometric_evaluator`` tests geometric placement predicates on the settled
+scene, standing in for a VLM judge.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError, cKDTree
+from scipy.spatial import ConvexHull, QhullError
 
 from . import quaternions as quat
 from ._parallel import parallel_map
@@ -53,12 +55,10 @@ from .solids import _PAD, MeshIndex, is_watertight, volume_and_com
 from .strategy import StrategySample
 
 ROLES = ("manipulated", "interactive", "static")
-GRAVITY = np.array([0.0, 0.0, -9.81])
 UP = np.array([0.0, 0.0, 1.0])
 # Gap (meters, along gravity) left between surfaces when a drop or a lift
 # ends. Without it a sample lands exactly on a face, where the parity inside
-# test is a coin flip and the nearest-sample penetration depth then reads
-# several millimeters.
+# test is a coin flip, so the next lift of that pose could see it inside.
 _CLEARANCE = 1e-6
 # highest a lift may raise the object before the pose counts as stuck
 _MAX_LIFT = 0.1
@@ -66,7 +66,8 @@ _MAX_LIFT = 0.1
 # supports the object. Wide enough to absorb residual reconstruction error
 # in an aligned twin.
 CONTACT_TOL = 0.003
-# a start pose deeper than this into a solid (meters) counts as penetrating
+# a start pose that must rise more than this (meters) to be free counts as
+# penetrating
 PENETRATION_TOL = 0.001
 # most topple steps a settle takes, and the tilt of one step
 MAX_TOPPLE_STEPS = 6
@@ -91,20 +92,12 @@ class SceneObject:
 @dataclass(frozen=True)
 class SceneTwin:
     objects: tuple
-    gravity: np.ndarray = field(default_factory=lambda: GRAVITY.copy())
 
     def __post_init__(self):
         objs = tuple(self.objects)
         if sum(1 for o in objs if o.role == "manipulated") != 1:
             raise RejectedInput("scene must contain exactly one manipulated object")
         object.__setattr__(self, "objects", objs)
-        g = np.asarray(self.gravity, dtype=float)
-        # the ground plane, the contact band and the support hull all
-        # assume gravity along -z
-        if (g.shape != (3,) or not np.all(np.isfinite(g)) or not g[2] < 0
-                or np.hypot(g[0], g[1]) > 1e-9 * -g[2]):
-            raise RejectedInput("gravity must be finite and point along -z")
-        object.__setattr__(self, "gravity", g)
 
     @property
     def manipulated(self) -> SceneObject:
@@ -158,7 +151,6 @@ def checker_intrinsics(size: int) -> CameraIntrinsics:
 class _Static(NamedTuple):
     """One static object in world coordinates."""
     samples: np.ndarray     # surface samples
-    tree: cKDTree           # over the samples
     index: MeshIndex        # parity and contact band
     down: MeshIndex         # casts along -z
     up: MeshIndex           # casts along +z
@@ -173,8 +165,8 @@ def _in_box(points, box, dims=3):
 
 
 class _SettleContext:
-    """Precomputed geometry for one scene: surface samples, k-d trees, mesh
-    indexes and bounding boxes. Read-only once built apart from the memo of
+    """Precomputed geometry for one scene: surface samples, mesh indexes and
+    bounding boxes. Read-only once built apart from the memo of
     manipulated cast indexes, whose entries depend only on their key, so
     one context serves every sample of a labeling run, from any number of
     workers."""
@@ -185,7 +177,6 @@ class _SettleContext:
         self.mesh = manip.mesh
         self.local_samples = sample_mesh_surface(
             manip.mesh, config.surface_samples, config.seed).points
-        self.local_tree = cKDTree(self.local_samples)
         self.local_index = MeshIndex(manip.mesh)
         self.local_box = (self.local_samples.min(axis=0) - 1e-6,
                           self.local_samples.max(axis=0) + 1e-6)
@@ -203,7 +194,7 @@ class _SettleContext:
             hi = world_mesh.vertices.max(axis=0)
             band = 2 * CONTACT_TOL
             self.others.append(_Static(
-                world_pts, cKDTree(world_pts), MeshIndex(world_mesh),
+                world_pts, MeshIndex(world_mesh),
                 MeshIndex(world_mesh, -UP, cast_only=True),
                 MeshIndex(world_mesh, UP, cast_only=True),
                 (lo - 1e-6, hi + 1e-6), (lo - band, hi + band)))
@@ -222,21 +213,6 @@ class _SettleContext:
             found.append((s, mine[s.index.inside(mine)],
                           theirs[self.local_index.inside(theirs)]))
         return pts, found
-
-    def penetration_depth(self, pose: RigidPose) -> float:
-        """Deepest interpenetration of the manipulated object at this pose
-        against the ground and all other objects."""
-        pts, found = self._inside(pose)
-        depth = max(0.0, float(-pts[:, 2].min()))
-        for s, mine, theirs in found:
-            if len(mine):
-                d, _ = s.tree.query(mine)
-                depth = max(depth, float(d.max()))
-            # symmetric check: the other object's surface inside the manipulated solid
-            if len(theirs):
-                d, _ = self.local_tree.query(theirs)
-                depth = max(depth, float(d.max()))
-        return depth
 
     def _self_index(self, rotation, direction) -> MeshIndex:
         """Cast index of the manipulated mesh, in its own frame, for rays
@@ -395,19 +371,17 @@ def _nearest_hull_edge(p, hull):
 def settle_simulate(scene: SceneTwin, sample: StrategySample,
                     config: SimConfig = SimConfig(),
                     _ctx: _SettleContext | None = None) -> SimOutcome:
-    """Built-in Simulator: penetration check, gravity drop, and
-    support-polygon stability with bounded toppling. config sets the surface
-    sampling of the context built here; a passed _ctx carries its own."""
+    """Settle one strategy: lift the start pose free, drop it along gravity,
+    then test support-polygon stability with bounded toppling. A start that
+    cannot be lifted free, or must rise more than PENETRATION_TOL, ends as
+    penetration. config sets the surface sampling of the context built
+    here; a passed _ctx carries its own."""
     ctx = _solid_context(scene, config) if _ctx is None else _ctx
     pose = sample.object_pose
 
-    depth = ctx.penetration_depth(pose)
-    if depth > PENETRATION_TOL:
-        return _finish(ctx, pose, stable=False, penetration=True,
-                       contacts=np.empty((0, 3)), topple_steps=0)
-    # a start within the tolerance is pushed out first, so the drop starts free
-    free = ctx.lift_free(pose) if depth > 0 else pose
-    if free is None:
+    free = ctx.lift_free(pose)
+    if (free is None
+            or free.translation[2] - pose.translation[2] > PENETRATION_TOL):
         return _finish(ctx, pose, stable=False, penetration=True,
                        contacts=np.empty((0, 3)), topple_steps=0)
     pose = ctx.drop(free)
@@ -440,7 +414,7 @@ def settle_simulate(scene: SceneTwin, sample: StrategySample,
             q2, e2 = _nearest_hull_edge(com[:2], hull)
             pivot = np.array([q2[0], q2[1], float(contacts[:, 2].min())])
             axis = np.array([e2[0], e2[1], 0.0])
-        torque = np.cross(com - pivot, scene.gravity)
+        torque = np.cross(com - pivot, -UP)
         sgn = 1.0 if float(torque @ axis) >= 0 else -1.0
         rot = quat.quat_from_axis_angle(axis, sgn * np.deg2rad(TOPPLE_STEP_DEG))
         step = RigidPose(rot, pivot - quat.quat_rotate(rot, pivot))
@@ -472,25 +446,6 @@ def render_outcome(outcome: SimOutcome) -> RenderedView:
     center = 0.5 * (verts.min(axis=0) + verts.max(axis=0))
     return render_scene(objects, checker_viewpoint(center),
                         checker_intrinsics(RENDER_SIZE))
-
-
-class SettleSimulator:
-    """Simulator interface over settle_simulate for one scene.
-
-    The scene's settle context (surface samples, k-d trees, mesh indexes) is
-    built once, here, so a scene that cannot be simulated fails once, before
-    any sample is labeled. The context is read-only apart from its keyed
-    memo of manipulated cast indexes, so concurrent labeling stays
-    deterministic."""
-
-    def __init__(self, scene: SceneTwin, config: SimConfig = SimConfig()):
-        self.scene = scene
-        self._ctx = _solid_context(scene, config)
-
-    def __call__(self, scene, sample):
-        if scene is not self.scene:
-            raise RejectedInput("simulator was built for another scene")
-        return settle_simulate(scene, sample, _ctx=self._ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -607,27 +562,31 @@ def geometric_evaluator(outcome: SimOutcome, predicate) -> bool:
 
 
 class GeometricEvaluator:
-    """OutcomeEvaluator built from a placement predicate spec; the text
-    instruction is accepted for interface compatibility but unused."""
+    """A placement predicate spec, checked once, as a callable on
+    outcomes."""
 
     def __init__(self, predicate):
         self.predicate = check_predicate(predicate)
 
-    def __call__(self, outcome, instruction=""):
+    def __call__(self, outcome):
         return geometric_evaluator(outcome, self.predicate)
 
 
-def label_samples(scene: SceneTwin, samples, simulator, evaluator,
-                  instruction: str = "") -> list[StrategySample]:
-    """Simulate and label every sample independently; per-sample failures
-    become label=False with a reason instead of aborting the batch."""
+def label_samples(scene: SceneTwin, samples, goal,
+                  config: SimConfig = SimConfig()) -> list[StrategySample]:
+    """Settle every sample on one settle context and label it by the goal
+    predicate. The context is built before any settle, so a scene that
+    cannot be simulated fails once; per-sample failures become label=False
+    with a reason instead of aborting the batch."""
     if not samples:
         raise RejectedInput("no samples to label")
+    goal = check_predicate(goal)
+    ctx = _solid_context(scene, config)
 
     def one(sample):
         try:
-            outcome = simulator(scene, sample)
-            label = bool(evaluator(outcome, instruction))
+            outcome = settle_simulate(scene, sample, _ctx=ctx)
+            label = bool(geometric_evaluator(outcome, goal))
             reason = "penetration" if outcome.penetration else None
             return sample.with_outcome(outcome, label, reason)
         except (StageFailureError, RejectedInput) as exc:

@@ -1,12 +1,18 @@
-"""Reference drop for the settle simulator.
+"""Reference drop and penetration depth for the settle simulator.
 
 ``ref_drop`` is ``_SettleContext.drop`` as it was before the bounded first
 hit: it casts every candidate sample in full and builds the manipulated
 mesh's cast index for each pose. Used to cross-check the bounded drop pose
 for pose, bit for bit.
+
+``ref_penetration_depth`` is the start check the settle used before it
+asked ``lift_free``: the distance from each sample inside a solid to the
+nearest surface sample of that solid, so a shallow depth reads as up to
+the sample spacing.
 """
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from twinforge import quaternions as quat
 from twinforge.geometry import RigidPose
@@ -36,3 +42,19 @@ def ref_drop(ctx, pose):
             ctx, pose, UP, pose.inverse().apply(under)).min()))
     return RigidPose(pose.rotation,
                      pose.translation - max(0.0, gap - _CLEARANCE) * UP)
+
+
+def ref_penetration_depth(ctx, pose):
+    """Deepest interpenetration of the manipulated object at this pose
+    against the ground and all other objects."""
+    pts, found = ctx._inside(pose)
+    depth = max(0.0, float(-pts[:, 2].min()))
+    for s, mine, theirs in found:
+        if len(mine):
+            d, _ = cKDTree(s.samples).query(mine)
+            depth = max(depth, float(d.max()))
+        # symmetric check: the other object's surface inside the manipulated solid
+        if len(theirs):
+            d, _ = cKDTree(ctx.local_samples).query(theirs)
+            depth = max(depth, float(d.max()))
+    return depth

@@ -28,9 +28,9 @@ from twinforge.register import AlignConfig, IcpParams, icp_refine
 from twinforge.render import render, render_scene
 from twinforge.scene import (ObjectSpec, SceneSpec, load_scene_spec,
                              report_determinism_key)
-from twinforge.simulate import (GeometricEvaluator, SettleSimulator, SimConfig,
-                                _SettleContext, checker_viewpoint,
-                                label_samples, settle_simulate)
+from twinforge.simulate import (GeometricEvaluator, SimConfig, _SettleContext,
+                                checker_viewpoint, label_samples,
+                                settle_simulate)
 from twinforge.solids import point_mesh_distance
 from twinforge.strategy import StrategySample
 from twinforge.synth import (_PALETTE, TASKS, canonical_mesh,
@@ -39,6 +39,7 @@ from twinforge.synth import (_PALETTE, TASKS, canonical_mesh,
                              synthetic_observation)
 
 from gp_reference import ref_predict
+from simulate_reference import ref_penetration_depth
 from solids_reference import ray_mesh_depth
 
 
@@ -252,7 +253,7 @@ def test_criterion_6_selected_strategy_robust(task_runs):
             outcome = settle_simulate(result.twin,
                                       StrategySample(chosen.object_pose, 0),
                                       cfg)
-            if evaluator(outcome, spec.instruction):
+            if evaluator(outcome):
                 hits += 1
         if hits < 18:
             ok = False
@@ -414,16 +415,14 @@ def test_label_samples_thread_determinism_cup_on_box(task_runs, monkeypatch):
     # depend on that race
     spec, result = task_runs["cup-on-box"]
     samples = sorted(result.ranking.ranked, key=lambda s: s.sample_id)
-    evaluator = GeometricEvaluator(spec.goal)
     runs = []
     interval = sys.getswitchinterval()
     try:
         sys.setswitchinterval(1e-5)
         for threads in ("1", "4"):
             monkeypatch.setenv("TWINFORGE_THREADS", threads)
-            simulator = SettleSimulator(result.twin, PipelineConfig().sim)
-            runs.append(label_samples(result.twin, samples, simulator,
-                                      evaluator))
+            runs.append(label_samples(result.twin, samples, spec.goal,
+                                      PipelineConfig().sim))
     finally:
         sys.setswitchinterval(interval)
     assert len(runs[0]) == len(runs[1]) == 45
@@ -465,7 +464,7 @@ def test_criterion_8_simulation_invariants():
         out = settle_simulate(twin, StrategySample(start, 0), cfg, _ctx=ctx)
         settled = out.settled_poses["obj"]
 
-        pen = ctx.penetration_depth(settled)
+        pen = ref_penetration_depth(ctx, settled)
         max_pen = max(max_pen, pen)
         if pen > 0.001:
             pen_ok = False

@@ -11,7 +11,7 @@ from twinforge.errors import RejectedInput
 from twinforge.pipeline import PipelineConfig
 from twinforge.register import AlignConfig
 from twinforge.simulate import SimConfig
-from twinforge.fileio import save_mask_pgm
+from twinforge.fileio import load_depth_raw, load_mask_pgm, save_mask_pgm
 from twinforge.camera import BinaryMask
 from twinforge.scene import load_scene_spec
 
@@ -304,3 +304,43 @@ def test_plan_reports_unreadable_observation(scene_dir, tmp_path, asset, damage)
     doc = json.loads((out / "report.json").read_text())
     assert doc["status"] == "failure"
     assert doc["failed_stage"] == "segmentation-load"
+
+
+def _keep_50_cup_mask_pixels(scene):
+    spec = load_scene_spec(scene / "scene.json")
+    path = spec.path(next(o.mask for o in spec.objects if o.name == "cup"))
+    valid = (load_mask_pgm(path).values
+             & load_depth_raw(spec.path(spec.depth)).valid_mask())
+    small = np.zeros_like(valid)
+    small.flat[np.flatnonzero(valid)[:50]] = True
+    save_mask_pgm(path, BinaryMask(small))
+
+
+# every verb that loads the observation reads it the same way, so a bad
+# observation fails the same stage for the same reason under each
+@pytest.mark.parametrize("task, damage, reason", [
+    ("cube-onto-cube", lambda scene: _truncate(scene / "depth.f32"),
+     "truncated raw depth payload in "),
+    ("cup-on-box", _keep_50_cup_mask_pixels, "segmentation-too-small:cup")],
+    ids=["truncated-depth", "50-pixel-cup-mask"])
+def test_bad_observation_fails_segmentation_load_under_every_verb(
+        tmp_path, capsys, task, damage, reason):
+    scene = tmp_path / "scene"
+    assert main(["gen-scene", "--task", task, "--seed", "0",
+                 "--out", str(scene)]) == EXIT_OK
+    damage(scene)
+    capsys.readouterr()
+    seen = {}
+    for verb in ("plan", "align", "simulate"):
+        out = tmp_path / verb
+        rc = main([verb, "--scene", str(scene / "scene.json"),
+                   "--out", str(out)])
+        assert rc == EXIT_STAGE_FAILURE, verb
+        line = capsys.readouterr().out.strip().splitlines()[-1]
+        seen[verb] = line.split(" failed at ", 1)[1].split(": ", 1)
+    doc = json.loads((tmp_path / "plan" / "report.json").read_text())
+    assert seen["plan"] == [doc["failed_stage"], doc["failure_reason"]]
+    assert seen["plan"] == seen["align"] == seen["simulate"]
+    stage, got = seen["plan"]
+    assert stage == "segmentation-load"
+    assert got.startswith(reason)

@@ -8,16 +8,16 @@ from twinforge import simulate
 from twinforge.errors import RejectedInput, StageFailureError
 from twinforge.geometry import RigidPose, TriangleMesh
 from twinforge.render import render_scene
-from twinforge.simulate import (PENETRATION_TOL, RENDER_SIZE,
+from twinforge.simulate import (CONTACT_TOL, PENETRATION_TOL, RENDER_SIZE,
                                 GeometricEvaluator, SceneObject, SceneTwin,
-                                SettleSimulator, SimConfig, _SettleContext,
+                                SimConfig, _SettleContext,
                                 checker_intrinsics, checker_viewpoint,
                                 geometric_evaluator, label_samples,
                                 render_outcome, settle_simulate)
 from twinforge.strategy import StrategySample
 from twinforge.synth import make_box, make_cup, make_open_box
 
-from simulate_reference import ref_drop
+from simulate_reference import ref_drop, ref_penetration_depth
 
 FAST = SimConfig(surface_samples=900)
 
@@ -46,21 +46,6 @@ def test_scene_twin_validation():
     assert twin.by_name("base").role == "static"
     with pytest.raises(RejectedInput):
         twin.by_name("nope")
-
-
-@pytest.mark.parametrize("gravity", [
-    [0.0, 0.0, 0.0], [0.0, 0.0, np.nan], [0.0, 0.0, -np.inf],
-    [0.0, 0.0, 9.81], [1.0, 0.0, -9.81], [0.0, 1e-3, -9.81], [0.0, -9.81]])
-def test_scene_twin_rejects_gravity_off_minus_z(gravity):
-    with pytest.raises(RejectedInput):
-        SceneTwin((cube(),), gravity=gravity)
-
-
-def test_scene_twin_accepts_gravity_along_minus_z():
-    twin = SceneTwin((cube(),), gravity=[0.0, 0.0, -1.62])
-    out = settle_simulate(twin, sample_at(RigidPose(quat.IDENTITY, [0, 0, 0.1])),
-                          FAST)
-    assert out.stable
 
 
 def test_checker_viewpoint_tilt_and_lookat():
@@ -112,19 +97,45 @@ def test_drop_lands_at_exact_support_contact():
     landed = ctx.drop(start)
     assert landed.translation[2] == pytest.approx(0.06 + 0.025, abs=1e-5)
     assert np.array_equal(landed.rotation, start.rotation)
-    assert ctx.penetration_depth(landed) == 0.0
+    assert ref_penetration_depth(ctx, landed) == 0.0
 
 
-def test_start_within_tolerance_is_pushed_out_then_settles():
-    twin = scene_with(cube())
+def sunk_start(top, sunk):
+    """A cube started `sunk` meters into the floor (top=0) or into the top
+    of a 12 x 12 x 6 cm box (top=0.06), and its scene."""
+    objects = [cube()]
+    if top:
+        objects.append(SceneObject("base", make_box([0.12, 0.12, top]),
+                                   RigidPose(quat.IDENTITY, [0.0, 0.0, top / 2]),
+                                   role="interactive"))
+    return (scene_with(*objects),
+            RigidPose(quat.IDENTITY, [0.0, 0.0, top + 0.025 - sunk]))
+
+
+@pytest.mark.parametrize("top,sunk", [(0.0, 0.0005), (0.06, 0.0001),
+                                      (0.06, 0.0005), (0.06, 0.0009)],
+                         ids=["floor-0.5mm", "support-0.1mm", "support-0.5mm",
+                              "support-0.9mm"])
+def test_start_within_tolerance_is_pushed_out_then_settles(top, sunk):
+    # the start check is the lift's exact rise: the distance to the nearest
+    # surface sample would read the support cases as several millimeters
+    twin, start = sunk_start(top, sunk)
     ctx = _SettleContext(twin, FAST)
-    sunk = RigidPose(quat.IDENTITY, [0.0, 0.0, 0.0245])  # 0.5 mm into the floor
-    assert 0 < ctx.penetration_depth(sunk) <= PENETRATION_TOL
-    out = settle_simulate(twin, sample_at(sunk), FAST, _ctx=ctx)
+    rise = ctx.lift_free(start).translation[2] - start.translation[2]
+    assert rise == pytest.approx(sunk, abs=1e-5)
+    out = settle_simulate(twin, sample_at(start), FAST, _ctx=ctx)
     assert out.stable and not out.penetration
     settled = out.settled_poses["cube"]
-    assert settled.translation[2] == pytest.approx(0.025, abs=1e-5)
-    assert ctx.penetration_depth(settled) == 0.0
+    assert settled.translation[2] == pytest.approx(top + 0.025, abs=1e-5)
+    assert np.all(np.abs(out.contacts[:, 2] - top) <= CONTACT_TOL)
+    assert ref_penetration_depth(ctx, settled) == 0.0
+
+
+def test_start_beyond_tolerance_in_a_support_is_penetration():
+    twin, start = sunk_start(0.06, 2 * PENETRATION_TOL)
+    out = settle_simulate(twin, sample_at(start), FAST)
+    assert out.penetration and not out.stable
+    assert out.settled_poses["cube"] is start
 
 
 def test_lift_free_clears_a_pose_rotated_into_the_support():
@@ -132,9 +143,9 @@ def test_lift_free_clears_a_pose_rotated_into_the_support():
     ctx = _SettleContext(twin, FAST)
     tilted = RigidPose(quat.quat_from_axis_angle([1, 0, 0], np.deg2rad(20)),
                        [0.0, 0.0, 0.06 + 0.025])
-    assert ctx.penetration_depth(tilted) > 0
+    assert ref_penetration_depth(ctx, tilted) > 0
     free = ctx.lift_free(tilted)
-    assert ctx.penetration_depth(free) == 0.0
+    assert ref_penetration_depth(ctx, free) == 0.0
     rise = free.translation[2] - tilted.translation[2]
     # the lowest corner started this far inside the support
     corner = 0.025 * (np.cos(np.deg2rad(20)) + np.sin(np.deg2rad(20))) - 0.025
@@ -161,21 +172,21 @@ def test_topple_into_a_tall_wall_ends_as_penetration():
     assert out.topple_steps == 1
 
 
-def test_settle_makes_at_most_two_penetration_queries(monkeypatch):
+def test_toppling_settle_lifts_once_per_drop(monkeypatch):
+    # one lift frees the start, and one more follows each topple step
     calls = []
-    depth = _SettleContext.penetration_depth
+    lift = _SettleContext.lift_free
 
     def counted(self, pose):
         calls.append(pose)
-        return depth(self, pose)
+        return lift(self, pose)
 
-    monkeypatch.setattr(_SettleContext, "penetration_depth", counted)
+    monkeypatch.setattr(_SettleContext, "lift_free", counted)
     twin = scene_with(cube(), support_box(height=0.04, size=0.06))
-    ctx = _SettleContext(twin, FAST)
     out = settle_simulate(twin, sample_at(RigidPose(quat.IDENTITY, [0.055, 0.0, 0.12])),
-                          FAST, _ctx=ctx)
-    assert out.topple_steps > 0
-    assert len(calls) <= 2
+                          FAST)
+    assert out.topple_steps > 0 and not out.penetration
+    assert len(calls) == out.topple_steps + 1
 
 
 @pytest.mark.parametrize("start,topples", [([0.0, 0.0, 0.12], False),
@@ -242,18 +253,16 @@ _angle = st.floats(-np.pi, np.pi)
        xy=st.tuples(*[st.floats(-0.15, 0.15)] * 2),
        z=st.floats(-0.02, 0.25))
 def test_drop_matches_reference(drop_contexts, name, tilt, axis, yaw, xy, z):
-    # tilted, upside-down and overhanging starts over each support; a start
-    # inside a solid is lifted free first, as settle_simulate does
+    # tilted, upside-down and overhanging starts over each support, lifted
+    # free first, as settle_simulate does
     ctx = drop_contexts[name]
     horizontal = np.array([axis[0], axis[1], 0.0])
     assume(np.linalg.norm(horizontal) > 0.1)
     q = quat.quat_normalize(quat.quat_multiply(
         quat.quat_from_axis_angle([0, 0, 1], yaw),
         quat.quat_from_axis_angle(horizontal, tilt)))
-    pose = RigidPose(q, [xy[0], xy[1], z])
-    if ctx.penetration_depth(pose) > 0:
-        pose = ctx.lift_free(pose)
-        assume(pose is not None)
+    pose = ctx.lift_free(RigidPose(q, [xy[0], xy[1], z]))
+    assume(pose is not None)
     landed, expect = ctx.drop(pose), ref_drop(ctx, pose)
     assert np.array_equal(landed.translation, expect.translation)
     assert np.array_equal(landed.rotation, expect.rotation)
@@ -334,32 +343,33 @@ def test_translation_equivariance():
                        out_b.settled_poses["cube"].rotation, atol=1e-9)
 
 
-def test_settle_simulator_is_deterministic():
+def test_label_samples_is_deterministic():
     twin = scene_with(cube())
-    sim = SettleSimulator(twin, FAST)
     start = sample_at(RigidPose(quat.IDENTITY, [0.0, 0.0, 0.1]))
-    a = sim(twin, start)
-    b = sim(twin, start)
+    a, b = label_samples(twin, [start, start], ("upright", ["cube"]), FAST)
     fresh = settle_simulate(twin, start, FAST)
-    for out in (b, fresh):
-        assert np.array_equal(a.settled_poses["cube"].translation,
+    for out in (b.outcome, fresh):
+        assert np.array_equal(a.outcome.settled_poses["cube"].translation,
                               out.settled_poses["cube"].translation)
-        assert np.array_equal(a.settled_poses["cube"].rotation,
+        assert np.array_equal(a.outcome.settled_poses["cube"].rotation,
                               out.settled_poses["cube"].rotation)
-    with pytest.raises(RejectedInput):
-        sim(scene_with(cube()), start)
 
 
-def test_settle_simulator_rejects_non_watertight_when_built():
+def test_label_samples_rejects_non_watertight_before_any_settle(monkeypatch):
+    settles = []
+    monkeypatch.setattr(simulate, "settle_simulate",
+                        lambda *args, **kwargs: settles.append(args))
     box = make_box([0.05] * 3)
     open_mesh = TriangleMesh(box.vertices, box.triangles[1:])
     twin = scene_with(SceneObject("cube", open_mesh,
                                   RigidPose(quat.IDENTITY, [0, 0, 0.1]),
                                   role="manipulated"))
+    start = sample_at(RigidPose(quat.IDENTITY, [0.0, 0.0, 0.1]))
     with pytest.raises(StageFailureError) as info:
-        SettleSimulator(twin, FAST)
+        label_samples(twin, [start, start], ("upright", ["cube"]), FAST)
     assert (info.value.stage, info.value.reason) == ("simulation",
                                                      "non-watertight-mesh")
+    assert settles == []
 
 
 def test_render_outcome(monkeypatch):
@@ -474,17 +484,19 @@ def test_unknown_predicate_rejected():
 
 def test_label_samples():
     twin = scene_with(cube())
-    sim = SettleSimulator(twin, FAST)
-    ev = GeometricEvaluator(("upright", ["cube"]))
+    goal = ("upright", ["cube"])
     samples = [
         StrategySample(RigidPose(quat.IDENTITY, [0.0, 0.0, 0.1]), 0),
         StrategySample(RigidPose(quat.IDENTITY, [0.0, 0.0, 0.0]), 1),  # buried
         StrategySample(RigidPose(
             quat.quat_from_axis_angle([1, 0, 0], np.pi), [0, 0, 0.1]), 2),
     ]
-    labeled = label_samples(twin, samples, sim, ev)
+    labeled = label_samples(twin, samples, goal, FAST)
     assert [s.weak_label for s in labeled] == [True, False, False]
     assert labeled[1].failure_reason == "penetration"
     assert labeled[0].failure_reason is None
     with pytest.raises(RejectedInput):
-        label_samples(twin, [], sim, ev)
+        label_samples(twin, [], goal, FAST)
+    # a bad goal fails the batch, not each sample
+    with pytest.raises(RejectedInput):
+        label_samples(twin, samples, ("levitates", ["cube"]), FAST)
