@@ -5,12 +5,12 @@ __version__ = "0.1.0"
 
 from .camera import BinaryMask, CameraIntrinsics, ColorImage, DepthImage, backproject
 from .errors import NoFeasibleGrasp, RejectedInput, StageFailureError
-from .geometry import (Aabb, PointCloud, RigidPose, SpatialIndex, TriangleMesh,
-                       compute_aabb, sample_mesh_surface)
+from .geometry import (Aabb, PointCloud, RigidPose, TriangleMesh, compute_aabb,
+                       sample_mesh_surface)
 
 __all__ = [
     "Aabb", "BinaryMask", "CameraIntrinsics", "ColorImage", "DepthImage",
     "NoFeasibleGrasp", "PointCloud", "RejectedInput", "RigidPose",
-    "SpatialIndex", "StageFailureError", "TriangleMesh", "backproject",
-    "compute_aabb", "sample_mesh_surface",
+    "StageFailureError", "TriangleMesh", "backproject", "compute_aabb",
+    "sample_mesh_surface",
 ]

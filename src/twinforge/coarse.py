@@ -1,11 +1,12 @@
 """Coarse pose alignment: hypothesis generation, view features, best-pose search.
 
 Stage 1 of the two-stage alignment. The hypotheses are rest poses under
-gravity, seen from the camera. All rotation hypotheses are rendered
-into one stack of small tiles, the stack is described by appearance
-feature vectors in one batched pass, and each vector is scored by cosine
-similarity against the (masked) observation's; the winner seeds the fine
-registration stage with a rendered partial cloud.
+gravity, seen from the camera. ``render_batch`` draws every hypothesis
+into its own small image, exactly as ``render`` would draw it alone; the
+stack is described by appearance feature vectors in one batched pass,
+and each vector is scored by cosine similarity against the (masked)
+observation's; the winner seeds the fine registration stage with a
+rendered partial cloud.
 
 The batched descriptors and similarities are bit-identical to describing
 and scoring one image at a time, so the winner never depends on how the

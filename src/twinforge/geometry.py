@@ -9,7 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import quaternions as quat
 from .errors import RejectedInput
@@ -155,23 +154,6 @@ class Aabb:
     def contains(self, points, margin=0.0) -> np.ndarray:
         p = np.atleast_2d(points)
         return np.all((p >= self.min - margin) & (p <= self.max + margin), axis=1)
-
-
-class SpatialIndex:
-    """Exact nearest-neighbor index over a point cloud (k-d tree).
-
-    Build once, then query concurrently; queries never mutate the tree.
-    """
-
-    def __init__(self, cloud):
-        pts = cloud.points if isinstance(cloud, PointCloud) else np.asarray(cloud, dtype=float)
-        if len(pts) == 0:
-            raise RejectedInput("cannot index an empty cloud")
-        self._tree = cKDTree(pts)
-
-    def nearest_distance(self, query) -> float:
-        d, _ = self._tree.query(np.asarray(query, dtype=float))
-        return float(d)
 
 
 def compute_aabb(cloud) -> Aabb:

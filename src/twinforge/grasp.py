@@ -11,9 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .errors import RejectedInput
-from .geometry import PointCloud, RigidPose, SpatialIndex
+from .geometry import PointCloud, RigidPose
 
 DEFAULT_TOP_K = 1000
 DEFAULT_PROXIMITY = 0.01  # meters
@@ -70,9 +71,9 @@ def filter_by_object_proximity(candidates, object_cloud: PointCloud,
         raise RejectedInput("proximity threshold must be positive")
     if not candidates:
         return []
-    index = SpatialIndex(object_cloud)
-    return [c for c in candidates
-            if index.nearest_distance(c.grasp_point) <= threshold]
+    dist, _ = cKDTree(object_cloud.points).query(
+        np.array([c.grasp_point for c in candidates]))
+    return [c for c, d in zip(candidates, dist) if d <= threshold]
 
 
 def synthetic_grasp_provider(object_cloud: PointCloud, n: int = 50, seed: int = 0):

@@ -13,10 +13,10 @@ become fragments. Every fragment still runs the exact edge-function test
 
 ``render`` (one mesh) and ``render_scene`` (meshes in the world, seen from a
 camera pose) draw every face and return one ``RenderedView``.
-``render_batch`` renders one mesh under many poses into tiled atlases,
-culling back faces, and returns the tiles as (B, H, W, 3) colour and
-(B, H, W) depth stacks. All three are pure functions and build their
-rasterizer input with one ``_assemble``.
+``render_batch`` renders one mesh under many poses, culling back faces: one
+rasterizer pass draws each pose alone into its own image of a stack, and
+the stacks come back as (B, H, W, 3) colour and (B, H, W) depth. All three
+are pure functions and build their rasterizer input with one ``_assemble``.
 """
 
 from __future__ import annotations
@@ -37,7 +37,10 @@ AMBIENT = 0.25
 # float error of an edge crossing is ~1e-15 of that, so no pixel that passes
 # the exact edge test falls outside its span
 _SPAN_SLACK = 1e-6
-_MAX_TILES = 64          # atlas tiles per rasterizer pass in render_batch
+# one render_batch pass draws at most this many poses, and no more than
+# fill this many pixels (but always one), which bounds its buffers
+_MAX_IMAGES = 64
+_MAX_PIXELS = 256 * 256
 
 
 def _cross3(a, b):
@@ -75,21 +78,22 @@ class RenderedView:
 
 
 def _rasterize(vertices_cam, triangles, vertex_colors, tri_object_ids,
-               intrinsics, cull=False, lambert=None, tile_bounds=None):
+               intrinsics, cull=False, images=None):
     """Rasterize camera-frame triangles into depth/color/id buffers.
 
+    With ``images=None`` every triangle is drawn into one (H, W) image.
+    With ``images=n`` the triangles of object i are drawn alone into image
+    i of an (n, H, W) stack, exactly as a pass over them alone would draw
+    them; object ids must lie in [0, n).
     ``cull=True`` drops back faces; it leaves the image unchanged only for
     meshes with consistent outward winding (all built-in primitives).
-    ``lambert`` optionally overrides the per-triangle shading factor (one
-    value per input triangle); ``tile_bounds`` optionally clamps each
-    triangle's fragment bbox to (x0, x1, y0, y1) inclusive, which lets a
-    single buffer hold many independent tiled sub-renders.
     """
     H, W = intrinsics.height, intrinsics.width
-    depth_buf = np.full((H, W), np.inf)
-    color_buf = np.empty((H, W, 3))
+    shape = (H, W) if images is None else (images, H, W)
+    depth_buf = np.full(shape, np.inf)
+    color_buf = np.empty(shape + (3,))
     color_buf[:] = BACKGROUND
-    id_buf = np.full((H, W), -1, dtype=np.int64)
+    id_buf = np.full(shape, -1, dtype=np.int64)
 
     z_all = vertices_cam[:, 2]
     # Per-triangle near-plane rejection: drop any triangle touching z <= NEAR.
@@ -103,10 +107,6 @@ def _rasterize(vertices_cam, triangles, vertex_colors, tri_object_ids,
     if len(live) == 0:
         return depth_buf, color_buf, id_buf
     tri = triangles[live]
-    if lambert is not None:
-        lambert = np.asarray(lambert, dtype=float)[live]
-    if tile_bounds is not None:
-        tile_bounds = np.asarray(tile_bounds)[live]
 
     if cull:
         # Backface culling for meshes with consistent outward winding: a
@@ -120,10 +120,6 @@ def _rasterize(vertices_cam, triangles, vertex_colors, tri_object_ids,
         if len(live) == 0:
             return depth_buf, color_buf, id_buf
         tri = triangles[live]
-        if lambert is not None:
-            lambert = lambert[facing]
-        if tile_bounds is not None:
-            tile_bounds = tile_bounds[facing]
 
     # per-triangle setup, fully vectorized
     p = proj[tri]                                  # (T, 3, 2)
@@ -136,25 +132,16 @@ def _rasterize(vertices_cam, triangles, vertex_colors, tri_object_ids,
     area2 = np.abs(area2)
 
     v = vertices_cam[tri]                          # (T, 3, 3)
-    if lambert is None:
-        lambert_all, nn = _headlight(v)
-        valid_n = nn > 0.0
-    else:
-        lambert_all = lambert
-        valid_n = True
+    lambert_all, nn = _headlight(v)
     inv_z_v = 1.0 / v[:, :, 2]                     # (T, 3)
 
-    xlo, xhi, ylo, yhi = 0, W - 1, 0, H - 1
-    if tile_bounds is not None:
-        xlo, xhi = tile_bounds[:, 0], tile_bounds[:, 1]
-        ylo, yhi = tile_bounds[:, 2], tile_bounds[:, 3]
     # bbox in float, cast to int only once it is known to lie in the image
-    xmin = np.maximum(np.floor(p[:, :, 0].min(axis=1) - 0.5), xlo)
-    xmax = np.minimum(np.ceil(p[:, :, 0].max(axis=1) + 0.5), xhi)
-    ymin = np.maximum(np.floor(p[:, :, 1].min(axis=1) - 0.5), ylo)
-    ymax = np.minimum(np.ceil(p[:, :, 1].max(axis=1) + 0.5), yhi)
+    xmin = np.maximum(np.floor(p[:, :, 0].min(axis=1) - 0.5), 0)
+    xmax = np.minimum(np.ceil(p[:, :, 0].max(axis=1) + 0.5), W - 1)
+    ymin = np.maximum(np.floor(p[:, :, 1].min(axis=1) - 0.5), 0)
+    ymax = np.minimum(np.ceil(p[:, :, 1].max(axis=1) + 0.5), H - 1)
 
-    ok = (area2 > 0.0) & valid_n & (xmin <= xmax) & (ymin <= ymax)
+    ok = (area2 > 0.0) & (nn > 0.0) & (xmin <= xmax) & (ymin <= ymax)
     if not ok.any():
         return depth_buf, color_buf, id_buf
     (p, area2, tri, lambert_all, inv_z_v, live) = (
@@ -222,18 +209,20 @@ def _rasterize(vertices_cam, triangles, vertex_colors, tri_object_ids,
     with np.errstate(divide="ignore", invalid="ignore"):
         z = np.where(inv_z > 0, 1.0 / inv_z, np.inf)
 
-    # z-buffer resolve: per pixel keep the closest fragment; exact depth
-    # ties go to the earliest triangle, matching sequential draw order.
-    # Fragments are ordered by triangle, so among a pixel's closest ones
-    # the earliest triangle's has the lowest index.
+    # z-buffer resolve: per pixel of each image keep the closest fragment;
+    # exact depth ties go to the earliest triangle, matching sequential
+    # draw order. Fragments are ordered by triangle, so among a pixel's
+    # closest ones the earliest triangle's has the lowest index.
     pix = fy * W + fx
-    zmin = np.full(H * W, np.inf)
+    if images is not None:
+        pix += (tri_object_ids[live] * (H * W))[fid]
+    zmin = np.full(depth_buf.size, np.inf)
     np.minimum.at(zmin, pix, z)
     closest = np.flatnonzero(z == zmin[pix])
-    first = np.full(H * W, len(z))
+    first = np.full(depth_buf.size, len(z))
     np.minimum.at(first, pix[closest], closest)
     win = first[first < len(z)]
-    fid, fx, fy, z = fid[win], fx[win], fy[win], z[win]
+    fid, pix, z = fid[win], pix[win], z[win]
     w0, w1, w2 = w0[win], w1[win], w2[win]
 
     if vertex_colors is not None:
@@ -245,10 +234,10 @@ def _rasterize(vertices_cam, triangles, vertex_colors, tri_object_ids,
     cint = np.clip(cint * lambert_all[fid][:, None], 0.0, 1.0)
 
     finite = np.isfinite(z)
-    fid, fx, fy, z, cint = fid[finite], fx[finite], fy[finite], z[finite], cint[finite]
-    depth_buf[fy, fx] = z
-    color_buf[fy, fx] = cint
-    id_buf[fy, fx] = tri_object_ids[live[fid]]
+    fid, pix, z, cint = fid[finite], pix[finite], z[finite], cint[finite]
+    depth_buf.reshape(-1)[pix] = z
+    color_buf.reshape(-1, 3)[pix] = cint
+    id_buf.reshape(-1)[pix] = tri_object_ids[live[fid]]
     return depth_buf, color_buf, id_buf
 
 
@@ -298,54 +287,35 @@ class RenderedBatch:
 
 def render_batch(mesh: TriangleMesh, poses,
                  intrinsics: CameraIntrinsics) -> RenderedBatch:
-    """Render one mesh under many poses via tiled atlas rasterization.
+    """Render one mesh under many poses into one image per pose.
 
-    Amortizes the per-call rasterizer overhead: poses are packed into a grid
-    of image-sized tiles, each tile's vertices are sheared so its projection
-    lands in the right cell (a pure pixel translation; depth and backface
-    decisions are unchanged), and one rasterizer pass fills the whole atlas.
-    Back faces are culled, so the mesh must be wound consistently outward,
-    as every built-in primitive is. Each atlas is validated as one image
-    and cut into its tiles. Tile i matches a per-pose ``render`` of pose i
-    up to the float rounding of the pixel translation.
+    Amortizes the per-call rasterizer overhead: each rasterizer pass takes
+    the mesh under up to 64 poses (fewer for images over 1024 pixels) and
+    draws each pose alone into its own image of a stack. Back faces are
+    culled, so the mesh must be wound consistently outward, as every
+    built-in primitive is; image i is then the same, bit for bit, as
+    ``render(mesh, poses[i], intrinsics)``. Each pass's stack is validated
+    as one colour image and one depth image over its stacked rows.
     """
     poses = list(poses)
     W, H = intrinsics.width, intrinsics.height
-    ntile = max(1, min(_MAX_TILES, (256 * 256) // max(1, W * H)))
+    per_pass = max(1, min(_MAX_IMAGES, _MAX_PIXELS // (W * H)))
     rgb = np.empty((len(poses), H, W, 3))
     depth = np.empty((len(poses), H, W))
-    for c0 in range(0, len(poses), ntile):
-        batch = poses[c0:c0 + ntile]
+    for c0 in range(0, len(poses), per_pass):
+        batch = poses[c0:c0 + per_pass]
         B = len(batch)
-        cols = int(np.ceil(np.sqrt(B)))
-        rows = int(np.ceil(B / cols))
-        atlas_intr = CameraIntrinsics(intrinsics.fx, intrinsics.fy,
-                                      intrinsics.cx, intrinsics.cy,
-                                      W * cols, H * rows)
-        r, c = np.divmod(np.arange(B), cols)
         # (B, V, 3) camera-frame vertices: one matmul per pose, the same
         # arithmetic as RigidPose.apply
         rot = np.ascontiguousarray(np.moveaxis(
             quat.quat_to_matrix(np.array([p.rotation for p in batch]).T), -1, 0))
         vc = (np.matmul(mesh.vertices, rot.transpose(0, 2, 1))
               + np.array([p.translation for p in batch])[:, None])
-        lam, _ = _headlight(vc[:, mesh.triangles].reshape(-1, 3, 3))
-        sheared = vc.copy()
-        sheared[:, :, 0] += (c * W / intrinsics.fx)[:, None] * vc[:, :, 2]
-        sheared[:, :, 1] += (r * H / intrinsics.fy)[:, None] * vc[:, :, 2]
-        bounds = np.repeat(np.stack([c * W, c * W + W - 1, r * H, r * H + H - 1],
-                                    axis=1), len(mesh.triangles), axis=0)
-        atlas_depth, atlas_color, _ = _rasterize(
-            *_assemble([mesh] * B, list(sheared)), atlas_intr, cull=True,
-            lambert=lam, tile_bounds=bounds)
-        atlas_depth = DepthImage(np.where(np.isfinite(atlas_depth),
-                                          atlas_depth, 0.0)).values
-        atlas_color = ColorImage(atlas_color).values
-        # (rows*H, cols*W, ...) atlas -> (rows*cols, H, W, ...) tiles, row-major
-        for out, atlas in ((rgb, atlas_color), (depth, atlas_depth)):
-            tiles = atlas.reshape(rows, H, cols, W, *atlas.shape[2:]).swapaxes(1, 2)
-            out[c0:c0 + B] = tiles.reshape(rows * cols, H, W,
-                                           *atlas.shape[2:])[:B]
+        d, c, _ = _rasterize(*_assemble([mesh] * B, list(vc)), intrinsics,
+                             cull=True, images=B)
+        d = np.where(np.isfinite(d), d, 0.0)
+        depth[c0:c0 + B] = DepthImage(d.reshape(B * H, W)).values.reshape(d.shape)
+        rgb[c0:c0 + B] = ColorImage(c.reshape(B * H, W, 3)).values.reshape(c.shape)
     rgb.setflags(write=False)
     depth.setflags(write=False)
     return RenderedBatch(rgb, depth)

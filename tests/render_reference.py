@@ -1,27 +1,20 @@
-"""Reference rasterizer: bounding-box fragment expansion and a per-pose atlas.
+"""Reference rasterizer: bounding-box fragment expansion.
 
 ``ref_rasterize`` expands every triangle over its whole clipped bounding box
-and runs the edge test on each pixel; ``ref_render_batch`` assembles the
-atlas one pose at a time and ``ref_render_scene`` the scene one object at a
-time. They are kept only to cross-check ``twinforge.render`` bit for bit.
+and runs the edge test on each pixel; ``ref_render_scene`` assembles the
+scene one object at a time. They are kept only to cross-check
+``twinforge.render`` bit for bit.
 """
 
 import numpy as np
 
-from twinforge.camera import CameraIntrinsics, ColorImage, DepthImage
+from twinforge.camera import ColorImage, DepthImage
 from twinforge.render import AMBIENT, BACKGROUND, NEAR, RenderedView, _cross3
 
 
 def ref_rasterize(vertices_cam, triangles, vertex_colors, tri_object_ids,
-                  intrinsics, near, background, cull=False,
-                  lambert=None, tile_bounds=None):
-    """Rasterize camera-frame triangles into depth/color/id buffers.
-
-    ``lambert`` optionally overrides the per-triangle shading factor (one
-    value per input triangle); ``tile_bounds`` optionally clamps each
-    triangle's fragment bbox to (x0, x1, y0, y1) inclusive, which lets a
-    single buffer hold many independent tiled sub-renders.
-    """
+                  intrinsics, near, background, cull=False):
+    """Rasterize camera-frame triangles into depth/color/id buffers."""
     H, W = intrinsics.height, intrinsics.width
     depth_buf = np.full((H, W), np.inf)
     color_buf = np.empty((H, W, 3))
@@ -46,10 +39,6 @@ def ref_rasterize(vertices_cam, triangles, vertex_colors, tri_object_ids,
     if len(live) == 0:
         return depth_buf, color_buf, id_buf
     tri = triangles[live]
-    if lambert is not None:
-        lambert = np.asarray(lambert, dtype=float)[live]
-    if tile_bounds is not None:
-        tile_bounds = np.asarray(tile_bounds)[live]
 
     if cull:
         # Backface culling for meshes with consistent outward winding: a
@@ -63,10 +52,6 @@ def ref_rasterize(vertices_cam, triangles, vertex_colors, tri_object_ids,
         if len(live) == 0:
             return depth_buf, color_buf, id_buf
         tri = triangles[live]
-        if lambert is not None:
-            lambert = lambert[facing]
-        if tile_bounds is not None:
-            tile_bounds = tile_bounds[facing]
 
     # per-triangle setup, fully vectorized
     p = proj[tri]                                  # (T, 3, 2)
@@ -79,30 +64,21 @@ def ref_rasterize(vertices_cam, triangles, vertex_colors, tri_object_ids,
     area2 = np.abs(area2)
 
     v = vertices_cam[tri]                          # (T, 3, 3)
-    if lambert is None:
-        n = _cross3(v[:, 1] - v[:, 0], v[:, 2] - v[:, 0])
-        nn = np.sqrt(np.einsum("ij,ij->i", n, n))
-        centroid = v.mean(axis=1)
-        cn = np.sqrt(np.einsum("ij,ij->i", centroid, centroid))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cosine = np.abs(np.einsum("ij,ij->i", n, -centroid) / (nn * cn))
-        lambert_all = AMBIENT + (1.0 - AMBIENT) * cosine
-        valid_n = nn > 0.0
-    else:
-        lambert_all = lambert
-        valid_n = True
+    n = _cross3(v[:, 1] - v[:, 0], v[:, 2] - v[:, 0])
+    nn = np.sqrt(np.einsum("ij,ij->i", n, n))
+    centroid = v.mean(axis=1)
+    cn = np.sqrt(np.einsum("ij,ij->i", centroid, centroid))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cosine = np.abs(np.einsum("ij,ij->i", n, -centroid) / (nn * cn))
+    lambert_all = AMBIENT + (1.0 - AMBIENT) * cosine
     inv_z_v = 1.0 / v[:, :, 2]                     # (T, 3)
 
-    xlo, xhi, ylo, yhi = 0, W - 1, 0, H - 1
-    if tile_bounds is not None:
-        xlo, xhi = tile_bounds[:, 0], tile_bounds[:, 1]
-        ylo, yhi = tile_bounds[:, 2], tile_bounds[:, 3]
-    xmin = np.maximum(np.floor(p[:, :, 0].min(axis=1) - 0.5).astype(int), xlo)
-    xmax = np.minimum(np.ceil(p[:, :, 0].max(axis=1) + 0.5).astype(int), xhi)
-    ymin = np.maximum(np.floor(p[:, :, 1].min(axis=1) - 0.5).astype(int), ylo)
-    ymax = np.minimum(np.ceil(p[:, :, 1].max(axis=1) + 0.5).astype(int), yhi)
+    xmin = np.maximum(np.floor(p[:, :, 0].min(axis=1) - 0.5).astype(int), 0)
+    xmax = np.minimum(np.ceil(p[:, :, 0].max(axis=1) + 0.5).astype(int), W - 1)
+    ymin = np.maximum(np.floor(p[:, :, 1].min(axis=1) - 0.5).astype(int), 0)
+    ymax = np.minimum(np.ceil(p[:, :, 1].max(axis=1) + 0.5).astype(int), H - 1)
 
-    ok = (area2 > 0.0) & valid_n & (xmin <= xmax) & (ymin <= ymax)
+    ok = (area2 > 0.0) & (nn > 0.0) & (xmin <= xmax) & (ymin <= ymax)
     if not ok.any():
         return depth_buf, color_buf, id_buf
     (p, area2, tri, lambert_all, inv_z_v, xmin, xmax, ymin, ymax, live) = (
@@ -168,62 +144,6 @@ def ref_rasterize(vertices_cam, triangles, vertex_colors, tri_object_ids,
     color_buf[fy, fx] = cint
     id_buf[fy, fx] = tri_object_ids[live[fid]]
     return depth_buf, color_buf, id_buf
-
-
-def ref_render_batch(mesh, poses, intrinsics, near=NEAR,
-                     background=BACKGROUND, cull=False):
-    """Tiled atlas render of one mesh under many poses, assembled pose by
-    pose and rasterized by ``ref_rasterize`` (at most 64 tiles per atlas)."""
-    poses = list(poses)
-    W, H = intrinsics.width, intrinsics.height
-    T = len(mesh.triangles)
-    ntile = max(1, min(64, (256 * 256) // max(1, W * H)))
-    views = []
-    for c0 in range(0, len(poses), ntile):
-        batch = poses[c0:c0 + ntile]
-        B = len(batch)
-        cols = int(np.ceil(np.sqrt(B)))
-        rows = int(np.ceil(B / cols))
-        atlas_intr = CameraIntrinsics(intrinsics.fx, intrinsics.fy,
-                                      intrinsics.cx, intrinsics.cy,
-                                      W * cols, H * rows)
-        all_verts, all_tris, all_lam, all_bounds = [], [], [], []
-        for i, pose in enumerate(batch):
-            r, c = divmod(i, cols)
-            vc = pose.apply(mesh.vertices)
-            tv = vc[mesh.triangles]
-            n = _cross3(tv[:, 1] - tv[:, 0], tv[:, 2] - tv[:, 0])
-            nn = np.sqrt(np.einsum("ij,ij->i", n, n))
-            cen = tv.mean(axis=1)
-            cn = np.sqrt(np.einsum("ij,ij->i", cen, cen))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                cosine = np.abs(np.einsum("ij,ij->i", n, -cen) / (nn * cn))
-            lam = AMBIENT + (1.0 - AMBIENT) * np.where(nn * cn > 0, cosine, 0.0)
-            sheared = vc.copy()
-            sheared[:, 0] += (c * W / intrinsics.fx) * vc[:, 2]
-            sheared[:, 1] += (r * H / intrinsics.fy) * vc[:, 2]
-            all_verts.append(sheared)
-            all_tris.append(mesh.triangles + i * len(mesh.vertices))
-            all_lam.append(lam)
-            all_bounds.append(np.broadcast_to(
-                np.array([c * W, c * W + W - 1, r * H, r * H + H - 1]), (T, 4)))
-        verts = np.vstack(all_verts)
-        tris = np.vstack(all_tris)
-        colors = (np.tile(mesh.vertex_colors, (B, 1))
-                  if mesh.vertex_colors is not None else None)
-        ids = np.zeros(len(tris), dtype=np.int64)
-        depth, color, id_buf = ref_rasterize(
-            verts, tris, colors, ids, atlas_intr, near, background, cull=cull,
-            lambert=np.concatenate(all_lam), tile_bounds=np.vstack(all_bounds))
-        depth = np.where(np.isfinite(depth), depth, 0.0)
-        for i, pose in enumerate(batch):
-            r, c = divmod(i, cols)
-            tile_d = depth[r * H:(r + 1) * H, c * W:(c + 1) * W]
-            tile_c = color[r * H:(r + 1) * H, c * W:(c + 1) * W]
-            tile_i = id_buf[r * H:(r + 1) * H, c * W:(c + 1) * W]
-            views.append(RenderedView(ColorImage(tile_c), DepthImage(tile_d),
-                                      tile_i))
-    return views
 
 
 def ref_render_scene(objects, view_pose, intrinsics):

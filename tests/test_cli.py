@@ -260,6 +260,17 @@ def test_bench_align_verb(tmp_path):
     assert rc == EXIT_INVALID_INPUT
 
 
+@pytest.mark.parametrize("doc", [{"trials": 0}, {"trials": -3},
+                                 {"primitives": []}])
+def test_bench_align_rejects_an_empty_run(tmp_path, doc):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "bench_out"
+    rc = main(["bench-align", "--out", str(out), "--config", str(cfg)])
+    assert rc == EXIT_INVALID_INPUT
+    assert not (out / "benchmark.csv").exists()
+
+
 def test_plan_stage_failure_exit_code(tmp_path):
     rc = main(["gen-scene", "--task", "cube-onto-cube", "--seed", "4",
                "--out", str(tmp_path)])

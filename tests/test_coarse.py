@@ -14,7 +14,7 @@ from twinforge.coarse import (DESCRIPTOR_DIM, _cosine_similarities,
                               partial_cloud_from_pose, select_coarse_pose)
 from twinforge.errors import RejectedInput
 from twinforge.geometry import RigidPose, sample_mesh_surface
-from twinforge.render import render, render_batch
+from twinforge.render import render
 from twinforge.strategy import rest_orientations
 from twinforge.synth import default_intrinsics, make_box, primitive_from_spec
 
@@ -158,8 +158,9 @@ def test_descriptor_batch_matches_per_image_reference(b, h, w, kind, seed):
 
 @pytest.mark.parametrize("spec", BENCHMARK_PRIMITIVES)
 def test_select_coarse_pose_scores_match_per_image_reference(spec):
-    # the hypothesis tiles of a real search, described and scored one at a
-    # time by the reference: every similarity is bit-identical
+    # the hypotheses of a real search, each rendered alone, described and
+    # scored one at a time by the reference: every similarity is
+    # bit-identical
     mesh = primitive_from_spec(spec)
     intr = default_intrinsics(size=120, focal=150.0)
     hyps = generate_hypotheses([0.0, 0.01, 0.4], 96)
@@ -168,9 +169,10 @@ def test_select_coarse_pose_scores_match_per_image_reference(spec):
     mask = BinaryMask(obs.object_ids >= 0)
     result = select_coarse_pose(mesh, hyps, obs.rgb, mask, intr)
     obs_feat = ref_grid_descriptor(mask_observation(obs.rgb, mask).values)
-    tiles = render_batch(mesh, hyps, _scoring_intrinsics(intr)).rgb
-    want = [ref_cosine_similarity(ref_grid_descriptor(t), obs_feat)
-            for t in tiles]
+    small = _scoring_intrinsics(intr)
+    want = [ref_cosine_similarity(
+                ref_grid_descriptor(render(mesh, h, small).rgb.values), obs_feat)
+            for h in hyps]
     assert [s for _, s in result.all_scores] == want
     assert result.similarity == max(want)
 

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from twinforge import quaternions as quat
 from twinforge.errors import RejectedInput
-from twinforge.geometry import (Aabb, PointCloud, RigidPose, SpatialIndex,
-                                TriangleMesh, compute_aabb, sample_mesh_surface)
+from twinforge.geometry import (Aabb, PointCloud, RigidPose, TriangleMesh,
+                                compute_aabb, sample_mesh_surface)
 
 
 def random_pose(rng):
@@ -124,18 +124,6 @@ def test_aabb():
     assert box.contains([1.05, 0.5, 0.5], margin=0.1)[0]
     with pytest.raises(RejectedInput):
         Aabb([1, 0, 0], [0, 1, 1])
-
-
-def test_spatial_index_matches_brute_force():
-    rng = np.random.default_rng(4)
-    pts = rng.normal(size=(200, 3))
-    index = SpatialIndex(PointCloud(pts))
-    queries = rng.normal(size=(50, 3))
-    for q in queries:
-        brute = np.min(np.linalg.norm(pts - q, axis=1))
-        assert index.nearest_distance(q) == pytest.approx(brute, abs=1e-12)
-    with pytest.raises(RejectedInput):
-        SpatialIndex(np.empty((0, 3)))
 
 
 def test_compute_aabb():

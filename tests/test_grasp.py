@@ -50,6 +50,22 @@ def test_proximity_filter_preserves_order():
         filter_by_object_proximity([a], cloud, 0.0)
 
 
+def test_proximity_filter_matches_brute_force():
+    # the kept set, in input order, is the candidates whose nearest cloud
+    # point, found by brute force, lies within the threshold
+    rng = np.random.default_rng(4)
+    pts = rng.normal(size=(200, 3))
+    queries = rng.normal(size=(80, 3))
+    cands = [cand(q, 0.5) for q in queries]
+    nearest = np.linalg.norm(pts[None] - queries[:, None], axis=2).min(axis=1)
+    for tau in (0.15, 0.3, 0.5):
+        assert np.min(np.abs(nearest - tau)) > 1e-9
+        want = [c for c, d in zip(cands, nearest) if d <= tau]
+        kept = filter_by_object_proximity(cands, PointCloud(pts), tau)
+        assert kept == want
+        assert 0 < len(kept) < len(cands)
+
+
 def test_candidate_file_roundtrip(tmp_path):
     rng = np.random.default_rng(0)
     from twinforge import quaternions as quat

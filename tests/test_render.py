@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from render_reference import ref_rasterize, ref_render_batch, ref_render_scene
+from render_reference import ref_rasterize, ref_render_scene
 from solids_reference import ray_mesh_depth
 from twinforge import quaternions as quat
 from twinforge.camera import CameraIntrinsics, backproject
@@ -31,6 +31,19 @@ def test_background_and_empty_mesh():
     assert np.allclose(view.rgb.values, BACKGROUND)
     assert np.all(view.depth.values == 0.0)
     assert np.all(view.object_ids == -1)
+    # render_batch gives every pose its background image, also when the mesh
+    # has no triangles or a pose's triangles are all culled or clipped
+    box = make_box([0.08, 0.06, 0.05])
+    behind = RigidPose(quat.IDENTITY, [0.0, 0.0, -0.5])
+    for m, poses in ((mesh, [RigidPose.identity()] * 3),
+                     (box, [behind, box_pose(2), behind])):
+        batch = render_batch(m, poses, intr())
+        assert batch.rgb.shape == (3, 64, 64, 3)
+        for i, pose in enumerate(poses):
+            single = render(m, pose, intr())
+            assert np.array_equal(batch.rgb[i], single.rgb.values)
+            assert np.array_equal(batch.depth[i], single.depth.values)
+    assert np.all(batch.depth[[0, 2]] == 0.0) and np.any(batch.depth[1] > 0)
 
 
 def test_depth_matches_ray_oracle_on_box():
@@ -164,25 +177,23 @@ def test_backface_cull_image_identical():
 
 
 def test_render_batch_matches_single_renders():
+    # image i is the per-pose render of pose i, bit for bit, for every
+    # built-in primitive: culling back faces changes no pixel of these meshes
     cam = intr()
-    mesh = make_box([0.08, 0.06, 0.05])
-    poses = [box_pose(s) for s in range(9)]
-    views = render_batch(mesh, poses, cam)
-    assert len(views) == 9
-    assert views.rgb.shape == (9, cam.height, cam.width, 3)
-    assert views.depth.shape == (9, cam.height, cam.width)
-    for pose, rgb, depth in zip(poses, views.rgb, views.depth):
-        single = render(mesh, pose, cam)
-        # the tiled render shifts pixel coordinates by a float translation,
-        # so ownership of pixels exactly on an edge may flip; everywhere
-        # else depth and color must agree
-        agree = np.isclose(single.depth.values, depth, atol=1e-9)
-        assert np.mean(agree) > 0.995
-        assert np.allclose(single.rgb.values[agree], rgb[agree], atol=1e-9)
+    for name, mesh in PRIMITIVE_MESHES.items():
+        poses = [box_pose(s, z=0.3) for s in range(9)]
+        views = render_batch(mesh, poses, cam)
+        assert len(views) == 9
+        assert views.rgb.shape == (9, cam.height, cam.width, 3)
+        assert views.depth.shape == (9, cam.height, cam.width)
+        for pose, rgb, depth in zip(poses, views.rgb, views.depth):
+            single = render(mesh, pose, cam)
+            assert np.array_equal(single.depth.values, depth), name
+            assert np.array_equal(single.rgb.values, rgb), name
 
 
 # ---------------------------------------------------------------------------
-# Row-span rasterizer and vectorized atlas against the bounding-box reference
+# Row-span rasterizer and stacked images against the bounding-box reference
 
 PRIMITIVE_MESHES = {
     "box": make_box([0.06, 0.05, 0.04]),
@@ -264,10 +275,9 @@ def _pixel_soup(kind, rng, w, h):
 @given(kind=st.sampled_from(["centres", "axis", "subpixel", "sliver",
                              "through", "random"]),
        size=st.tuples(st.integers(1, 40), st.integers(1, 40)),
-       seed=st.integers(0, 2**16), cull=st.booleans(), tiled=st.booleans(),
-       shaded=st.booleans())
+       seed=st.integers(0, 2**16), cull=st.booleans(), stacked=st.booleans())
 def test_rasterize_stress_triangles_match_bbox_reference(kind, size, seed, cull,
-                                                         tiled, shaded):
+                                                         stacked):
     # unit focal length and principal point at the origin: a vertex at
     # (u z, v z, z) with a power-of-two z projects to exactly (u, v)
     w, h = size
@@ -280,19 +290,23 @@ def test_rasterize_stress_triangles_match_bbox_reference(kind, size, seed, cull,
     verts = verts.reshape(-1, 3)
     tris = np.arange(len(verts)).reshape(-1, 3)
     colors = rng.random((len(verts), 3))
-    ids = np.arange(len(tris))
     cam = CameraIntrinsics(1.0, 1.0, 0.0, 0.0, w, h)
-    kw = {"cull": cull}
-    if shaded:
-        kw["lambert"] = rng.uniform(0.25, 1.0, len(tris))
-    if tiled:  # tile borders through the middle of the triangles
-        x0 = rng.integers(0, w, len(tris))
-        y0 = rng.integers(0, h, len(tris))
-        kw["tile_bounds"] = np.stack([x0, rng.integers(x0, w), y0,
-                                      rng.integers(y0, h)], axis=1)
-    args = (verts, tris, colors, ids, cam)
-    _assert_same_buffers(_rasterize(*args, **kw),
-                         ref_rasterize(*args, NEAR, BACKGROUND, **kw))
+    if not stacked:
+        args = (verts, tris, colors, np.arange(len(tris)), cam)
+        _assert_same_buffers(_rasterize(*args, cull=cull),
+                             ref_rasterize(*args, NEAR, BACKGROUND, cull=cull))
+        return
+    # each triangle goes to a random image of the stack, some images get
+    # none: image i must be the render of its own triangles alone
+    n = int(rng.integers(1, 5))
+    image = rng.integers(0, n, len(tris))
+    got = _rasterize(verts, tris, colors, image, cam, cull=cull, images=n)
+    assert got[0].shape == (n, h, w)
+    for i in range(n):
+        own = image == i
+        _assert_same_buffers([b[i] for b in got],
+                             ref_rasterize(verts, tris[own], colors, image[own],
+                                           cam, NEAR, BACKGROUND, cull=cull))
 
 
 def test_exact_depth_ties_go_to_the_earliest_triangle():
@@ -314,20 +328,23 @@ def test_exact_depth_ties_go_to_the_earliest_triangle():
        colored=st.booleans())
 def test_render_batch_matches_per_pose_reference(name, pose_list, size,
                                                  colored):
-    # (128, 128) puts four tiles in an atlas, so ten poses span three
-    # atlases; poses off to the side cross their tile's borders. The batch
-    # always culls back faces; the stress test covers the unculled path.
+    # (128, 128) draws four poses per pass, so ten poses take three passes.
+    # The batch always culls back faces; the stress test covers the unculled
+    # path.
     mesh = PRIMITIVE_MESHES[name]
     if not colored:
         mesh = TriangleMesh(mesh.vertices, mesh.triangles)
     w, h = size
     cam = CameraIntrinsics(60.0, 60.0, w / 2, h / 2, w, h)
     got = render_batch(mesh, pose_list, cam)
-    want = ref_render_batch(mesh, pose_list, cam, cull=True)
-    assert len(got) == len(want) == len(pose_list)
+    assert len(got) == len(pose_list)
     assert not (got.rgb.flags.writeable or got.depth.flags.writeable)
-    for depth, rgb, r in zip(got.depth, got.rgb, want):
-        _assert_same_buffers((depth, rgb), (r.depth.values, r.rgb.values))
+    ids = np.zeros(len(mesh.triangles), dtype=np.int64)
+    for pose, depth, rgb in zip(pose_list, got.depth, got.rgb):
+        d, c, _ = ref_rasterize(pose.apply(mesh.vertices), mesh.triangles,
+                                mesh.vertex_colors, ids, cam, NEAR,
+                                BACKGROUND, cull=True)
+        _assert_same_buffers((depth, rgb), (np.where(np.isfinite(d), d, 0.0), c))
 
 
 @settings(max_examples=40, deadline=None)
