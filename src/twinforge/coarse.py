@@ -1,16 +1,20 @@
 """Coarse pose alignment: hypothesis generation, view features, best-pose search.
 
 Stage 1 of the two-stage alignment. The hypotheses are rest poses under
-gravity, seen from the camera. ``render_batch`` draws every hypothesis
-into its own small image, exactly as ``render`` would draw it alone; the
-stack is described by appearance feature vectors in one batched pass,
-and each vector is scored by cosine similarity against the (masked)
-observation's; the winner seeds the fine registration stage with a
-rendered partial cloud.
+gravity, seen from the camera: six rests, each under evenly spaced yaws.
+The search is coarse to fine. It first scores every
+``COARSE_YAW_STEP``-th yaw of each rest, then the yaws around the
+``COARSE_TOP`` best of those, and keeps the best pose scored. A level is
+one ``render_batch`` (each hypothesis drawn into its own small image,
+exactly as ``render`` would draw it alone), one batched description of
+the stack by appearance feature vectors, and one cosine similarity per
+vector against the (masked) observation's. The winner seeds the fine
+registration stage with a rendered partial cloud.
 
 The batched descriptors and similarities are bit-identical to describing
-and scoring one image at a time, so the winner never depends on how the
-hypotheses are batched.
+and scoring one image at a time, so a scored hypothesis's similarity
+never depends on how the hypotheses are batched or which others are
+scored.
 """
 
 from __future__ import annotations
@@ -29,6 +33,8 @@ from .strategy import UP, rest_orientations
 DESCRIPTOR_GRID = 8          # cells per side
 DESCRIPTOR_BINS = 8          # gradient orientation bins per cell
 DESCRIPTOR_DIM = DESCRIPTOR_GRID * DESCRIPTOR_GRID * (DESCRIPTOR_BINS + 1)
+COARSE_YAW_STEP = 4          # the first search level scores every 4th yaw
+COARSE_TOP = 16              # first-level poses whose near yaws come next
 _RESIZE_TO = 32
 
 _LUMA = np.array([0.299, 0.587, 0.114])
@@ -44,7 +50,9 @@ class CoarseAlignment:
     best_pose: RigidPose
     similarity: float
     rendered_partial: PointCloud
-    all_scores: tuple  # (hypothesis index, similarity) pairs
+    # (hypothesis index, similarity) of every hypothesis the search scored,
+    # in index order
+    all_scores: tuple
 
 
 def check_rotation_count(n) -> None:
@@ -137,7 +145,7 @@ def grid_descriptor(images) -> np.ndarray:
     hists = np.bincount(slots.ravel(), weights=mag.ravel(), minlength=B * nhist)
     hists = hists.reshape(B, DESCRIPTOR_GRID ** 2, DESCRIPTOR_BINS)
     means = (small.reshape(B, DESCRIPTOR_GRID, cell, DESCRIPTOR_GRID, cell)
-             .mean(axis=(2, 4)).reshape(B, -1, 1))
+             .mean(axis=(2, 4)).reshape(B, DESCRIPTOR_GRID ** 2, 1))
     vecs = np.concatenate([means, hists], axis=2).reshape(B, DESCRIPTOR_DIM)
     norms = _row_norms(vecs)
     nz = norms > 0
@@ -202,22 +210,43 @@ def _scoring_intrinsics(intrinsics: CameraIntrinsics) -> CameraIntrinsics:
 def select_coarse_pose(mesh: TriangleMesh, hypotheses,
                        observation: ColorImage, obs_mask: BinaryMask,
                        intrinsics: CameraIntrinsics) -> CoarseAlignment:
-    """Render and score every hypothesis pose against the masked observation.
+    """Search the rest-major hypothesis grid of ``generate_hypotheses`` (six
+    rests x Y yaws) coarse to fine against the masked observation.
+
+    The first level scores yaws 0, 4, 8, ... (``COARSE_YAW_STEP``) of
+    every rest. The second scores, around each of the ``COARSE_TOP`` (16)
+    best of those (ties to the lower index), the yaws within 3 steps in the
+    same rest, wrapping mod Y, that are not yet scored. The winner is the
+    best pose scored, ties to the lowest index. At 384 hypotheses that
+    renders at most 192; at Y <= 4 it scores every hypothesis.
 
     Hypotheses are rendered at a scoring resolution capped at 40 px per
-    side (the descriptor resamples to 32x32 regardless), described as one
-    stack and scored in one pass. Ties are broken by lowest hypothesis
-    index. The winning hypothesis's rendered depth is
-    back-projected at full resolution into the stage-2 partial cloud.
+    side (the descriptor resamples to 32x32 regardless), and each level is
+    described as one stack and scored in one pass. The winning hypothesis's
+    rendered depth is back-projected at full resolution into the stage-2
+    partial cloud. RejectedInput unless the hypothesis count is a positive
+    multiple of 6.
     """
-    if len(hypotheses) == 0:
-        raise RejectedInput("empty hypothesis set")
+    n = len(hypotheses)
+    check_rotation_count(n)
+    yaws = n // 6
     obs_feat = grid_descriptor(
         mask_observation(observation, obs_mask).values[None])[0]
-    views = render_batch(mesh, hypotheses, _scoring_intrinsics(intrinsics))
-    sims = _cosine_similarities(grid_descriptor(views.rgb), obs_feat)
-    best_idx = int(np.argmax(sims))
+    small = _scoring_intrinsics(intrinsics)
+
+    def score(indices):
+        views = render_batch(mesh, [hypotheses[i] for i in indices], small)
+        return dict(zip(indices, _cosine_similarities(
+            grid_descriptor(views.rgb), obs_feat).tolist()))
+
+    sims = score([i for i in range(n) if i % yaws % COARSE_YAW_STEP == 0])
+    top = sorted(sims, key=lambda i: -sims[i])[:COARSE_TOP]
+    # the yaws the first level skipped on either side of a top pose
+    reach = range(1 - COARSE_YAW_STEP, COARSE_YAW_STEP)
+    near = {i - i % yaws + (i + d) % yaws for i in top for d in reach}
+    sims.update(score(sorted(near - sims.keys())))
+    all_scores = tuple(sorted(sims.items()))
+    best_idx, best_sim = max(all_scores, key=lambda item: item[1])
     best_pose = hypotheses[best_idx]
     partial = partial_cloud_from_pose(mesh, best_pose, intrinsics)
-    return CoarseAlignment(best_pose, float(sims[best_idx]), partial,
-                           tuple(enumerate(float(s) for s in sims)))
+    return CoarseAlignment(best_pose, best_sim, partial, all_scores)

@@ -359,7 +359,7 @@ def icp_refine(source: PointCloud, target: PointCloud, init: RigidPose,
 
 @dataclass(frozen=True)
 class AlignConfig:
-    rotation_count: int = 384   # coarse hypotheses: rest orientations x yaws
+    rotation_count: int = 384   # finest coarse grid: rest orientations x yaws
     skip_coarse: bool = False  # direct-alignment ablation: identity coarse pose
 
     def __post_init__(self):
@@ -466,10 +466,12 @@ def fine_register(mesh: TriangleMesh, observed: PointCloud,
     # ICP from RANSAC's pose and from the coarse pose itself: the smaller
     # mean squared residual wins, an unmatched point counting as the
     # correspondence cap, so a false RANSAC match cannot pull a good coarse
-    # pose away
+    # pose away. With no RANSAC model both starts are the identity, so ICP
+    # runs once.
     cap = IcpParams().max_correspondence_distance
-    icp = min((icp_refine(src, tgt, init)
-               for init in (ransac.pose, RigidPose.identity())),
+    starts = ((RigidPose.identity(),) if ransac.rmse == RMSE_INF
+              else (ransac.pose, RigidPose.identity()))
+    icp = min((icp_refine(src, tgt, init) for init in starts),
               key=lambda fit: fit.inlier_fraction
               * (min(fit.rmse, cap) ** 2 - cap ** 2))
     final_pose = icp.pose.compose(coarse.best_pose)

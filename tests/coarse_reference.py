@@ -1,15 +1,20 @@
-"""Reference coarse scoring: one image at a time. The grid descriptor of a
-single (H, W, 3) image and the scalar cosine similarity of two descriptors,
-as ``twinforge.coarse`` computed them before it described and scored whole
-stacks in one pass. Kept only to cross-check ``grid_descriptor`` and
-``select_coarse_pose`` bit for bit.
+"""Reference coarse scoring. The grid descriptor of a single (H, W, 3)
+image and the scalar cosine similarity of two descriptors, as
+``twinforge.coarse`` computed them before it described and scored whole
+stacks in one pass; and the exhaustive search that scored every hypothesis
+before the search went coarse to fine. Kept only to cross-check
+``grid_descriptor`` and ``select_coarse_pose``.
 """
 
 import numpy as np
 
 from twinforge.coarse import (_CELL_IDX, _LUMA, _PAD_IDX, _RESIZE_TO, _SOBEL,
-                              DESCRIPTOR_BINS, DESCRIPTOR_GRID, _resize_weights)
+                              DESCRIPTOR_BINS, DESCRIPTOR_GRID,
+                              _cosine_similarities, _resize_weights,
+                              _scoring_intrinsics, grid_descriptor,
+                              mask_observation)
 from twinforge.errors import RejectedInput
+from twinforge.render import render_batch
 
 
 def ref_grid_descriptor(image):
@@ -52,3 +57,14 @@ def ref_cosine_similarity(a, b):
     if na == 0 or nb == 0:
         raise RejectedInput("cosine similarity undefined for zero vectors")
     return float(np.dot(a, b) / (na * nb))
+
+
+def ref_select_exhaustive(mesh, hypotheses, observation, obs_mask, intrinsics):
+    """The search before it went coarse to fine: render and score every
+    hypothesis in one stack and take the argmax, ties to the lowest index.
+    Returns (winner index, similarity of every hypothesis)."""
+    obs_feat = grid_descriptor(
+        mask_observation(observation, obs_mask).values[None])[0]
+    views = render_batch(mesh, hypotheses, _scoring_intrinsics(intrinsics))
+    sims = _cosine_similarities(grid_descriptor(views.rgb), obs_feat)
+    return int(np.argmax(sims)), sims

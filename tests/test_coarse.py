@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
-from coarse_reference import ref_cosine_similarity, ref_grid_descriptor
+from coarse_reference import (ref_cosine_similarity, ref_grid_descriptor,
+                              ref_select_exhaustive)
+from twinforge import coarse
 from twinforge import quaternions as quat
 from twinforge.benchmark import BENCHMARK_PRIMITIVES
 from twinforge.camera import BinaryMask, ColorImage
@@ -14,7 +16,7 @@ from twinforge.coarse import (DESCRIPTOR_DIM, _cosine_similarities,
                               partial_cloud_from_pose, select_coarse_pose)
 from twinforge.errors import RejectedInput
 from twinforge.geometry import RigidPose, sample_mesh_surface
-from twinforge.render import render
+from twinforge.render import render, render_batch
 from twinforge.strategy import rest_orientations
 from twinforge.synth import default_intrinsics, make_box, primitive_from_spec
 
@@ -158,8 +160,8 @@ def test_descriptor_batch_matches_per_image_reference(b, h, w, kind, seed):
 
 @pytest.mark.parametrize("spec", BENCHMARK_PRIMITIVES)
 def test_select_coarse_pose_scores_match_per_image_reference(spec):
-    # the hypotheses of a real search, each rendered alone, described and
-    # scored one at a time by the reference: every similarity is
+    # the hypotheses a real search scores, each rendered alone, described
+    # and scored one at a time by the reference: every similarity is
     # bit-identical
     mesh = primitive_from_spec(spec)
     intr = default_intrinsics(size=120, focal=150.0)
@@ -170,11 +172,104 @@ def test_select_coarse_pose_scores_match_per_image_reference(spec):
     result = select_coarse_pose(mesh, hyps, obs.rgb, mask, intr)
     obs_feat = ref_grid_descriptor(mask_observation(obs.rgb, mask).values)
     small = _scoring_intrinsics(intr)
-    want = [ref_cosine_similarity(
-                ref_grid_descriptor(render(mesh, h, small).rgb.values), obs_feat)
-            for h in hyps]
-    assert [s for _, s in result.all_scores] == want
-    assert result.similarity == max(want)
+    want = [(i, ref_cosine_similarity(
+                ref_grid_descriptor(render(mesh, hyps[i], small).rgb.values),
+                obs_feat))
+            for i, _ in result.all_scores]
+    assert list(result.all_scores) == want
+    assert result.similarity == max(s for _, s in want)
+
+
+def _search(mesh, hyps, obs, mask, intr):
+    """select_coarse_pose, and the number of hypotheses it rendered."""
+    rendered = []
+
+    def counting(mesh, poses, intrinsics):
+        rendered.extend(poses)
+        return render_batch(mesh, poses, intrinsics)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(coarse, "render_batch", counting)
+        result = select_coarse_pose(mesh, hyps, obs, mask, intr)
+    return result, len(rendered)
+
+
+@settings(max_examples=12, deadline=None)
+@given(spec=st.sampled_from(BENCHMARK_PRIMITIVES), q=_unit_quats,
+       camera=_unit_quats)
+def test_two_level_search_agrees_with_exhaustive_oracle(spec, q, camera):
+    # at the production count: every 4th yaw of each rest is scored, and
+    # every scored similarity is the oracle's, bit for bit; the winner is
+    # the scored argmax, ties to the lowest index, and is the oracle's
+    # winner whenever that was scored; at most half the hypotheses are
+    # rendered
+    mesh = primitive_from_spec(spec)
+    intr = default_intrinsics(size=120, focal=150.0)
+    hyps = generate_hypotheses([0.0, 0.01, 0.4], 384,
+                               RigidPose(camera, [0.0, 0.0, 0.0]))
+    obs = render(mesh, RigidPose(q, [0.0, 0.0, 0.4]), intr)
+    mask = BinaryMask(obs.object_ids >= 0)
+    result, rendered = _search(mesh, hyps, obs.rgb, mask, intr)
+    oracle_idx, oracle_sims = ref_select_exhaustive(mesh, hyps, obs.rgb, mask,
+                                                    intr)
+    indices = [i for i, _ in result.all_scores]
+    assert indices == sorted(set(indices))
+    assert set(range(0, 384, 4)) <= set(indices)
+    assert rendered == len(indices) <= 192
+    for i, s in result.all_scores:
+        assert s == oracle_sims[i]
+    best = max(s for _, s in result.all_scores)
+    best_idx = min(i for i, s in result.all_scores if s == best)
+    assert result.similarity == best
+    assert result.best_pose is hyps[best_idx]
+    if oracle_idx in indices:
+        assert best_idx == oracle_idx
+
+
+@pytest.mark.parametrize("count", [6, 12, 24])
+def test_small_grids_score_every_hypothesis(count):
+    # with at most 4 yaws per rest, every yaw is a first-level pose or within
+    # 3 yaws of one, and there are at most 16 first-level poses
+    mesh = make_box([0.08, 0.05, 0.04])
+    intr = default_intrinsics(size=120, focal=150.0)
+    hyps = generate_hypotheses([0.0, 0.0, 0.4], count)
+    view = render(mesh, RigidPose(quat.random_quat(np.random.default_rng(3)),
+                                  [0.0, 0.0, 0.4]), intr)
+    mask = BinaryMask(view.object_ids >= 0)
+    result, rendered = _search(mesh, hyps, view.rgb, mask, intr)
+    oracle_idx, oracle_sims = ref_select_exhaustive(mesh, hyps, view.rgb,
+                                                    mask, intr)
+    assert rendered == count
+    assert list(result.all_scores) == list(enumerate(oracle_sims.tolist()))
+    assert result.best_pose is hyps[oracle_idx]
+
+
+def test_two_level_search_breaks_ties_to_the_lower_index():
+    # 384 copies of one pose all score the same: the 16 best first-level
+    # poses are yaws 0, 4, ..., 60 of rest 0, so the second level scores the
+    # rest of rest 0 (wrapping 0 - 3 to yaw 61), and the winner is index 0
+    mesh = make_box([0.08, 0.05, 0.04])
+    intr = default_intrinsics(size=120, focal=150.0)
+    q = quat.random_quat(np.random.default_rng(4))
+    hyps = tuple(RigidPose(q, [0.0, 0.0, 0.4]) for _ in range(384))
+    view = render(mesh, RigidPose(q, [0.0, 0.01, 0.4]), intr)
+    result, rendered = _search(mesh, hyps, view.rgb,
+                               BinaryMask(view.object_ids >= 0), intr)
+    scored = set(range(0, 384, 4)) | set(range(64))
+    assert [i for i, _ in result.all_scores] == sorted(scored)
+    assert rendered == len(scored) == 144
+    assert len({s for _, s in result.all_scores}) == 1
+    assert result.best_pose is hyps[0]
+
+
+@pytest.mark.parametrize("count", [1, 5, 7, 13])
+def test_select_coarse_pose_rejects_counts_that_are_not_multiples_of_6(count):
+    mesh = make_box([0.06, 0.06, 0.06])
+    hyps = generate_hypotheses([0.0, 0.0, 0.4], 18)[:count]
+    with pytest.raises(RejectedInput):
+        select_coarse_pose(mesh, hyps, ColorImage(np.full((8, 8, 3), 0.3)),
+                           BinaryMask(np.ones((8, 8), dtype=bool)),
+                           default_intrinsics(8, 10.0))
 
 
 def test_mask_observation_replaces_background():

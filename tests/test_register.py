@@ -529,3 +529,39 @@ def test_two_stage_align_recovers_synthetic_pose():
     assert trans_err <= max(0.01, 0.1 * obs.diameter)
     # the one recovered scale is near the true scale
     assert abs(res.scale - obs.true_scale) < 0.25
+
+
+def test_fine_register_starts_icp_once_without_a_ransac_model(monkeypatch):
+    # no mutual correspondences: RANSAC returns its no-model identity, which
+    # is also the coarse start, so ICP runs once, and its fit is what the
+    # min over the two identical starts kept
+    obs = synthetic_observation("box:0.07,0.05,0.04", seed=1)
+    observed, coarse, scale = register.coarse_align(
+        obs.unit_mesh, obs.color, obs.depth, obs.mask, obs.intrinsics,
+        AlignConfig(rotation_count=24), obs.camera_pose)
+    monkeypatch.setattr(register, "mutual_correspondences",
+                        lambda a, b: (np.empty(0, int), np.empty(0, int)))
+    calls = []
+
+    def recording(src, tgt, init, params=IcpParams()):
+        calls.append((src, tgt, init))
+        return icp_refine(src, tgt, init, params)
+
+    monkeypatch.setattr(register, "icp_refine", recording)
+    res = register.fine_register(obs.unit_mesh, observed, coarse, scale)
+    assert res.ransac.rmse == register.RMSE_INF
+    assert len(calls) == 1
+    src, tgt, init = calls[0]
+    assert np.array_equal(init.rotation, quat.IDENTITY)
+    assert np.array_equal(init.translation, np.zeros(3))
+    cap = IcpParams().max_correspondence_distance
+    want = min((icp_refine(src, tgt, RigidPose.identity()) for _ in range(2)),
+               key=lambda fit: fit.inlier_fraction
+               * (min(fit.rmse, cap) ** 2 - cap ** 2))
+    got = res.registration
+    assert np.array_equal(got.pose.rotation, want.pose.rotation)
+    assert np.array_equal(got.pose.translation, want.pose.translation)
+    assert (got.rmse, got.inlier_fraction, got.converged, got.iterations,
+            got.rmse_history) == (want.rmse, want.inlier_fraction,
+                                  want.converged, want.iterations,
+                                  want.rmse_history)
