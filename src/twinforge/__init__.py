@@ -4,13 +4,12 @@ strategy ranking for desk-scale tabletop scenes."""
 __version__ = "0.1.0"
 
 from .camera import BinaryMask, CameraIntrinsics, ColorImage, DepthImage, backproject
-from .errors import NoFeasibleGrasp, RejectedInput, StageFailureError
+from .errors import RejectedInput, StageFailureError
 from .geometry import (Aabb, PointCloud, RigidPose, TriangleMesh, compute_aabb,
                        sample_mesh_surface)
 
 __all__ = [
     "Aabb", "BinaryMask", "CameraIntrinsics", "ColorImage", "DepthImage",
-    "NoFeasibleGrasp", "PointCloud", "RejectedInput", "RigidPose",
-    "StageFailureError", "TriangleMesh", "backproject", "compute_aabb",
-    "sample_mesh_surface",
+    "PointCloud", "RejectedInput", "RigidPose", "StageFailureError",
+    "TriangleMesh", "backproject", "compute_aabb", "sample_mesh_surface",
 ]

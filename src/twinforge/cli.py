@@ -20,7 +20,7 @@ import numpy as np
 from .benchmark import (BENCHMARK_PRIMITIVES, GOOD_TWIN_MM, PLAN_SEEDS,
                         alignment_benchmark, plan_benchmark,
                         write_benchmark_csv, write_plan_csv)
-from .errors import NoFeasibleGrasp, RejectedInput, StageFailureError
+from .errors import RejectedInput, StageFailureError
 from .geometry import RigidPose
 from .pipeline import PipelineConfig, align_scene, run_and_write
 from .register import AlignConfig
@@ -87,11 +87,7 @@ def cmd_align(args) -> int:
     config = build_pipeline_config(_load_config(args.config))
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
-    try:
-        _, info = align_scene(spec, config.align)
-    except StageFailureError as exc:
-        print(f"alignment failed at {exc.stage}: {exc.reason}")
-        return EXIT_STAGE_FAILURE
+    _, info = align_scene(spec, config.align)
     path = os.path.join(out, "alignment.json")
     with open(path, "w") as f:
         json.dump(info, f, indent=2, sort_keys=True)
@@ -157,8 +153,7 @@ def cmd_plan(args) -> int:
     result = run_and_write(spec, out, config, seed=args.seed)
     rep = result.report
     if rep.status != "success":
-        print(f"plan failed at {rep.failed_stage}: {rep.failure_reason}")
-        return EXIT_STAGE_FAILURE
+        raise StageFailureError(rep.failed_stage, rep.failure_reason)
     sel = rep.data["selected"]
     print(f"selected sample {sel['sample_id']} "
           f"p(success)={sel['success_prob']:.3f}")
@@ -178,11 +173,7 @@ def cmd_simulate(args) -> int:
     config = build_pipeline_config(_load_config(args.config))
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
-    try:
-        twin, info = align_scene(spec, config.align)
-    except StageFailureError as exc:
-        print(f"alignment failed at {exc.stage}: {exc.reason}")
-        return EXIT_STAGE_FAILURE
+    twin, _ = align_scene(spec, config.align)
     pose = (_parse_pose(args.pose) if args.pose
             else twin.manipulated.pose)
     outcome = settle_simulate(twin, StrategySample(pose, 0), config.sim)
@@ -244,8 +235,11 @@ def main(argv=None) -> int:
         return EXIT_INVALID_INPUT if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (RejectedInput, NoFeasibleGrasp, FileNotFoundError,
-            json.JSONDecodeError, ValueError) as exc:
+    except StageFailureError as exc:
+        print(f"{args.command} failed at {exc.stage}: {exc.reason}")
+        return EXIT_STAGE_FAILURE
+    except (RejectedInput, FileNotFoundError, json.JSONDecodeError,
+            ValueError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
 

@@ -12,7 +12,3 @@ class StageFailureError(RuntimeError):
         super().__init__(f"{stage}: {reason}")
         self.stage = stage
         self.reason = reason
-
-
-class NoFeasibleGrasp(RuntimeError):
-    """No grasp candidate survived filtering/selection."""

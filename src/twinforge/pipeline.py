@@ -1,22 +1,24 @@
 """End-to-end run: observation -> digital twin -> ranked strategy.
 
 The twin is built by ``coarse-align`` (rest-pose search and scale) and
-``fine-register`` (RANSAC, ICP, grounding). Stages execute in a fixed
-order; the first StageFailureError short-circuits the run into a failure
-report naming the stage and reason. All numeric results are deterministic
-for a fixed scene spec and seed, independent of the worker count.
+``fine-register`` (RANSAC, ICP, grounding). The nine stages run in a fixed
+order, each inside ``_stage``; the first that fails ends the run with a
+failure report naming the stage and reason. All numeric results are
+deterministic for a fixed scene spec and seed, independent of the worker
+count.
 """
 
 from __future__ import annotations
 
 import os
 import time
+from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import gpclassify
-from .errors import NoFeasibleGrasp, RejectedInput, StageFailureError
+from .camera import backproject
+from .errors import RejectedInput, StageFailureError
 from .fileio import (load_color_ppm, load_depth_pgm, load_depth_raw,
                      load_mask_pgm, load_mesh)
 from .geometry import Aabb
@@ -32,9 +34,7 @@ from .simulate import (SceneObject, SceneTwin, SimConfig, ground_objects,
 from .strategy import (DEFAULT_OFFSET_RADIUS, builtin_reachability,
                        interaction_region, sample_strategies)
 
-STAGES = ("segmentation-load", "grasp", "coarse-align", "fine-register",
-          "region", "sampling", "simulation", "result-check", "gp-rank",
-          "select")
+GRASP_ATTEMPTS = 3  # grasp batches tried before the grasp stage fails
 
 
 @dataclass
@@ -51,24 +51,6 @@ class PipelineResult:
     twin: SceneTwin | None = None
     selected: object = None
     ranking: object = None
-    outcome: object = None
-
-
-def grasp_with_retry(provider, checker, max_attempts: int = 3):
-    """Ask the provider for candidates up to max_attempts times, returning
-    the first best candidate that passes the feasibility checker."""
-    if max_attempts < 1:
-        raise RejectedInput("max_attempts must be >= 1")
-    last = None
-    for attempt in range(max_attempts):
-        candidates = provider(attempt)
-        for cand in sorted(candidates, key=lambda c: -c.confidence):
-            if checker(cand):
-                return cand
-        last = len(candidates)
-    raise NoFeasibleGrasp(
-        f"no feasible grasp after {max_attempts} attempts "
-        f"(last batch had {last} candidates)")
 
 
 def _load_depth(path):
@@ -104,23 +86,32 @@ def _load_observation(spec: SceneSpec):
 
 def _coarse_objects(spec: SceneSpec, align_config: AlignConfig, color, depth,
                     masks, meshes) -> dict:
-    """The coarse step (hypothesis search and scale) of every object."""
-    return {obj.name: coarse_align(meshes[obj.name], color, depth,
-                                   masks[obj.name], spec.intrinsics,
-                                   align_config, spec.camera_pose)
-            for obj in spec.objects}
+    """The coarse step (hypothesis search and scale) of every object. Input
+    the step rejects fails coarse-align."""
+    try:
+        return {obj.name: coarse_align(meshes[obj.name], color, depth,
+                                       masks[obj.name], spec.intrinsics,
+                                       align_config, spec.camera_pose)
+                for obj in spec.objects}
+    except RejectedInput as exc:
+        raise StageFailureError("coarse-align", str(exc)) from exc
 
 
 def _register_objects(spec: SceneSpec, meshes, coarse: dict):
     """The fine step (RANSAC and ICP) of every object, into the world frame,
-    then grounding. Returns (SceneTwin, per-object info dict)."""
-    fits = [fine_register(meshes[obj.name], *coarse[obj.name])
-            for obj in spec.objects]
-    grounded, shifts = ground_objects([
-        SceneObject(obj.name, fit.scaled_mesh,
-                    spec.camera_pose.compose(fit.final_pose),
-                    material_lookup(obj.material)[0], obj.role)
-        for obj, fit in zip(spec.objects, fits)])
+    then grounding. Returns (SceneTwin, per-object info dict). Input either
+    step rejects, such as a mesh that encloses no volume, fails
+    fine-register."""
+    try:
+        fits = [fine_register(meshes[obj.name], *coarse[obj.name])
+                for obj in spec.objects]
+        grounded, shifts = ground_objects([
+            SceneObject(obj.name, fit.scaled_mesh,
+                        spec.camera_pose.compose(fit.final_pose),
+                        material_lookup(obj.material)[0], obj.role)
+            for obj, fit in zip(spec.objects, fits)])
+    except RejectedInput as exc:
+        raise StageFailureError("fine-register", str(exc)) from exc
     info = {}
     for obj, twin_obj, fit, shift in zip(spec.objects, grounded, fits, shifts):
         info[obj.name] = {
@@ -151,105 +142,106 @@ def align_scene(spec: SceneSpec, align_config: AlignConfig,
         spec, align_config, color, depth, masks, meshes))
 
 
+class _RunStopped(Exception):
+    """Ends a run whose failure ``_stage`` has written into the report."""
+
+
+@contextmanager
+def _stage(report: RunReport, name: str):
+    """Record one stage's name and wall time in the report. A
+    StageFailureError (under its own stage name, else this one) or a
+    RejectedInput (under this stage) becomes the report's failure and ends
+    the run with _RunStopped."""
+    t0 = time.perf_counter()
+    try:
+        yield
+    except (StageFailureError, RejectedInput) as exc:
+        report.status = "failure"
+        if isinstance(exc, StageFailureError):
+            report.failed_stage = exc.stage or name
+            report.failure_reason = exc.reason
+        else:
+            report.failed_stage, report.failure_reason = name, str(exc)
+        raise _RunStopped from exc
+    finally:
+        report.stages.append(name)
+        report.timings[name] = time.perf_counter() - t0
+
+
 def run_pipeline(spec: SceneSpec, config: PipelineConfig | None = None,
                  seed: int | None = None) -> PipelineResult:
     """Execute the full pipeline over one scene spec."""
     config = config or PipelineConfig()
     seed = spec.seed if seed is None else int(seed)
-    report = RunReport(seed=seed)
-    result = PipelineResult(report)
-    state = {}
+    result = PipelineResult(RunReport(seed=seed))
+    try:
+        _run_stages(spec, config, seed, result)
+    except _RunStopped:
+        pass
+    return result
 
-    def run_stage(name, fn):
-        t0 = time.perf_counter()
-        try:
-            fn()
-        except StageFailureError as exc:
-            report.status = "failure"
-            report.failed_stage = exc.stage or name
-            report.failure_reason = exc.reason
-            return False
-        except (NoFeasibleGrasp, RejectedInput) as exc:
-            report.status = "failure"
-            report.failed_stage = name
-            report.failure_reason = str(exc)
-            return False
-        finally:
-            report.stages.append(name)
-            report.timings[name] = time.perf_counter() - t0
-        return True
 
-    # -- segmentation-load ---------------------------------------------------
-    def seg_load():
-        (state["color"], state["depth"], state["masks"],
-         state["meshes"]) = _load_observation(spec)
-        from .camera import backproject
-        manip = spec.manipulated
-        state["observed"] = backproject(state["depth"], spec.intrinsics,
-                                        state["masks"][manip.name])
+def _run_stages(spec: SceneSpec, config: PipelineConfig, seed: int,
+                result: PipelineResult):
+    """The stages in order, each filling its part of ``result``."""
+    report = result.report
+    with _stage(report, "segmentation-load"):
+        color, depth, masks, meshes = _load_observation(spec)
+        observed = backproject(depth, spec.intrinsics,
+                               masks[spec.manipulated.name])
         report.data["segmentation"] = {
-            o.name: state["masks"][o.name].count() for o in spec.objects}
+            o.name: masks[o.name].count() for o in spec.objects}
 
-    # -- grasp ---------------------------------------------------------------
-    def grasp_stage():
-        cloud = state["observed"]
-
-        def provider(attempt):
+    # the spec's grasp file first, when it has one, then synthetic batches:
+    # the most confident candidate near the object cloud whose world point
+    # lies in the workspace
+    with _stage(report, "grasp"):
+        workspace = Aabb(*spec.workspace)
+        for attempt in range(GRASP_ATTEMPTS):
             if spec.grasps and attempt == 0:
-                cands = load_grasp_candidates(spec.path(spec.grasps))
+                batch = load_grasp_candidates(spec.path(spec.grasps))
             else:
-                cands = synthetic_grasp_provider(cloud, seed=seed + attempt)
-            return filter_by_object_proximity(top_k_by_confidence(cands),
-                                              cloud)
-
-        def checker(cand):
-            lo, hi = spec.workspace
-            p_world = spec.camera_pose.apply(cand.grasp_point)
-            return bool(np.all(p_world >= np.asarray(lo))
-                        and np.all(p_world <= np.asarray(hi)))
-
-        chosen = grasp_with_retry(provider, checker)
-        state["grasp"] = chosen
+                batch = synthetic_grasp_provider(observed, seed=seed + attempt)
+            batch = filter_by_object_proximity(top_k_by_confidence(batch),
+                                               observed)
+            grasp = next((c for c in batch if workspace.contains(
+                spec.camera_pose.apply(c.grasp_point))[0]), None)
+            if grasp is not None:
+                break
+        else:
+            raise StageFailureError(
+                "grasp", f"no feasible grasp after {GRASP_ATTEMPTS} attempts "
+                f"(last batch had {len(batch)} candidates)")
         report.data["grasp"] = {
-            "pose": pose_to_json(chosen.pose),
-            "width": chosen.width,
-            "confidence": chosen.confidence,
+            "pose": pose_to_json(grasp.pose),
+            "width": grasp.width,
+            "confidence": grasp.confidence,
         }
 
-    # -- coarse-align / fine-register ----------------------------------------
-    def coarse_stage():
-        state["coarse"] = _coarse_objects(spec, config.align, state["color"],
-                                          state["depth"], state["masks"],
-                                          state["meshes"])
+    with _stage(report, "coarse-align"):
+        coarse = _coarse_objects(spec, config.align, color, depth, masks,
+                                 meshes)
 
-    def fine_stage():
-        result.twin, report.data["alignment"] = _register_objects(
-            spec, state["meshes"], state["coarse"])
+    with _stage(report, "fine-register"):
+        twin, report.data["alignment"] = _register_objects(spec, meshes,
+                                                           coarse)
+        result.twin = twin
 
-    # -- region --------------------------------------------------------------
-    def region_stage():
-        mask = load_mask_pgm(spec.path(spec.region_mask))
-        region = interaction_region(mask, state["depth"], spec.intrinsics,
-                                    spec.camera_pose)
-        state["region"] = region
+    with _stage(report, "region"):
+        region = interaction_region(load_mask_pgm(spec.path(spec.region_mask)),
+                                    depth, spec.intrinsics, spec.camera_pose)
         report.data["region"] = {
             "points": len(region.cloud),
             "centroid": [float(x) for x in region.centroid],
         }
 
-    # -- sampling ------------------------------------------------------------
-    def sampling_stage():
-        s = spec.sampler
-        verts = result.twin.manipulated.mesh.vertices
-        ws = Aabb(np.asarray(spec.workspace[0], dtype=float),
-                  np.asarray(spec.workspace[1], dtype=float))
-
+    with _stage(report, "sampling"):
+        verts = twin.manipulated.mesh.vertices
         # aligned twin geometry can sit higher than the observed region
         # (scale estimation error), so release samples above whichever is
         # taller: the observed region or the twin support under it
-        region = state["region"]
         base_z = float(region.centroid[2])
-        for obj in result.twin.objects:
+        for obj in twin.objects:
             if obj.role == "manipulated":
                 continue
             w = obj.pose.apply(obj.mesh.vertices)
@@ -263,68 +255,45 @@ def run_pipeline(spec: SceneSpec, config: PipelineConfig | None = None,
         def lift(q):
             return extra - float((verts @ quat_to_matrix(q).T)[:, 2].min())
 
+        s = spec.sampler
         samples = sample_strategies(
-            state["region"],
+            region,
             n_rotations=int(s.get("n_rotations", 4)),
             n_offsets=int(s.get("n_offsets", 5)),
             offset_radius=float(s.get("offset_radius", DEFAULT_OFFSET_RADIUS)),
-            reach=lambda p: builtin_reachability(p, ws),
+            reach=lambda p: builtin_reachability(p, workspace),
             vertical_offset=lift)
         if not samples:
             raise StageFailureError("sampling", "no-reachable-samples")
-        state["samples"] = samples
         report.data["sampling"] = {"count": len(samples)}
 
-    # -- simulation + result-check -------------------------------------------
-    def simulation_stage():
-        state["labeled"] = label_samples(result.twin, state["samples"],
-                                         spec.goal, config.sim)
+    with _stage(report, "simulation"):
+        labeled = label_samples(twin, samples, spec.goal, config.sim)
+        report.data["labels"] = {
+            "total": len(labeled),
+            "positive": sum(1 for s in labeled if s.weak_label),
+            "failure_reasons": dict(Counter(
+                s.failure_reason for s in labeled if s.failure_reason)),
+        }
 
-    def result_check_stage():
-        labeled = state["labeled"]
-        pos = sum(1 for s in labeled if s.weak_label)
-        reasons = {}
-        for s in labeled:
-            if s.failure_reason:
-                reasons[s.failure_reason] = reasons.get(s.failure_reason, 0) + 1
-        report.data["labels"] = {"total": len(labeled), "positive": pos,
-                                 "failure_reasons": reasons}
-
-    # -- gp-rank + select ----------------------------------------------------
-    def gp_rank_stage():
-        model = gpclassify.fit(state["labeled"])
-        ranking = gpclassify.rank_and_select(model, state["labeled"])
-        result.ranking = ranking
-        state["model"] = model
+    with _stage(report, "gp-rank"):
+        model = gpclassify.fit(labeled)
+        result.ranking = gpclassify.rank_and_select(model, labeled)
         report.data["gp"] = {
             "degenerate": model.degenerate,
             "newton_iterations": model.newton_iterations,
         }
 
-    def select_stage():
-        ranking = result.ranking
-        if not ranking.priority:
+    with _stage(report, "select"):
+        if not result.ranking.priority:
             raise StageFailureError("select", "no-positive-strategy")
-        chosen = ranking.priority[0]
-        result.selected = chosen
-        result.outcome = chosen.outcome
+        result.selected = chosen = result.ranking.priority[0]
         report.data["selected"] = {
             "sample_id": chosen.sample_id,
             "pose_world": pose_to_json(chosen.object_pose),
             "success_prob": float(chosen.success_prob),
             "weak_label": bool(chosen.weak_label),
         }
-
-    plan = [("segmentation-load", seg_load), ("grasp", grasp_stage),
-            ("coarse-align", coarse_stage), ("fine-register", fine_stage),
-            ("region", region_stage), ("sampling", sampling_stage),
-            ("simulation", simulation_stage),
-            ("result-check", result_check_stage),
-            ("gp-rank", gp_rank_stage), ("select", select_stage)]
-    for name, fn in plan:
-        if not run_stage(name, fn):
-            break
-    return result
 
 
 def run_and_write(spec: SceneSpec, out_dir: str,
@@ -335,6 +304,7 @@ def run_and_write(spec: SceneSpec, out_dir: str,
     os.makedirs(out_dir, exist_ok=True)
     result = run_pipeline(spec, config, seed)
     result.report.dump(os.path.join(out_dir, "report.json"))
-    if result.outcome is not None:
-        render_outcome(result.outcome).dump(os.path.join(out_dir, "outcome"))
+    if result.selected is not None:
+        render_outcome(result.selected.outcome).dump(
+            os.path.join(out_dir, "outcome"))
     return result

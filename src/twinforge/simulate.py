@@ -301,9 +301,10 @@ class _SettleContext:
 
 
 def _solid_context(scene: SceneTwin, config: SimConfig) -> _SettleContext:
-    """The settle context of a scene whose manipulated mesh encloses a
-    solid, as a settle's centre of mass and stability test need."""
-    if not is_watertight(scene.manipulated.mesh):
+    """The settle context of a scene whose meshes each enclose a solid: a
+    settle's centre of mass needs the manipulated one, and the parity
+    inside tests of ``lift_free`` need every one."""
+    if not all(is_watertight(o.mesh) for o in scene.objects):
         raise StageFailureError("simulation", "non-watertight-mesh")
     return _SettleContext(scene, config)
 

@@ -11,7 +11,9 @@ from twinforge.errors import RejectedInput
 from twinforge.pipeline import PipelineConfig
 from twinforge.register import AlignConfig
 from twinforge.simulate import SimConfig
-from twinforge.fileio import load_depth_raw, load_mask_pgm, save_mask_pgm
+from twinforge.fileio import (load_depth_raw, load_mask_pgm, load_mesh,
+                              save_mask_pgm, save_ply)
+from twinforge.geometry import TriangleMesh
 from twinforge.camera import BinaryMask
 from twinforge.scene import load_scene_spec
 
@@ -327,31 +329,82 @@ def _keep_50_cup_mask_pixels(scene):
     save_mask_pgm(path, BinaryMask(small))
 
 
-# every verb that loads the observation reads it the same way, so a bad
-# observation fails the same stage for the same reason under each
-@pytest.mark.parametrize("task, damage, reason", [
+def _damage_mesh(scene, name, damage):
+    spec = load_scene_spec(scene / "scene.json")
+    path = spec.path(next(o.mesh for o in spec.objects if o.name == name))
+    save_ply(path, damage(load_mesh(path)))
+
+
+def _flatten(mesh):
+    flat = mesh.vertices.copy()
+    flat[:, 2] = 0.0
+    return TriangleMesh(flat, mesh.triangles, mesh.vertex_colors)
+
+
+def _drop_10_triangles(mesh):
+    return TriangleMesh(mesh.vertices, mesh.triangles[10:], mesh.vertex_colors)
+
+
+def _verb_failures(scene, tmp_path, capsys, verbs):
+    """(stage, reason) of each verb's failure line; each must exit 2."""
+    capsys.readouterr()
+    seen = {}
+    for verb in verbs:
+        rc = main([verb, "--scene", str(scene / "scene.json"),
+                   "--out", str(tmp_path / verb)])
+        assert rc == EXIT_STAGE_FAILURE, verb
+        line = capsys.readouterr().out.strip().splitlines()[-1]
+        assert line.startswith(f"{verb} failed at "), line
+        seen[verb] = line.split(" failed at ", 1)[1].split(": ", 1)
+    doc = json.loads((tmp_path / "plan" / "report.json").read_text())
+    assert seen["plan"] == [doc["failed_stage"], doc["failure_reason"]]
+    return seen
+
+
+# every verb that loads the observation and builds the twin reads it the
+# same way, so a bad observation or mesh fails the same stage for the same
+# reason under each
+@pytest.mark.parametrize("task, damage, stage, reason", [
     ("cube-onto-cube", lambda scene: _truncate(scene / "depth.f32"),
-     "truncated raw depth payload in "),
-    ("cup-on-box", _keep_50_cup_mask_pixels, "segmentation-too-small:cup")],
-    ids=["truncated-depth", "50-pixel-cup-mask"])
+     "segmentation-load", "truncated raw depth payload in "),
+    ("cup-on-box", _keep_50_cup_mask_pixels, "segmentation-load",
+     "segmentation-too-small:cup"),
+    ("cup-on-box", lambda scene: _damage_mesh(scene, "cup", _flatten),
+     "fine-register", "mesh encloses no volume")],
+    ids=["truncated-depth", "50-pixel-cup-mask", "flat-cup-mesh"])
 def test_bad_observation_fails_segmentation_load_under_every_verb(
-        tmp_path, capsys, task, damage, reason):
+        tmp_path, capsys, task, damage, stage, reason):
     scene = tmp_path / "scene"
     assert main(["gen-scene", "--task", task, "--seed", "0",
                  "--out", str(scene)]) == EXIT_OK
     damage(scene)
-    capsys.readouterr()
-    seen = {}
-    for verb in ("plan", "align", "simulate"):
-        out = tmp_path / verb
-        rc = main([verb, "--scene", str(scene / "scene.json"),
-                   "--out", str(out)])
-        assert rc == EXIT_STAGE_FAILURE, verb
-        line = capsys.readouterr().out.strip().splitlines()[-1]
-        seen[verb] = line.split(" failed at ", 1)[1].split(": ", 1)
-    doc = json.loads((tmp_path / "plan" / "report.json").read_text())
-    assert seen["plan"] == [doc["failed_stage"], doc["failure_reason"]]
+    seen = _verb_failures(scene, tmp_path, capsys,
+                          ("plan", "align", "simulate"))
     assert seen["plan"] == seen["align"] == seen["simulate"]
-    stage, got = seen["plan"]
-    assert stage == "segmentation-load"
-    assert got.startswith(reason)
+    assert seen["plan"][0] == stage
+    assert seen["plan"][1].startswith(reason)
+
+
+# a mesh with 10 triangles dropped still aligns, but the settle's parity
+# inside tests need every mesh closed: plan and simulate both fail at
+# simulation, whether the open mesh is the manipulated cup or the box
+@pytest.mark.parametrize("name", ["cup", "box"])
+def test_non_watertight_mesh_fails_simulation(tmp_path, capsys, name):
+    scene = tmp_path / "scene"
+    assert main(["gen-scene", "--task", "cup-on-box", "--seed", "0",
+                 "--out", str(scene)]) == EXIT_OK
+    _damage_mesh(scene, name, _drop_10_triangles)
+    seen = _verb_failures(scene, tmp_path, capsys, ("plan", "simulate"))
+    assert seen["plan"] == seen["simulate"] == [
+        "simulation", "non-watertight-mesh"]
+
+
+def test_plan_fails_region_on_an_empty_region_mask(scene_dir, tmp_path,
+                                                    capsys):
+    scene = tmp_path / "scene"
+    shutil.copytree(scene_dir, scene)
+    path = scene / "region.pgm"
+    save_mask_pgm(path, BinaryMask(np.zeros_like(load_mask_pgm(path).values)))
+    seen = _verb_failures(scene, tmp_path, capsys, ("plan",))
+    assert seen["plan"] == [
+        "region", "interaction region mask selects no valid depth pixels"]
