@@ -28,7 +28,7 @@ from . import quaternions as quat
 from .camera import BinaryMask, CameraIntrinsics, ColorImage, backproject
 from .geometry import PointCloud, RejectedInput, RigidPose, TriangleMesh
 from .render import BACKGROUND, render, render_batch
-from .strategy import UP, rest_orientations
+from .strategy import rest_yaw_grid
 
 DESCRIPTOR_GRID = 8          # cells per side
 DESCRIPTOR_BINS = 8          # gradient orientation bins per cell
@@ -64,25 +64,18 @@ def check_rotation_count(n) -> None:
             f"rotation_count must be a positive multiple of 6, got {n!r}")
 
 
-def generate_hypotheses(anchor_translation, rotation_count: int,
-                        world_from_camera: RigidPose | None = None) -> tuple:
-    """Rest-pose rotation hypotheses in the camera frame at one anchor
-    translation, as a tuple of poses: each of the six
-    ``strategy.rest_orientations()`` under ``rotation_count / 6`` evenly
-    spaced yaws about world +z (rest-major, yaw 0 first), composed with the
-    inverse of ``world_from_camera``'s rotation (None: identity, so the yaws
-    turn about the optical axis)."""
+def generate_hypotheses(rotation_count: int,
+                        world_from_camera: RigidPose | None = None):
+    """Rest-pose rotation hypotheses in the camera frame: the (6, Y, 4)
+    ``strategy.rest_yaw_grid`` of Y = ``rotation_count / 6`` yaws, composed
+    with the inverse of ``world_from_camera``'s rotation (None: identity, so
+    the yaws turn about the optical axis) and normalized."""
     check_rotation_count(rotation_count)
-    yaws = rotation_count // 6
     camera_from_world = (quat.IDENTITY if world_from_camera is None
                          else quat.quat_conjugate(world_from_camera.rotation))
-    anchor = np.asarray(anchor_translation, dtype=float).reshape(3)
-    return tuple(
-        RigidPose(quat.quat_normalize(quat.quat_multiply(
-            camera_from_world, quat.quat_multiply(
-                quat.quat_from_axis_angle(UP, 2 * np.pi * k / yaws), rest))),
-            anchor)
-        for rest in rest_orientations() for k in range(yaws))
+    hyps = quat.quat_multiply(camera_from_world,
+                              rest_yaw_grid(rotation_count // 6).T).T
+    return _unit_rows(hyps).reshape(hyps.shape)
 
 
 @functools.lru_cache(maxsize=64)
@@ -159,6 +152,13 @@ def _row_norms(vecs):
     return np.sqrt([np.dot(v, v) for v in vecs])
 
 
+def _unit_rows(quats):
+    """The quaternions of a (..., 4) array as (N, 4) rows, each bit for bit
+    as quat_normalize gives it (a norm over a strided row can differ)."""
+    quats = np.ascontiguousarray(quats).reshape(-1, 4)
+    return quats / _row_norms(quats)[:, None]
+
+
 def _cosine_similarities(vecs, ref) -> np.ndarray:
     """Cosine similarity of each row of ``vecs`` with the vector ``ref``."""
     norms = _row_norms(vecs)
@@ -207,46 +207,44 @@ def _scoring_intrinsics(intrinsics: CameraIntrinsics) -> CameraIntrinsics:
                             size(intrinsics.height, cy))
 
 
-def select_coarse_pose(mesh: TriangleMesh, hypotheses,
+def select_coarse_pose(mesh: TriangleMesh, hypotheses, anchor,
                        observation: ColorImage, obs_mask: BinaryMask,
                        intrinsics: CameraIntrinsics) -> CoarseAlignment:
-    """Search the rest-major hypothesis grid of ``generate_hypotheses`` (six
-    rests x Y yaws) coarse to fine against the masked observation.
+    """Search the (6, Y, 4) grid of ``generate_hypotheses``, each rotation
+    at the ``anchor``, coarse to fine against the masked observation.
 
     The first level scores yaws 0, 4, 8, ... (``COARSE_YAW_STEP``) of
     every rest. The second scores, around each of the ``COARSE_TOP`` (16)
     best of those (ties to the lower index), the yaws within 3 steps in the
     same rest, wrapping mod Y, that are not yet scored. The winner is the
-    best pose scored, ties to the lowest index. At 384 hypotheses that
-    renders at most 192; at Y <= 4 it scores every hypothesis.
+    best pose scored, ties to the lowest index rest * Y + yaw. At 384
+    hypotheses that renders at most 192; at Y <= 4 it scores every one.
 
-    Hypotheses are rendered at a scoring resolution capped at 40 px per
-    side (the descriptor resamples to 32x32 regardless), and each level is
-    described as one stack and scored in one pass. The winning hypothesis's
-    rendered depth is back-projected at full resolution into the stage-2
-    partial cloud. RejectedInput unless the hypothesis count is a positive
-    multiple of 6.
-    """
-    n = len(hypotheses)
-    check_rotation_count(n)
-    yaws = n // 6
+    Hypotheses are rendered as the poses they become, at a scoring
+    resolution capped at 40 px per side (the descriptor resamples to 32x32
+    regardless), and each level is described as one stack and scored in
+    one pass. Only the winner is made a pose; its rendered depth is
+    back-projected at full resolution into the stage-2 partial cloud."""
+    yaws = hypotheses.shape[1]
     obs_feat = grid_descriptor(
         mask_observation(observation, obs_mask).values[None])[0]
     small = _scoring_intrinsics(intrinsics)
 
-    def score(indices):
-        views = render_batch(mesh, [hypotheses[i] for i in indices], small)
-        return dict(zip(indices, _cosine_similarities(
+    def score(cells):
+        views = render_batch(mesh, _unit_rows([hypotheses[c] for c in cells]),
+                             np.broadcast_to(anchor, (len(cells), 3)), small)
+        return dict(zip(cells, _cosine_similarities(
             grid_descriptor(views.rgb), obs_feat).tolist()))
 
-    sims = score([i for i in range(n) if i % yaws % COARSE_YAW_STEP == 0])
-    top = sorted(sims, key=lambda i: -sims[i])[:COARSE_TOP]
+    sims = score([(r, y) for r in range(6)
+                  for y in range(0, yaws, COARSE_YAW_STEP)])
+    top = sorted(sims, key=lambda cell: -sims[cell])[:COARSE_TOP]
     # the yaws the first level skipped on either side of a top pose
     reach = range(1 - COARSE_YAW_STEP, COARSE_YAW_STEP)
-    near = {i - i % yaws + (i + d) % yaws for i in top for d in reach}
+    near = {(r, (y + d) % yaws) for r, y in top for d in reach}
     sims.update(score(sorted(near - sims.keys())))
-    all_scores = tuple(sorted(sims.items()))
+    all_scores = tuple((r * yaws + y, s) for (r, y), s in sorted(sims.items()))
     best_idx, best_sim = max(all_scores, key=lambda item: item[1])
-    best_pose = hypotheses[best_idx]
+    best_pose = RigidPose(hypotheses[divmod(best_idx, yaws)], anchor)
     partial = partial_cloud_from_pose(mesh, best_pose, intrinsics)
     return CoarseAlignment(best_pose, best_sim, partial, all_scores)

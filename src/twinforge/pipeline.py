@@ -59,17 +59,33 @@ def _load_depth(path):
     return load_depth_raw(path)
 
 
+def _camera_sized(spec: SceneSpec, name, image):
+    """The image, unless it is not the camera's height x width: then fail
+    segmentation-load naming the asset."""
+    intr = spec.intrinsics
+    if image.values.shape[:2] != (intr.height, intr.width):
+        raise StageFailureError(
+            "segmentation-load",
+            f"image-size-mismatch:{name} is {image.width}x{image.height}, "
+            f"camera {intr.width}x{intr.height}")
+    return image
+
+
 def _load_observation(spec: SceneSpec):
     """The scene's color image, depth image, and each object's mask and mesh
-    (dicts by name). A mask must hold MIN_MASK_PIXELS pixels with valid
-    depth. An unreadable asset or a mask too small fails segmentation-load;
-    a missing file raises FileNotFoundError."""
+    (dicts by name). Each image must be the camera's size, and a mask must
+    hold MIN_MASK_PIXELS pixels with valid depth. An unreadable or
+    wrong-sized asset or a mask too small fails segmentation-load; a missing
+    file raises FileNotFoundError."""
     try:
-        color = load_color_ppm(spec.path(spec.rgb))
-        depth = _load_depth(spec.path(spec.depth))
+        color = _camera_sized(spec, spec.rgb,
+                              load_color_ppm(spec.path(spec.rgb)))
+        depth = _camera_sized(spec, spec.depth,
+                              _load_depth(spec.path(spec.depth)))
         masks, meshes = {}, {}
         for obj in spec.objects:
-            mask = load_mask_pgm(spec.path(obj.mask))
+            mask = _camera_sized(spec, obj.mask,
+                                 load_mask_pgm(spec.path(obj.mask)))
             valid = int((mask.values & depth.valid_mask()).sum())
             if valid == 0:
                 raise StageFailureError("segmentation-load",

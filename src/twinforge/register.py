@@ -364,6 +364,9 @@ class AlignConfig:
 
     def __post_init__(self):
         check_rotation_count(self.rotation_count)
+        if not isinstance(self.skip_coarse, bool):
+            raise RejectedInput(
+                f"skip_coarse must be true or false, got {self.skip_coarse!r}")
 
 
 @dataclass(frozen=True)
@@ -436,9 +439,9 @@ def coarse_align(mesh: TriangleMesh, color: ColorImage, depth: DepthImage,
         coarse = CoarseAlignment(pose0, 1.0, partial, ((0, 1.0),))
     else:
         c_color, c_mask, c_intr = _crop_to_mask(color, mask, intrinsics)
-        hyps = generate_hypotheses(anchor, config.rotation_count,
-                                   world_from_camera)
-        coarse = select_coarse_pose(mesh, hyps, c_color, c_mask, c_intr)
+        hyps = generate_hypotheses(config.rotation_count, world_from_camera)
+        coarse = select_coarse_pose(mesh, hyps, anchor, c_color, c_mask,
+                                    c_intr)
     if len(coarse.rendered_partial) == 0:
         raise StageFailureError("coarse-align", "mesh-not-visible")
     return observed, coarse, estimate_scale(coarse.rendered_partial, observed)

@@ -13,7 +13,7 @@ become fragments. Every fragment still runs the exact edge-function test
 
 ``render`` (one mesh) and ``render_scene`` (meshes in the world, seen from a
 camera pose) draw every face and return one ``RenderedView``.
-``render_batch`` renders one mesh under many poses, culling back faces: one
+``render_batch`` renders one mesh under pose arrays, culling back faces: one
 rasterizer pass draws each pose alone into its own image of a stack, and
 the stacks come back as (B, H, W, 3) colour and (B, H, W) depth. All three
 are pure functions and build their rasterizer input with one ``_assemble``.
@@ -285,32 +285,30 @@ class RenderedBatch:
         return len(self.rgb)
 
 
-def render_batch(mesh: TriangleMesh, poses,
+def render_batch(mesh: TriangleMesh, rotations, translations,
                  intrinsics: CameraIntrinsics) -> RenderedBatch:
-    """Render one mesh under many poses into one image per pose.
+    """Render one mesh under the poses of (B, 4) unit quaternion and (B, 3)
+    translation arrays into one image per pose.
 
     Amortizes the per-call rasterizer overhead: each rasterizer pass takes
     the mesh under up to 64 poses (fewer for images over 1024 pixels) and
     draws each pose alone into its own image of a stack. Back faces are
     culled, so the mesh must be wound consistently outward, as every
     built-in primitive is; image i is then the same, bit for bit, as
-    ``render(mesh, poses[i], intrinsics)``. Each pass's stack is validated
-    as one colour image and one depth image over its stacked rows.
-    """
-    poses = list(poses)
+    ``render`` of the ``RigidPose`` holding rotation i and translation i.
+    Each pass's stack is validated as one colour image and one depth image
+    over its stacked rows."""
     W, H = intrinsics.width, intrinsics.height
     per_pass = max(1, min(_MAX_IMAGES, _MAX_PIXELS // (W * H)))
-    rgb = np.empty((len(poses), H, W, 3))
-    depth = np.empty((len(poses), H, W))
-    for c0 in range(0, len(poses), per_pass):
-        batch = poses[c0:c0 + per_pass]
-        B = len(batch)
+    rgb = np.empty((len(rotations), H, W, 3))
+    depth = np.empty((len(rotations), H, W))
+    for c0 in range(0, len(rotations), per_pass):
+        q, t = rotations[c0:c0 + per_pass], translations[c0:c0 + per_pass]
+        B = len(q)
         # (B, V, 3) camera-frame vertices: one matmul per pose, the same
         # arithmetic as RigidPose.apply
-        rot = np.ascontiguousarray(np.moveaxis(
-            quat.quat_to_matrix(np.array([p.rotation for p in batch]).T), -1, 0))
-        vc = (np.matmul(mesh.vertices, rot.transpose(0, 2, 1))
-              + np.array([p.translation for p in batch])[:, None])
+        rot = np.ascontiguousarray(np.moveaxis(quat.quat_to_matrix(q.T), -1, 0))
+        vc = np.matmul(mesh.vertices, rot.transpose(0, 2, 1)) + t[:, None]
         d, c, _ = _rasterize(*_assemble([mesh] * B, list(vc)), intrinsics,
                              cull=True, images=B)
         d = np.where(np.isfinite(d), d, 0.0)

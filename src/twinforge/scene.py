@@ -101,8 +101,9 @@ def _sampler(section):
 def load_scene_spec(path) -> SceneSpec:
     """Read a scene spec. A missing or mistyped field, a non-finite camera
     value, an unknown role or goal predicate, a repeated object name, a goal
-    that names an undeclared object or takes the wrong number of them, or a
-    sampler key or value out of range raises RejectedInput."""
+    that names an undeclared object or takes the wrong number of them, a
+    workspace whose min exceeds its max on some axis, or a sampler key or
+    value out of range raises RejectedInput."""
     with open(path, "r") as f:
         doc = json.load(f)
     if not isinstance(doc, dict):
@@ -127,6 +128,9 @@ def load_scene_spec(path) -> SceneSpec:
     for arg in check_predicate(spec.goal)[1]:
         if arg not in names:
             raise RejectedInput(f"goal names undeclared object {arg!r}")
+    lo, hi = spec.workspace
+    if not all(a <= b for a, b in zip(lo, hi)):
+        raise RejectedInput(f"workspace min {lo} must be <= its max {hi}")
     return spec
 
 

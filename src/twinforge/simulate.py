@@ -122,9 +122,19 @@ class SimOutcome:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Surface sampling of the settle context: samples per mesh and seed."""
+    """Surface sampling of the settle context: samples per mesh and seed.
+    RejectedInput unless the count is an int >= 1 and the seed an int >= 0
+    (a bool is not an int here)."""
     surface_samples: int = 1200
     seed: int = 0
+
+    def __post_init__(self):
+        for name, low in (("surface_samples", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if (isinstance(value, bool)
+                    or not isinstance(value, (int, np.integer)) or value < low):
+                raise RejectedInput(
+                    f"sim {name} must be an int >= {low}, got {value!r}")
 
 
 def checker_viewpoint(scene_center, standoff: float = 0.8,

@@ -2,8 +2,8 @@
 
 Translations are constrained to a low-discrepancy disc of horizontal
 offsets around the region centroid, lifted so the object starts just above
-the region; rotations come from a yaw grid crossed with a small set of rest
-orientations. Unreachable samples are dropped.
+the region; rotations come from ``rest_yaw_grid`` (rest orientations x
+yaws), as the coarse pose search's do. Unreachable samples are dropped.
 """
 
 from __future__ import annotations
@@ -34,6 +34,16 @@ def rest_orientations():
         quat.quat_from_axis_angle([0, 1, 0], -np.pi / 2),
         quat.quat_from_axis_angle([1, 0, 0], np.pi),
     )
+
+
+def rest_yaw_grid(yaws: int) -> np.ndarray:
+    """The (6, yaws, 4) products yaw o rest of ``rest_orientations()`` and
+    ``yaws`` evenly spaced yaws about world up, rest-major with yaw 0 first;
+    C-contiguous rows, not normalized."""
+    half = np.pi * np.arange(yaws) / yaws  # half of each yaw angle
+    yaw = np.concatenate([np.cos(half)[None], np.sin(half) * UP[:, None]])
+    rests = np.array(rest_orientations()).T[:, None]
+    return np.ascontiguousarray(quat.quat_multiply(yaw[..., None], rests).T)
 
 
 @dataclass(frozen=True)
@@ -124,17 +134,10 @@ def sample_strategies(region: InteractionRegion, n_rotations: int, n_offsets: in
         raise RejectedInput("offset radius must be >= 0")
     offsets = halton_disc_offsets(n_offsets, offset_radius)
     samples = []
-    sid = 0
-    for rest in rest_orientations():
-        for yi in range(n_rotations):
-            yaw = quat.quat_from_axis_angle(UP, 2 * np.pi * yi / n_rotations)
-            q = quat.quat_normalize(quat.quat_multiply(yaw, rest))
-            lift = vertical_offset(q) if callable(vertical_offset) else vertical_offset
-            for off in offsets:
-                t = region.centroid + off + (lift + CLEARANCE) * UP
-                pose = RigidPose(q, t)
-                if reach is not None and not reach(pose):
-                    continue
-                samples.append(StrategySample(pose, sid))
-                sid += 1
+    for q in map(quat.quat_normalize, rest_yaw_grid(n_rotations).reshape(-1, 4)):
+        lift = vertical_offset(q) if callable(vertical_offset) else vertical_offset
+        for off in offsets:
+            pose = RigidPose(q, region.centroid + off + (lift + CLEARANCE) * UP)
+            if reach is None or reach(pose):
+                samples.append(StrategySample(pose, len(samples)))
     return samples

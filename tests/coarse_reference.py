@@ -1,9 +1,11 @@
 """Reference coarse scoring. The grid descriptor of a single (H, W, 3)
 image and the scalar cosine similarity of two descriptors, as
 ``twinforge.coarse`` computed them before it described and scored whole
-stacks in one pass; and the exhaustive search that scored every hypothesis
-before the search went coarse to fine. Kept only to cross-check
-``grid_descriptor`` and ``select_coarse_pose``.
+stacks in one pass; the exhaustive search that scored every hypothesis
+before the search went coarse to fine; and the hypothesis generator that
+built one pose per rest and yaw in a loop before the grid became one
+quaternion array. Kept only to cross-check ``grid_descriptor``,
+``select_coarse_pose`` and ``generate_hypotheses``.
 """
 
 import numpy as np
@@ -13,8 +15,11 @@ from twinforge.coarse import (_CELL_IDX, _LUMA, _PAD_IDX, _RESIZE_TO, _SOBEL,
                               _cosine_similarities, _resize_weights,
                               _scoring_intrinsics, grid_descriptor,
                               mask_observation)
+from twinforge import quaternions as quat
 from twinforge.errors import RejectedInput
+from twinforge.geometry import RigidPose
 from twinforge.render import render_batch
+from twinforge.strategy import UP, rest_orientations
 
 
 def ref_grid_descriptor(image):
@@ -59,12 +64,33 @@ def ref_cosine_similarity(a, b):
     return float(np.dot(a, b) / (na * nb))
 
 
-def ref_select_exhaustive(mesh, hypotheses, observation, obs_mask, intrinsics):
-    """The search before it went coarse to fine: render and score every
-    hypothesis in one stack and take the argmax, ties to the lowest index.
-    Returns (winner index, similarity of every hypothesis)."""
+def ref_select_exhaustive(mesh, hypotheses, anchor, observation, obs_mask,
+                          intrinsics):
+    """The search before it went coarse to fine: render every hypothesis of
+    the (6, Y, 4) grid, as the pose it becomes, in one stack and score it;
+    take the argmax, ties to the lowest flat index rest * Y + yaw. Returns
+    (winner index, similarity of every hypothesis)."""
+    poses = [RigidPose(q, anchor) for q in hypotheses.reshape(-1, 4)]
     obs_feat = grid_descriptor(
         mask_observation(observation, obs_mask).values[None])[0]
-    views = render_batch(mesh, hypotheses, _scoring_intrinsics(intrinsics))
+    views = render_batch(mesh, np.array([p.rotation for p in poses]),
+                         np.array([p.translation for p in poses]),
+                         _scoring_intrinsics(intrinsics))
     sims = _cosine_similarities(grid_descriptor(views.rgb), obs_feat)
     return int(np.argmax(sims)), sims
+
+
+def ref_generate_hypotheses(anchor_translation, rotation_count,
+                            world_from_camera=None):
+    """The hypotheses as a tuple of poses, one per rest and yaw, rest-major
+    with yaw 0 first, each composed with the inverse camera rotation."""
+    yaws = rotation_count // 6
+    camera_from_world = (quat.IDENTITY if world_from_camera is None
+                         else quat.quat_conjugate(world_from_camera.rotation))
+    anchor = np.asarray(anchor_translation, dtype=float).reshape(3)
+    return tuple(
+        RigidPose(quat.quat_normalize(quat.quat_multiply(
+            camera_from_world, quat.quat_multiply(
+                quat.quat_from_axis_angle(UP, 2 * np.pi * k / yaws), rest))),
+            anchor)
+        for rest in rest_orientations() for k in range(yaws))

@@ -11,10 +11,11 @@ from twinforge.errors import RejectedInput
 from twinforge.pipeline import PipelineConfig
 from twinforge.register import AlignConfig
 from twinforge.simulate import SimConfig
-from twinforge.fileio import (load_depth_raw, load_mask_pgm, load_mesh,
-                              save_mask_pgm, save_ply)
+from twinforge.fileio import (load_color_ppm, load_depth_raw, load_mask_pgm,
+                              load_mesh, save_color_ppm, save_mask_pgm,
+                              save_ply)
 from twinforge.geometry import TriangleMesh
-from twinforge.camera import BinaryMask
+from twinforge.camera import BinaryMask, ColorImage
 from twinforge.scene import load_scene_spec
 
 
@@ -57,6 +58,28 @@ def test_rotation_count_must_be_a_positive_multiple_of_6(scene_dir, tmp_path,
                "--out", str(out), "--config", str(cfg)])
     assert rc == EXIT_INVALID_INPUT
     assert not out.exists()
+
+
+# --config values of the wrong type or out of range: a float, bool or string
+# sample count or seed, a zero count, a negative seed, and a non-bool
+# ablation switch (any non-empty string is truthy) are invalid input under
+# every verb that reads the config, rejected before any work
+@pytest.mark.parametrize("doc", [
+    {"sim": {"surface_samples": 2.5}}, {"sim": {"surface_samples": 0}},
+    {"sim": {"surface_samples": True}}, {"sim": {"seed": "x"}},
+    {"sim": {"seed": -1}}, {"sim": {"seed": False}},
+    {"align": {"skip_coarse": "no"}}, {"align": {"skip_coarse": 0}}])
+def test_config_values_are_type_checked(scene_dir, tmp_path, doc):
+    with pytest.raises(RejectedInput):
+        build_pipeline_config(doc)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    for verb in ("plan", "align", "simulate"):
+        out = tmp_path / verb
+        rc = main([verb, "--scene", str(scene_dir / "scene.json"),
+                   "--out", str(out), "--config", str(cfg)])
+        assert rc == EXIT_INVALID_INPUT, verb
+        assert not out.exists()
 
 
 # former config keys: each value is now a module constant or the default of
@@ -120,6 +143,8 @@ SPEC_FAULTS = [{key: DROP} for key in (
                   "mask": "m.pgm"}]},
     {"goal": {"predicate": "on_top"}}, {"goal": ["on_top"]},
     {"workspace": [[0.0, 0.0, 0.0]]}, {"workspace": [[0, 0], [1, 1]]},
+    # the generated workspace's corners swapped: min exceeds max
+    {"workspace": [[0.35, 0.35, 0.4], [-0.35, -0.35, 0.0]]},
     {"camera_pose": {"rotation": [1, 0, 0]}}]
 
 
@@ -345,6 +370,14 @@ def _drop_10_triangles(mesh):
     return TriangleMesh(mesh.vertices, mesh.triangles[10:], mesh.vertex_colors)
 
 
+def _crop_rgb(path, size):
+    save_color_ppm(path, ColorImage(load_color_ppm(path).values[:size, :size]))
+
+
+def _crop_mask(path, size):
+    save_mask_pgm(path, BinaryMask(load_mask_pgm(path).values[:size, :size]))
+
+
 def _verb_failures(scene, tmp_path, capsys, verbs):
     """(stage, reason) of each verb's failure line; each must exit 2."""
     capsys.readouterr()
@@ -370,8 +403,14 @@ def _verb_failures(scene, tmp_path, capsys, verbs):
     ("cup-on-box", _keep_50_cup_mask_pixels, "segmentation-load",
      "segmentation-too-small:cup"),
     ("cup-on-box", lambda scene: _damage_mesh(scene, "cup", _flatten),
-     "fine-register", "mesh encloses no volume")],
-    ids=["truncated-depth", "50-pixel-cup-mask", "flat-cup-mesh"])
+     "fine-register", "mesh encloses no volume"),
+    ("cube-onto-cube", lambda scene: _crop_rgb(scene / "rgb.ppm", 120),
+     "segmentation-load", "image-size-mismatch:rgb.ppm is 120x120, camera "),
+    ("cube-onto-cube", lambda scene: _crop_mask(scene / "mask_cube.pgm", 150),
+     "segmentation-load",
+     "image-size-mismatch:mask_cube.pgm is 150x150, camera ")],
+    ids=["truncated-depth", "50-pixel-cup-mask", "flat-cup-mesh",
+         "120px-rgb", "150px-cube-mask"])
 def test_bad_observation_fails_segmentation_load_under_every_verb(
         tmp_path, capsys, task, damage, stage, reason):
     scene = tmp_path / "scene"

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
-from coarse_reference import (ref_cosine_similarity, ref_grid_descriptor,
-                              ref_select_exhaustive)
+from coarse_reference import (ref_cosine_similarity, ref_generate_hypotheses,
+                              ref_grid_descriptor, ref_select_exhaustive)
 from twinforge import coarse
 from twinforge import quaternions as quat
 from twinforge.benchmark import BENCHMARK_PRIMITIVES
@@ -21,24 +21,39 @@ from twinforge.strategy import rest_orientations
 from twinforge.synth import default_intrinsics, make_box, primitive_from_spec
 
 
+def _pose(hyps, index, anchor):
+    """The pose of flat hypothesis index rest * Y + yaw at the anchor."""
+    return RigidPose(hyps.reshape(-1, 4)[index], anchor)
+
+
+def _same_pose(a, b):
+    return (a.rotation.tobytes() == b.rotation.tobytes()
+            and a.translation.tobytes() == b.translation.tobytes())
+
+
 def test_hypotheses_count_and_anchor():
-    hyps = generate_hypotheses([0.0, 0.0, 0.5], 72)
-    assert len(hyps) == 72
-    for p in hyps:
-        assert np.allclose(p.translation, [0.0, 0.0, 0.5])
+    hyps = generate_hypotheses(72)
+    assert hyps.shape == (6, 12, 4)
     # identity (first rest orientation, yaw 0) comes first
-    assert np.allclose(hyps[0].rotation, quat.IDENTITY, atol=1e-12)
+    assert np.allclose(hyps[0, 0], quat.IDENTITY, atol=1e-12)
     # all distinct
-    quats = np.array([p.rotation for p in hyps])
+    quats = hyps.reshape(-1, 4)
     dots = np.abs(quats @ quats.T)
     np.fill_diagonal(dots, 0.0)
     assert dots.max() < 1.0 - 1e-9
+    # the search's winner sits at the anchor it was given
+    mesh = make_box([0.06, 0.05, 0.04])
+    intr = default_intrinsics(size=40, focal=50.0)
+    view = render(mesh, _pose(hyps, 5, [0.0, 0.0, 0.5]), intr)
+    result = select_coarse_pose(mesh, hyps, [0.01, 0.0, 0.5], view.rgb,
+                                BinaryMask(view.object_ids >= 0), intr)
+    assert np.array_equal(result.best_pose.translation, [0.01, 0.0, 0.5])
 
 
 @pytest.mark.parametrize("count", [0, -6, 1, 5, 7, 73, 6.0, True, "12"])
 def test_hypotheses_reject_counts_that_are_not_multiples_of_6(count):
     with pytest.raises(RejectedInput):
-        generate_hypotheses(np.zeros(3), count)
+        generate_hypotheses(count)
 
 
 _unit_quats = st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).filter(
@@ -48,16 +63,25 @@ _anchors = st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3)
 
 
 def _world_rotations(hyps, camera):
-    return [camera.rotation_matrix() @ p.rotation_matrix() for p in hyps]
+    return [camera.rotation_matrix() @ quat.quat_to_matrix(q)
+            for q in hyps.reshape(-1, 4)]
 
 
 @settings(max_examples=40, deadline=None)
-@given(count=_counts, anchor=_anchors, q=_unit_quats)
+@given(count=st.sampled_from([6, 12, 24, 384]), anchor=_anchors,
+       q=st.none() | _unit_quats)
 def test_hypotheses_count_and_shared_anchor(count, anchor, q):
-    hyps = generate_hypotheses(anchor, count, RigidPose(q, [0.1, 0.2, 0.3]))
-    assert len(hyps) == count
-    for p in hyps:
-        assert np.array_equal(p.translation, np.asarray(anchor, dtype=float))
+    # the grid holds count hypotheses, rest-major; at a shared anchor each
+    # becomes, bit for bit, the pose the one-pose-per-hypothesis loop built
+    # (also the rotation the search renders), under any camera and none
+    camera = None if q is None else RigidPose(q, [0.1, 0.2, 0.3])
+    hyps = generate_hypotheses(count, camera)
+    want = ref_generate_hypotheses(anchor, count, camera)
+    assert hyps.shape == (6, count // 6, 4)
+    rendered = coarse._unit_rows(hyps.reshape(-1, 4))
+    for i, ref in enumerate(want):
+        assert _same_pose(_pose(hyps, i, anchor), ref)
+        assert rendered[i].tobytes() == ref.rotation.tobytes()
 
 
 @settings(max_examples=40, deadline=None)
@@ -65,8 +89,7 @@ def test_hypotheses_count_and_shared_anchor(count, anchor, q):
 def test_hypotheses_rest_on_a_local_axis(count, q):
     # seen from the world, every hypothesis points one local +-axis up
     camera = RigidPose(q, np.zeros(3))
-    for R in _world_rotations(generate_hypotheses(np.zeros(3), count, camera),
-                              camera):
+    for R in _world_rotations(generate_hypotheses(count, camera), camera):
         up_local = R.T @ [0.0, 0.0, 1.0]
         assert np.abs(up_local).max() == pytest.approx(1.0, abs=1e-12)
 
@@ -78,7 +101,7 @@ def test_hypotheses_cover_rest_yaw_rotations(count, q, rest, yaw):
     # any rest orientation under any yaw about world up lies within half a
     # yaw step of some hypothesis
     camera = RigidPose(q, np.zeros(3))
-    hyps = generate_hypotheses(np.zeros(3), count, camera)
+    hyps = generate_hypotheses(count, camera)
     want = quat.quat_multiply(quat.quat_from_axis_angle([0, 0, 1], yaw),
                               rest_orientations()[rest])
     got = [quat.matrix_to_quat(R) for R in _world_rotations(hyps, camera)]
@@ -118,7 +141,7 @@ def test_cosine_similarity_validation():
         _cosine_similarities(np.array([[1.0, 0.0], [0.0, 0.0]]), np.ones(2))
     with pytest.raises(RejectedInput):
         select_coarse_pose(make_box([0.06, 0.06, 0.06]),
-                           generate_hypotheses([0.0, 0.0, 0.4], 6),
+                           generate_hypotheses(6), [0.0, 0.0, 0.4],
                            ColorImage(np.zeros((8, 8, 3))),
                            BinaryMask(np.ones((8, 8), dtype=bool)),
                            default_intrinsics(8, 10.0))
@@ -165,32 +188,34 @@ def test_select_coarse_pose_scores_match_per_image_reference(spec):
     # bit-identical
     mesh = primitive_from_spec(spec)
     intr = default_intrinsics(size=120, focal=150.0)
-    hyps = generate_hypotheses([0.0, 0.01, 0.4], 96)
+    hyps = generate_hypotheses(96)
+    anchor = [0.0, 0.01, 0.4]
     obs = render(mesh, RigidPose(quat.random_quat(np.random.default_rng(5)),
                                  [0.0, 0.0, 0.4]), intr)
     mask = BinaryMask(obs.object_ids >= 0)
-    result = select_coarse_pose(mesh, hyps, obs.rgb, mask, intr)
+    result = select_coarse_pose(mesh, hyps, anchor, obs.rgb, mask, intr)
     obs_feat = ref_grid_descriptor(mask_observation(obs.rgb, mask).values)
     small = _scoring_intrinsics(intr)
     want = [(i, ref_cosine_similarity(
-                ref_grid_descriptor(render(mesh, hyps[i], small).rgb.values),
+                ref_grid_descriptor(
+                    render(mesh, _pose(hyps, i, anchor), small).rgb.values),
                 obs_feat))
             for i, _ in result.all_scores]
     assert list(result.all_scores) == want
     assert result.similarity == max(s for _, s in want)
 
 
-def _search(mesh, hyps, obs, mask, intr):
+def _search(mesh, hyps, anchor, obs, mask, intr):
     """select_coarse_pose, and the number of hypotheses it rendered."""
     rendered = []
 
-    def counting(mesh, poses, intrinsics):
-        rendered.extend(poses)
-        return render_batch(mesh, poses, intrinsics)
+    def counting(mesh, rotations, translations, intrinsics):
+        rendered.extend(rotations)
+        return render_batch(mesh, rotations, translations, intrinsics)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(coarse, "render_batch", counting)
-        result = select_coarse_pose(mesh, hyps, obs, mask, intr)
+        result = select_coarse_pose(mesh, hyps, anchor, obs, mask, intr)
     return result, len(rendered)
 
 
@@ -205,13 +230,13 @@ def test_two_level_search_agrees_with_exhaustive_oracle(spec, q, camera):
     # rendered
     mesh = primitive_from_spec(spec)
     intr = default_intrinsics(size=120, focal=150.0)
-    hyps = generate_hypotheses([0.0, 0.01, 0.4], 384,
-                               RigidPose(camera, [0.0, 0.0, 0.0]))
+    hyps = generate_hypotheses(384, RigidPose(camera, [0.0, 0.0, 0.0]))
+    anchor = [0.0, 0.01, 0.4]
     obs = render(mesh, RigidPose(q, [0.0, 0.0, 0.4]), intr)
     mask = BinaryMask(obs.object_ids >= 0)
-    result, rendered = _search(mesh, hyps, obs.rgb, mask, intr)
-    oracle_idx, oracle_sims = ref_select_exhaustive(mesh, hyps, obs.rgb, mask,
-                                                    intr)
+    result, rendered = _search(mesh, hyps, anchor, obs.rgb, mask, intr)
+    oracle_idx, oracle_sims = ref_select_exhaustive(mesh, hyps, anchor,
+                                                    obs.rgb, mask, intr)
     indices = [i for i, _ in result.all_scores]
     assert indices == sorted(set(indices))
     assert set(range(0, 384, 4)) <= set(indices)
@@ -221,7 +246,7 @@ def test_two_level_search_agrees_with_exhaustive_oracle(spec, q, camera):
     best = max(s for _, s in result.all_scores)
     best_idx = min(i for i, s in result.all_scores if s == best)
     assert result.similarity == best
-    assert result.best_pose is hyps[best_idx]
+    assert _same_pose(result.best_pose, _pose(hyps, best_idx, anchor))
     if oracle_idx in indices:
         assert best_idx == oracle_idx
 
@@ -232,16 +257,17 @@ def test_small_grids_score_every_hypothesis(count):
     # 3 yaws of one, and there are at most 16 first-level poses
     mesh = make_box([0.08, 0.05, 0.04])
     intr = default_intrinsics(size=120, focal=150.0)
-    hyps = generate_hypotheses([0.0, 0.0, 0.4], count)
+    hyps = generate_hypotheses(count)
+    anchor = [0.0, 0.0, 0.4]
     view = render(mesh, RigidPose(quat.random_quat(np.random.default_rng(3)),
                                   [0.0, 0.0, 0.4]), intr)
     mask = BinaryMask(view.object_ids >= 0)
-    result, rendered = _search(mesh, hyps, view.rgb, mask, intr)
-    oracle_idx, oracle_sims = ref_select_exhaustive(mesh, hyps, view.rgb,
-                                                    mask, intr)
+    result, rendered = _search(mesh, hyps, anchor, view.rgb, mask, intr)
+    oracle_idx, oracle_sims = ref_select_exhaustive(mesh, hyps, anchor,
+                                                    view.rgb, mask, intr)
     assert rendered == count
     assert list(result.all_scores) == list(enumerate(oracle_sims.tolist()))
-    assert result.best_pose is hyps[oracle_idx]
+    assert _same_pose(result.best_pose, _pose(hyps, oracle_idx, anchor))
 
 
 def test_two_level_search_breaks_ties_to_the_lower_index():
@@ -251,25 +277,15 @@ def test_two_level_search_breaks_ties_to_the_lower_index():
     mesh = make_box([0.08, 0.05, 0.04])
     intr = default_intrinsics(size=120, focal=150.0)
     q = quat.random_quat(np.random.default_rng(4))
-    hyps = tuple(RigidPose(q, [0.0, 0.0, 0.4]) for _ in range(384))
+    hyps = np.broadcast_to(q, (6, 64, 4))
     view = render(mesh, RigidPose(q, [0.0, 0.01, 0.4]), intr)
-    result, rendered = _search(mesh, hyps, view.rgb,
+    result, rendered = _search(mesh, hyps, [0.0, 0.0, 0.4], view.rgb,
                                BinaryMask(view.object_ids >= 0), intr)
     scored = set(range(0, 384, 4)) | set(range(64))
     assert [i for i, _ in result.all_scores] == sorted(scored)
     assert rendered == len(scored) == 144
     assert len({s for _, s in result.all_scores}) == 1
-    assert result.best_pose is hyps[0]
-
-
-@pytest.mark.parametrize("count", [1, 5, 7, 13])
-def test_select_coarse_pose_rejects_counts_that_are_not_multiples_of_6(count):
-    mesh = make_box([0.06, 0.06, 0.06])
-    hyps = generate_hypotheses([0.0, 0.0, 0.4], 18)[:count]
-    with pytest.raises(RejectedInput):
-        select_coarse_pose(mesh, hyps, ColorImage(np.full((8, 8, 3), 0.3)),
-                           BinaryMask(np.ones((8, 8), dtype=bool)),
-                           default_intrinsics(8, 10.0))
+    assert _same_pose(result.best_pose, RigidPose(q, [0.0, 0.0, 0.4]))
 
 
 def test_mask_observation_replaces_background():
@@ -299,23 +315,16 @@ def test_select_coarse_pose_finds_rendered_truth():
     # capped 40 px resolution while the observation render is 120 px
     mesh = make_box([0.08, 0.05, 0.04])
     intr = default_intrinsics(size=120, focal=150.0)
-    hyps = generate_hypotheses([0.0, 0.0, 0.4], 24)
-    true_idx = 13
-    view = render(mesh, hyps[true_idx], intr)
+    hyps = generate_hypotheses(24)
+    truth = _pose(hyps, 13, [0.0, 0.0, 0.4])
+    view = render(mesh, truth, intr)
     mask = BinaryMask(view.object_ids >= 0)
-    result = select_coarse_pose(mesh, hyps, view.rgb, mask, intr)
-    assert np.allclose(result.best_pose.rotation, hyps[true_idx].rotation)
+    result = select_coarse_pose(mesh, hyps, truth.translation, view.rgb, mask,
+                                intr)
+    assert _same_pose(result.best_pose, truth)
     assert result.similarity > 0.9
     assert result.similarity == max(s for _, s in result.all_scores)
     assert len(result.all_scores) == 24
-
-
-def test_select_coarse_pose_empty_hypotheses():
-    mesh = make_box([0.06, 0.06, 0.06])
-    with pytest.raises(RejectedInput):
-        select_coarse_pose(mesh, (), ColorImage(np.zeros((8, 8, 3))),
-                           BinaryMask(np.zeros((8, 8), dtype=bool)),
-                           default_intrinsics(8, 10.0))
 
 
 def _mask_at(row, col, size, shape=(240, 320)):
@@ -335,9 +344,9 @@ def test_select_coarse_pose_on_crop_with_principal_point_at_far_edge():
     color, mask, crop = _crop_to_mask(ColorImage(rng.random((240, 320, 3))),
                                       _mask_at(108, 294, 10), cam)
     assert (crop.cx, crop.cy, crop.width, crop.height) == (0, 15, 146, 16)
-    hyps = generate_hypotheses([0.2, -0.02, 0.5], 12)
-    result = select_coarse_pose(make_box([0.06, 0.05, 0.04]), hyps, color,
-                                mask, crop)
+    result = select_coarse_pose(make_box([0.06, 0.05, 0.04]),
+                                generate_hypotheses(12), [0.2, -0.02, 0.5],
+                                color, mask, crop)
     assert len(result.all_scores) == 12
     assert np.isfinite(result.similarity)
 

@@ -18,8 +18,8 @@ def _coarse_rotation_error(seed, rotation_count):
     observed = backproject(obs.depth, obs.intrinsics, obs.mask)
     anchor = observed.points.mean(axis=0)
     color, mask, intr = _crop_to_mask(obs.color, obs.mask, obs.intrinsics)
-    hyps = generate_hypotheses(anchor, rotation_count, obs.camera_pose)
-    coarse = select_coarse_pose(obs.unit_mesh, hyps, color, mask, intr)
+    hyps = generate_hypotheses(rotation_count, obs.camera_pose)
+    coarse = select_coarse_pose(obs.unit_mesh, hyps, anchor, color, mask, intr)
     truth = obs.true_pose_cam.rotation
     return min(quat.geodesic_angle(
         coarse.best_pose.rotation,

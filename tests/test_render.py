@@ -20,6 +20,13 @@ def intr(size=64, focal=80.0):
                             width=size, height=size)
 
 
+def batch_of(mesh, poses, cam):
+    """render_batch of a pose list, passed as rotation and translation
+    arrays."""
+    return render_batch(mesh, np.array([p.rotation for p in poses]),
+                        np.array([p.translation for p in poses]), cam)
+
+
 def box_pose(seed=0, z=0.5):
     rng = np.random.default_rng(seed)
     return RigidPose(quat.random_quat(rng), [0.0, 0.0, z])
@@ -37,7 +44,7 @@ def test_background_and_empty_mesh():
     behind = RigidPose(quat.IDENTITY, [0.0, 0.0, -0.5])
     for m, poses in ((mesh, [RigidPose.identity()] * 3),
                      (box, [behind, box_pose(2), behind])):
-        batch = render_batch(m, poses, intr())
+        batch = batch_of(m, poses, intr())
         assert batch.rgb.shape == (3, 64, 64, 3)
         for i, pose in enumerate(poses):
             single = render(m, pose, intr())
@@ -182,7 +189,7 @@ def test_render_batch_matches_single_renders():
     cam = intr()
     for name, mesh in PRIMITIVE_MESHES.items():
         poses = [box_pose(s, z=0.3) for s in range(9)]
-        views = render_batch(mesh, poses, cam)
+        views = batch_of(mesh, poses, cam)
         assert len(views) == 9
         assert views.rgb.shape == (9, cam.height, cam.width, 3)
         assert views.depth.shape == (9, cam.height, cam.width)
@@ -336,7 +343,7 @@ def test_render_batch_matches_per_pose_reference(name, pose_list, size,
         mesh = TriangleMesh(mesh.vertices, mesh.triangles)
     w, h = size
     cam = CameraIntrinsics(60.0, 60.0, w / 2, h / 2, w, h)
-    got = render_batch(mesh, pose_list, cam)
+    got = batch_of(mesh, pose_list, cam)
     assert len(got) == len(pose_list)
     assert not (got.rgb.flags.writeable or got.depth.flags.writeable)
     ids = np.zeros(len(mesh.triangles), dtype=np.int64)

@@ -5,9 +5,10 @@ from twinforge import quaternions as quat
 from twinforge.camera import BinaryMask, CameraIntrinsics, DepthImage
 from twinforge.errors import RejectedInput
 from twinforge.geometry import Aabb, PointCloud, RigidPose
-from twinforge.strategy import (InteractionRegion, builtin_reachability,
-                                halton_disc_offsets, interaction_region,
-                                rest_orientations, sample_strategies)
+from twinforge.strategy import (CLEARANCE, UP, InteractionRegion,
+                                builtin_reachability, halton_disc_offsets,
+                                interaction_region, rest_orientations,
+                                rest_yaw_grid, sample_strategies)
 
 
 def test_rest_orientations():
@@ -19,6 +20,16 @@ def test_rest_orientations():
     assert np.allclose(rests[0], quat.IDENTITY)
     up = quat.quat_rotate(rests[5], [0.0, 0.0, 1.0])
     assert np.allclose(up, [0.0, 0.0, -1.0], atol=1e-12)
+
+
+def test_rest_yaw_grid_is_rest_major_with_yaw_0_first():
+    grid = rest_yaw_grid(8)
+    assert grid.shape == (6, 8, 4) and grid.flags.c_contiguous
+    for r, rest in enumerate(rest_orientations()):
+        assert np.array_equal(grid[r, 0], rest)
+        for k in range(8):
+            yaw = quat.quat_from_axis_angle(UP, 2 * np.pi * k / 8)
+            assert np.array_equal(grid[r, k], quat.quat_multiply(yaw, rest))
 
 
 def test_halton_offsets_inside_disc_and_deterministic():
@@ -100,6 +111,40 @@ def test_sample_strategies_reachability_drops():
                              reach=lambda p: builtin_reachability(p, ws))
     assert len(kept) > 0
     assert [s.sample_id for s in kept] == list(range(len(kept)))
+
+
+def _ref_sample_poses(region, n_rotations, n_offsets, offset_radius, reach,
+                      vertical_offset):
+    """The sampler's poses as one rest and one yaw at a time composed them
+    before the rest x yaw grid became one array."""
+    poses = []
+    for rest in rest_orientations():
+        for yi in range(n_rotations):
+            yaw = quat.quat_from_axis_angle(UP, 2 * np.pi * yi / n_rotations)
+            q = quat.quat_normalize(quat.quat_multiply(yaw, rest))
+            lift = vertical_offset(q)
+            for off in halton_disc_offsets(n_offsets, offset_radius):
+                pose = RigidPose(q, region.centroid + off
+                                 + (lift + CLEARANCE) * UP)
+                if reach(pose):
+                    poses.append(pose)
+    return poses
+
+
+@pytest.mark.parametrize("n_rotations", range(1, 9))
+def test_sample_strategies_match_scalar_loop(n_rotations):
+    # every pose, bit for bit, and the same ones dropped by reachability
+    region = region_at([0.01, -0.02, 0.1])
+    ws = Aabb([-1, -1, 0], [1, 1, 1])
+    args = (region, n_rotations, 3, 0.02,
+            lambda p: builtin_reachability(p, ws),
+            lambda q: 0.03 + 0.01 * abs(float(q[1])))
+    got = [s.object_pose for s in sample_strategies(*args)]
+    want = _ref_sample_poses(*args)
+    assert len(got) == len(want) > 0
+    for g, w in zip(got, want):
+        assert g.rotation.tobytes() == w.rotation.tobytes()
+        assert g.translation.tobytes() == w.translation.tobytes()
 
 
 def test_sample_strategies_validation():
