@@ -144,8 +144,9 @@ def alignment_benchmark(trials: int = 40, seed0: int = 0,
                         primitives=BENCHMARK_PRIMITIVES) -> BenchmarkReport:
     """Run both arms over every primitive class; seeds are shared across
     arms so each comparison sees the identical observation."""
-    if trials < 1:
-        raise RejectedInput(f"trials must be >= 1, got {trials}")
+    if (isinstance(trials, bool) or not isinstance(trials, (int, np.integer))
+            or trials < 1):
+        raise RejectedInput(f"trials must be an int >= 1, got {trials!r}")
     if len(primitives) == 0:
         raise RejectedInput("no primitives to benchmark")
     config = config or AlignConfig()

@@ -68,6 +68,13 @@ def build_pipeline_config(doc: dict) -> PipelineConfig:
     return _apply_section(PipelineConfig(), doc)
 
 
+def _seed(text) -> int:
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be an int >= 0, got {seed}")
+    return seed
+
+
 def _require(args, name):
     value = getattr(args, name.replace("-", "_"))
     if value is None:
@@ -100,7 +107,7 @@ def cmd_align(args) -> int:
 
 def cmd_bench_align(args) -> int:
     doc = _load_config(args.config)
-    trials = int(doc.pop("trials", 40))
+    trials = doc.pop("trials", 40)
     primitives = tuple(doc.pop("primitives", BENCHMARK_PRIMITIVES))
     align_cfg = _apply_section(AlignConfig(), doc.pop("align", {}))
     if doc:
@@ -203,7 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name, fn, help_text, extra=None):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--scene", help="path to scene.json")
-        p.add_argument("--seed", type=int, default=None, help="random seed")
+        p.add_argument("--seed", type=_seed, default=None,
+                       help="random seed, an int >= 0")
         p.add_argument("--out", help="output directory")
         p.add_argument("--config", help="path to a JSON config overlay")
         if extra:

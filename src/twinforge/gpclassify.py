@@ -97,29 +97,23 @@ def fit(samples_or_poses, labels=None,
     y = 2.0 * y01 - 1.0
     K = gram_matrix(poses, poses, params)
     K[np.diag_indices_from(K)] += params.jitter
-    f = np.zeros(n)
-    iters = 0
-    for iters in range(1, max_newton + 1):
+    f, iters, delta = np.zeros(n), 0, np.inf
+    while True:
         pi = _sigmoid(f)
         grad = (y + 1.0) / 2.0 - pi
         W = pi * (1.0 - pi)
         sw = np.sqrt(W)
         B = np.eye(n) + sw[:, None] * K * sw[None, :]
         L = np.linalg.cholesky(B)
+        if delta < tol or iters >= max_newton:
+            break
         b = W * f + grad
         v = np.linalg.solve(L, sw * (K @ b))
         a = b - sw * np.linalg.solve(L.T, v)
         f_new = K @ a
         delta = float(np.max(np.abs(f_new - f)))
         f = f_new
-        if delta < tol:
-            break
-    pi = _sigmoid(f)
-    grad = (y + 1.0) / 2.0 - pi
-    W = pi * (1.0 - pi)
-    sw = np.sqrt(W)
-    B = np.eye(n) + sw[:, None] * K * sw[None, :]
-    L = np.linalg.cholesky(B)
+        iters += 1
     return GpModel(tuple(poses), params, f, grad, sw, L,
                    newton_iterations=iters)
 

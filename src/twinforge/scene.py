@@ -81,6 +81,12 @@ def _corner(value):
     return corner
 
 
+def _seed(value):
+    if type(value) is not int or value < 0:
+        raise ValueError(f"seed must be an int >= 0, got {value!r}")
+    return value
+
+
 def _sampler(section):
     """The sampler section as given: at most the two counts, as ints >= 1,
     and the offset radius, finite and >= 0."""
@@ -102,8 +108,8 @@ def load_scene_spec(path) -> SceneSpec:
     """Read a scene spec. A missing or mistyped field, a non-finite camera
     value, an unknown role or goal predicate, a repeated object name, a goal
     that names an undeclared object or takes the wrong number of them, a
-    workspace whose min exceeds its max on some axis, or a sampler key or
-    value out of range raises RejectedInput."""
+    workspace whose min exceeds its max on some axis, a seed that is not an
+    int >= 0, or a sampler key or value out of range raises RejectedInput."""
     with open(path, "r") as f:
         doc = json.load(f)
     if not isinstance(doc, dict):
@@ -156,7 +162,7 @@ def _parse_scene_spec(doc, base_dir) -> SceneSpec:
         goal=(_text(goal["predicate"]), list(goal["args"])),
         workspace=(_corner(ws[0]), _corner(ws[1])),
         grasps=None if grasps is None else _text(grasps),
-        seed=int(doc.get("seed", 0)),
+        seed=_seed(doc.get("seed", 0)),
         sampler=_sampler(doc.get("sampler", {})),
         base_dir=base_dir,
     )

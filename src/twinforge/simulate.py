@@ -1,13 +1,16 @@
 """Quasi-static outcome simulation and weak labeling.
 
-A settle frees the manipulated object's start pose by lifting it against
-gravity (``lift_free``), drops it along gravity to first contact, checks
-static stability via the support polygon, and topples over the nearest hull
-edge in bounded steps when unstable. A start that cannot be lifted free, or
-must rise more than ``PENETRATION_TOL`` to be free, counts as penetrating.
-The center of mass is that of a uniform-density solid. Gravity points along
--z, and the ground plane z=0 is always present as an implicit static
-support.
+A settle is one loop over put-down poses: ``_SettleContext.put_down`` lifts
+a pose free against gravity (``lift_free``) and drops it to first contact
+(``drop``). A start that must rise more than ``PENETRATION_TOL`` to be free,
+or any pose that cannot be freed, counts as penetrating. The support is one
+polygon under the contacts' xy: their convex hull, else the two farthest
+apart, else the one point they share. Only a polygon of three or more
+vertices under the center of mass holds the object; otherwise it tips one
+bounded step about the boundary point nearest the center of mass and is put
+down again. The center of mass is that of a uniform-density solid. Gravity
+points along -z, and the ground plane z=0 is always present as an implicit
+static support.
 
 Drop and lift distances are closed form: surface samples are cast as rays
 along gravity against the meshes (``MeshIndex.cast``), manipulated samples
@@ -26,8 +29,8 @@ from one memo: the manipulated mesh's cast index per (rotation, cast
 direction), built on first use. An entry depends only on its key, so
 concurrent workers see the same answers whichever of them fills it.
 
-The same lift and drop ground an aligned twin (``ground_objects``), each
-object onto the ground or the objects grounded before it.
+The same put-down grounds an aligned twin (``ground_objects``), each object
+onto the ground or the objects grounded before it.
 
 A settle returns poses, contacts and flags only. ``render_outcome`` draws a
 settled scene from the fixed checker viewpoint, for callers that write an
@@ -296,6 +299,15 @@ class _SettleContext:
                 return None
             pose = RigidPose(pose.rotation, pose.translation + step * UP)
 
+    def put_down(self, pose: RigidPose,
+                 max_rise: float = np.inf) -> RigidPose | None:
+        """``drop(lift_free(pose))``, or None when the pose cannot be lifted
+        free or must rise more than max_rise to be free."""
+        free = self.lift_free(pose)
+        if free is None or free.translation[2] - pose.translation[2] > max_rise:
+            return None
+        return self.drop(free)
+
     def contact_points(self, pose: RigidPose) -> np.ndarray:
         pts = pose.apply(self.local_samples)
         near = pts[:, 2] <= CONTACT_TOL
@@ -322,10 +334,10 @@ def _solid_context(scene: SceneTwin, config: SimConfig) -> _SettleContext:
 def ground_objects(objects, config: SimConfig = SimConfig()):
     """Translate each scene object along z to its first contact below it:
     the ground or an object grounded before it, lowest vertex first. An
-    object is freed with ``_SettleContext.lift_free`` and put down with
-    ``drop``, never toppled. Returns (grounded objects in the given order,
-    z shift of each); one that cannot be freed within _MAX_LIFT fails
-    fine-register with ``cannot-ground:<name>``."""
+    object is put down with ``_SettleContext.put_down``, never toppled.
+    Returns (grounded objects in the given order, z shift of each); one that
+    cannot be freed within _MAX_LIFT fails fine-register with
+    ``cannot-ground:<name>``."""
     lowest = [float(o.pose.apply(o.mesh.vertices)[:, 2].min()) for o in objects]
     grounded = {}
     for i in np.argsort(lowest, kind="stable"):
@@ -333,112 +345,88 @@ def ground_objects(objects, config: SimConfig = SimConfig()):
         below = tuple(replace(o, role="static") for o in grounded.values())
         ctx = _SettleContext(
             SceneTwin((replace(obj, role="manipulated"),) + below), config)
-        free = ctx.lift_free(obj.pose)
-        if free is None:
+        placed = ctx.put_down(obj.pose)
+        if placed is None:
             raise StageFailureError("fine-register", f"cannot-ground:{obj.name}")
-        grounded[i] = replace(obj, pose=ctx.drop(free))
+        grounded[i] = replace(obj, pose=placed)
     out = tuple(grounded[i] for i in range(len(objects)))
     return out, [float(g.pose.translation[2] - o.pose.translation[2])
                  for g, o in zip(out, objects)]
 
 
-def _hull_2d(points2d):
-    """Ordered convex hull vertices, or None when degenerate."""
-    if len(points2d) < 3:
+def _support(points2d):
+    """The support polygon under these contact xy: their convex hull,
+    counter-clockwise; else the two farthest apart (fewer than three, or on
+    one line); else the one point they all share."""
+    if len(points2d) >= 3:
+        try:
+            return points2d[ConvexHull(points2d).vertices]
+        except QhullError:
+            pass
+    if len(points2d) < 2:
+        return points2d
+    end = points2d[np.argmax(np.sum((points2d - points2d[0]) ** 2, axis=1))]
+    far = points2d[np.argmax(np.sum((points2d - end) ** 2, axis=1))]
+    return np.array([end, far]) if (far != end).any() else end[None]
+
+
+def _tip(com2, polygon):
+    """None when com2, the centre of mass's xy, is over the support polygon
+    and it has three or more vertices. Else (pivot, axis): the boundary point
+    nearest com2 and the unit horizontal axis to tip about there, along that
+    edge or, on a point support, across com2's offset. The axis is None
+    with no support or with com2 exactly over a point support."""
+    a, e = polygon, np.roll(polygon, -1, axis=0) - polygon
+    # counter-clockwise vertices: over the polygon is left of every edge
+    if len(a) >= 3 and np.all(e[:, 0] * (com2[1] - a[:, 1])
+                              - e[:, 1] * (com2[0] - a[:, 0]) >= -1e-9):
         return None
-    try:
-        hull = ConvexHull(points2d)
-    except QhullError:
-        return None
-    return points2d[hull.vertices]
-
-
-def _point_in_hull(p, hull, tol=1e-9):
-    n = len(hull)
-    for i in range(n):
-        a, b = hull[i], hull[(i + 1) % n]
-        e = b - a
-        # hull vertices are counter-clockwise: inside means left of every edge
-        if e[0] * (p[1] - a[1]) - e[1] * (p[0] - a[0]) < -tol:
-            return False
-    return True
-
-
-def _nearest_hull_edge(p, hull):
-    """(closest point on hull boundary, unit edge direction) nearest to p."""
-    best = None
-    for i in range(len(hull)):
-        a, b = hull[i], hull[(i + 1) % len(hull)]
-        e = b - a
-        L2 = float(e @ e)
-        t = 0.0 if L2 == 0 else float(np.clip((p - a) @ e / L2, 0.0, 1.0))
-        q = a + t * e
-        d = float(np.linalg.norm(p - q))
-        if best is None or d < best[0]:
-            best = (d, q, e / max(np.sqrt(L2), 1e-12))
-    return best[1], best[2]
+    if not len(a):
+        return None, None
+    # np.vecdot runs the 1-D `@` kernel row by row, so the pivots and axes
+    # are bit for bit those of a loop over the edges
+    L2 = np.vecdot(e, e)
+    t = np.clip(np.vecdot(com2 - a, e) / np.maximum(L2, np.finfo(float).tiny),
+                0.0, 1.0)
+    q = a + t[:, None] * e
+    d = np.sqrt(np.vecdot(com2 - q, com2 - q))
+    i = int(np.argmin(d))
+    if L2[i] > 0:
+        return q[i], e[i] / np.sqrt(L2[i])
+    across = np.array([com2[1] - q[i, 1], q[i, 0] - com2[0]])
+    return q[i], across / d[i] if d[i] > 0 else None
 
 
 def settle_simulate(scene: SceneTwin, sample: StrategySample,
                     config: SimConfig = SimConfig(),
                     _ctx: _SettleContext | None = None) -> SimOutcome:
-    """Settle one strategy: lift the start pose free, drop it along gravity,
-    then test support-polygon stability with bounded toppling. A start that
-    cannot be lifted free, or must rise more than PENETRATION_TOL, ends as
-    penetration. config sets the surface sampling of the context built
-    here; a passed _ctx carries its own."""
+    """Settle one strategy: put the start down, then, while the support
+    polygon does not hold it, tip it one step and put it down again, at most
+    MAX_TOPPLE_STEPS times. A start that must rise more than PENETRATION_TOL
+    to be free, or any pose that cannot be freed, ends as penetration.
+    config sets the surface sampling of the context built here; a passed
+    _ctx carries its own."""
     ctx = _solid_context(scene, config) if _ctx is None else _ctx
-    pose = sample.object_pose
-
-    free = ctx.lift_free(pose)
-    if (free is None
-            or free.translation[2] - pose.translation[2] > PENETRATION_TOL):
-        return _finish(ctx, pose, stable=False, penetration=True,
-                       contacts=np.empty((0, 3)), topple_steps=0)
-    pose = ctx.drop(free)
-    topples = 0
-    stable = False
+    pose, max_rise, topples = sample.object_pose, PENETRATION_TOL, 0
     while True:
-        contacts = ctx.contact_points(pose)
-        com = ctx.com_world(pose)
-        hull = _hull_2d(contacts[:, :2]) if len(contacts) else None
-        if hull is not None and _point_in_hull(com[:2], hull):
-            stable = True
-            break
-        if topples >= MAX_TOPPLE_STEPS or len(contacts) == 0:
-            break
-        if hull is None:
-            # degenerate support (point/line): pivot about the line through
-            # the two contacts farthest apart
-            if len(contacts) >= 2:
-                c2 = contacts[:, :2]
-                end = c2[np.argmax(np.sum((c2 - c2[0]) ** 2, axis=1))]
-                e = c2[np.argmax(np.sum((c2 - end) ** 2, axis=1))] - end
-                axis2 = e / max(np.linalg.norm(e), 1e-12)
-                pivot2 = contacts[:, :2].mean(axis=0)
-            else:
-                axis2 = np.array([1.0, 0.0])
-                pivot2 = contacts[0, :2]
-            pivot = np.array([pivot2[0], pivot2[1], float(contacts[:, 2].mean())])
-            axis = np.array([axis2[0], axis2[1], 0.0])
-        else:
-            q2, e2 = _nearest_hull_edge(com[:2], hull)
-            pivot = np.array([q2[0], q2[1], float(contacts[:, 2].min())])
-            axis = np.array([e2[0], e2[1], 0.0])
+        placed = ctx.put_down(pose, max_rise)
+        if placed is None:
+            return _finish(ctx, pose, stable=False, penetration=True,
+                           contacts=np.empty((0, 3)), topple_steps=topples)
+        contacts = ctx.contact_points(placed)
+        com = ctx.com_world(placed)
+        tip = _tip(com[:2], _support(contacts[:, :2]))
+        if tip is None or tip[1] is None or topples == MAX_TOPPLE_STEPS:
+            return _finish(ctx, placed, stable=tip is None, penetration=False,
+                           contacts=contacts, topple_steps=topples)
+        pivot = np.array([*tip[0], float(contacts[:, 2].min())])
+        axis = np.array([*tip[1], 0.0])
         torque = np.cross(com - pivot, -UP)
         sgn = 1.0 if float(torque @ axis) >= 0 else -1.0
         rot = quat.quat_from_axis_angle(axis, sgn * np.deg2rad(TOPPLE_STEP_DEG))
         step = RigidPose(rot, pivot - quat.quat_rotate(rot, pivot))
-        pose = step.compose(pose)
+        pose, max_rise = step.compose(placed), np.inf
         topples += 1
-        free = ctx.lift_free(pose)
-        if free is None:
-            return _finish(ctx, pose, stable=False, penetration=True,
-                           contacts=np.empty((0, 3)), topple_steps=topples)
-        pose = ctx.drop(free)
-    # every break leaves pose where contacts was just computed
-    return _finish(ctx, pose, stable=stable, penetration=False,
-                   contacts=contacts, topple_steps=topples)
 
 
 def _finish(ctx, pose, stable, penetration, contacts, topple_steps):

@@ -5,6 +5,11 @@ hit: it casts every candidate sample in full and builds the manipulated
 mesh's cast index for each pose. Used to cross-check the bounded drop pose
 for pose, bit for bit.
 
+``ref_point_in_hull`` and ``ref_nearest_hull_edge`` are the settle's
+support test and pivot as loops over a counter-clockwise hull's edges, as
+they were before ``simulate._tip`` took them in one array pass. Used to
+check ``_tip`` against them, pivot for pivot and axis for axis, bit for bit.
+
 ``ref_penetration_depth`` is the start check the settle used before it
 asked ``lift_free``: the distance from each sample inside a solid to the
 nearest surface sample of that solid, so a shallow depth reads as up to
@@ -58,3 +63,29 @@ def ref_penetration_depth(ctx, pose):
             d, _ = cKDTree(ctx.local_samples).query(theirs)
             depth = max(depth, float(d.max()))
     return depth
+
+
+def ref_point_in_hull(p, hull, tol=1e-9):
+    n = len(hull)
+    for i in range(n):
+        a, b = hull[i], hull[(i + 1) % n]
+        e = b - a
+        # hull vertices are counter-clockwise: inside means left of every edge
+        if e[0] * (p[1] - a[1]) - e[1] * (p[0] - a[0]) < -tol:
+            return False
+    return True
+
+
+def ref_nearest_hull_edge(p, hull):
+    """(closest point on hull boundary, unit edge direction) nearest to p."""
+    best = None
+    for i in range(len(hull)):
+        a, b = hull[i], hull[(i + 1) % len(hull)]
+        e = b - a
+        L2 = float(e @ e)
+        t = 0.0 if L2 == 0 else float(np.clip((p - a) @ e / L2, 0.0, 1.0))
+        q = a + t * e
+        d = float(np.linalg.norm(p - q))
+        if best is None or d < best[0]:
+            best = (d, q, e / max(np.sqrt(L2), 1e-12))
+    return best[1], best[2]

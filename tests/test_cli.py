@@ -174,6 +174,10 @@ SPEC_FAULTS += [
     {"camera": {"fx": 230.0, "fy": float("inf"), "cx": 100.0, "cy": 100.0,
                 "width": 200, "height": 200}}]
 
+# a seed that is not an int >= 0: it would be truncated, read as 1, or fail
+# inside a stage
+SPEC_FAULTS += [{"seed": 2.7}, {"seed": True}, {"seed": "0"}, {"seed": -1}]
+
 
 @pytest.mark.parametrize("fault", SPEC_FAULTS)
 def test_plan_rejects_incomplete_or_mistyped_spec(scene_dir, tmp_path, capsys,
@@ -287,8 +291,11 @@ def test_bench_align_verb(tmp_path):
     assert rc == EXIT_INVALID_INPUT
 
 
+# no trials or no primitives, or a trials value that is not an int >= 1
+# (it would be truncated or read as 1)
 @pytest.mark.parametrize("doc", [{"trials": 0}, {"trials": -3},
-                                 {"primitives": []}])
+                                 {"primitives": []}, {"trials": 1.9},
+                                 {"trials": "3"}, {"trials": True}])
 def test_bench_align_rejects_an_empty_run(tmp_path, doc):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(doc))
@@ -296,6 +303,19 @@ def test_bench_align_rejects_an_empty_run(tmp_path, doc):
     rc = main(["bench-align", "--out", str(out), "--config", str(cfg)])
     assert rc == EXIT_INVALID_INPUT
     assert not (out / "benchmark.csv").exists()
+
+
+# a negative --seed is invalid input under every verb, before any work
+@pytest.mark.parametrize("verb", ["plan", "align", "simulate", "gen-scene",
+                                  "bench-align", "bench-plan"])
+def test_negative_seed_is_rejected_before_any_work(scene_dir, tmp_path, capsys,
+                                                   verb):
+    out = tmp_path / "out"
+    rc = main([verb, "--scene", str(scene_dir / "scene.json"), "--seed", "-1",
+               "--out", str(out)])
+    assert rc == EXIT_INVALID_INPUT
+    assert not out.exists()
+    assert "seed must be an int >= 0, got -1" in capsys.readouterr().err
 
 
 def test_plan_stage_failure_exit_code(tmp_path):

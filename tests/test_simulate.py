@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from twinforge import quaternions as quat
 from twinforge import simulate
 from twinforge.errors import RejectedInput, StageFailureError
-from twinforge.geometry import RigidPose, TriangleMesh
+from twinforge.geometry import PointCloud, RigidPose, TriangleMesh
 from twinforge.render import render_scene
 from twinforge.simulate import (CONTACT_TOL, PENETRATION_TOL, RENDER_SIZE,
                                 GeometricEvaluator, SceneObject, SceneTwin,
@@ -17,7 +17,8 @@ from twinforge.simulate import (CONTACT_TOL, PENETRATION_TOL, RENDER_SIZE,
 from twinforge.strategy import StrategySample
 from twinforge.synth import make_box, make_cup, make_open_box
 
-from simulate_reference import ref_drop, ref_penetration_depth
+from simulate_reference import (ref_drop, ref_nearest_hull_edge,
+                                ref_penetration_depth, ref_point_in_hull)
 
 FAST = SimConfig(surface_samples=900)
 
@@ -325,6 +326,100 @@ def test_two_contact_topple_is_mirror_symmetric():
     assert np.allclose(b.translation, a.translation * [1, -1, 1], atol=1e-12)
     # toppled onto the face beside the edge: flat on the ground
     assert b.translation[2] == pytest.approx(0.025, abs=1e-5)
+
+
+def test_single_contact_tips_across_the_centre_of_mass_offset(monkeypatch):
+    # a cube set corner-down, its samples its eight corners: one contact,
+    # with the centre of mass off it in both x and y. The first tip axis is
+    # horizontal and perpendicular to that offset, so the corner stays the
+    # pivot while the centre of mass falls toward its offset.
+    twin = scene_with(cube())
+    ctx = _SettleContext(twin, FAST)
+    ctx.local_samples = 0.025 * np.array(
+        [[x, y, z] for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)], float)
+    q = quat.quat_multiply(
+        quat.quat_from_axis_angle([0, 1, 0], np.deg2rad(30.0)),
+        quat.quat_from_axis_angle([1, 0, 0], -np.arctan(1 / np.sqrt(2))))
+    start = RigidPose(q, [0.0, 0.0, 0.1])
+    landed = ctx.drop(start)
+    contacts = ctx.contact_points(landed)
+    assert len(contacts) == 1
+    offset = (ctx.com_world(landed) - contacts[0])[:2]
+    assert np.all(np.abs(offset) > 0.004)
+    axes = []
+    from_axis_angle = quat.quat_from_axis_angle
+
+    def recorded(axis, angle):
+        axes.append(np.asarray(axis, float))
+        return from_axis_angle(axis, angle)
+
+    monkeypatch.setattr(quat, "quat_from_axis_angle", recorded)
+    out = settle_simulate(twin, sample_at(start), FAST, _ctx=ctx)
+    assert out.topple_steps >= 1 and not out.penetration
+    first = axes[0]
+    assert first[2] == 0.0 and np.linalg.norm(first) == pytest.approx(1.0)
+    assert abs(first[:2] @ offset) < 1e-9 * np.linalg.norm(offset)
+    assert out.stable
+
+
+def test_coincident_contacts_settle_and_label_false(monkeypatch):
+    # two samples that share one xy under the cube's centre of mass: a point
+    # support, never one that holds the object, and no zero tip axis
+    points = np.array([[0.0, 0.0, -0.025], [0.0, 0.0, -0.0245]])
+    twin = scene_with(cube())
+    ctx = _SettleContext(twin, FAST)
+    ctx.local_samples = points
+    start = RigidPose(quat.IDENTITY, [0.0, 0.0, 0.1])
+    assert len(ctx.contact_points(ctx.drop(start))) == 2
+    out = settle_simulate(twin, sample_at(start), FAST, _ctx=ctx)
+    assert not out.stable and not out.penetration
+    monkeypatch.setattr(simulate, "sample_mesh_surface",
+                        lambda mesh, n, seed: PointCloud(points))
+    (labeled,) = label_samples(twin, [sample_at(start)], ("upright", ["cube"]),
+                               FAST)
+    assert labeled.weak_label is False and labeled.outcome is not None
+
+
+def test_centre_of_mass_exactly_over_a_point_support_ends_unstable():
+    twin = scene_with(cube())
+    ctx = _SettleContext(twin, FAST)
+    ctx.local_samples = np.array([[0.0, 0.0, -0.025]])
+    ctx.local_com = np.zeros(3)
+    start = RigidPose(quat.IDENTITY, [0.01, 0.02, 0.1])
+    out = settle_simulate(twin, sample_at(start), FAST, _ctx=ctx)
+    assert not out.stable and not out.penetration
+    assert out.topple_steps == 0
+    assert len(out.contacts) == 1
+    assert np.array_equal(out.contacts[0, :2],
+                          ctx.com_world(out.settled_poses["cube"])[:2])
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 40),
+       spread=st.floats(0.001, 0.05))
+def test_tip_matches_the_edge_loop_reference(seed, n, spread):
+    # contacts whose hull has three or more vertices: the one-pass support
+    # query answers as the loops over the hull's edges did, bit for bit
+    rng = np.random.default_rng(seed)
+    points = rng.normal(size=(n, 2)) * spread + rng.normal(size=2) * 0.05
+    com2 = rng.normal(size=2) * 0.05
+    hull = simulate._support(points)
+    assert len(hull) >= 3
+    tip = simulate._tip(com2, hull)
+    assert (tip is None) == ref_point_in_hull(com2, hull)
+    if tip is not None:
+        pivot, axis = ref_nearest_hull_edge(com2, hull)
+        assert np.array_equal(tip[0], pivot) and np.array_equal(tip[1], axis)
+
+
+@pytest.mark.parametrize("points,support", [
+    ([[0.0, 0.0]], [[0.0, 0.0]]),
+    ([[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]),
+    ([[0.0, 0.0], [0.01, 0.02]], [[0.01, 0.02], [0.0, 0.0]]),
+    ([[0.01, 0.01], [0.0, 0.0], [0.03, 0.03], [0.02, 0.02]],
+     [[0.03, 0.03], [0.0, 0.0]])], ids=["one", "coincident", "two", "line"])
+def test_degenerate_support_is_a_segment_or_a_point(points, support):
+    assert np.array_equal(simulate._support(np.array(points)), support)
 
 
 def test_translation_equivariance():
