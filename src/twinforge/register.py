@@ -6,6 +6,7 @@ All randomized steps take explicit seeds and are deterministic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,10 +56,26 @@ class IcpParams:
 
 @dataclass(frozen=True)
 class RansacParams:
+    """RejectedInput unless ``trials`` is an int >= 1 and ``seed`` an int
+    >= 0 (a bool is not an int here), and ``inlier_threshold`` is finite
+    and > 0."""
     trials: int = 4096
     inlier_threshold: float = 0.015
     min_inlier_fraction: float = 0.25
     seed: int = 0
+
+    def __post_init__(self):
+        for name, low in (("trials", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if (isinstance(value, bool)
+                    or not isinstance(value, (int, np.integer)) or value < low):
+                raise RejectedInput(
+                    f"RansacParams {name} must be an int >= {low}, got {value!r}")
+        t = self.inlier_threshold
+        if (isinstance(t, bool) or not isinstance(t, (int, float, np.number))
+                or not math.isfinite(t) or t <= 0):
+            raise RejectedInput("RansacParams inlier_threshold must be finite "
+                                f"and > 0, got {t!r}")
 
 
 def estimate_scale(rendered_partial: PointCloud, observed_partial: PointCloud) -> float:
@@ -249,23 +266,49 @@ def mutual_correspondences(desc_src, desc_tgt):
     return src_ok[mutual], tgt_ok[fwd[mutual]]
 
 
+def _squared_limit(threshold):
+    """The largest float whose sqrt is <= ``threshold`` (finite, >= 0).
+    sqrt is correctly rounded and monotone, so sqrt(s) <= threshold exactly
+    when s <= this limit."""
+    threshold = float(threshold)
+    s = threshold * threshold
+    while math.sqrt(s) > threshold:
+        s = math.nextafter(s, 0.0)
+    while math.sqrt(math.nextafter(s, math.inf)) <= threshold:
+        s = math.nextafter(s, math.inf)
+    return s
+
+
 def _trial_inliers(R, t, src, tgt, threshold):
     """(T, C) mask: |R[k] @ src[c] + t[k] - tgt[c]| <= threshold.
 
     Residuals are formed one output axis at a time and summed left to
     right (over j, then t, then -tgt; the squares over the axes likewise),
     with plain array ops, so every distance is the same on any machine.
-    Blocks of trials keep the (block, C) temporaries in cache.
+    Blocks of trials are scored in place in (block, C) buffers that stay
+    in cache, and the squared distance is compared with the squared limit
+    instead of taking its sqrt.
     """
+    limit = _squared_limit(threshold)
+    s = [np.ascontiguousarray(c) for c in src.T]
+    g = [np.ascontiguousarray(c) for c in tgt.T]
+    buffers = [np.empty((min(len(R), _SCORE_BLOCK), len(src)))
+               for _ in range(3)]
     inliers = np.empty((len(R), len(src)), dtype=bool)
     for lo in range(0, len(R), _SCORE_BLOCK):
         Rk, tk = R[lo:lo + _SCORE_BLOCK], t[lo:lo + _SCORE_BLOCK]
-        sq = np.zeros((len(Rk), len(src)))
+        r, term, sq = (b[:len(Rk)] for b in buffers)
         for i in range(3):
-            r = (Rk[:, i, 0, None] * src[:, 0] + Rk[:, i, 1, None] * src[:, 1]
-                 + Rk[:, i, 2, None] * src[:, 2] + tk[:, i, None] - tgt[:, i])
-            sq += r * r
-        inliers[lo:lo + _SCORE_BLOCK] = np.sqrt(sq) <= threshold
+            np.multiply(Rk[:, i, 0, None], s[0], out=r)
+            r += np.multiply(Rk[:, i, 1, None], s[1], out=term)
+            r += np.multiply(Rk[:, i, 2, None], s[2], out=term)
+            r += tk[:, i, None]
+            r -= g[i]
+            if i == 0:
+                np.multiply(r, r, out=sq)
+            else:
+                sq += np.multiply(r, r, out=term)
+        np.less_equal(sq, limit, out=inliers[lo:lo + len(Rk)])
     return inliers
 
 

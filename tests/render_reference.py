@@ -9,7 +9,7 @@ scene one object at a time. They are kept only to cross-check
 import numpy as np
 
 from twinforge.camera import ColorImage, DepthImage
-from twinforge.render import AMBIENT, BACKGROUND, NEAR, RenderedView, _cross3
+from twinforge.render import AMBIENT, BACKGROUND, NEAR, RenderedView
 
 
 def ref_rasterize(vertices_cam, triangles, vertex_colors, tri_object_ids,
@@ -46,7 +46,7 @@ def ref_rasterize(vertices_cam, triangles, vertex_colors, tri_object_ids,
         # loses the z-test on a watertight mesh, so dropping it up front
         # leaves the image unchanged while halving the fragment load.
         vc = vertices_cam[tri]
-        n0 = _cross3(vc[:, 1] - vc[:, 0], vc[:, 2] - vc[:, 0])
+        n0 = np.cross(vc[:, 1] - vc[:, 0], vc[:, 2] - vc[:, 0])
         facing = np.einsum("ij,ij->i", n0, vc.mean(axis=1)) < 0.0
         live = live[facing]
         if len(live) == 0:
@@ -64,7 +64,7 @@ def ref_rasterize(vertices_cam, triangles, vertex_colors, tri_object_ids,
     area2 = np.abs(area2)
 
     v = vertices_cam[tri]                          # (T, 3, 3)
-    n = _cross3(v[:, 1] - v[:, 0], v[:, 2] - v[:, 0])
+    n = np.cross(v[:, 1] - v[:, 0], v[:, 2] - v[:, 0])
     nn = np.sqrt(np.einsum("ij,ij->i", n, n))
     centroid = v.mean(axis=1)
     cn = np.sqrt(np.einsum("ij,ij->i", centroid, centroid))

@@ -492,6 +492,29 @@ def test_icp_params_validation():
         IcpParams(tolerance=-1.0)
 
 
+@pytest.mark.parametrize("bad", [
+    {"trials": 0}, {"trials": -2}, {"trials": 2.5}, {"trials": True},
+    {"trials": "8"}, {"inlier_threshold": -1.0}, {"inlier_threshold": 0.0},
+    {"inlier_threshold": float("nan")}, {"inlier_threshold": float("inf")},
+    {"inlier_threshold": "0.01"}, {"inlier_threshold": None},
+    {"seed": -1}, {"seed": 0.5}, {"seed": True}])
+def test_ransac_params_validation(bad):
+    # before: trials 0 raised numpy's argmax error, 2.5 a TypeError, and a
+    # negative or NaN threshold silently found no model
+    with pytest.raises(RejectedInput):
+        RansacParams(**bad)
+    RansacParams(trials=np.int64(3), inlier_threshold=1, seed=np.int64(0))
+
+
+@pytest.mark.parametrize("threshold", [
+    5e-324, 1e-300, 1e-160, 1e-10, 0.015, 1.0, 3.0, 1e154, 1e200,
+    np.finfo(float).max])
+def test_squared_limit_is_the_last_square_within_the_threshold(threshold):
+    s = register._squared_limit(threshold)
+    assert math.sqrt(s) <= threshold
+    assert math.sqrt(math.nextafter(s, math.inf)) > threshold
+
+
 def test_alignment_success_thresholds():
     truth = RigidPose.identity()
     good = RigidPose(quat.quat_from_axis_angle([0, 0, 1], np.deg2rad(10.0)),

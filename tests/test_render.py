@@ -7,6 +7,7 @@ from render_reference import ref_rasterize, ref_render_scene
 from solids_reference import ray_mesh_depth
 from twinforge import quaternions as quat
 from twinforge.camera import CameraIntrinsics, backproject
+from twinforge.coarse import grid_descriptor
 from twinforge.geometry import RigidPose, TriangleMesh
 from twinforge.render import (BACKGROUND, NEAR, _rasterize, render,
                               render_batch, render_scene)
@@ -193,10 +194,24 @@ def test_render_batch_matches_single_renders():
         assert len(views) == 9
         assert views.rgb.shape == (9, cam.height, cam.width, 3)
         assert views.depth.shape == (9, cam.height, cam.width)
+        assert views.rgb.flags.c_contiguous and views.depth.flags.c_contiguous
         for pose, rgb, depth in zip(poses, views.rgb, views.depth):
             single = render(mesh, pose, cam)
             assert np.array_equal(single.depth.values, depth), name
             assert np.array_equal(single.rgb.values, rgb), name
+
+
+def test_batch_descriptors_equal_single_render_descriptors():
+    # grid_descriptor's images @ _LUMA rounds by the stack's memory layout,
+    # so the batch stack must give each image the descriptor its single
+    # render gives, bit for bit
+    cam = intr()
+    poses = [box_pose(s, z=0.3) for s in range(6)]
+    for name, mesh in PRIMITIVE_MESHES.items():
+        got = grid_descriptor(batch_of(mesh, poses, cam).rgb)
+        want = [grid_descriptor(render(mesh, p, cam).rgb.values[None])[0]
+                for p in poses]
+        assert np.array_equal(got, want), name
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +283,11 @@ def _pixel_soup(kind, rng, w, h):
         c = (a + rng.uniform(-0.5, 1.5, (n, 1)) * d
              + 10.0 ** rng.uniform(-9, -2, (n, 1)) * perp)
         return np.stack([a, b, c], axis=1)
+    if kind == "rows":  # each vertex 1e-9 to 1e-15 px off a centre row
+        k = rng.integers(-1, h + 1, (n, 3))
+        dy = rng.choice([-1, 1], (n, 3)) * 10.0 ** -rng.integers(9, 16, (n, 3))
+        x = rng.integers(-1, w + 1, (n, 3)) + rng.choice([0.5, 0.0, 0.3], (n, 3))
+        return np.stack([x, k + 0.5 + dy], axis=2)
     if kind == "through":  # edges through pixel centres, off-grid endpoints
         p = rng.integers(0, max(w, h), (n, 2)) + 0.5
         q = p + rng.integers(-6, 7, (n, 2))
@@ -280,7 +300,7 @@ def _pixel_soup(kind, rng, w, h):
 
 @settings(max_examples=150, deadline=None)
 @given(kind=st.sampled_from(["centres", "axis", "subpixel", "sliver",
-                             "through", "random"]),
+                             "through", "rows", "random"]),
        size=st.tuples(st.integers(1, 40), st.integers(1, 40)),
        seed=st.integers(0, 2**16), cull=st.booleans(), stacked=st.booleans())
 def test_rasterize_stress_triangles_match_bbox_reference(kind, size, seed, cull,
