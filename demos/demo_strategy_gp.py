@@ -63,7 +63,7 @@ def main():
         print(f"  sample {s.sample_id:3d}  p={s.success_prob:.3f}  "
               f"label={'+' if s.weak_label else '-'}  "
               f"target=({t[0]:+.3f}, {t[1]:+.3f}, {t[2]:+.3f})")
-    best = ranking.best
+    best = ranking.ranked[0]
     print(f"selected sample {best.sample_id} with p={best.success_prob:.3f}")
 
 

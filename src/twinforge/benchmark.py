@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import quaternions as quat
-from .errors import RejectedInput, StageFailureError
+from .errors import RejectedInput, StageFailureError, check_int
 from .fileio import load_mesh
 from .geometry import sample_mesh_surface
 from .materials import material_lookup
@@ -144,9 +144,7 @@ def alignment_benchmark(trials: int = 40, seed0: int = 0,
                         primitives=BENCHMARK_PRIMITIVES) -> BenchmarkReport:
     """Run both arms over every primitive class; seeds are shared across
     arms so each comparison sees the identical observation."""
-    if (isinstance(trials, bool) or not isinstance(trials, (int, np.integer))
-            or trials < 1):
-        raise RejectedInput(f"trials must be an int >= 1, got {trials!r}")
+    check_int("trials", trials, 1)
     if len(primitives) == 0:
         raise RejectedInput("no primitives to benchmark")
     config = config or AlignConfig()

@@ -28,13 +28,6 @@ class CameraIntrinsics:
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):
             raise RejectedInput("principal point must lie inside the image")
 
-    def project(self, points):
-        """Camera-frame points -> (u, v) pixel coordinates. Caller checks z > 0."""
-        p = np.atleast_2d(points)
-        z = p[:, 2]
-        return np.stack([self.fx * p[:, 0] / z + self.cx,
-                         self.fy * p[:, 1] / z + self.cy], axis=1)
-
 
 def _check_image(values, ndim, name):
     v = np.asarray(values, dtype=float)
@@ -114,8 +107,7 @@ class BinaryMask:
 
 
 def backproject(depth: DepthImage, intrinsics: CameraIntrinsics,
-                mask: BinaryMask | None = None,
-                color: ColorImage | None = None) -> PointCloud:
+                mask: BinaryMask | None = None) -> PointCloud:
     """Back-project valid (optionally masked) depth pixels to camera-frame points.
 
     Pixel index (u, v) samples the continuous image point (u+0.5, v+0.5),
@@ -135,9 +127,4 @@ def backproject(depth: DepthImage, intrinsics: CameraIntrinsics,
     z = depth.values[v_idx, u_idx]
     x = (u_idx + 0.5 - intrinsics.cx) * z / intrinsics.fx
     y = (v_idx + 0.5 - intrinsics.cy) * z / intrinsics.fy
-    colors = None
-    if color is not None:
-        if color.width != depth.width or color.height != depth.height:
-            raise RejectedInput("color dimensions do not match depth")
-        colors = color.values[v_idx, u_idx]
-    return PointCloud(np.stack([x, y, z], axis=1), colors)
+    return PointCloud(np.stack([x, y, z], axis=1))

@@ -75,22 +75,23 @@ def _seed(text) -> int:
     return seed
 
 
-def _require(args, name):
-    value = getattr(args, name.replace("-", "_"))
-    if value is None:
-        raise RejectedInput(f"--{name} is required for this command")
-    return value
+# the flags several verbs share; each verb takes only those it reads
+_FLAGS = {
+    "--scene": dict(required=True, help="path to scene.json"),
+    "--seed": dict(type=_seed, help="random seed, an int >= 0"),
+    "--out": dict(help="output directory"),
+    "--config": dict(help="path to a JSON config overlay"),
+}
 
 
 def cmd_gen_scene(args) -> int:
-    out = _require(args, "out")
-    path = generate_synthetic_scene(args.task, out, seed=args.seed or 0)
+    path = generate_synthetic_scene(args.task, args.out, seed=args.seed or 0)
     print(f"scene written: {path}")
     return EXIT_OK
 
 
 def cmd_align(args) -> int:
-    spec = load_scene_spec(_require(args, "scene"))
+    spec = load_scene_spec(args.scene)
     config = build_pipeline_config(_load_config(args.config))
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
@@ -108,12 +109,16 @@ def cmd_align(args) -> int:
 def cmd_bench_align(args) -> int:
     doc = _load_config(args.config)
     trials = doc.pop("trials", 40)
-    primitives = tuple(doc.pop("primitives", BENCHMARK_PRIMITIVES))
+    primitives = doc.pop("primitives", list(BENCHMARK_PRIMITIVES))
+    if (not isinstance(primitives, list) or not primitives
+            or not all(isinstance(p, str) for p in primitives)):
+        raise RejectedInput("primitives must be a non-empty list of strings, "
+                            f"got {primitives!r}")
     align_cfg = _apply_section(AlignConfig(), doc.pop("align", {}))
     if doc:
         raise RejectedInput(f"unknown config keys: {sorted(doc)}")
     report = alignment_benchmark(trials=trials, seed0=args.seed or 0,
-                                 config=align_cfg, primitives=primitives)
+                                 config=align_cfg, primitives=tuple(primitives))
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
     path = os.path.join(out, "benchmark.csv")
@@ -154,7 +159,7 @@ def cmd_bench_plan(args) -> int:
 
 
 def cmd_plan(args) -> int:
-    spec = load_scene_spec(_require(args, "scene"))
+    spec = load_scene_spec(args.scene)
     config = build_pipeline_config(_load_config(args.config))
     out = args.out or "."
     result = run_and_write(spec, out, config, seed=args.seed)
@@ -176,7 +181,7 @@ def _parse_pose(text) -> RigidPose:
 
 
 def cmd_simulate(args) -> int:
-    spec = load_scene_spec(_require(args, "scene"))
+    spec = load_scene_spec(args.scene)
     config = build_pipeline_config(_load_config(args.config))
     out = args.out or "."
     os.makedirs(out, exist_ok=True)
@@ -207,31 +212,34 @@ def build_parser() -> argparse.ArgumentParser:
         description="digital-twin alignment and manipulation planning")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_text, extra=None):
+    def add(name, fn, help_text, *flags):
+        """A verb that parses only the flags it reads."""
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--scene", help="path to scene.json")
-        p.add_argument("--seed", type=_seed, default=None,
-                       help="random seed, an int >= 0")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--config", help="path to a JSON config overlay")
-        if extra:
-            extra(p)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
         p.set_defaults(fn=fn)
+        return p
 
-    add("align", cmd_align, "two-stage alignment of every scene object")
+    add("align", cmd_align, "two-stage alignment of every scene object",
+        "--scene", "--out", "--config")
     add("bench-align", cmd_bench_align,
-        "two-stage vs direct alignment benchmark")
+        "two-stage vs direct alignment benchmark",
+        "--seed", "--out", "--config")
     add("bench-plan", cmd_bench_plan,
-        f"plan {PLAN_SEEDS} scene seeds of every task, scored against the truth")
-    add("plan", cmd_plan, "full observation-to-strategy pipeline")
-    add("simulate", cmd_simulate, "settle one strategy in the aligned twin",
-        extra=lambda p: p.add_argument(
-            "--pose", help="object world pose qw,qx,qy,qz,x,y,z "
-            "(default: aligned pose)"))
-    add("gen-scene", cmd_gen_scene, "generate a synthetic task scene",
-        extra=lambda p: p.add_argument(
-            "--task", choices=TASKS, default=TASKS[0],
-            help="task template to generate"))
+        f"plan {PLAN_SEEDS} scene seeds of every task, scored against the truth",
+        "--seed", "--out", "--config")
+    add("plan", cmd_plan, "full observation-to-strategy pipeline",
+        "--scene", "--seed", "--out", "--config")
+    sim = add("simulate", cmd_simulate,
+              "settle one strategy in the aligned twin",
+              "--scene", "--out", "--config")
+    sim.add_argument("--pose", help="object world pose qw,qx,qy,qz,x,y,z "
+                     "(default: aligned pose)")
+    gen = add("gen-scene", cmd_gen_scene, "generate a synthetic task scene",
+              "--seed")
+    gen.add_argument("--out", required=True, **_FLAGS["--out"])
+    gen.add_argument("--task", choices=TASKS, default=TASKS[0],
+                     help="task template to generate")
     return parser
 
 

@@ -26,7 +26,8 @@ import numpy as np
 
 from . import quaternions as quat
 from .camera import BinaryMask, CameraIntrinsics, ColorImage, backproject
-from .geometry import PointCloud, RejectedInput, RigidPose, TriangleMesh
+from .errors import RejectedInput, check_int
+from .geometry import PointCloud, RigidPose, TriangleMesh
 from .render import BACKGROUND, render, render_batch
 from .strategy import rest_yaw_grid
 
@@ -58,8 +59,7 @@ class CoarseAlignment:
 def check_rotation_count(n) -> None:
     """RejectedInput unless n is a positive multiple of 6: n / 6 yaws of each
     rest orientation."""
-    if (isinstance(n, bool) or not isinstance(n, (int, np.integer))
-            or n <= 0 or n % 6):
+    if check_int("rotation_count", n, 1) % 6:
         raise RejectedInput(
             f"rotation_count must be a positive multiple of 6, got {n!r}")
 

@@ -46,9 +46,6 @@ class RigidPose:
         T[:3, 3] = self.translation
         return T
 
-    def rotation_matrix(self) -> np.ndarray:
-        return quat.quat_to_matrix(self.rotation)
-
     def compose(self, other: "RigidPose") -> "RigidPose":
         """self after other: (self o other)(x) = self(other(x))."""
         q = quat.quat_multiply(self.rotation, other.rotation)
@@ -67,7 +64,6 @@ class RigidPose:
 @dataclass(frozen=True)
 class PointCloud:
     points: np.ndarray
-    colors: np.ndarray | None = None
 
     def __post_init__(self):
         p = np.asarray(self.points, dtype=float).reshape(-1, 3)
@@ -75,12 +71,6 @@ class PointCloud:
             raise RejectedInput("point cloud contains non-finite coordinates")
         object.__setattr__(self, "points", p)
         p.setflags(write=False)
-        if self.colors is not None:
-            c = np.asarray(self.colors, dtype=float).reshape(-1, 3)
-            if len(c) != len(p):
-                raise RejectedInput("colors length must equal points length")
-            object.__setattr__(self, "colors", c)
-            c.setflags(write=False)
 
     def __len__(self):
         return len(self.points)
@@ -147,10 +137,6 @@ class Aabb:
     def extents(self) -> np.ndarray:
         return self.max - self.min
 
-    @property
-    def center(self) -> np.ndarray:
-        return 0.5 * (self.min + self.max)
-
     def contains(self, points, margin=0.0) -> np.ndarray:
         p = np.atleast_2d(points)
         return np.all((p >= self.min - margin) & (p <= self.max + margin), axis=1)
@@ -184,11 +170,4 @@ def sample_mesh_surface(mesh: TriangleMesh, n: int, seed: int) -> PointCloud:
     a = mesh.vertices[mesh.triangles[tri_idx, 0]]
     b = mesh.vertices[mesh.triangles[tri_idx, 1]]
     c = mesh.vertices[mesh.triangles[tri_idx, 2]]
-    pts = a + u[:, None] * (b - a) + v[:, None] * (c - a)
-    colors = None
-    if mesh.vertex_colors is not None:
-        ca = mesh.vertex_colors[mesh.triangles[tri_idx, 0]]
-        cb = mesh.vertex_colors[mesh.triangles[tri_idx, 1]]
-        cc = mesh.vertex_colors[mesh.triangles[tri_idx, 2]]
-        colors = ca + u[:, None] * (cb - ca) + v[:, None] * (cc - ca)
-    return PointCloud(pts, colors)
+    return PointCloud(a + u[:, None] * (b - a) + v[:, None] * (c - a))

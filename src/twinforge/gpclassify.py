@@ -133,7 +133,6 @@ def predict_prob_batch(model: GpModel, poses) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Ranking:
-    best: object
     ranked: list
     priority: list  # evaluator-positive samples, highest probability first
 
@@ -150,4 +149,4 @@ def rank_and_select(model: GpModel, candidates) -> Ranking:
     annotated = [c.with_prob(p) for c, p in zip(candidates, probs)]
     ranked = sorted(annotated, key=lambda c: (-c.success_prob, c.sample_id))
     priority = [c for c in ranked if c.weak_label]
-    return Ranking(ranked[0], ranked, priority)
+    return Ranking(ranked, priority)

@@ -18,7 +18,7 @@ from .camera import BinaryMask, CameraIntrinsics, ColorImage, DepthImage, backpr
 from .coarse import (CoarseAlignment, check_rotation_count,
                      generate_hypotheses, partial_cloud_from_pose,
                      select_coarse_pose)
-from .errors import RejectedInput, StageFailureError
+from .errors import RejectedInput, StageFailureError, check_int
 from .geometry import PointCloud, RigidPose, TriangleMesh, compute_aabb
 
 SCALE_CLAMP = (0.2, 5.0)
@@ -65,12 +65,8 @@ class RansacParams:
     seed: int = 0
 
     def __post_init__(self):
-        for name, low in (("trials", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if (isinstance(value, bool)
-                    or not isinstance(value, (int, np.integer)) or value < low):
-                raise RejectedInput(
-                    f"RansacParams {name} must be an int >= {low}, got {value!r}")
+        check_int("RansacParams trials", self.trials, 1)
+        check_int("RansacParams seed", self.seed, 0)
         t = self.inlier_threshold
         if (isinstance(t, bool) or not isinstance(t, (int, float, np.number))
                 or not math.isfinite(t) or t <= 0):
@@ -427,8 +423,7 @@ def _subsample(cloud: PointCloud, n: int, seed: int) -> PointCloud:
         return cloud
     rng = np.random.default_rng(seed)
     idx = np.sort(rng.choice(len(cloud), size=n, replace=False))
-    colors = cloud.colors[idx] if cloud.colors is not None else None
-    return PointCloud(cloud.points[idx], colors)
+    return PointCloud(cloud.points[idx])
 
 
 def _crop_to_mask(color: ColorImage, mask: BinaryMask,

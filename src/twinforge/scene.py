@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .camera import CameraIntrinsics
-from .errors import RejectedInput
+from .errors import RejectedInput, check_int
 from .geometry import RigidPose
 from .simulate import ROLES, check_predicate
 
@@ -81,12 +81,6 @@ def _corner(value):
     return corner
 
 
-def _seed(value):
-    if type(value) is not int or value < 0:
-        raise ValueError(f"seed must be an int >= 0, got {value!r}")
-    return value
-
-
 def _sampler(section):
     """The sampler section as given: at most the two counts, as ints >= 1,
     and the offset radius, finite and >= 0."""
@@ -94,12 +88,10 @@ def _sampler(section):
         raise TypeError(f"sampler must be an object, got {section!r}")
     for key, value in section.items():
         if key in ("n_rotations", "n_offsets"):
-            ok = type(value) is int and value >= 1
-        elif key == "offset_radius":
-            ok = type(value) in (int, float) and 0 <= value < np.inf
-        else:
+            check_int(f"sampler {key}", value, 1)
+        elif key != "offset_radius":
             raise ValueError(f"unknown sampler key {key!r}")
-        if not ok:
+        elif not (type(value) in (int, float) and 0 <= value < np.inf):
             raise ValueError(f"sampler {key} out of range: {value!r}")
     return dict(section)
 
@@ -162,7 +154,7 @@ def _parse_scene_spec(doc, base_dir) -> SceneSpec:
         goal=(_text(goal["predicate"]), list(goal["args"])),
         workspace=(_corner(ws[0]), _corner(ws[1])),
         grasps=None if grasps is None else _text(grasps),
-        seed=_seed(doc.get("seed", 0)),
+        seed=check_int("seed", doc.get("seed", 0), 0),
         sampler=_sampler(doc.get("sampler", {})),
         base_dir=base_dir,
     )

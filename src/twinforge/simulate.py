@@ -51,7 +51,7 @@ from scipy.spatial import ConvexHull, QhullError
 from . import quaternions as quat
 from ._parallel import parallel_map
 from .camera import CameraIntrinsics
-from .errors import RejectedInput, StageFailureError
+from .errors import RejectedInput, StageFailureError, check_int
 from .geometry import RigidPose, TriangleMesh, sample_mesh_surface
 from .render import RenderedView, render_scene
 from .solids import _PAD, MeshIndex, is_watertight, volume_and_com
@@ -132,12 +132,8 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name, low in (("surface_samples", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if (isinstance(value, bool)
-                    or not isinstance(value, (int, np.integer)) or value < low):
-                raise RejectedInput(
-                    f"sim {name} must be an int >= {low}, got {value!r}")
+        check_int("sim surface_samples", self.surface_samples, 1)
+        check_int("sim seed", self.seed, 0)
 
 
 def checker_viewpoint(scene_center, standoff: float = 0.8,

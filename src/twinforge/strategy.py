@@ -80,7 +80,7 @@ def interaction_region(mask: BinaryMask, depth: DepthImage,
     if len(cloud) == 0:
         raise RejectedInput("interaction region mask selects no valid depth pixels")
     if world_from_camera is not None:
-        cloud = PointCloud(world_from_camera.apply(cloud.points), cloud.colors)
+        cloud = PointCloud(world_from_camera.apply(cloud.points))
     return InteractionRegion(cloud, cloud.points.mean(axis=0))
 
 

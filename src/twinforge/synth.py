@@ -327,8 +327,8 @@ def default_intrinsics(size: int = 200, focal: float = 230.0) -> CameraIntrinsic
 
 
 def synthetic_observation(primitive_spec: str, seed: int = 0,
-                          intrinsics: CameraIntrinsics | None = None,
-                          rest_index: int | None = None) -> SyntheticObservation:
+                          intrinsics: CameraIntrinsics | None = None
+                          ) -> SyntheticObservation:
     """Place one primitive at a random resting pose on the table plane and
     render it from the fixed elevated viewpoint."""
     rng = np.random.default_rng(seed)
@@ -339,9 +339,9 @@ def synthetic_observation(primitive_spec: str, seed: int = 0,
 
     # identity and the +90 degree rolls about x and y
     rests = [rest_orientations()[i] for i in (0, 1, 3)]
-    ri = int(rng.integers(len(rests))) if rest_index is None else rest_index
+    rest = rests[int(rng.integers(len(rests)))]
     yaw = quat.quat_from_axis_angle([0, 0, 1], rng.uniform(0, 2 * np.pi))
-    q = quat.quat_normalize(quat.quat_multiply(yaw, rests[ri]))
+    q = quat.quat_normalize(quat.quat_multiply(yaw, rest))
     rot = quat.quat_to_matrix(q)
     z0 = -float((mesh.vertices @ rot.T)[:, 2].min())
     t = np.array([rng.uniform(-0.02, 0.02), rng.uniform(-0.02, 0.02), z0])

@@ -30,7 +30,10 @@ def ref_rasterize(vertices_cam, triangles, vertex_colors, tri_object_ids,
 
     proj = np.empty((len(vertices_cam), 2))
     in_front = z_all > near
-    proj[in_front] = intrinsics.project(vertices_cam[in_front])
+    front = vertices_cam[in_front]
+    proj[in_front] = np.stack(
+        [intrinsics.fx * front[:, 0] / front[:, 2] + intrinsics.cx,
+         intrinsics.fy * front[:, 1] / front[:, 2] + intrinsics.cy], axis=1)
 
     px = np.arange(W) + 0.5
     py = np.arange(H) + 0.5

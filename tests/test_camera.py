@@ -25,14 +25,6 @@ def test_intrinsics_reject_non_finite_focal_length(fx, fy):
         CameraIntrinsics(fx=fx, fy=fy, cx=1, cy=1, width=4, height=4)
 
 
-def test_project_known_point():
-    cam = intr()
-    uv = cam.project([[0.0, 0.0, 1.0]])
-    assert np.allclose(uv[0], [cam.cx, cam.cy])
-    uv = cam.project([[0.1, 0.0, 1.0]])
-    assert np.allclose(uv[0], [cam.cx + 8.0, cam.cy])
-
-
 def test_depth_image_validation():
     DepthImage(np.ones((4, 4)))
     DepthImage(np.full((4, 4), np.nan))  # NaN = invalid, allowed
@@ -77,7 +69,8 @@ def test_backproject_reproject_roundtrip():
     rng = np.random.default_rng(0)
     depth = rng.uniform(0.5, 2.0, size=(cam.height, cam.width))
     cloud = backproject(DepthImage(depth), cam)
-    uv = cam.project(cloud.points)
+    x, y, z = cloud.points.T
+    uv = np.stack([cam.fx * x / z + cam.cx, cam.fy * y / z + cam.cy], axis=1)
     v_idx, u_idx = np.nonzero(depth > 0)
     expected = np.stack([u_idx + 0.5, v_idx + 0.5], axis=1)
     assert np.max(np.abs(uv - expected)) < 1e-6
@@ -87,10 +80,10 @@ def test_backproject_mask_and_color():
     cam = intr(4, 4)
     depth = np.ones((4, 4))
     mask = BinaryMask(np.eye(4, dtype=bool))
-    color = ColorImage(np.full((4, 4, 3), 0.25))
-    cloud = backproject(DepthImage(depth), cam, mask, color)
+    cloud = backproject(DepthImage(depth), cam, mask)
     assert len(cloud) == 4
-    assert np.allclose(cloud.colors, 0.25)
+    # only the diagonal pixels: x == y for each point
+    assert np.array_equal(cloud.points[:, 0], cloud.points[:, 1])
 
 
 def test_backproject_skips_invalid_depth():

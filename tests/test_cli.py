@@ -305,17 +305,53 @@ def test_bench_align_rejects_an_empty_run(tmp_path, doc):
     assert not (out / "benchmark.csv").exists()
 
 
-# a negative --seed is invalid input under every verb, before any work
-@pytest.mark.parametrize("verb", ["plan", "align", "simulate", "gen-scene",
-                                  "bench-align", "bench-plan"])
+# primitives that are not a non-empty list of strings: a number or a list
+# holding one would fail inside the run, a string would be split into letters
+@pytest.mark.parametrize("primitives", [5, [5], "box:0.07,0.05,0.04",
+                                        {"box": 1}],
+                         ids=["number", "list-of-number", "string", "object"])
+def test_bench_align_rejects_malformed_primitives(tmp_path, primitives):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"trials": 1, "primitives": primitives}))
+    out = tmp_path / "bench_out"
+    rc = main(["bench-align", "--out", str(out), "--config", str(cfg)])
+    assert rc == EXIT_INVALID_INPUT
+    assert not out.exists()
+
+
+# a negative --seed is invalid input under every verb that takes one, before
+# any work
+@pytest.mark.parametrize("verb", ["plan", "gen-scene", "bench-align",
+                                  "bench-plan"])
 def test_negative_seed_is_rejected_before_any_work(scene_dir, tmp_path, capsys,
                                                    verb):
     out = tmp_path / "out"
-    rc = main([verb, "--scene", str(scene_dir / "scene.json"), "--seed", "-1",
-               "--out", str(out)])
+    scene = ["--scene", str(scene_dir / "scene.json")] if verb == "plan" else []
+    rc = main([verb, *scene, "--seed", "-1", "--out", str(out)])
     assert rc == EXIT_INVALID_INPUT
     assert not out.exists()
     assert "seed must be an int >= 0, got -1" in capsys.readouterr().err
+
+
+# each verb parses only the flags it reads: a flag another verb takes is
+# invalid input, not silently ignored (align and simulate settle with the
+# config's sim seed, gen-scene and the benchmarks make their own scenes)
+@pytest.mark.parametrize("verb, flag", [
+    ("align", "--seed"), ("simulate", "--seed"), ("gen-scene", "--scene"),
+    ("gen-scene", "--config"), ("bench-align", "--scene"),
+    ("bench-plan", "--scene")])
+def test_flag_the_verb_does_not_read_is_rejected(scene_dir, tmp_path,
+                                                 monkeypatch, verb, flag):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("{}")
+    value = {"--seed": "3", "--scene": str(scene_dir / "scene.json"),
+             "--config": str(cfg)}
+    scene = (["--scene", value["--scene"]]
+             if verb in ("align", "simulate") else [])
+    rc = main([verb, *scene, flag, value[flag], "--out", "out"])
+    assert rc == EXIT_INVALID_INPUT
+    assert os.listdir(tmp_path) == ["cfg.json"]  # wrote nothing
 
 
 def test_plan_stage_failure_exit_code(tmp_path):

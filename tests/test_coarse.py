@@ -63,7 +63,7 @@ _anchors = st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3)
 
 
 def _world_rotations(hyps, camera):
-    return [camera.rotation_matrix() @ quat.quat_to_matrix(q)
+    return [quat.quat_to_matrix(camera.rotation) @ quat.quat_to_matrix(q)
             for q in hyps.reshape(-1, 4)]
 
 

@@ -53,13 +53,14 @@ def test_checker_viewpoint_tilt_and_lookat():
     center = np.array([0.1, -0.05, 0.04])
     pose = checker_viewpoint(center, standoff=0.8, tilt_deg=-60.0)
     # viewing direction is pitched exactly 60 degrees below horizontal
-    z_cam = pose.rotation_matrix()[:, 2]
+    z_cam = quat.quat_to_matrix(pose.rotation)[:, 2]
     pitch = np.rad2deg(np.arcsin(-z_cam[2]))
     assert pitch == pytest.approx(60.0, abs=1e-9)
     # the scene center projects onto the principal point (look-at)
     cam = checker_intrinsics(64)
     in_cam = pose.inverse().apply(center)
-    uv = cam.project([in_cam])[0]
+    uv = np.array([cam.fx * in_cam[0] / in_cam[2] + cam.cx,
+                   cam.fy * in_cam[1] / in_cam[2] + cam.cy])
     assert np.linalg.norm(uv - [cam.cx, cam.cy]) < 1.0
     assert in_cam[2] == pytest.approx(0.8, abs=1e-12)
 
