@@ -39,7 +39,8 @@ from .simulate import (GeometricEvaluator, SceneObject, SceneTwin,
                        settle_simulate)
 from .solids import point_mesh_distance
 from .strategy import StrategySample
-from .synth import TASKS, generate_synthetic_scene, synthetic_observation
+from .synth import (TASKS, generate_synthetic_scene, primitive_from_spec,
+                    synthetic_observation)
 
 BENCHMARK_PRIMITIVES = (
     "box:0.07,0.05,0.04",
@@ -143,10 +144,14 @@ def alignment_benchmark(trials: int = 40, seed0: int = 0,
                         config: AlignConfig | None = None,
                         primitives=BENCHMARK_PRIMITIVES) -> BenchmarkReport:
     """Run both arms over every primitive class; seeds are shared across
-    arms so each comparison sees the identical observation."""
+    arms so each comparison sees the identical observation. Every primitive
+    spec is parsed before the first trial, so a bad one is rejected before
+    any work."""
     check_int("trials", trials, 1)
     if len(primitives) == 0:
         raise RejectedInput("no primitives to benchmark")
+    for prim in primitives:
+        primitive_from_spec(prim)
     config = config or AlignConfig()
     t0 = time.perf_counter()
     rows = []

@@ -42,16 +42,26 @@ class RegistrationResult:
     rmse_history: tuple = ()
 
 
+def _check_positive(what: str, value):
+    """RejectedInput unless ``value`` is a finite real > 0 (not a bool)."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float, np.number))
+            or not math.isfinite(value) or value <= 0):
+        raise RejectedInput(f"{what} must be finite and > 0, got {value!r}")
+
+
 @dataclass(frozen=True)
 class IcpParams:
+    """RejectedInput unless ``max_iterations`` is an int >= 1 (a bool is
+    not an int here) and the two distances are finite and > 0."""
     max_iterations: int = 50
     max_correspondence_distance: float = 0.02
     tolerance: float = 1e-6
 
     def __post_init__(self):
-        if self.max_iterations <= 0 or self.max_correspondence_distance <= 0 \
-                or self.tolerance <= 0:
-            raise RejectedInput("IcpParams must all be positive")
+        check_int("IcpParams max_iterations", self.max_iterations, 1)
+        _check_positive("IcpParams max_correspondence_distance",
+                        self.max_correspondence_distance)
+        _check_positive("IcpParams tolerance", self.tolerance)
 
 
 @dataclass(frozen=True)
@@ -67,11 +77,7 @@ class RansacParams:
     def __post_init__(self):
         check_int("RansacParams trials", self.trials, 1)
         check_int("RansacParams seed", self.seed, 0)
-        t = self.inlier_threshold
-        if (isinstance(t, bool) or not isinstance(t, (int, float, np.number))
-                or not math.isfinite(t) or t <= 0):
-            raise RejectedInput("RansacParams inlier_threshold must be finite "
-                                f"and > 0, got {t!r}")
+        _check_positive("RansacParams inlier_threshold", self.inlier_threshold)
 
 
 def estimate_scale(rendered_partial: PointCloud, observed_partial: PointCloud) -> float:
@@ -88,18 +94,39 @@ def estimate_scale(rendered_partial: PointCloud, observed_partial: PointCloud) -
     return float(np.clip(np.median(obs[ok] / ren[ok]), *SCALE_CLAMP))
 
 
-def estimate_normals(cloud: PointCloud, k: int = 15):
+# neighbours per point for a normal's covariance, not counting the point
+NORMAL_K = 15
+
+
+@dataclass(frozen=True)
+class Neighbours:
+    """One k-d tree over a cloud and one query of each point's NORMAL_K + 1
+    nearest points (the point itself or an exact duplicate first). Normals
+    read ``index``, FPFH's default radius reads ``dist[:, 1]`` and its pairs
+    come from ``tree``, and ICP queries the tree of its target."""
+    tree: cKDTree
+    dist: np.ndarray
+    index: np.ndarray
+
+    @staticmethod
+    def of(cloud: PointCloud) -> "Neighbours":
+        tree = cKDTree(cloud.points)
+        return Neighbours(tree, *tree.query(cloud.points, k=NORMAL_K + 1))
+
+
+def estimate_normals(cloud: PointCloud, neighbours: Neighbours | None = None):
     """Per-point unit normals from k-NN covariance, oriented toward the
     camera origin. Returns (normals, valid) where degenerate neighborhoods
-    are flagged invalid."""
+    are flagged invalid. ``neighbours`` is the cloud's own, built here when
+    not given."""
     pts = cloud.points
-    if len(pts) <= k:
-        raise RejectedInput(f"need more than k={k} points for normal estimation")
-    tree = cKDTree(pts)
-    _, nbr = tree.query(pts, k=k + 1)
+    if len(pts) <= NORMAL_K:
+        raise RejectedInput(
+            f"need more than k={NORMAL_K} points for normal estimation")
+    nbr = (neighbours or Neighbours.of(cloud)).index
     neighborhoods = pts[nbr]  # (N, k+1, 3)
     centered = neighborhoods - neighborhoods.mean(axis=1, keepdims=True)
-    cov = np.einsum("nki,nkj->nij", centered, centered) / (k + 1)
+    cov = np.einsum("nki,nkj->nij", centered, centered) / (NORMAL_K + 1)
     eigvals, eigvecs = np.linalg.eigh(cov)
     normals = eigvecs[:, :, 0]  # smallest-eigenvalue eigenvector
     # rank < 2 neighborhoods (two near-zero eigenvalues) give no stable normal
@@ -110,34 +137,74 @@ def estimate_normals(cloud: PointCloud, k: int = 15):
     return normals, valid
 
 
+def _dot(a, b):
+    """Row dot products of coordinate-major triples, summed as (x + z) + y,
+    the order ``np.einsum("ni,ni->n")`` takes on rows of three."""
+    return (a[0] * b[0] + a[2] * b[2]) + a[1] * b[1]
+
+
+def _cross(a, b):
+    """Row cross products of coordinate-major triples, as ``np.cross``."""
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0])
+
+
+def _norm(a):
+    """Row norms of a coordinate-major triple, as ``np.linalg.norm``."""
+    return np.sqrt((a[0] * a[0] + a[1] * a[1]) + a[2] * a[2])
+
+
 def _pair_features(p1, p2, n1, n2):
     """Darboux-frame angle features (alpha, phi, theta) for point pairs.
 
-    Returns (alpha, phi, theta, ok, tie, d). The source of a pair is the
-    point whose normal makes the larger angle with the line between the
-    points, so (p2, p1) gives the same features bit for bit unless
-    ``tie`` (|n1.d| == |n2.d|). ``d`` is |p2 - p1|.
+    ``p1, p2, n1, n2`` are (M, 3), read one coordinate at a time: the
+    transpose of a (3, M) array is read without a copy. Returns (alpha,
+    phi, theta, ok, tie, d). The source of a pair is the point whose normal
+    makes the larger angle with the line between the points, so (p2, p1)
+    gives the same features bit for bit unless ``tie`` (|n1.d| == |n2.d|).
+    ``d`` is |p2 - p1|.
     """
-    dp = p2 - p1
-    d = np.linalg.norm(dp, axis=1)
+    p1, p2, n1, n2 = p1.T, p2.T, n1.T, n2.T
+    dp = (p2[0] - p1[0], p2[1] - p1[1], p2[2] - p1[2])
+    d = _norm(dp)
     ok = d > 1e-12
-    dpn = np.divide(dp, d[:, None], out=np.zeros_like(dp), where=ok[:, None])
-    a1 = np.abs(np.einsum("ni,ni->n", n1, dpn))
-    a2 = np.abs(np.einsum("ni,ni->n", n2, dpn))
+    # a zero-length line reads as the zero vector (its pair is dropped)
+    length = np.where(ok, d, np.inf)
+    dpn = [c / length for c in dp]
+    b1, b2 = _dot(n1, dpn), _dot(n2, dpn)
+    a1, a2 = np.abs(b1), np.abs(b2)
     swap = a1 < a2
-    src_n = np.where(swap[:, None], n2, n1)
-    tgt_n = np.where(swap[:, None], n1, n2)
-    dpn = np.where(swap[:, None], -dpn, dpn)
-    phi = np.einsum("ni,ni->n", src_n, dpn)
-    v = np.cross(dpn, src_n)
-    vnorm = np.linalg.norm(v, axis=1)
+    # the source's normal, the target's, and the line from the source; a
+    # negated line negates each dot product with it exactly
+    pick = _bit_mask(swap)
+    src_n, tgt_n = zip(*(_swap_where(pick, c1, c2) for c1, c2 in zip(n1, n2)))
+    phi = _swap_where(pick, b1, -b2)[0]
+    sign = 1.0 - 2.0 * swap
+    v = _cross([c * sign for c in dpn], src_n)
+    vnorm = _norm(v)
     ok &= vnorm > 1e-12
-    np.divide(v, vnorm[:, None], out=v, where=ok[:, None])
-    w = np.cross(src_n, v)
-    alpha = np.einsum("ni,ni->n", v, tgt_n)
-    theta = np.arctan2(np.einsum("ni,ni->n", w, tgt_n),
-                       np.einsum("ni,ni->n", src_n, tgt_n))
+    # an unnormalizable v is kept as it is (its pair is dropped)
+    scale = np.where(ok, vnorm, 1.0)
+    v = [c / scale for c in v]
+    w = _cross(src_n, v)
+    alpha = _dot(v, tgt_n)
+    theta = np.arctan2(_dot(w, tgt_n), _dot(src_n, tgt_n))
     return alpha, phi, theta, ok, a1 == a2, d
+
+
+def _bit_mask(mask):
+    """A boolean mask as 64-bit words, all ones where it holds."""
+    return -mask.view(np.uint8).astype(np.uint64)
+
+
+def _swap_where(bits, a, b):
+    """(b, a) where ``bits`` (from ``_bit_mask``) is set, else (a, b), bit
+    for bit, for float64 arrays. A bitwise select costs no branch per
+    element; ``np.where`` branches, which a random mask makes slow."""
+    a, b = a.view(np.uint64), b.view(np.uint64)
+    diff = a ^ b
+    first = a ^ (diff & bits)
+    return first.view(np.float64), (first ^ diff).view(np.float64)
 
 
 _BINS = 11
@@ -147,8 +214,21 @@ def _bin_index(values, lo, hi):
     return np.clip(((values - lo) / (hi - lo) * _BINS).astype(int), 0, _BINS - 1)
 
 
+def _bins(alpha, phi, theta):
+    """(3, M) SPFH cells within a point's 33: alpha's, phi's, theta's."""
+    return np.stack([_bin_index(alpha, -1.0, 1.0),
+                     _BINS + _bin_index(phi, -1.0, 1.0),
+                     2 * _BINS + _bin_index(theta, -np.pi, np.pi)])
+
+
+def _row_dtype(n):
+    """The smallest integer dtype that holds 0..n-1; numpy sorts 16-bit
+    integers stably by radix."""
+    return np.int16 if n <= np.iinfo(np.int16).max else np.int64
+
+
 def compute_fpfh(cloud: PointCloud, normals, radius: float | None = None,
-                 valid=None) -> np.ndarray:
+                 valid=None, neighbours: Neighbours | None = None) -> np.ndarray:
     """Fast point feature histograms, 33 bins per point, L1-normalized.
 
     Two passes: per-point simplified histograms (SPFH) over the Darboux
@@ -161,7 +241,8 @@ def compute_fpfh(cloud: PointCloud, normals, radius: float | None = None,
 
     ``normals`` is (N, 3), finite wherever ``valid`` (a boolean (N,) mask,
     default all True) holds; a given ``radius`` must be finite and
-    positive. Anything else raises RejectedInput.
+    positive. Anything else raises RejectedInput. ``neighbours`` is the
+    cloud's own, built here when not given.
     """
     pts = cloud.points
     n = len(pts)
@@ -177,51 +258,54 @@ def compute_fpfh(cloud: PointCloud, normals, radius: float | None = None,
         raise RejectedInput("normals flagged valid must be finite")
     if radius is not None and not (np.isfinite(radius) and radius > 0):
         raise RejectedInput(f"radius must be finite and positive, got {radius}")
-    tree = cKDTree(pts)
+    if radius is None and n < 2:
+        raise RejectedInput("the default radius needs at least 2 points")
+    neighbours = neighbours or Neighbours.of(cloud)
     if radius is None:
-        if n < 2:
-            raise RejectedInput("the default radius needs at least 2 points")
-        d1, _ = tree.query(pts, k=2)
-        radius = 5.0 * float(np.mean(d1[:, 1]))
+        radius = 5.0 * float(np.mean(neighbours.dist[:, 1]))
 
-    # unordered pairs i < j with both normals valid, each described once
-    pi, pj = tree.query_pairs(radius, output_type="ndarray").T
+    # unordered pairs i < j with both normals valid, each described once,
+    # in ascending (i, j) order
+    pairs = neighbours.tree.query_pairs(radius, output_type="ndarray")
+    pi, pj = np.divmod(np.sort(pairs[:, 0] * n + pairs[:, 1]), n)
     use = valid[pi] & valid[pj]
     pi, pj = pi[use], pj[use]
+    coords, dirs = np.ascontiguousarray(pts.T), np.ascontiguousarray(normals.T)
     alpha, phi, theta, ok, tie, dist = _pair_features(
-        pts.take(pi, axis=0), pts.take(pj, axis=0),
-        normals.take(pi, axis=0), normals.take(pj, axis=0))
+        coords.take(pi, axis=1).T, coords.take(pj, axis=1).T,
+        dirs.take(pi, axis=1).T, dirs.take(pj, axis=1).T)
+    bins = _bins(alpha, phi, theta)
     # a pair enters row i as read from i and row j as read from j; the two
     # readings differ only for a tied pair, which is described again from j
-    m = len(pi)
-    rows, cols = np.concatenate([pi, pj]), np.concatenate([pj, pi])
-    alpha, phi, theta, ok, dist = (np.concatenate([x, x])
-                                   for x in (alpha, phi, theta, ok, dist))
     tied = np.flatnonzero(tie)
     i, j = pi[tied], pj[tied]
-    back = m + tied
-    alpha[back], phi[back], theta[back], ok[back], _, _ = _pair_features(
-        pts[j], pts[i], normals[j], normals[i])
-    keep = np.flatnonzero(ok)
-    rows, cols, dist = rows[keep], cols[keep], dist[keep]
-    cells = rows * (3 * _BINS)
-    cells = np.concatenate([cells + _bin_index(alpha[keep], -1.0, 1.0),
-                            cells + _BINS + _bin_index(phi[keep], -1.0, 1.0),
-                            cells + 2 * _BINS + _bin_index(theta[keep], -np.pi, np.pi)])
-    spfh = np.bincount(cells, minlength=n * 3 * _BINS)
-    spfh = spfh.reshape(n, 3 * _BINS).astype(float)
+    alpha, phi, theta, ok_from_j, _, _ = _pair_features(
+        coords.take(j, axis=1).T, coords.take(i, axis=1).T,
+        dirs.take(j, axis=1).T, dirs.take(i, axis=1).T)
+    back_bins, back_ok = bins.copy(), ok.copy()
+    back_bins[:, tied], back_ok[tied] = _bins(alpha, phi, theta), ok_from_j
 
-    # fpfh[i] = spfh[i] + sum_j w_ij spfh[j] as one CSR product; each row
+    # a reading that is not ok goes to a dropped row n
+    rows = np.concatenate([np.arange(n), np.where(back_ok, pj, n),
+                           np.where(ok, pi, n)])
+    cols = np.concatenate([np.arange(n), pi, pj])
+    cells = rows[n:] * (3 * _BINS) + np.concatenate([back_bins, bins], axis=1)
+    spfh = np.bincount(cells.ravel(), minlength=(n + 1) * 3 * _BINS)
+    spfh = spfh[:n * 3 * _BINS].reshape(n, 3 * _BINS).astype(float)
+
+    # fpfh[i] = spfh[i] + sum_j w_ij spfh[j] as one CSR product. Each row
     # holds its unit self weight first, then its neighbours in ascending
-    # order, the order the sum is taken in
-    counts = np.bincount(rows, minlength=n)
-    weights = 1.0 / np.maximum(dist, 1e-9) / counts[rows]
-    order = np.argsort(rows * n + cols)
-    starts = np.concatenate([[0], np.cumsum(counts)])
-    weight_matrix = csr_matrix(
-        (np.insert(weights[order], starts[:-1], 1.0),
-         np.insert(cols[order], starts[:-1], np.arange(n)),
-         starts + np.arange(n + 1)), shape=(n, n))
+    # order, the order the sum is taken in: pairs (i, r) come before pairs
+    # (r, j) and each run is ascending, so a stable sort by row alone puts
+    # every entry in place, and the dropped row last.
+    counts = np.bincount(rows[n:], minlength=n + 1)
+    weights = np.concatenate([np.ones(n), 1.0 / np.maximum(np.concatenate(
+        [dist, dist]), 1e-9) / counts[rows[n:]]])
+    order = np.argsort(rows.astype(_row_dtype(n + 1)), kind="stable")
+    starts = np.concatenate([[0], np.cumsum(counts[:n] + 1)])
+    order = order[:starts[-1]]
+    weight_matrix = csr_matrix((weights[order], cols[order], starts),
+                               shape=(n, n))
     fpfh = weight_matrix @ spfh
 
     sums = fpfh.sum(axis=1, keepdims=True)
@@ -249,6 +333,8 @@ def mutual_correspondences(desc_src, desc_tgt):
     """Indices (i, j) where src i and tgt j are mutual nearest descriptors.
 
     All-zero descriptors (no neighbors / invalid normals) are excluded.
+    Only the tgt rows that some src row chose are queried back: a few
+    percent of them on alignment clouds.
     """
     src_ok = np.nonzero(desc_src.sum(axis=1) > 0)[0]
     tgt_ok = np.nonzero(desc_tgt.sum(axis=1) > 0)[0]
@@ -257,8 +343,9 @@ def mutual_correspondences(desc_src, desc_tgt):
     ts = cKDTree(desc_src[src_ok])
     tt = cKDTree(desc_tgt[tgt_ok])
     _, fwd = tt.query(desc_src[src_ok])
-    _, bwd = ts.query(desc_tgt[tgt_ok])
-    mutual = bwd[fwd] == np.arange(len(src_ok))
+    chosen, of_src = np.unique(fwd, return_inverse=True)
+    _, bwd = ts.query(desc_tgt[tgt_ok[chosen]])
+    mutual = bwd[of_src] == np.arange(len(src_ok))
     return src_ok[mutual], tgt_ok[fwd[mutual]]
 
 
@@ -308,13 +395,218 @@ def _trial_inliers(R, t, src, tgt, threshold):
     return inliers
 
 
+# the largest certified difference, in operator norm, between a triple's
+# closed-form rotation and its SVD rotation that the scoring accepts; a
+# triple whose bound exceeds it is fitted with the SVD. It trades SVD refits
+# against band rechecks, never exactness: the band below grows with it.
+_FIT_TOLERANCE = 1e-9
+# LAPACK's SVD of a 3x3 matrix is backward stable: its rotation is the exact
+# fit of some H + E with |E|_F a small multiple of eps |H|_F (Golub & Van
+# Loan, Matrix Computations, ch. 8). A rotation fit moves by at most
+# 4 |E| / (lambda1 - lambda2) (the polar factor's perturbation bound,
+# Higham, Functions of Matrices, ch. 8), at most 2 |E| / g with g as in
+# ``_fit_closed_form``; this constant covers |E|_F up to 32 eps |H|_F.
+_SVD_BACKWARD = 64
+_EPS = np.finfo(float).eps
+
+
+def _det3(m):
+    (a, b, c), (d, e, f), (g, h, i) = m
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+def _fit_svd(H, ca, cb):
+    """Each H's least-squares rotation R = V diag(1, 1, sign det(V U^T)) U^T
+    from its SVD, and t = cb - R ca: the fit whose masks RANSAC reproduces,
+    computed for the triples the closed form cannot certify."""
+    U, _, Vt = np.linalg.svd(H)
+    # flip V's last column to avoid a reflection
+    V = Vt.transpose(0, 2, 1).copy()
+    V[:, :, 2] *= np.sign(np.linalg.det(U) * np.linalg.det(Vt))[:, None]
+    R = np.matmul(V, U.transpose(0, 2, 1))
+    return R, cb - np.einsum("tij,tj->ti", R, ca)
+
+
+def _fit_closed_form(H):
+    """Horn's closed-form rotation fit (JOSA A 4(4), 1987) of each (3, 3)
+    H = sum (a - ca)(b - cb)^T: R = R(q) for the unit eigenvector q of the
+    largest eigenvalue lambda1 of Horn's symmetric 4x4 N(H). As in QCP
+    (Theobald, Acta Cryst. A61, 2005), lambda1 comes from Newton's method on
+    det(N - x I) = x^4 + c2 x^2 + c1 x + c0, started above it, and q is the
+    largest column of the adjugate of N - lambda1 I.
+
+    Returns (R, err) with err >= |R - R_svd|_2 for ``_fit_svd``'s rotation of
+    the same H, or inf / NaN where no bound holds (a near-degenerate triple:
+    nearly collinear or coincident points). The bound adds three parts,
+    each over g <= (lambda1 - lambda2) / 2, the gap that separates q:
+    - Davis-Kahan: the sine of q's angle to the exact eigenvector q* is at
+      most r / (g - r), r = |N q - mu q| with mu = q^T N q, and
+      |R(q) - R(q*)|_2 is twice that sine;
+    - the rounding of N, r and R(q): a few eps * |H|_F over g, and eps;
+    - the SVD's backward error, ``_SVD_BACKWARD`` * eps * |H|_F over g.
+    g is P'(lambda1) / (32 lambda1^2): P'(lambda1) = prod (lambda1 -
+    lambda_j) over j > 1, and lambda1 - lambda_j <= 4 lambda1 for Horn's N;
+    the extra half absorbs the rounding of lambda1 and P'. A gap that
+    rounding fakes (about sqrt(eps) lambda1, at a double root) gives a
+    bound far above ``_FIT_TOLERANCE``.
+    """
+    h = H.reshape(-1, 9).T
+    (xx, xy, xz, yx, yy, yz, zx, zy, zz) = h
+    N = [[xx + yy + zz, yz - zy, zx - xz, xy - yx],
+         [None, xx - yy - zz, xy + yx, zx + xz],
+         [None, None, yy - xx - zz, yz + zy],
+         [None, None, None, zz - xx - yy]]
+    for i in range(4):
+        for j in range(i):
+            N[i][j] = N[j][i]
+    fro2 = np.einsum("kt,kt->t", h, h)
+    # A = H^T H; c0 = prod lambda_j = 2 tr(A^2) - tr(A)^2
+    cols = (h[0::3], h[1::3], h[2::3])
+    gram = [_dot(cols[i], cols[j]) for i in range(3) for j in range(i, 3)]
+    tr_a2 = (gram[0] ** 2 + gram[3] ** 2 + gram[5] ** 2
+             + 2.0 * (gram[1] ** 2 + gram[2] ** 2 + gram[4] ** 2))
+    c2 = -2.0 * fro2
+    c1 = -8.0 * _det3((h[0:3], h[3:6], h[6:9]))
+    c0 = 2.0 * tr_a2 - fro2 * fro2
+    with np.errstate(all="ignore"):
+        # sqrt(3) |H|_F >= sum of H's singular values >= lambda1, and P is
+        # convex above lambda1, so the steps fall monotonically onto it
+        lam = np.sqrt(3.0 * fro2)
+        for _ in range(100):
+            step = lam - (((lam * lam + c2) * lam + c1) * lam + c0) \
+                / ((4.0 * lam * lam + 2.0 * c2) * lam + c1)
+            falls = step < lam
+            if not falls.any():
+                break
+            lam = np.where(falls, step, lam)
+        else:
+            lam = np.full_like(lam, np.nan)
+        slope = (4.0 * lam * lam + 2.0 * c2) * lam + c1
+        shifted = [[N[i][j] - lam if i == j else N[i][j] for j in range(4)]
+                   for i in range(4)]
+        cof = [[None] * 4 for _ in range(4)]
+        for i in range(4):
+            for j in range(i, 4):
+                minor = [[shifted[r][c] for c in range(4) if c != j]
+                         for r in range(4) if r != i]
+                cof[i][j] = cof[j][i] = (-1.0) ** (i + j) * _det3(minor)
+        pick = np.argmax(np.abs(np.stack([cof[i][i] for i in range(4)])),
+                         axis=0)
+        q = [np.choose(pick, [cof[i][k] for i in range(4)]) for k in range(4)]
+        size = np.sqrt((q[0] * q[0] + q[1] * q[1]) + (q[2] * q[2] + q[3] * q[3]))
+        w, x, y, z = (c / size for c in q)
+        Nq = [((N[i][0] * w + N[i][1] * x) + (N[i][2] * y + N[i][3] * z))
+              for i in range(4)]
+        mu = (w * Nq[0] + x * Nq[1]) + (y * Nq[2] + z * Nq[3])
+        r = np.sqrt(sum((Nq[i] - mu * c) ** 2 for i, c in enumerate((w, x, y, z))))
+        g = slope / (32.0 * lam * lam)
+        err = (2.0 * r / (g - r)
+               + (_SVD_BACKWARD + 16) * _EPS * np.sqrt(fro2) / g + 16 * _EPS)
+        err[~(g > r)] = np.inf
+    R = np.empty((len(lam), 3, 3))
+    R[:, 0, 0] = 1 - 2 * (y * y + z * z)
+    R[:, 0, 1] = 2 * (x * y - w * z)
+    R[:, 0, 2] = 2 * (x * z + w * y)
+    R[:, 1, 0] = 2 * (x * y + w * z)
+    R[:, 1, 1] = 1 - 2 * (x * x + z * z)
+    R[:, 1, 2] = 2 * (y * z - w * x)
+    R[:, 2, 0] = 2 * (x * z - w * y)
+    R[:, 2, 1] = 2 * (y * z + w * x)
+    R[:, 2, 2] = 1 - 2 * (x * x + y * y)
+    return R, err
+
+
+def _score_band(src, tgt, threshold):
+    """A width that certifies ``_banded_inliers``' decisions.
+
+    A triple's closed-form fit (R', t' = cb - R' ca) and its SVD fit (R, t)
+    move a correspondence s to residuals that differ by (R' - R)(s - ca),
+    at most rho E with rho = 2 max |s - mean(src)| >= |s - ca| and E =
+    ``_FIT_TOLERANCE``. Where one squared residual is at most tau^2 (tau
+    the threshold), the other is within 2 tau rho E + (rho E)^2 of it, and
+    where one exceeds tau^2, the other is at least tau^2 - 2 tau rho E.
+    Both scores are sums of fewer than 20 rounded terms whose magnitudes
+    stay below 2 (m + tau)^2, m = 2 (max |src| + max |tgt|) bounding every
+    point, translation and centred coordinate, so each is within
+    1024 eps (m + tau)^2 of its exact value.
+    """
+    tau = float(threshold)
+    rho = 2.0 * float(np.sqrt(np.max(np.sum(
+        (src - src.mean(axis=0)) ** 2, axis=1))))
+    m = 2.0 * float(np.sqrt(np.max(np.sum(src ** 2, axis=1)))
+                    + np.sqrt(np.max(np.sum(tgt ** 2, axis=1))))
+    fit = rho * _FIT_TOLERANCE
+    return 2.0 * tau * fit + fit * fit + 1024 * _EPS * (m + tau) ** 2
+
+
+def _banded_inliers(R, t, src, tgt, limit, band):
+    """(T, C) inlier mask |R[k] @ src[c] + t[k] - tgt[c]|^2 <= limit, and
+    the (T,) trials with a squared residual within ``band`` of ``limit``.
+
+    With s, g the coordinates centred on each cloud's mean and u = R mean(src)
+    + t - mean(tgt), the squared residual |R s + u - g|^2 expands to
+    |s|^2 + |g|^2 + |u|^2 + 2 (R^T u).s - 2 g^T R s - 2 u.g: one (T, 15) @
+    (15, C) product, scored in blocks of trials.
+    """
+    s = src - src.mean(axis=0)
+    g = tgt - tgt.mean(axis=0)
+    u = np.einsum("tij,j->ti", R, src.mean(axis=0)) + t - tgt.mean(axis=0)
+    features = np.concatenate(
+        [s.T, (g[:, :, None] * s[:, None, :]).reshape(-1, 9).T, g.T])
+    weights = np.concatenate(
+        [2.0 * np.einsum("tij,ti->tj", R, u), -2.0 * R.reshape(-1, 9),
+         -2.0 * u], axis=1)
+    base = np.einsum("ci,ci->c", s, s) + np.einsum("ci,ci->c", g, g)
+    lift = np.einsum("ti,ti->t", u, u)
+    inliers = np.empty((len(R), len(src)), dtype=bool)
+    unsure = np.empty(len(R), dtype=bool)
+    for lo in range(0, len(R), _SCORE_BLOCK):
+        hi = lo + _SCORE_BLOCK
+        gap = weights[lo:hi] @ features
+        gap += base
+        gap += (lift[lo:hi] - limit)[:, None]
+        np.less_equal(gap, 0.0, out=inliers[lo:hi])
+        np.abs(gap, out=gap)
+        unsure[lo:hi] = (gap <= band).any(axis=1)
+    return inliers, unsure
+
+
+def _triple_inliers(src, tgt, triples, threshold):
+    """(U, C) masks |R @ src[c] + t - tgt[c]| <= threshold for the SVD fit
+    (R, t) of each triple of correspondence indices, decided bit for bit as
+    ``_trial_inliers`` decides them on that fit.
+
+    Each triple is fitted in closed form and scored by ``_banded_inliers``.
+    A triple whose closed form is not certified, or that has a decision
+    within ``_score_band`` of the limit, is fitted with the SVD and scored
+    by ``_trial_inliers``.
+    """
+    a, b = src[triples], tgt[triples]
+    ca, cb = a.mean(axis=1, keepdims=True), b.mean(axis=1, keepdims=True)
+    H = np.einsum("tki,tkj->tij", a - ca, b - cb)
+    ca, cb = ca[:, 0, :], cb[:, 0, :]
+    R, err = _fit_closed_form(H)
+    t = cb - np.einsum("tij,tj->ti", R, ca)
+    limit = _squared_limit(threshold)
+    inliers, unsure = _banded_inliers(R, t, src, tgt, limit,
+                                      _score_band(src, tgt, threshold))
+    redo = np.flatnonzero(unsure | ~(err <= _FIT_TOLERANCE))
+    if len(redo):
+        R, t = _fit_svd(H[redo], ca[redo], cb[redo])
+        inliers[redo] = _trial_inliers(R, t, src, tgt, threshold)
+    return inliers
+
+
 def ransac_register(source: PointCloud, target: PointCloud,
                     source_desc, target_desc,
                     params: RansacParams = RansacParams()) -> RegistrationResult:
     """Global registration by RANSAC over mutual-nearest FPFH correspondences.
 
     Fixed trial count with a fixed seed; ties in inlier count go to the
-    lowest trial index, so the result is order-independent.
+    lowest trial index, so the result is order-independent. A trial whose
+    three draws are not distinct counts no inliers. A trial's model depends
+    on its ordered triple alone, so each distinct triple is fitted and
+    scored once.
     """
     si, ti = mutual_correspondences(source_desc, target_desc)
     if len(si) < 3:
@@ -326,28 +618,18 @@ def ransac_register(source: PointCloud, target: PointCloud,
     T = params.trials
     idx = rng.integers(0, C, size=(T, 3))
     distinct = (idx[:, 0] != idx[:, 1]) & (idx[:, 0] != idx[:, 2]) & (idx[:, 1] != idx[:, 2])
-
-    a = src[idx]  # (T, 3, 3)
-    b = tgt[idx]
-    ca = a.mean(axis=1, keepdims=True)
-    cb = b.mean(axis=1, keepdims=True)
-    H = np.einsum("tki,tkj->tij", a - ca, b - cb)
-    U, _, Vt = np.linalg.svd(H)
-    # R = V diag(1, 1, sign det(V U^T)) U^T: flip V's last column to avoid
-    # a reflection
-    V = Vt.transpose(0, 2, 1).copy()
-    V[:, :, 2] *= np.sign(np.linalg.det(U) * np.linalg.det(Vt))[:, None]
-    R = np.matmul(V, U.transpose(0, 2, 1))
-    t = cb[:, 0, :] - np.einsum("tij,tj->ti", R, ca[:, 0, :])
-
-    inliers = (_trial_inliers(R, t, src, tgt, params.inlier_threshold)
-               & distinct[:, None])
-    counts = inliers.sum(axis=1)
+    codes, of_trial = np.unique((idx[distinct, 0] * C + idx[distinct, 1]) * C
+                                + idx[distinct, 2], return_inverse=True)
+    inliers = _triple_inliers(
+        src, tgt, np.stack(np.unravel_index(codes, (C, C, C)), axis=1),
+        params.inlier_threshold)
+    counts = np.zeros(T, dtype=int)
+    counts[distinct] = inliers.sum(axis=1)[of_trial]
     best = int(np.argmax(counts))
     if counts[best] < 3:
         return RegistrationResult(RigidPose.identity(), RMSE_INF, 0.0, False, params.trials)
 
-    mask = inliers[best]
+    mask = inliers[of_trial[np.count_nonzero(distinct[:best])]]
     Rb, tb = kabsch(src[mask], tgt[mask])
     resid = src[mask] @ Rb.T + tb - tgt[mask]
     rmse = float(np.sqrt(np.mean(np.sum(resid ** 2, axis=1))))
@@ -357,16 +639,63 @@ def ransac_register(source: PointCloud, target: PointCloud,
                               params.trials)
 
 
+class _Nearest:
+    """Each moving point's nearest target point, as ``tree.query(points)``
+    returns it (distance and index, bit for bit), querying the tree again
+    only where the nearest point may have changed.
+
+    Each point keeps its nearest point j and a lower bound on its distance
+    to every other target point: the second distance of a k=2 query, less
+    each later displacement of the point. While the distance to j, computed
+    as the tree computes it (sqrt((dx^2 + dy^2) + dz^2)), stays below the
+    bound, j is the tree's unique nearest point; the other points go back to
+    the tree. Where a k=2 query ties its two distances, a k=1 query gives
+    the tree's own choice. Every bound is also lowered by 32 eps times the
+    points' and target's extent, more than the rounding of the distances
+    and displacements.
+    """
+
+    def __init__(self, tree: cKDTree):
+        self.tree = tree
+        self.target = np.ascontiguousarray(tree.data.T)
+        self.extent = float(np.abs(tree.data).max())
+        self.points = None
+
+    def query(self, points):
+        coords = np.ascontiguousarray(points.T)
+        extent = float(np.abs(coords).max()) + self.extent
+        if self.points is None:
+            stale = np.arange(len(points))
+            self.dist = np.empty(len(points))
+            self.index = np.empty(len(points), dtype=int)
+            self.bound = np.empty(len(points))
+        else:
+            self.bound -= _norm(coords - self.points)
+            self.bound -= 32 * _EPS * (extent + self.moved_extent)
+            self.dist = _norm(coords - self.target.take(self.index, axis=1))
+            stale = np.flatnonzero(~(self.dist < self.bound))
+        if len(stale):
+            d, j = self.tree.query(points[stale], k=2)
+            self.dist[stale], self.index[stale] = d[:, 0], j[:, 0]
+            self.bound[stale] = d[:, 1] - 32 * _EPS * extent
+            tied = stale[d[:, 0] == d[:, 1]]
+            self.dist[tied], self.index[tied] = self.tree.query(points[tied])
+        self.points, self.moved_extent = coords, extent
+        return self.dist, self.index
+
+
 def icp_refine(source: PointCloud, target: PointCloud, init: RigidPose,
-               params: IcpParams = IcpParams()) -> RegistrationResult:
+               params: IcpParams = IcpParams(),
+               neighbours: Neighbours | None = None) -> RegistrationResult:
     """Point-to-point ICP with nearest-neighbor correspondences.
 
     Stops on max iterations, RMSE change below tolerance, or an RMSE
     increase (the previous pose is kept, so reported RMSE never worsens).
+    ``neighbours`` is the target's own, built here when not given.
     """
     if len(source) == 0 or len(target) == 0:
         raise RejectedInput("ICP needs non-empty clouds")
-    tree = cKDTree(target.points)
+    nearest = _Nearest((neighbours or Neighbours.of(target)).tree)
     pose = init
     history = []
     best_pose, best_rmse, best_frac = init, None, 0.0
@@ -374,7 +703,7 @@ def icp_refine(source: PointCloud, target: PointCloud, init: RigidPose,
     iterations = 0
     for it in range(1, params.max_iterations + 1):
         moved = pose.apply(source.points)
-        d, j = tree.query(moved)
+        d, j = nearest.query(moved)
         mask = d <= params.max_correspondence_distance
         if not mask.any():
             if best_rmse is None:
@@ -496,13 +825,14 @@ def fine_register(mesh: TriangleMesh, observed: PointCloud,
         anchor + (coarse.rendered_partial.points - anchor) * scale)
     src = _subsample(scaled_partial, SUBSAMPLE, 1)
     tgt = _subsample(observed, SUBSAMPLE, 2)
+    src_nb, tgt_nb = Neighbours.of(src), Neighbours.of(tgt)
     try:
-        sn, sv = estimate_normals(src)
-        tn, tv = estimate_normals(tgt)
+        sn, sv = estimate_normals(src, src_nb)
+        tn, tv = estimate_normals(tgt, tgt_nb)
     except RejectedInput as exc:
         raise StageFailureError("fine-register", f"too-few-points: {exc}")
-    sd = compute_fpfh(src, sn, valid=sv)
-    td = compute_fpfh(tgt, tn, valid=tv)
+    sd = compute_fpfh(src, sn, valid=sv, neighbours=src_nb)
+    td = compute_fpfh(tgt, tn, valid=tv, neighbours=tgt_nb)
     ransac = ransac_register(src, tgt, sd, td)
     # ICP from RANSAC's pose and from the coarse pose itself: the smaller
     # mean squared residual wins, an unmatched point counting as the
@@ -512,7 +842,8 @@ def fine_register(mesh: TriangleMesh, observed: PointCloud,
     cap = IcpParams().max_correspondence_distance
     starts = ((RigidPose.identity(),) if ransac.rmse == RMSE_INF
               else (ransac.pose, RigidPose.identity()))
-    icp = min((icp_refine(src, tgt, init) for init in starts),
+    icp = min((icp_refine(src, tgt, init, neighbours=tgt_nb)
+               for init in starts),
               key=lambda fit: fit.inlier_fraction
               * (min(fit.rmse, cap) ** 2 - cap ** 2))
     final_pose = icp.pose.compose(coarse.best_pose)

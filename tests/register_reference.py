@@ -4,16 +4,19 @@
 ``ref_compute_fpfh`` builds the ordered neighbour pairs with a Python double
 loop, describes every ordered pair (i, j) on its own with a frozen copy of
 the Darboux-feature step (``ref_pair_features``), and aggregates them with a
-row-indexed ``np.add.at``. ``ref_ransac_register``
-scores its hypotheses by moving every correspondence under every hypothesis
-with one ``einsum`` into a (trials, C, 3) array and taking its norm.
+row-indexed ``np.add.at``. ``ref_ransac_register`` fits every one of its
+hypotheses with a batched SVD and scores it by moving every correspondence
+under every hypothesis with one ``einsum`` into a (trials, C, 3) array and
+taking its norm. ``ref_mutual_correspondences`` queries every target
+descriptor back. ``ref_icp_refine`` queries the target's k-d tree for every
+point in every iteration.
 """
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from twinforge.geometry import RigidPose
-from twinforge.register import (_BINS, RMSE_INF, RansacParams,
+from twinforge.register import (_BINS, RMSE_INF, IcpParams, RansacParams,
                                 RegistrationResult, _bin_index, kabsch,
                                 mutual_correspondences)
 
@@ -92,6 +95,19 @@ def ref_compute_fpfh(cloud, normals, radius=None, valid=None):
     return fpfh
 
 
+def ref_mutual_correspondences(desc_src, desc_tgt):
+    """Mutual nearest descriptors as ``mutual_correspondences`` found them
+    by querying every target row back."""
+    src_ok = np.nonzero(desc_src.sum(axis=1) > 0)[0]
+    tgt_ok = np.nonzero(desc_tgt.sum(axis=1) > 0)[0]
+    if len(src_ok) == 0 or len(tgt_ok) == 0:
+        return np.empty(0, int), np.empty(0, int)
+    _, fwd = cKDTree(desc_tgt[tgt_ok]).query(desc_src[src_ok])
+    _, bwd = cKDTree(desc_src[src_ok]).query(desc_tgt[tgt_ok])
+    mutual = bwd[fwd] == np.arange(len(src_ok))
+    return src_ok[mutual], tgt_ok[fwd[mutual]]
+
+
 def ref_ransac_register(source, target, source_desc, target_desc,
                         params=RansacParams()):
     """RANSAC registration as ``ransac_register`` computed it with einsum."""
@@ -138,3 +154,35 @@ def ref_ransac_register(source, target, source_desc, target_desc,
     pose = RigidPose.from_rotation_matrix(Rb, tb)
     return RegistrationResult(pose, rmse, frac, frac >= params.min_inlier_fraction,
                               params.trials)
+
+
+def ref_icp_refine(source, target, init, params=IcpParams()):
+    """ICP as ``icp_refine`` computed it with one k=1 query per iteration."""
+    tree = cKDTree(target.points)
+    pose = init
+    history = []
+    best_pose, best_rmse, best_frac = init, None, 0.0
+    converged = False
+    iterations = 0
+    for it in range(1, params.max_iterations + 1):
+        moved = pose.apply(source.points)
+        d, j = tree.query(moved)
+        mask = d <= params.max_correspondence_distance
+        if not mask.any():
+            if best_rmse is None:
+                return RegistrationResult(init, RMSE_INF, 0.0, False, 0)
+            break
+        rmse = float(np.sqrt(np.mean(d[mask] ** 2)))
+        if best_rmse is not None and rmse > best_rmse + 1e-12:
+            break
+        delta = None if best_rmse is None else best_rmse - rmse
+        best_pose, best_rmse, best_frac = pose, rmse, float(np.mean(mask))
+        history.append(rmse)
+        iterations = it
+        if delta is not None and abs(delta) < params.tolerance:
+            converged = True
+            break
+        R, t = kabsch(moved[mask], target.points[j[mask]])
+        pose = RigidPose.from_rotation_matrix(R, t).compose(pose)
+    return RegistrationResult(best_pose, best_rmse, best_frac, converged,
+                              iterations, tuple(history))

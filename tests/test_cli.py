@@ -7,6 +7,7 @@ import pytest
 
 from twinforge.cli import (EXIT_INVALID_INPUT, EXIT_OK, EXIT_STAGE_FAILURE,
                            build_pipeline_config, main)
+from twinforge import benchmark
 from twinforge.errors import RejectedInput
 from twinforge.pipeline import PipelineConfig
 from twinforge.register import AlignConfig
@@ -317,6 +318,26 @@ def test_bench_align_rejects_malformed_primitives(tmp_path, primitives):
     rc = main(["bench-align", "--out", str(out), "--config", str(cfg)])
     assert rc == EXIT_INVALID_INPUT
     assert not out.exists()
+
+
+def test_bench_align_rejects_an_unknown_class_before_any_trial(tmp_path,
+                                                               monkeypatch):
+    # before: the box ran both its trials and only then did the sphere exit 3
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        raise AssertionError("no trial may run")
+
+    monkeypatch.setattr(benchmark, "run_trial", counting)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"trials": 2, "primitives": [
+        "box:0.07,0.05,0.04", "sphere:0.03"]}))
+    out = tmp_path / "bench_out"
+    rc = main(["bench-align", "--out", str(out), "--config", str(cfg)])
+    assert rc == EXIT_INVALID_INPUT
+    assert calls == []
+    assert not (out / "benchmark.csv").exists()
 
 
 # a negative --seed is invalid input under every verb that takes one, before

@@ -10,14 +10,15 @@ from twinforge import quaternions as quat
 from twinforge import register
 from twinforge.errors import RejectedInput, StageFailureError
 from twinforge.geometry import PointCloud, RigidPose, sample_mesh_surface
-from twinforge.register import (AlignConfig, IcpParams, RansacParams,
-                                _trial_inliers, alignment_success, compute_fpfh,
-                                estimate_normals, estimate_scale, icp_refine,
-                                kabsch, mutual_correspondences,
+from twinforge.register import (AlignConfig, IcpParams, Neighbours,
+                                RansacParams, _trial_inliers, alignment_success,
+                                compute_fpfh, estimate_normals, estimate_scale,
+                                icp_refine, kabsch, mutual_correspondences,
                                 ransac_register, two_stage_align)
 from twinforge.synth import make_ramp, synthetic_observation
 
-from register_reference import (ref_compute_fpfh, ref_pair_features,
+from register_reference import (ref_compute_fpfh, ref_icp_refine,
+                                ref_mutual_correspondences, ref_pair_features,
                                 ref_ransac_register)
 
 
@@ -64,7 +65,7 @@ def test_estimate_normals_plane():
     assert valid.all()
     assert np.allclose(np.abs(normals[:, 2]), 1.0, atol=1e-9)
     with pytest.raises(RejectedInput):
-        estimate_normals(PointCloud(np.zeros((5, 3))), k=15)
+        estimate_normals(PointCloud(np.zeros((5, 3))))
 
 
 def test_fpfh_plane_descriptors_nearly_identical():
@@ -105,11 +106,12 @@ def test_fpfh_edge_differs_from_plane():
 @given(n=st.integers(3, 300), seed=st.integers(0, 2**16),
        invalid=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
        isolated=st.integers(0, 5), duplicates=st.integers(0, 5),
-       radius=st.none() | st.floats(0.001, 0.05))
+       radius=st.none() | st.floats(0.001, 0.05), shared=st.booleans())
 def test_fpfh_matches_loop_reference(n, seed, invalid, isolated, duplicates,
-                                     radius):
+                                     radius, shared):
     # clustered points, a few far from everything, a few exact duplicates
-    # (zero-length pairs), some normals invalid; descriptors bit for bit
+    # (zero-length pairs), some normals invalid; descriptors bit for bit,
+    # with the cloud's neighbourhood built inside or handed in
     rng = np.random.default_rng(seed)
     pts = rng.normal(scale=0.02, size=(n, 3))
     pts[:isolated] += rng.choice([-1.0, 1.0], (min(isolated, n), 3))
@@ -119,7 +121,8 @@ def test_fpfh_matches_loop_reference(n, seed, invalid, isolated, duplicates,
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
     valid = rng.random(len(pts)) >= invalid
     cloud = PointCloud(pts)
-    got = compute_fpfh(cloud, normals, radius, valid)
+    got = compute_fpfh(cloud, normals, radius, valid,
+                       Neighbours.of(cloud) if shared else None)
     want = ref_compute_fpfh(cloud, normals, radius, valid)
     assert got.shape == want.shape == (len(pts), 33)
     assert np.array_equal(got, want)
@@ -129,8 +132,13 @@ def test_fpfh_matches_loop_reference_on_alignment_clouds():
     obs = synthetic_observation("cup:0.035,0.09", seed=0)
     for mesh_pts in (sample_mesh_surface(obs.unit_mesh, 800, seed=1),
                      _ramp_cloud(800, seed=2)):
-        normals, valid = estimate_normals(mesh_pts)
-        assert np.array_equal(compute_fpfh(mesh_pts, normals, valid=valid),
+        # one neighbourhood for the normals and the descriptors, as
+        # fine_register shares it
+        shared = Neighbours.of(mesh_pts)
+        normals, valid = estimate_normals(mesh_pts, shared)
+        assert np.array_equal(estimate_normals(mesh_pts)[0], normals)
+        assert np.array_equal(compute_fpfh(mesh_pts, normals, valid=valid,
+                                           neighbours=shared),
                               ref_compute_fpfh(mesh_pts, normals, valid=valid))
 
 
@@ -329,6 +337,26 @@ def test_mutual_correspondences_excludes_zero_descriptors():
     assert pairs == {(0, 1), (2, 0)}
 
 
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(0, 120), m=st.integers(0, 120), seed=st.integers(0, 2**16),
+       copies=st.integers(0, 40), levels=st.sampled_from([2, 5, 1000]))
+def test_mutual_correspondences_match_full_back_query(n, m, seed, copies,
+                                                      levels):
+    # coarse descriptor values and copied rows on both sides give exact
+    # ties, where the trees' own choices decide which pairs are mutual;
+    # some rows are all zero
+    rng = np.random.default_rng(seed)
+    src = rng.integers(0, levels, size=(n, 33)) / levels
+    tgt = rng.integers(0, levels, size=(m, 33)) / levels
+    if n and m:
+        src = np.vstack([src, tgt[rng.integers(0, m, copies)]])
+        tgt = np.vstack([tgt, src[rng.integers(0, len(src), copies)]])
+    src[rng.random(len(src)) < 0.1] = 0.0
+    got = mutual_correspondences(src, tgt)
+    want = ref_mutual_correspondences(src, tgt)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
 def _ramp_cloud(n=600, seed=0):
     return PointCloud(sample_mesh_surface(make_ramp([0.1, 0.08, 0.05]),
                                           n, seed=seed).points)
@@ -381,6 +409,21 @@ def test_ransac_matches_einsum_reference(n, seed, zero, noise, trials):
     # a rigidly moved, noisy, shuffled copy of a random cloud with its
     # descriptors shuffled alike; some descriptors all zero, on either side,
     # so anywhere from no correspondence to all of them survive
+    _check_ransac_against_reference(n, seed, zero, noise, trials)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(3, 9), seed=st.integers(0, 2**16),
+       noise=st.sampled_from([0.0, 0.003, 0.05]),
+       trials=st.sampled_from([1, 7, 50, 4096]))
+def test_ransac_matches_einsum_reference_on_repeated_triples(n, seed, noise,
+                                                             trials):
+    # 3-9 correspondences: 4096 draws repeat each distinct triple many
+    # times, and every trial of a repeated triple must score alike
+    _check_ransac_against_reference(n, seed, 0.0, noise, trials)
+
+
+def _check_ransac_against_reference(n, seed, zero, noise, trials):
     rng = np.random.default_rng(seed)
     pts = rng.normal(scale=0.05, size=(n, 3))
     move = RigidPose(quat.random_quat(rng), rng.uniform(-0.1, 0.1, 3))
@@ -427,6 +470,86 @@ def test_trial_inliers_sum_left_to_right(trials, c, seed):
                              tgt[j].tolist())
         assert _trial_inliers(R, t, src, tgt, d)[k, j]
         assert not _trial_inliers(R, t, src, tgt, np.nextafter(d, 0.0))[k, j]
+
+
+def _svd_triple_inliers(src, tgt, triples, threshold):
+    """Each triple's masks from the batched SVD fit of every triple, scored
+    by ``_trial_inliers``: what ``_triple_inliers`` must reproduce."""
+    a, b = src[triples], tgt[triples]
+    ca, cb = a.mean(axis=1, keepdims=True), b.mean(axis=1, keepdims=True)
+    H = np.einsum("tki,tkj->tij", a - ca, b - cb)
+    R, t = register._fit_svd(H, ca[:, 0], cb[:, 0])
+    return R, t, _trial_inliers(R, t, src, tgt, threshold)
+
+
+@settings(max_examples=40, deadline=None)
+@given(c=st.integers(3, 60), trials=st.integers(1, 1300),
+       seed=st.integers(0, 2**16))
+def test_triple_inliers_decide_exact_thresholds_as_the_svd_fit(c, trials,
+                                                               seed):
+    # the threshold is one correspondence's exact distance under one
+    # triple's SVD fit, so that decision lies inside the band and is
+    # decided again; the next float below flips it
+    rng = np.random.default_rng(seed)
+    src = rng.normal(scale=0.05, size=(c, 3)) + [0.1, -0.05, 0.6]
+    move = RigidPose(quat.random_quat(rng), rng.uniform(-0.05, 0.05, 3))
+    tgt = move.apply(src) + rng.normal(scale=0.01, size=(c, 3))
+    triples = np.unique(rng.integers(0, c, size=(trials, 3)), axis=0)
+    triples = triples[(triples[:, 0] != triples[:, 1])
+                      & (triples[:, 0] != triples[:, 2])
+                      & (triples[:, 1] != triples[:, 2])]
+    assume(len(triples))
+    R, t, _ = _svd_triple_inliers(src, tgt, triples, 1.0)
+    for k, j in zip(rng.integers(0, len(triples), 4), rng.integers(0, c, 4)):
+        d = _scalar_distance(R[k].tolist(), t[k].tolist(), src[j].tolist(),
+                             tgt[j].tolist())
+        kept = []
+        for threshold in (d, np.nextafter(d, 0.0)):
+            want = _svd_triple_inliers(src, tgt, triples, threshold)[2]
+            got = register._triple_inliers(src, tgt, triples, threshold)
+            assert np.array_equal(got, want)
+            kept.append(got[k, j])
+        assert kept == [True, False]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**16), scale=st.sampled_from([1e-3, 0.05, 2.0]),
+       noise=st.sampled_from([0.0, 1e-3, 0.3]))
+def test_closed_form_fit_is_within_its_bound_of_the_svd_fit(seed, scale,
+                                                            noise):
+    # random triangles and noisy moved copies: the SVD oracle's rotation
+    # lies within the closed form's certified bound, and a triple that is
+    # not badly conditioned is certified
+    rng = np.random.default_rng(seed)
+    a = rng.normal(scale=scale, size=(300, 3, 3))
+    move = quat.quat_to_matrix(quat.random_quat(rng))
+    b = a @ move.T + rng.normal(scale=noise * scale, size=a.shape)
+    a -= a.mean(axis=1, keepdims=True)
+    b -= b.mean(axis=1, keepdims=True)
+    H = np.einsum("tki,tkj->tij", a, b)
+    R, err = register._fit_closed_form(H)
+    R_svd, _ = register._fit_svd(H, np.zeros((300, 3)), np.zeros((300, 3)))
+    s = np.linalg.svd(H, compute_uv=False)
+    well = s[:, 1] > 1e-3 * s[:, 0]
+    certified = err <= register._FIT_TOLERANCE
+    assert certified[well].all()
+    gap = np.linalg.norm(R - R_svd, ord=2, axis=(1, 2))
+    assert np.all(gap[certified] <= err[certified])
+    assert np.allclose(np.linalg.det(R[certified]), 1.0)
+
+
+def test_closed_form_fit_flags_degenerate_triples():
+    # collinear and coincident points leave a rotation free: no bound, so
+    # RANSAC fits them with the SVD
+    rng = np.random.default_rng(0)
+    line = (np.array([0.0, 1.0, 2.5])[None, :, None]
+            * rng.normal(scale=0.05, size=(20, 1, 3)) + rng.normal(size=(20, 1, 3)))
+    point = np.tile(rng.normal(size=(1, 1, 3)), (1, 3, 1))
+    for a in (line, point):
+        b = a + rng.normal(scale=1e-3, size=a.shape)
+        a, b = a - a.mean(axis=1, keepdims=True), b - b.mean(axis=1, keepdims=True)
+        _, err = register._fit_closed_form(np.einsum("tki,tkj->tij", a, b))
+        assert not np.any(err <= register._FIT_TOLERANCE)
 
 
 def test_ransac_matches_einsum_reference_on_alignment_clouds():
@@ -479,6 +602,69 @@ def test_icp_rmse_monotone_nonincreasing():
         assert np.all(np.diff(hist) <= 1e-9)
 
 
+def _same_fit(got, want):
+    assert np.array_equal(got.pose.rotation, want.pose.rotation)
+    assert np.array_equal(got.pose.translation, want.pose.translation)
+    assert (got.rmse, got.inlier_fraction, got.converged, got.iterations,
+            got.rmse_history) == (want.rmse, want.inlier_fraction,
+                                  want.converged, want.iterations,
+                                  want.rmse_history)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 150), seed=st.integers(0, 2**16),
+       duplicates=st.integers(0, 30), angle=st.floats(0.0, 0.6),
+       shift=st.floats(0.0, 0.03), lattice=st.booleans(),
+       shared=st.booleans())
+def test_icp_matches_per_iteration_query_reference(n, seed, duplicates, angle,
+                                                   shift, lattice, shared):
+    # a target with exact duplicate points (tied nearest neighbours) and a
+    # source started up to 34 degrees and 3 cm off, so points cross Voronoi
+    # cells between iterations; on a lattice of binary-exact spacing some
+    # source points start on exact midpoints, tied between two points
+    rng = np.random.default_rng(seed)
+    if lattice:
+        g = np.arange(6) * 2.0 ** -7
+        target = np.stack(np.meshgrid(g, g, g[:3]), axis=-1).reshape(-1, 3) + 0.5
+        source = target[rng.integers(0, len(target), n)]
+        source = source + 2.0 ** -8 * rng.integers(0, 2, size=source.shape)
+    else:
+        target = rng.normal(scale=0.03, size=(n, 3)) + [0.1, -0.05, 0.6]
+        source = target[rng.permutation(n)[:max(1, n // 2)]]
+        source = source + rng.normal(scale=0.002, size=source.shape)
+    target = np.vstack([target, target[rng.integers(0, len(target), duplicates)]])
+    init = RigidPose(quat.quat_from_axis_angle(rng.normal(size=3), angle),
+                     rng.normal(size=3) * shift)
+    if lattice and seed % 2:
+        init = RigidPose.identity()
+    src, tgt = PointCloud(source), PointCloud(target)
+    params = IcpParams(max_iterations=30, max_correspondence_distance=0.03)
+    got = icp_refine(src, tgt, init, params,
+                     Neighbours.of(tgt) if shared else None)
+    _same_fit(got, ref_icp_refine(src, tgt, init, params))
+
+
+def test_nearest_tracking_matches_the_tree_on_bisectors():
+    # pairs of target points 3 mm apart, 5 cm from every other pair; each
+    # point starts between its pair's two points and moves straight toward
+    # the farther one, onto the bisector give or take 3e-17 m. There the
+    # second distance less the move is exact to a few ulps only, and the
+    # rounding margin is what sends such a point back to the tree.
+    rng = np.random.default_rng(0)
+    n = 20000
+    grid = np.stack(np.meshgrid(*[np.arange(28)] * 3), axis=-1).reshape(-1, 3)
+    j = grid[:n] * 0.05 + [0.1, -0.05, 0.6]
+    q = j + rng.normal(scale=0.003, size=(n, 3))
+    tree = cKDTree(np.vstack([j, q]))
+    nearest = register._Nearest(tree)
+    nearest.query(j + rng.uniform(0.05, 0.45, (n, 1)) * (q - j))
+    axis = (q - j) / np.linalg.norm(q - j, axis=1, keepdims=True)
+    moved = (j + q) / 2 + rng.integers(-3, 4, (n, 1)) * 1e-17 * axis
+    d, idx = nearest.query(moved)
+    want_d, want_idx = tree.query(moved)
+    assert np.array_equal(d, want_d) and np.array_equal(idx, want_idx)
+
+
 def test_icp_rejects_empty():
     cloud = _ramp_cloud(n=100)
     with pytest.raises(RejectedInput):
@@ -490,6 +676,20 @@ def test_icp_params_validation():
         IcpParams(max_iterations=0)
     with pytest.raises(RejectedInput):
         IcpParams(tolerance=-1.0)
+
+
+@pytest.mark.parametrize("bad", [
+    {"tolerance": float("nan")}, {"max_correspondence_distance": float("nan")},
+    {"max_correspondence_distance": float("inf")}, {"max_iterations": 2.5},
+    {"max_iterations": True}])
+def test_icp_params_rejects_non_finite_and_non_int(bad):
+    # before: each was accepted; a NaN distance matched nothing, an
+    # infinite one everything, 2.5 iterations raised a TypeError inside
+    # ICP and True ran one iteration
+    with pytest.raises(RejectedInput):
+        IcpParams(**bad)
+    IcpParams(max_iterations=np.int64(3), max_correspondence_distance=1,
+              tolerance=np.float32(1e-3))
 
 
 @pytest.mark.parametrize("bad", [
@@ -566,9 +766,9 @@ def test_fine_register_starts_icp_once_without_a_ransac_model(monkeypatch):
                         lambda a, b: (np.empty(0, int), np.empty(0, int)))
     calls = []
 
-    def recording(src, tgt, init, params=IcpParams()):
+    def recording(src, tgt, init, params=IcpParams(), neighbours=None):
         calls.append((src, tgt, init))
-        return icp_refine(src, tgt, init, params)
+        return icp_refine(src, tgt, init, params, neighbours)
 
     monkeypatch.setattr(register, "icp_refine", recording)
     res = register.fine_register(obs.unit_mesh, observed, coarse, scale)
