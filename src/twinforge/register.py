@@ -427,13 +427,46 @@ def _fit_svd(H, ca, cb):
     return R, cb - np.einsum("tij,tj->ti", R, ca)
 
 
+def _times(N, q):
+    """N q for Horn's symmetric 4x4 N and quaternions q, entry by entry."""
+    return [((N[i][0] * q[0] + N[i][1] * q[1]) + (N[i][2] * q[2] + N[i][3] * q[3]))
+            for i in range(4)]
+
+
+def _rayleigh(q, Nq):
+    """q^T N q from q and N q."""
+    return (q[0] * Nq[0] + q[1] * Nq[1]) + (q[2] * Nq[2] + q[3] * Nq[3])
+
+
+def _unit(q):
+    size = np.sqrt((q[0] * q[0] + q[1] * q[1]) + (q[2] * q[2] + q[3] * q[3]))
+    return [c / size for c in q]
+
+
+def _adjugate_column(N, shift):
+    """The unit largest column of adj(N - shift I): N's eigenvector for the
+    eigenvalue at the shift, as QCP takes it."""
+    shifted = [[N[i][j] - shift if i == j else N[i][j] for j in range(4)]
+               for i in range(4)]
+    cof = [[None] * 4 for _ in range(4)]
+    for i in range(4):
+        for j in range(i, 4):
+            minor = [[shifted[r][c] for c in range(4) if c != j]
+                     for r in range(4) if r != i]
+            cof[i][j] = cof[j][i] = (-1.0) ** (i + j) * _det3(minor)
+    pick = np.argmax(np.abs(np.stack([cof[i][i] for i in range(4)])), axis=0)
+    return _unit([np.choose(pick, [cof[i][k] for i in range(4)])
+                  for k in range(4)])
+
+
 def _fit_closed_form(H):
     """Horn's closed-form rotation fit (JOSA A 4(4), 1987) of each (3, 3)
     H = sum (a - ca)(b - cb)^T: R = R(q) for the unit eigenvector q of the
     largest eigenvalue lambda1 of Horn's symmetric 4x4 N(H). As in QCP
     (Theobald, Acta Cryst. A61, 2005), lambda1 comes from Newton's method on
     det(N - x I) = x^4 + c2 x^2 + c1 x + c0, started above it, and q is the
-    largest column of the adjugate of N - lambda1 I.
+    largest column of the adjugate of N - lambda1 I, taken again at q's
+    Rayleigh quotient and then moved one step toward (N + lambda1 I) q.
 
     Returns (R, err) with err >= |R - R_svd|_2 for ``_fit_svd``'s rotation of
     the same H, or inf / NaN where no bound holds (a near-degenerate triple:
@@ -482,22 +515,21 @@ def _fit_closed_form(H):
         else:
             lam = np.full_like(lam, np.nan)
         slope = (4.0 * lam * lam + 2.0 * c2) * lam + c1
-        shifted = [[N[i][j] - lam if i == j else N[i][j] for j in range(4)]
-                   for i in range(4)]
-        cof = [[None] * 4 for _ in range(4)]
-        for i in range(4):
-            for j in range(i, 4):
-                minor = [[shifted[r][c] for c in range(4) if c != j]
-                         for r in range(4) if r != i]
-                cof[i][j] = cof[j][i] = (-1.0) ** (i + j) * _det3(minor)
-        pick = np.argmax(np.abs(np.stack([cof[i][i] for i in range(4)])),
-                         axis=0)
-        q = [np.choose(pick, [cof[i][k] for i in range(4)]) for k in range(4)]
-        size = np.sqrt((q[0] * q[0] + q[1] * q[1]) + (q[2] * q[2] + q[3] * q[3]))
-        w, x, y, z = (c / size for c in q)
-        Nq = [((N[i][0] * w + N[i][1] * x) + (N[i][2] * y + N[i][3] * z))
-              for i in range(4)]
-        mu = (w * Nq[0] + x * Nq[1]) + (y * Nq[2] + z * Nq[3])
+        # the bound below holds for any unit q; these steps make it tight.
+        # The column at the Newton root leans toward lambda2's eigenvector
+        # by about (lambda - lambda1) / (lambda1 - lambda2), and the root
+        # carries the quartic's rounding, some eps lambda1^2 / g: a second
+        # column at the Rayleigh quotient, good to a few eps lambda1, takes
+        # the lean out. The columns' own rounding leaves components along
+        # lambda3's and lambda4's eigenvectors that r weighs by their far
+        # gaps; one step to (N + lambda I) q shrinks them by at most s2 / s1
+        # for H's singular values s1 >= s2
+        q = _adjugate_column(N, lam)
+        q = _adjugate_column(N, _rayleigh(q, _times(N, q)))
+        q = _unit([c + lam * d for c, d in zip(_times(N, q), q)])
+        w, x, y, z = q
+        Nq = _times(N, q)
+        mu = _rayleigh(q, Nq)
         r = np.sqrt(sum((Nq[i] - mu * c) ** 2 for i, c in enumerate((w, x, y, z))))
         g = slope / (32.0 * lam * lam)
         err = (2.0 * r / (g - r)
