@@ -30,10 +30,13 @@ class GraspCandidate:
     def __post_init__(self):
         gp = np.asarray(self.grasp_point, dtype=float).reshape(3)
         object.__setattr__(self, "grasp_point", gp)
-        if self.width < 0:
-            raise RejectedInput("grasp width must be >= 0")
-        if self.confidence < 0:
-            raise RejectedInput("grasp confidence must be >= 0")
+        if not np.isfinite(gp).all():
+            raise RejectedInput("grasp point must be finite")
+        # written so that NaN fails too
+        if not 0 <= self.width < np.inf:
+            raise RejectedInput("grasp width must be finite and >= 0")
+        if not 0 <= self.confidence < np.inf:
+            raise RejectedInput("grasp confidence must be finite and >= 0")
 
 
 def load_grasp_candidates(path) -> list[GraspCandidate]:
@@ -43,12 +46,18 @@ def load_grasp_candidates(path) -> list[GraspCandidate]:
             text = line.split("#", 1)[0].strip()
             if not text:
                 continue
-            vals = [float(x) for x in text.split()]
-            if len(vals) != 12:
-                raise RejectedInput(f"{path}:{ln}: expected 12 fields, got {len(vals)}")
-            pose = RigidPose(np.array(vals[0:4]), np.array(vals[4:7]))
-            candidates.append(GraspCandidate(pose, np.array(vals[7:10]),
-                                             vals[10], vals[11]))
+            fields = text.split()
+            if len(fields) != 12:
+                raise RejectedInput(f"{path}:{ln}: expected 12 fields, got {len(fields)}")
+            # a field that is not a number, a quaternion that is not unit
+            # or a bad width, confidence or point raises a ValueError
+            try:
+                vals = [float(x) for x in fields]
+                pose = RigidPose(np.array(vals[0:4]), np.array(vals[4:7]))
+                candidates.append(GraspCandidate(pose, np.array(vals[7:10]),
+                                                 vals[10], vals[11]))
+            except ValueError as exc:
+                raise RejectedInput(f"{path}:{ln}: {exc}") from None
     return candidates
 
 

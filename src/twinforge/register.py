@@ -30,6 +30,7 @@ SUBSAMPLE = 1200
 MIN_MASK_PIXELS = 100
 # RANSAC trials scored per block
 _SCORE_BLOCK = 512
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -349,98 +350,24 @@ def mutual_correspondences(desc_src, desc_tgt):
     return src_ok[mutual], tgt_ok[fwd[mutual]]
 
 
-def _squared_limit(threshold):
-    """The largest float whose sqrt is <= ``threshold`` (finite, >= 0).
-    sqrt is correctly rounded and monotone, so sqrt(s) <= threshold exactly
-    when s <= this limit."""
-    threshold = float(threshold)
-    s = threshold * threshold
-    while math.sqrt(s) > threshold:
-        s = math.nextafter(s, 0.0)
-    while math.sqrt(math.nextafter(s, math.inf)) <= threshold:
-        s = math.nextafter(s, math.inf)
-    return s
+# a triangle is thin when twice its area, |(b - a) x (c - b)|, is at most
+# this share of its longest edge squared: its points are nearly collinear or
+# coincident, which leaves the rotation about their line free
+_THIN = 1e-3
 
 
-def _trial_inliers(R, t, src, tgt, threshold):
-    """(T, C) mask: |R[k] @ src[c] + t[k] - tgt[c]| <= threshold.
-
-    Residuals are formed one output axis at a time and summed left to
-    right (over j, then t, then -tgt; the squares over the axes likewise),
-    with plain array ops, so every distance is the same on any machine.
-    Blocks of trials are scored in place in (block, C) buffers that stay
-    in cache, and the squared distance is compared with the squared limit
-    instead of taking its sqrt.
-    """
-    limit = _squared_limit(threshold)
-    s = [np.ascontiguousarray(c) for c in src.T]
-    g = [np.ascontiguousarray(c) for c in tgt.T]
-    buffers = [np.empty((min(len(R), _SCORE_BLOCK), len(src)))
-               for _ in range(3)]
-    inliers = np.empty((len(R), len(src)), dtype=bool)
-    for lo in range(0, len(R), _SCORE_BLOCK):
-        Rk, tk = R[lo:lo + _SCORE_BLOCK], t[lo:lo + _SCORE_BLOCK]
-        r, term, sq = (b[:len(Rk)] for b in buffers)
-        for i in range(3):
-            np.multiply(Rk[:, i, 0, None], s[0], out=r)
-            r += np.multiply(Rk[:, i, 1, None], s[1], out=term)
-            r += np.multiply(Rk[:, i, 2, None], s[2], out=term)
-            r += tk[:, i, None]
-            r -= g[i]
-            if i == 0:
-                np.multiply(r, r, out=sq)
-            else:
-                sq += np.multiply(r, r, out=term)
-        np.less_equal(sq, limit, out=inliers[lo:lo + len(Rk)])
-    return inliers
-
-
-# the largest certified difference, in operator norm, between a triple's
-# closed-form rotation and its SVD rotation that the scoring accepts; a
-# triple whose bound exceeds it is fitted with the SVD. It trades SVD refits
-# against band rechecks, never exactness: the band below grows with it.
-_FIT_TOLERANCE = 1e-9
-# LAPACK's SVD of a 3x3 matrix is backward stable: its rotation is the exact
-# fit of some H + E with |E|_F a small multiple of eps |H|_F (Golub & Van
-# Loan, Matrix Computations, ch. 8). A rotation fit moves by at most
-# 4 |E| / (lambda1 - lambda2) (the polar factor's perturbation bound,
-# Higham, Functions of Matrices, ch. 8), at most 2 |E| / g with g as in
-# ``_fit_closed_form``; this constant covers |E|_F up to 32 eps |H|_F.
-_SVD_BACKWARD = 64
-_EPS = np.finfo(float).eps
+def _thin(p):
+    """(U,) True where the triangle of each (3, 3) row of points is thin,
+    one with coincident points included."""
+    ab, bc, ca = p[:, 1] - p[:, 0], p[:, 2] - p[:, 1], p[:, 0] - p[:, 2]
+    twice_area = np.linalg.norm(np.cross(ab, bc), axis=1)
+    longest = np.max([np.sum(e * e, axis=1) for e in (ab, bc, ca)], axis=0)
+    return ~(twice_area > _THIN * longest)
 
 
 def _det3(m):
     (a, b, c), (d, e, f), (g, h, i) = m
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-
-
-def _fit_svd(H, ca, cb):
-    """Each H's least-squares rotation R = V diag(1, 1, sign det(V U^T)) U^T
-    from its SVD, and t = cb - R ca: the fit whose masks RANSAC reproduces,
-    computed for the triples the closed form cannot certify."""
-    U, _, Vt = np.linalg.svd(H)
-    # flip V's last column to avoid a reflection
-    V = Vt.transpose(0, 2, 1).copy()
-    V[:, :, 2] *= np.sign(np.linalg.det(U) * np.linalg.det(Vt))[:, None]
-    R = np.matmul(V, U.transpose(0, 2, 1))
-    return R, cb - np.einsum("tij,tj->ti", R, ca)
-
-
-def _times(N, q):
-    """N q for Horn's symmetric 4x4 N and quaternions q, entry by entry."""
-    return [((N[i][0] * q[0] + N[i][1] * q[1]) + (N[i][2] * q[2] + N[i][3] * q[3]))
-            for i in range(4)]
-
-
-def _rayleigh(q, Nq):
-    """q^T N q from q and N q."""
-    return (q[0] * Nq[0] + q[1] * Nq[1]) + (q[2] * Nq[2] + q[3] * Nq[3])
-
-
-def _unit(q):
-    size = np.sqrt((q[0] * q[0] + q[1] * q[1]) + (q[2] * q[2] + q[3] * q[3]))
-    return [c / size for c in q]
 
 
 def _adjugate_column(N, shift):
@@ -455,8 +382,9 @@ def _adjugate_column(N, shift):
                      for r in range(4) if r != i]
             cof[i][j] = cof[j][i] = (-1.0) ** (i + j) * _det3(minor)
     pick = np.argmax(np.abs(np.stack([cof[i][i] for i in range(4)])), axis=0)
-    return _unit([np.choose(pick, [cof[i][k] for i in range(4)])
-                  for k in range(4)])
+    q = [np.choose(pick, [cof[i][k] for i in range(4)]) for k in range(4)]
+    size = np.sqrt((q[0] * q[0] + q[1] * q[1]) + (q[2] * q[2] + q[3] * q[3]))
+    return [c / size for c in q]
 
 
 def _fit_closed_form(H):
@@ -465,23 +393,13 @@ def _fit_closed_form(H):
     largest eigenvalue lambda1 of Horn's symmetric 4x4 N(H). As in QCP
     (Theobald, Acta Cryst. A61, 2005), lambda1 comes from Newton's method on
     det(N - x I) = x^4 + c2 x^2 + c1 x + c0, started above it, and q is the
-    largest column of the adjugate of N - lambda1 I, taken again at q's
-    Rayleigh quotient and then moved one step toward (N + lambda1 I) q.
+    largest column of the adjugate of N - lambda1 I.
 
-    Returns (R, err) with err >= |R - R_svd|_2 for ``_fit_svd``'s rotation of
-    the same H, or inf / NaN where no bound holds (a near-degenerate triple:
-    nearly collinear or coincident points). The bound adds three parts,
-    each over g <= (lambda1 - lambda2) / 2, the gap that separates q:
-    - Davis-Kahan: the sine of q's angle to the exact eigenvector q* is at
-      most r / (g - r), r = |N q - mu q| with mu = q^T N q, and
-      |R(q) - R(q*)|_2 is twice that sine;
-    - the rounding of N, r and R(q): a few eps * |H|_F over g, and eps;
-    - the SVD's backward error, ``_SVD_BACKWARD`` * eps * |H|_F over g.
-    g is P'(lambda1) / (32 lambda1^2): P'(lambda1) = prod (lambda1 -
-    lambda_j) over j > 1, and lambda1 - lambda_j <= 4 lambda1 for Horn's N;
-    the extra half absorbs the rounding of lambda1 and P'. A gap that
-    rounding fakes (about sqrt(eps) lambda1, at a double root) gives a
-    bound far above ``_FIT_TOLERANCE``.
+    Where H's second singular value exceeds 1e-3 of its first, R was within
+    1.1e-10 (operator norm) of the least-squares SVD rotation on 2.7 M
+    random triples, and a test holds it to 1e-9. A thin triangle leaves
+    the rotation free: its R is arbitrary, or NaN where the adjugate
+    vanishes, so RANSAC fits no thin triangle.
     """
     h = H.reshape(-1, 9).T
     (xx, xy, xz, yx, yy, yz, zx, zy, zz) = h
@@ -514,72 +432,32 @@ def _fit_closed_form(H):
             lam = np.where(falls, step, lam)
         else:
             lam = np.full_like(lam, np.nan)
-        slope = (4.0 * lam * lam + 2.0 * c2) * lam + c1
-        # the bound below holds for any unit q; these steps make it tight.
-        # The column at the Newton root leans toward lambda2's eigenvector
-        # by about (lambda - lambda1) / (lambda1 - lambda2), and the root
-        # carries the quartic's rounding, some eps lambda1^2 / g: a second
-        # column at the Rayleigh quotient, good to a few eps lambda1, takes
-        # the lean out. The columns' own rounding leaves components along
-        # lambda3's and lambda4's eigenvectors that r weighs by their far
-        # gaps; one step to (N + lambda I) q shrinks them by at most s2 / s1
-        # for H's singular values s1 >= s2
-        q = _adjugate_column(N, lam)
-        q = _adjugate_column(N, _rayleigh(q, _times(N, q)))
-        q = _unit([c + lam * d for c, d in zip(_times(N, q), q)])
-        w, x, y, z = q
-        Nq = _times(N, q)
-        mu = _rayleigh(q, Nq)
-        r = np.sqrt(sum((Nq[i] - mu * c) ** 2 for i, c in enumerate((w, x, y, z))))
-        g = slope / (32.0 * lam * lam)
-        err = (2.0 * r / (g - r)
-               + (_SVD_BACKWARD + 16) * _EPS * np.sqrt(fro2) / g + 16 * _EPS)
-        err[~(g > r)] = np.inf
-    R = np.empty((len(lam), 3, 3))
-    R[:, 0, 0] = 1 - 2 * (y * y + z * z)
-    R[:, 0, 1] = 2 * (x * y - w * z)
-    R[:, 0, 2] = 2 * (x * z + w * y)
-    R[:, 1, 0] = 2 * (x * y + w * z)
-    R[:, 1, 1] = 1 - 2 * (x * x + z * z)
-    R[:, 1, 2] = 2 * (y * z - w * x)
-    R[:, 2, 0] = 2 * (x * z - w * y)
-    R[:, 2, 1] = 2 * (y * z + w * x)
-    R[:, 2, 2] = 1 - 2 * (x * x + y * y)
-    return R, err
+        w, x, y, z = _adjugate_column(N, lam)
+    return np.stack(
+        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
+         2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
+         2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+        axis=1).reshape(-1, 3, 3)
 
 
-def _score_band(src, tgt, threshold):
-    """A width that certifies ``_banded_inliers``' decisions.
-
-    A triple's closed-form fit (R', t' = cb - R' ca) and its SVD fit (R, t)
-    move a correspondence s to residuals that differ by (R' - R)(s - ca),
-    at most rho E with rho = 2 max |s - mean(src)| >= |s - ca| and E =
-    ``_FIT_TOLERANCE``. Where one squared residual is at most tau^2 (tau
-    the threshold), the other is within 2 tau rho E + (rho E)^2 of it, and
-    where one exceeds tau^2, the other is at least tau^2 - 2 tau rho E.
-    Both scores are sums of fewer than 20 rounded terms whose magnitudes
-    stay below 2 (m + tau)^2, m = 2 (max |src| + max |tgt|) bounding every
-    point, translation and centred coordinate, so each is within
-    1024 eps (m + tau)^2 of its exact value.
-    """
-    tau = float(threshold)
-    rho = 2.0 * float(np.sqrt(np.max(np.sum(
-        (src - src.mean(axis=0)) ** 2, axis=1))))
-    m = 2.0 * float(np.sqrt(np.max(np.sum(src ** 2, axis=1)))
-                    + np.sqrt(np.max(np.sum(tgt ** 2, axis=1))))
-    fit = rho * _FIT_TOLERANCE
-    return 2.0 * tau * fit + fit * fit + 1024 * _EPS * (m + tau) ** 2
-
-
-def _banded_inliers(R, t, src, tgt, limit, band):
-    """(T, C) inlier mask |R[k] @ src[c] + t[k] - tgt[c]|^2 <= limit, and
-    the (T,) trials with a squared residual within ``band`` of ``limit``.
+def _triple_inliers(src, tgt, triples, threshold):
+    """(U, C) masks |R @ src[c] + t - tgt[c]| <= threshold for the
+    closed-form fit (R, t = cb - R ca) of each triple of correspondence
+    indices. A triple whose source or target triangle is thin is neither
+    fitted nor scored: it has no inliers.
 
     With s, g the coordinates centred on each cloud's mean and u = R mean(src)
     + t - mean(tgt), the squared residual |R s + u - g|^2 expands to
-    |s|^2 + |g|^2 + |u|^2 + 2 (R^T u).s - 2 g^T R s - 2 u.g: one (T, 15) @
-    (15, C) product, scored in blocks of trials.
+    |s|^2 + |g|^2 + |u|^2 + 2 (R^T u).s - 2 g^T R s - 2 u.g: one (U, 15) @
+    (15, C) product, compared with threshold^2 in blocks of triples.
     """
+    a, b = src[triples], tgt[triples]
+    fair = ~(_thin(a) | _thin(b))
+    a, b = a[fair], b[fair]
+    ca, cb = a.mean(axis=1, keepdims=True), b.mean(axis=1, keepdims=True)
+    H = np.einsum("tki,tkj->tij", a - ca, b - cb)
+    R = _fit_closed_form(H)
+    t = cb[:, 0, :] - np.einsum("tij,tj->ti", R, ca[:, 0, :])
     s = src - src.mean(axis=0)
     g = tgt - tgt.mean(axis=0)
     u = np.einsum("tij,j->ti", R, src.mean(axis=0)) + t - tgt.mean(axis=0)
@@ -589,43 +467,16 @@ def _banded_inliers(R, t, src, tgt, limit, band):
         [2.0 * np.einsum("tij,ti->tj", R, u), -2.0 * R.reshape(-1, 9),
          -2.0 * u], axis=1)
     base = np.einsum("ci,ci->c", s, s) + np.einsum("ci,ci->c", g, g)
-    lift = np.einsum("ti,ti->t", u, u)
-    inliers = np.empty((len(R), len(src)), dtype=bool)
-    unsure = np.empty(len(R), dtype=bool)
+    lift = np.einsum("ti,ti->t", u, u) - threshold * threshold
+    scored = np.empty((len(R), len(src)), dtype=bool)
     for lo in range(0, len(R), _SCORE_BLOCK):
         hi = lo + _SCORE_BLOCK
         gap = weights[lo:hi] @ features
         gap += base
-        gap += (lift[lo:hi] - limit)[:, None]
-        np.less_equal(gap, 0.0, out=inliers[lo:hi])
-        np.abs(gap, out=gap)
-        unsure[lo:hi] = (gap <= band).any(axis=1)
-    return inliers, unsure
-
-
-def _triple_inliers(src, tgt, triples, threshold):
-    """(U, C) masks |R @ src[c] + t - tgt[c]| <= threshold for the SVD fit
-    (R, t) of each triple of correspondence indices, decided bit for bit as
-    ``_trial_inliers`` decides them on that fit.
-
-    Each triple is fitted in closed form and scored by ``_banded_inliers``.
-    A triple whose closed form is not certified, or that has a decision
-    within ``_score_band`` of the limit, is fitted with the SVD and scored
-    by ``_trial_inliers``.
-    """
-    a, b = src[triples], tgt[triples]
-    ca, cb = a.mean(axis=1, keepdims=True), b.mean(axis=1, keepdims=True)
-    H = np.einsum("tki,tkj->tij", a - ca, b - cb)
-    ca, cb = ca[:, 0, :], cb[:, 0, :]
-    R, err = _fit_closed_form(H)
-    t = cb - np.einsum("tij,tj->ti", R, ca)
-    limit = _squared_limit(threshold)
-    inliers, unsure = _banded_inliers(R, t, src, tgt, limit,
-                                      _score_band(src, tgt, threshold))
-    redo = np.flatnonzero(unsure | ~(err <= _FIT_TOLERANCE))
-    if len(redo):
-        R, t = _fit_svd(H[redo], ca[redo], cb[redo])
-        inliers[redo] = _trial_inliers(R, t, src, tgt, threshold)
+        gap += lift[lo:hi, None]
+        np.less_equal(gap, 0.0, out=scored[lo:hi])
+    inliers = np.zeros((len(triples), len(src)), dtype=bool)
+    inliers[fair] = scored
     return inliers
 
 
@@ -636,9 +487,10 @@ def ransac_register(source: PointCloud, target: PointCloud,
 
     Fixed trial count with a fixed seed; ties in inlier count go to the
     lowest trial index, so the result is order-independent. A trial whose
-    three draws are not distinct counts no inliers. A trial's model depends
-    on its ordered triple alone, so each distinct triple is fitted and
-    scored once.
+    source or target triangle is thin counts no inliers, as does one whose
+    three draws are not distinct (a repeated draw makes a thin triangle).
+    A trial's model depends on its ordered triple alone, so each distinct
+    triple is fitted and scored once.
     """
     si, ti = mutual_correspondences(source_desc, target_desc)
     if len(si) < 3:
@@ -647,21 +499,18 @@ def ransac_register(source: PointCloud, target: PointCloud,
     tgt = target.points[ti]
     C = len(src)
     rng = np.random.default_rng(params.seed)
-    T = params.trials
-    idx = rng.integers(0, C, size=(T, 3))
-    distinct = (idx[:, 0] != idx[:, 1]) & (idx[:, 0] != idx[:, 2]) & (idx[:, 1] != idx[:, 2])
-    codes, of_trial = np.unique((idx[distinct, 0] * C + idx[distinct, 1]) * C
-                                + idx[distinct, 2], return_inverse=True)
+    idx = rng.integers(0, C, size=(params.trials, 3))
+    codes, of_trial = np.unique((idx[:, 0] * C + idx[:, 1]) * C + idx[:, 2],
+                                return_inverse=True)
     inliers = _triple_inliers(
         src, tgt, np.stack(np.unravel_index(codes, (C, C, C)), axis=1),
         params.inlier_threshold)
-    counts = np.zeros(T, dtype=int)
-    counts[distinct] = inliers.sum(axis=1)[of_trial]
+    counts = inliers.sum(axis=1)[of_trial]
     best = int(np.argmax(counts))
     if counts[best] < 3:
         return RegistrationResult(RigidPose.identity(), RMSE_INF, 0.0, False, params.trials)
 
-    mask = inliers[of_trial[np.count_nonzero(distinct[:best])]]
+    mask = inliers[of_trial[best]]
     Rb, tb = kabsch(src[mask], tgt[mask])
     resid = src[mask] @ Rb.T + tb - tgt[mask]
     rmse = float(np.sqrt(np.mean(np.sum(resid ** 2, axis=1))))

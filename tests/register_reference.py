@@ -5,9 +5,12 @@
 loop, describes every ordered pair (i, j) on its own with a frozen copy of
 the Darboux-feature step (``ref_pair_features``), and aggregates them with a
 row-indexed ``np.add.at``. ``ref_ransac_register`` fits every one of its
-hypotheses with a batched SVD and scores it by moving every correspondence
-under every hypothesis with one ``einsum`` into a (trials, C, 3) array and
-taking its norm. ``ref_mutual_correspondences`` queries every target
+hypotheses with a batched SVD (``ref_fit_svd``) and scores it by moving every
+correspondence under every hypothesis with one ``einsum`` into a (trials, C,
+3) array and taking its norm; a hypothesis whose three draws repeat, or
+whose source or target triangle is thin (``ref_thin``), scores none.
+``ref_trial_inliers`` scores fits one output axis at a time.
+``ref_mutual_correspondences`` queries every target
 descriptor back. ``ref_icp_refine`` queries the target's k-d tree for every
 point in every iteration.
 """
@@ -108,6 +111,39 @@ def ref_mutual_correspondences(desc_src, desc_tgt):
     return src_ok[mutual], tgt_ok[fwd[mutual]]
 
 
+def ref_fit_svd(H, ca, cb):
+    """Each H's least-squares rotation R = V diag(1, 1, sign det(V U^T)) U^T
+    from its SVD, and t = cb - R ca."""
+    U, _, Vt = np.linalg.svd(H)
+    det = np.linalg.det(np.einsum("tij,tjk->tik", Vt.transpose(0, 2, 1),
+                                  U.transpose(0, 2, 1)))
+    D = np.repeat(np.eye(3)[None], len(H), axis=0).copy()
+    D[:, 2, 2] = np.sign(det)
+    R = np.einsum("tij,tjk,tkl->til", Vt.transpose(0, 2, 1), D,
+                  U.transpose(0, 2, 1))
+    return R, cb - np.einsum("tij,tj->ti", R, ca)
+
+
+def ref_trial_inliers(R, t, src, tgt, threshold):
+    """(T, C) mask |R[k] @ src[c] + t[k] - tgt[c]| <= threshold, residuals
+    formed one output axis at a time and summed left to right."""
+    sq = 0.0
+    for i in range(3):
+        r = (R[:, i, 0, None] * src[:, 0] + R[:, i, 1, None] * src[:, 1]
+             + R[:, i, 2, None] * src[:, 2] + t[:, i, None] - tgt[:, i])
+        sq = sq + r * r
+    return np.sqrt(sq) <= threshold
+
+
+def ref_thin(p):
+    """(T,) True where the triangle of (T, 3, 3) points p has twice its
+    area, |(b - a) x (c - b)|, at most 1e-3 of its longest edge squared."""
+    edges = p[:, [1, 2, 0]] - p
+    twice_area = np.linalg.norm(np.cross(edges[:, 0], edges[:, 1]), axis=1)
+    longest = np.max(np.linalg.norm(edges, axis=2), axis=1) ** 2
+    return ~(twice_area > 1e-3 * longest)
+
+
 def ref_ransac_register(source, target, source_desc, target_desc,
                         params=RansacParams()):
     """RANSAC registration as ``ransac_register`` computed it with einsum."""
@@ -128,18 +164,12 @@ def ref_ransac_register(source, target, source_desc, target_desc,
     ca = a.mean(axis=1, keepdims=True)
     cb = b.mean(axis=1, keepdims=True)
     H = np.einsum("tki,tkj->tij", a - ca, b - cb)
-    U, _, Vt = np.linalg.svd(H)
-    det = np.linalg.det(np.einsum("tij,tjk->tik", Vt.transpose(0, 2, 1),
-                                  U.transpose(0, 2, 1)))
-    D = np.repeat(np.eye(3)[None], T, axis=0).copy()
-    D[:, 2, 2] = np.sign(det)
-    R = np.einsum("tij,tjk,tkl->til", Vt.transpose(0, 2, 1), D,
-                  U.transpose(0, 2, 1))
-    t = cb[:, 0, :] - np.einsum("tij,tj->ti", R, ca[:, 0, :])
+    R, t = ref_fit_svd(H, ca[:, 0, :], cb[:, 0, :])
+    scored = distinct & ~ref_thin(a) & ~ref_thin(b)
 
     moved = np.einsum("tij,cj->tci", R, src) + t[:, None, :]
     dists = np.linalg.norm(moved - tgt[None], axis=2)
-    inliers = (dists <= params.inlier_threshold) & distinct[:, None]
+    inliers = (dists <= params.inlier_threshold) & scored[:, None]
     counts = inliers.sum(axis=1)
     best = int(np.argmax(counts))
     if counts[best] < 3:

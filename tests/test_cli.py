@@ -447,6 +447,19 @@ def _drop_10_triangles(mesh):
     return TriangleMesh(mesh.vertices, mesh.triangles[10:], mesh.vertex_colors)
 
 
+def _blank_cube_depth(scene):
+    # NaN depth on half of the cube mask's pixels and zero on the rest;
+    # save_depth_raw would write the NaNs as zeros
+    path = scene / "depth.f32"
+    depth = load_depth_raw(path).values.astype("<f4")
+    rows, cols = np.nonzero(load_mask_pgm(scene / "mask_cube.pgm").values)
+    half = len(rows) // 2
+    depth[rows[:half], cols[:half]] = np.nan
+    depth[rows[half:], cols[half:]] = 0.0
+    header = path.read_bytes().split(b"\n", 1)[0]
+    path.write_bytes(header + b"\n" + depth.tobytes())
+
+
 def _crop_rgb(path, size):
     save_color_ppm(path, ColorImage(load_color_ppm(path).values[:size, :size]))
 
@@ -485,9 +498,11 @@ def _verb_failures(scene, tmp_path, capsys, verbs):
      "segmentation-load", "image-size-mismatch:rgb.ppm is 120x120, camera "),
     ("cube-onto-cube", lambda scene: _crop_mask(scene / "mask_cube.pgm", 150),
      "segmentation-load",
-     "image-size-mismatch:mask_cube.pgm is 150x150, camera ")],
+     "image-size-mismatch:mask_cube.pgm is 150x150, camera "),
+    ("cube-onto-cube", _blank_cube_depth, "segmentation-load",
+     "empty-mask:cube")],
     ids=["truncated-depth", "50-pixel-cup-mask", "flat-cup-mesh",
-         "120px-rgb", "150px-cube-mask"])
+         "120px-rgb", "150px-cube-mask", "nan-and-zero-cube-depth"])
 def test_bad_observation_fails_segmentation_load_under_every_verb(
         tmp_path, capsys, task, damage, stage, reason):
     scene = tmp_path / "scene"
@@ -513,6 +528,45 @@ def test_non_watertight_mesh_fails_simulation(tmp_path, capsys, name):
     seen = _verb_failures(scene, tmp_path, capsys, ("plan", "simulate"))
     assert seen["plan"] == seen["simulate"] == [
         "simulation", "non-watertight-mesh"]
+
+
+def _edit_spec(scene, edit):
+    path = scene / "scene.json"
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+
+
+def test_plan_fails_grasp_on_a_bad_grasp_file_record(tmp_path, capsys):
+    # a record with a field that is not a number fails the grasp stage,
+    # naming the file and line, with the report written
+    scene = tmp_path / "scene"
+    assert main(["gen-scene", "--task", "cup-on-box", "--seed", "0",
+                 "--out", str(scene)]) == EXIT_OK
+    (scene / "grasps.txt").write_text(
+        "# qw qx qy qz tx ty tz gx gy gz width confidence\n"
+        "1 0 0 0 0 0 0 x 0 0 0.04 0.5\n")
+    _edit_spec(scene, lambda doc: doc.update(grasps="grasps.txt"))
+    seen = _verb_failures(scene, tmp_path, capsys, ("plan",))
+    assert seen["plan"] == [
+        "grasp", f"{scene / 'grasps.txt'}:2: could not convert string to "
+        "float: 'x'"]
+
+
+def test_plan_fails_select_when_no_strategy_meets_the_goal(tmp_path, capsys):
+    # no strategy puts the cup inside the box: every label is negative, the
+    # GP is degenerate and select finds no positive strategy
+    scene = tmp_path / "scene"
+    assert main(["gen-scene", "--task", "cup-on-box", "--seed", "0",
+                 "--out", str(scene)]) == EXIT_OK
+    _edit_spec(scene, lambda doc: doc.update(
+        goal={"predicate": "inside", "args": ["cup", "box"]}))
+    seen = _verb_failures(scene, tmp_path, capsys, ("plan",))
+    assert seen["plan"] == ["select", "no-positive-strategy"]
+    doc = json.loads((tmp_path / "plan" / "report.json").read_text())
+    labels = doc["data"]["labels"]
+    assert (labels["positive"], labels["total"]) == (0, 45)
+    assert doc["data"]["gp"]["degenerate"] is True
 
 
 def test_plan_fails_region_on_an_empty_region_mask(scene_dir, tmp_path,

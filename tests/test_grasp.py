@@ -86,11 +86,28 @@ def test_candidate_file_roundtrip(tmp_path):
         assert a.confidence == pytest.approx(b.confidence, abs=1e-6)
 
 
-def test_candidate_file_rejects_bad_rows(tmp_path):
+GOOD_ROW = "1 0 0 0 0 0 0 0 0 0 0.04 0.5"
+
+
+@pytest.mark.parametrize("row, reason", [
+    ("1 0 0 0 0 0 0 0 0 0 0.04", "expected 12 fields, got 11"),
+    ("1 0 0 0 x 0 0 0 0 0 0.04 0.5", "could not convert string to float"),
+    ("1 1 0 0 0 0 0 0 0 0 0.04 0.5", "quaternion is not unit norm"),
+    ("1 0 0 0 0 0 nan 0 0 0 0.04 0.5", "non-finite translation"),
+    ("1 0 0 0 0 0 0 0 inf 0 0.04 0.5", "grasp point must be finite"),
+    ("1 0 0 0 0 0 0 0 0 0 nan 0.5", "grasp width must be finite"),
+    ("1 0 0 0 0 0 0 0 0 0 0.04 nan", "grasp confidence must be finite"),
+    ("1 0 0 0 0 0 0 0 0 0 0.04 -1", "grasp confidence must be finite")],
+    ids=["11-fields", "not-a-number", "non-unit-quaternion",
+         "nan-translation", "inf-point", "nan-width", "nan-confidence",
+         "negative-confidence"])
+def test_candidate_file_rejects_bad_rows(tmp_path, row, reason):
+    # every bad record is a RejectedInput naming its file and line
     path = tmp_path / "bad.txt"
-    path.write_text("1 0 0 0 0 0 0 0 0 0 0.04\n")  # 11 fields
-    with pytest.raises(RejectedInput):
+    path.write_text(f"# header\n{GOOD_ROW}\n{row}\n")
+    with pytest.raises(RejectedInput) as err:
         load_grasp_candidates(path)
+    assert str(err.value).startswith(f"{path}:3: {reason}")
 
 
 def test_synthetic_provider_on_cloud():

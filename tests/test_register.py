@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -11,7 +9,7 @@ from twinforge import register
 from twinforge.errors import RejectedInput, StageFailureError
 from twinforge.geometry import PointCloud, RigidPose, sample_mesh_surface
 from twinforge.register import (AlignConfig, IcpParams, Neighbours,
-                                RansacParams, _trial_inliers, alignment_success,
+                                RMSE_INF, RansacParams, alignment_success,
                                 compute_fpfh, estimate_normals, estimate_scale,
                                 icp_refine, kabsch, mutual_correspondences,
                                 ransac_register, two_stage_align)
@@ -19,7 +17,8 @@ from twinforge.synth import make_ramp, synthetic_observation
 
 from register_reference import (ref_compute_fpfh, ref_icp_refine,
                                 ref_mutual_correspondences, ref_pair_features,
-                                ref_ransac_register)
+                                ref_fit_svd, ref_ransac_register,
+                                ref_trial_inliers)
 
 
 def _aabb_corner_cloud(extents):
@@ -443,83 +442,14 @@ def _check_ransac_against_reference(n, seed, zero, noise, trials):
         (want.rmse, want.inlier_fraction, want.converged, want.iterations)
 
 
-def _scalar_distance(R, t, p, q):
-    """|R p + t - q| in Python floats, summed left to right axis by axis."""
-    sq = 0.0
-    for i in range(3):
-        r = R[i][0] * p[0] + R[i][1] * p[1] + R[i][2] * p[2] + t[i] - q[i]
-        sq += r * r
-    return math.sqrt(sq)
-
-
-@settings(max_examples=40, deadline=None)
-@given(trials=st.integers(1, 1300), c=st.integers(1, 60),
-       seed=st.integers(0, 2**16))
-def test_trial_inliers_sum_left_to_right(trials, c, seed):
-    # a threshold equal to one element's scalar distance keeps that element
-    # and the next float below drops it, so each distance is pinned to the
-    # bit; trial counts above one block cross blocks
-    rng = np.random.default_rng(seed)
-    R = np.array([quat.quat_to_matrix(quat.random_quat(rng))
-                  for _ in range(trials)])
-    t = rng.normal(scale=0.05, size=(trials, 3))
-    src = rng.normal(scale=0.05, size=(c, 3))
-    tgt = rng.normal(scale=0.05, size=(c, 3))
-    for k, j in zip(rng.integers(0, trials, 6), rng.integers(0, c, 6)):
-        d = _scalar_distance(R[k].tolist(), t[k].tolist(), src[j].tolist(),
-                             tgt[j].tolist())
-        assert _trial_inliers(R, t, src, tgt, d)[k, j]
-        assert not _trial_inliers(R, t, src, tgt, np.nextafter(d, 0.0))[k, j]
-
-
-def _svd_triple_inliers(src, tgt, triples, threshold):
-    """Each triple's masks from the batched SVD fit of every triple, scored
-    by ``_trial_inliers``: what ``_triple_inliers`` must reproduce."""
-    a, b = src[triples], tgt[triples]
-    ca, cb = a.mean(axis=1, keepdims=True), b.mean(axis=1, keepdims=True)
-    H = np.einsum("tki,tkj->tij", a - ca, b - cb)
-    R, t = register._fit_svd(H, ca[:, 0], cb[:, 0])
-    return R, t, _trial_inliers(R, t, src, tgt, threshold)
-
-
-@settings(max_examples=40, deadline=None)
-@given(c=st.integers(3, 60), trials=st.integers(1, 1300),
-       seed=st.integers(0, 2**16))
-def test_triple_inliers_decide_exact_thresholds_as_the_svd_fit(c, trials,
-                                                               seed):
-    # the threshold is one correspondence's exact distance under one
-    # triple's SVD fit, so that decision lies inside the band and is
-    # decided again; the next float below flips it
-    rng = np.random.default_rng(seed)
-    src = rng.normal(scale=0.05, size=(c, 3)) + [0.1, -0.05, 0.6]
-    move = RigidPose(quat.random_quat(rng), rng.uniform(-0.05, 0.05, 3))
-    tgt = move.apply(src) + rng.normal(scale=0.01, size=(c, 3))
-    triples = np.unique(rng.integers(0, c, size=(trials, 3)), axis=0)
-    triples = triples[(triples[:, 0] != triples[:, 1])
-                      & (triples[:, 0] != triples[:, 2])
-                      & (triples[:, 1] != triples[:, 2])]
-    assume(len(triples))
-    R, t, _ = _svd_triple_inliers(src, tgt, triples, 1.0)
-    for k, j in zip(rng.integers(0, len(triples), 4), rng.integers(0, c, 4)):
-        d = _scalar_distance(R[k].tolist(), t[k].tolist(), src[j].tolist(),
-                             tgt[j].tolist())
-        kept = []
-        for threshold in (d, np.nextafter(d, 0.0)):
-            want = _svd_triple_inliers(src, tgt, triples, threshold)[2]
-            got = register._triple_inliers(src, tgt, triples, threshold)
-            assert np.array_equal(got, want)
-            kept.append(got[k, j])
-        assert kept == [True, False]
-
-
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**16), scale=st.sampled_from([1e-3, 0.05, 2.0]),
        noise=st.sampled_from([0.0, 1e-3, 0.3]))
-def test_closed_form_fit_is_within_its_bound_of_the_svd_fit(seed, scale,
-                                                            noise):
-    # random triangles and noisy moved copies: the SVD oracle's rotation
-    # lies within the closed form's certified bound, and a triple that is
-    # not badly conditioned is certified
+def test_closed_form_fit_is_the_svd_fit_where_h_is_well_conditioned(
+        seed, scale, noise):
+    # random triangles and noisy moved copies: wherever H's second singular
+    # value exceeds 1e-3 of its first, the closed-form rotation lies within
+    # 1e-9 of the SVD oracle's
     rng = np.random.default_rng(seed)
     a = rng.normal(scale=scale, size=(300, 3, 3))
     move = quat.quat_to_matrix(quat.random_quat(rng))
@@ -527,29 +457,48 @@ def test_closed_form_fit_is_within_its_bound_of_the_svd_fit(seed, scale,
     a -= a.mean(axis=1, keepdims=True)
     b -= b.mean(axis=1, keepdims=True)
     H = np.einsum("tki,tkj->tij", a, b)
-    R, err = register._fit_closed_form(H)
-    R_svd, _ = register._fit_svd(H, np.zeros((300, 3)), np.zeros((300, 3)))
     s = np.linalg.svd(H, compute_uv=False)
     well = s[:, 1] > 1e-3 * s[:, 0]
-    certified = err <= register._FIT_TOLERANCE
-    assert certified[well].all()
-    gap = np.linalg.norm(R - R_svd, ord=2, axis=(1, 2))
-    assert np.all(gap[certified] <= err[certified])
-    assert np.allclose(np.linalg.det(R[certified]), 1.0)
+    R = register._fit_closed_form(H)[well]
+    R_svd, _ = ref_fit_svd(H[well], np.zeros((well.sum(), 3)),
+                           np.zeros((well.sum(), 3)))
+    assert np.all(np.linalg.norm(R - R_svd, ord=2, axis=(1, 2)) <= 1e-9)
+    assert np.allclose(np.linalg.det(R), 1.0)
 
 
-def test_closed_form_fit_flags_degenerate_triples():
-    # collinear and coincident points leave a rotation free: no bound, so
-    # RANSAC fits them with the SVD
-    rng = np.random.default_rng(0)
-    line = (np.array([0.0, 1.0, 2.5])[None, :, None]
-            * rng.normal(scale=0.05, size=(20, 1, 3)) + rng.normal(size=(20, 1, 3)))
-    point = np.tile(rng.normal(size=(1, 1, 3)), (1, 3, 1))
-    for a in (line, point):
-        b = a + rng.normal(scale=1e-3, size=a.shape)
-        a, b = a - a.mean(axis=1, keepdims=True), b - b.mean(axis=1, keepdims=True)
-        _, err = register._fit_closed_form(np.einsum("tki,tkj->tij", a, b))
-        assert not np.any(err <= register._FIT_TOLERANCE)
+def test_thin_triples_count_no_inliers():
+    # a moved copy of a cloud whose triples 0-2 are collinear, 3-5
+    # coincident and 6-8 hold a duplicated point: the SVD fit of each maps
+    # its own three points onto their targets, yet none of them scores;
+    # the last triple is a fair triangle and scores
+    rng = np.random.default_rng(3)
+    src = rng.normal(scale=0.05, size=(40, 3))
+    src[1] = src[0] + 0.4 * (src[2] - src[0])
+    src[4] = src[5] = src[3]
+    src[7] = src[6]
+    tgt = RigidPose(quat.random_quat(rng), [0.02, -0.01, 0.03]).apply(src)
+    triples = np.array([[0, 1, 2], [3, 4, 5], [6, 7, 8], [9, 10, 11]])
+    a, b = src[triples], tgt[triples]
+    ca, cb = a.mean(axis=1, keepdims=True), b.mean(axis=1, keepdims=True)
+    R, t = ref_fit_svd(np.einsum("tki,tkj->tij", a - ca, b - cb),
+                       ca[:, 0], cb[:, 0])
+    would = ref_trial_inliers(R, t, src, tgt, 0.015)
+    assert np.all(would[np.arange(4)[:, None], triples])
+    for s, g in ((src, tgt), (tgt, src)):
+        got = register._triple_inliers(s, g, triples, 0.015)
+        assert not got[:3].any()
+        assert got[3].sum() == len(src)
+
+
+def test_ransac_over_collinear_correspondences_finds_no_model():
+    # every triangle of points on one line is thin, so no trial scores
+    rng = np.random.default_rng(4)
+    pts = np.outer(rng.uniform(-0.1, 0.1, 60), [0.6, -0.8, 0.0]) + 0.3
+    moved = RigidPose(quat.random_quat(rng), [0.01, 0.02, 0.0]).apply(pts)
+    desc = rng.random((60, 33))
+    res = ransac_register(PointCloud(pts), PointCloud(moved), desc, desc)
+    assert (res.rmse, res.inlier_fraction, res.converged) == \
+        (RMSE_INF, 0.0, False)
 
 
 def test_ransac_matches_einsum_reference_on_alignment_clouds():
@@ -704,15 +653,6 @@ def test_ransac_params_validation(bad):
     with pytest.raises(RejectedInput):
         RansacParams(**bad)
     RansacParams(trials=np.int64(3), inlier_threshold=1, seed=np.int64(0))
-
-
-@pytest.mark.parametrize("threshold", [
-    5e-324, 1e-300, 1e-160, 1e-10, 0.015, 1.0, 3.0, 1e154, 1e200,
-    np.finfo(float).max])
-def test_squared_limit_is_the_last_square_within_the_threshold(threshold):
-    s = register._squared_limit(threshold)
-    assert math.sqrt(s) <= threshold
-    assert math.sqrt(math.nextafter(s, math.inf)) > threshold
 
 
 def test_alignment_success_thresholds():
