@@ -5,16 +5,20 @@ gravity, seen from the camera: six rests, each under evenly spaced yaws.
 The search is coarse to fine. It first scores every
 ``COARSE_YAW_STEP``-th yaw of each rest, then the yaws around the
 ``COARSE_TOP`` best of those, and keeps the best pose scored. A level is
-one ``render_batch`` (each hypothesis drawn into its own small image,
-exactly as ``render`` would draw it alone), one batched description of
-the stack by appearance feature vectors, and one cosine similarity per
-vector against the (masked) observation's. The winner seeds the fine
-registration stage with a rendered partial cloud.
+scored one ``render_batch`` pass at a time: the pass draws each hypothesis
+into its own small luminance image (exactly the luminance of ``render``'s
+colour for it alone), the stack is described by appearance feature
+vectors, and each vector gets one cosine similarity against the (masked)
+observation's. So the search's memory does not grow with the hypothesis
+count. The winner seeds the fine registration stage with a rendered
+partial cloud.
 
-The batched descriptors and similarities are bit-identical to describing
-and scoring one image at a time, so a scored hypothesis's similarity
-never depends on how the hypotheses are batched or which others are
-scored.
+The observation is an RGB image; ``grid_descriptor`` checks it and takes
+its luminance. Rendered hypotheses arrive as luminance and go straight to
+the descriptor's core, unchecked. The batched descriptors and similarities
+are bit-identical to describing and scoring one image at a time, so a
+scored hypothesis's similarity never depends on how the hypotheses are
+batched or which others are scored.
 """
 
 from __future__ import annotations
@@ -28,7 +32,8 @@ from . import quaternions as quat
 from .camera import BinaryMask, CameraIntrinsics, ColorImage, backproject
 from .errors import RejectedInput, check_int
 from .geometry import PointCloud, RigidPose, TriangleMesh
-from .render import BACKGROUND, render, render_batch
+from .render import (_LUMA, BACKGROUND, poses_per_pass, render,
+                     render_batch)
 from .strategy import rest_yaw_grid
 
 DESCRIPTOR_GRID = 8          # cells per side
@@ -38,9 +43,6 @@ COARSE_YAW_STEP = 4          # the first search level scores every 4th yaw
 COARSE_TOP = 16              # first-level poses whose near yaws come next
 _RESIZE_TO = 32
 
-_LUMA = np.array([0.299, 0.587, 0.114])
-_SOBEL = np.array([[-1, 0, 1], [-2, 0, 2], [-1, 0, 1]], dtype=float)
-_PAD_IDX = np.clip(np.arange(-1, _RESIZE_TO + 1), 0, _RESIZE_TO - 1)
 _CELL_IDX = ((np.arange(_RESIZE_TO)[:, None] // (_RESIZE_TO // DESCRIPTOR_GRID))
              * DESCRIPTOR_GRID
              + np.arange(_RESIZE_TO)[None, :] // (_RESIZE_TO // DESCRIPTOR_GRID))
@@ -114,25 +116,41 @@ def grid_descriptor(images) -> np.ndarray:
         raise RejectedInput(f"need a (B, H, W, 3) image stack, got {images.shape}")
     if not np.all(np.isfinite(images)):
         raise RejectedInput("images must be finite")
-    B = len(images)
-    small = _area_resize(images @ _LUMA, _RESIZE_TO, _RESIZE_TO)
+    return _describe(images @ _LUMA)
 
-    padded = small[:, _PAD_IDX][:, :, _PAD_IDX]  # edge-replicating pad by one
-    # zero taps add an exact zero, so skipping them leaves every sum unchanged
-    gx = np.zeros_like(small)
-    gy = np.zeros_like(small)
-    for dy in range(3):
-        for dx in range(3):
-            block = padded[:, dy:dy + _RESIZE_TO, dx:dx + _RESIZE_TO]
-            for grad, k in ((gx, _SOBEL[dy, dx]), (gy, _SOBEL[dx, dy])):
-                if k:
-                    grad += k * block
+
+def _describe(lum) -> np.ndarray:
+    """``grid_descriptor`` of the images whose luminance is the C-contiguous
+    (B, H, W) stack ``lum``, taken as valid."""
+    B, R = len(lum), _RESIZE_TO
+    small = _area_resize(lum, R, R)
+
+    # Sobel on one edge-replicating copy, in place; each sum adds its taps
+    # in the kernel's row-major order, from 0, and a weight-2 tap as c + c
+    padded = np.pad(small, ((0, 0), (1, 1), (1, 1)), mode="edge")
+
+    def tap(dy, dx):
+        return padded[:, dy:dy + R, dx:dx + R]
+
+    twice = np.empty_like(small)
+    gx = np.subtract(0.0, tap(0, 0))
+    gx += tap(0, 2)
+    gx -= np.add(tap(1, 0), tap(1, 0), out=twice)
+    gx += np.add(tap(1, 2), tap(1, 2), out=twice)
+    gx -= tap(2, 0)
+    gx += tap(2, 2)
+    gy = np.subtract(0.0, tap(0, 0))
+    gy -= np.add(tap(0, 1), tap(0, 1), out=twice)
+    gy -= tap(0, 2)
+    gy += tap(2, 0)
+    gy += np.add(tap(2, 1), tap(2, 1), out=twice)
+    gy += tap(2, 2)
     mag = np.hypot(gx, gy)
     orient = np.arctan2(gy, gx)  # [-pi, pi]
     bins = np.clip(((orient + np.pi) / (2 * np.pi) * DESCRIPTOR_BINS).astype(int),
                    0, DESCRIPTOR_BINS - 1)
 
-    cell = _RESIZE_TO // DESCRIPTOR_GRID
+    cell = R // DESCRIPTOR_GRID
     nhist = DESCRIPTOR_GRID ** 2 * DESCRIPTOR_BINS
     slots = np.arange(B)[:, None, None] * nhist + _CELL_IDX * DESCRIPTOR_BINS + bins
     hists = np.bincount(slots.ravel(), weights=mag.ravel(), minlength=B * nhist)
@@ -222,19 +240,26 @@ def select_coarse_pose(mesh: TriangleMesh, hypotheses, anchor,
 
     Hypotheses are rendered as the poses they become, at a scoring
     resolution capped at 40 px per side (the descriptor resamples to 32x32
-    regardless), and each level is described as one stack and scored in
-    one pass. Only the winner is made a pose; its rendered depth is
-    back-projected at full resolution into the stage-2 partial cloud."""
+    regardless), and each level is rendered, described and scored one
+    ``render_batch`` pass at a time, so memory stays flat however many
+    hypotheses there are. Only the winner is made a pose; its rendered depth
+    is back-projected at full resolution into the stage-2 partial cloud."""
     yaws = hypotheses.shape[1]
     obs_feat = grid_descriptor(
         mask_observation(observation, obs_mask).values[None])[0]
     small = _scoring_intrinsics(intrinsics)
+    per_pass = poses_per_pass(small)
 
     def score(cells):
-        views = render_batch(mesh, _unit_rows([hypotheses[c] for c in cells]),
-                             np.broadcast_to(anchor, (len(cells), 3)), small)
-        return dict(zip(cells, _cosine_similarities(
-            grid_descriptor(views.rgb), obs_feat).tolist()))
+        sims = {}
+        for c0 in range(0, len(cells), per_pass):
+            chunk = cells[c0:c0 + per_pass]
+            lum = render_batch(mesh, _unit_rows([hypotheses[c] for c in chunk]),
+                               np.broadcast_to(anchor, (len(chunk), 3)), small)
+            sims.update(zip(chunk, _cosine_similarities(
+                _describe(lum), obs_feat).tolist()))
+            del lum  # freed before the next pass draws its own stack
+        return sims
 
     sims = score([(r, y) for r in range(6)
                   for y in range(0, yaws, COARSE_YAW_STEP)])

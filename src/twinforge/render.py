@@ -5,7 +5,7 @@ top-left edge ownership, per-triangle near-plane rejection and headlight
 Lambertian shading. Depth is interpolated perspective-correctly (linear in
 1/z), so per-pixel depth matches ray casting up to floating-point error.
 
-The one rasterizer core, ``_rasterize``, is coordinate-major: it splits its
+The one rasterizer core, ``_winners``, is coordinate-major: it splits its
 input once into contiguous 1-D arrays (vertex x, y and z, projected u and v,
 triangle corners i0, i1 and i2), so every per-triangle and per-fragment step
 is an elementwise op on 1-D arrays. Each face's normal is computed once and
@@ -17,15 +17,17 @@ row range and each interval are widened by a slack far above float
 rounding, and only the pixels inside become fragments. Every fragment still
 runs the exact edge-function test (Pineda 1988), so coverage is the same as
 testing the whole bounding box. Colour is interpolated only for the
-fragment that wins each pixel.
+fragment that wins each pixel, and the core returns just those fragments;
+``_rasterize`` paints them into depth, colour and id buffers.
 
 ``render`` (one mesh) and ``render_scene`` (meshes in the world, seen from a
 camera pose) draw every face and return one ``RenderedView``; both build the
 core's input with ``_assemble``. ``render_batch`` renders one mesh under
-pose arrays, culling back faces: it stacks the posed mesh into one input
-per pass, the core draws each pose alone into its own image of a stack, and
-the stacks come back as C-contiguous (B, H, W, 3) colour and (B, H, W)
-depth. All three are pure functions.
+pose arrays, culling back faces, for the coarse search, which reads only
+luminance: it stacks the posed mesh into one input per pass, the core draws
+each pose alone into its own image of a stack, and the pass keeps only each
+pixel's luminance, so the result is one C-contiguous (B, H, W) stack with
+no colour, depth or id image. All three are pure functions.
 """
 
 from __future__ import annotations
@@ -42,13 +44,16 @@ from .geometry import RigidPose, TriangleMesh
 NEAR = 0.01                     # triangles touching z <= NEAR are dropped
 BACKGROUND = (0.5, 0.5, 0.5)
 AMBIENT = 0.25
+# Rec. 601 luma weights: the luminance of an RGB colour c is c @ _LUMA
+_LUMA = np.array([0.299, 0.587, 0.114])
+_BACKGROUND_LUMA = np.array(BACKGROUND) @ _LUMA
 # row-span widening, in px per px of the triangle's largest coordinate: the
 # float error of an edge crossing is ~1e-15 of that, so no pixel that passes
 # the exact edge test falls outside its span
 _SPAN_SLACK = 1e-6
 # one render_batch pass draws at most this many poses, and no more than
 # fill this many pixels (but always one), which bounds its buffers
-_MAX_IMAGES = 64
+_MAX_IMAGES = 32
 _MAX_PIXELS = 256 * 256
 
 
@@ -87,11 +92,30 @@ def _rasterize(vertices_cam, triangles, vertex_colors, tri_object_ids,
     """
     H, W = intrinsics.height, intrinsics.width
     shape = (H, W) if images is None else (images, H, W)
+    pix, z, tri, rgb = _winners(vertices_cam, triangles, vertex_colors,
+                                tri_object_ids, intrinsics, cull, images)
     depth_buf = np.full(shape, np.inf)
+    depth_buf.reshape(-1)[pix] = z
     color_buf = np.empty(shape + (3,))
     # filled a whole image row at a time: a 3-wide broadcast is much slower
     color_buf.reshape(-1, 3 * W)[:] = np.tile(BACKGROUND, W)
+    color_buf.reshape(-1, 3)[pix] = rgb
     id_buf = np.full(shape, -1, dtype=np.int64)
+    id_buf.reshape(-1)[pix] = tri_object_ids[tri]
+    return depth_buf, color_buf, id_buf
+
+
+_NO_WINNERS = (np.empty(0, dtype=np.int64), np.empty(0),
+               np.empty(0, dtype=np.int64), np.empty((0, 3)))
+
+
+def _winners(vertices_cam, triangles, vertex_colors, tri_object_ids,
+             intrinsics, cull, images):
+    """The fragment that wins each covered pixel, as ``_rasterize`` draws
+    it: (pixel index into the flat image or stack, depth, triangle index,
+    (N, 3) C-contiguous clipped colour), one row per covered pixel."""
+    H, W = intrinsics.height, intrinsics.width
+    n_pix = H * W * (1 if images is None else images)
 
     # coordinate-major input: one contiguous 1-D array per coordinate
     x, y, z = (np.ascontiguousarray(c) for c in vertices_cam.T)
@@ -100,7 +124,7 @@ def _rasterize(vertices_cam, triangles, vertex_colors, tri_object_ids,
     front = z > NEAR
     live = np.flatnonzero(front[i0] & front[i1] & front[i2])
     if len(live) == 0:
-        return depth_buf, color_buf, id_buf
+        return _NO_WINNERS
     i0, i1, i2 = i0[live], i1[live], i2[live]
     # projection of the vertices in front; the others are never read
     zf = np.where(front, z, 1.0)
@@ -125,7 +149,7 @@ def _rasterize(vertices_cam, triangles, vertex_colors, tri_object_ids,
                             axis=1)
         facing = np.flatnonzero(np.einsum("ij,ij->i", n, centroid) < 0.0)
         if len(facing) == 0:
-            return depth_buf, color_buf, id_buf
+            return _NO_WINNERS
         i0, i1, i2, live, n = (a[facing] for a in (i0, i1, i2, live, n))
     nn = np.sqrt(np.einsum("ij,ij->i", n, n))
 
@@ -155,7 +179,7 @@ def _rasterize(vertices_cam, triangles, vertex_colors, tri_object_ids,
     ok = np.flatnonzero((area2 > 0.0) & (nn > 0.0) & (xmin <= xmax)
                         & (ymin <= ymax))
     if len(ok) == 0:
-        return depth_buf, color_buf, id_buf
+        return _NO_WINNERS
     i0, i1, i2, live, n, nn, area2, slack = (
         a[ok] for a in (i0, i1, i2, live, n, nn, area2, slack))
     xmin, xmax, ymin, ymax = (b[ok].astype(np.int64)
@@ -217,7 +241,7 @@ def _rasterize(vertices_cam, triangles, vertex_colors, tri_object_ids,
 
     inside = np.flatnonzero(inside)
     if len(inside) == 0:
-        return depth_buf, color_buf, id_buf
+        return _NO_WINNERS
     fid, fx, fy = fid[inside], fx[inside], fy[inside]
     a2 = area2[fid]
     w0, w1, w2 = (ek[inside] / a2 for ek in e)  # weights opposite p0, p1, p2
@@ -234,20 +258,19 @@ def _rasterize(vertices_cam, triangles, vertex_colors, tri_object_ids,
     pix = fy * W + fx
     if images is not None:
         pix += (tri_object_ids[live] * (H * W))[fid]
-    zmin = np.full(depth_buf.size, np.inf)
+    zmin = np.full(n_pix, np.inf)
     np.minimum.at(zmin, pix, z)
     closest = np.flatnonzero(z == zmin[pix])
-    first = np.full(depth_buf.size, len(z))
+    first = np.full(n_pix, len(z))
     np.minimum.at(first, pix[closest], closest)
     win = first[first < len(z)]
     win = win[np.isfinite(z[win])]
     fid, pix, z = fid[win], pix[win], z[win]
     w0, w1, w2 = w0[win], w1[win], w2[win]
 
-    depth_buf.reshape(-1)[pix] = z
-    id_buf.reshape(-1)[pix] = tri_object_ids[live[fid]]
     # colour, one channel at a time, for the winning fragments only
     shade = lambert[fid]
+    rgb = np.empty((len(fid), 3))
     for ch in range(3):
         if vertex_colors is None:
             c = np.full(len(fid), 0.8)
@@ -256,8 +279,8 @@ def _rasterize(vertices_cam, triangles, vertex_colors, tri_object_ids,
             c = (w0 * (col[i0] * inv_z_v[0])[fid]
                  + w1 * (col[i1] * inv_z_v[1])[fid]
                  + w2 * (col[i2] * inv_z_v[2])[fid]) * z
-        color_buf.reshape(-1)[ch::3][pix] = np.clip(c * shade, 0.0, 1.0)
-    return depth_buf, color_buf, id_buf
+        rgb[:, ch] = np.clip(c * shade, 0.0, 1.0)
+    return pix, z, live[fid], rgb
 
 
 def _assemble(meshes, verts_cam):
@@ -293,32 +316,29 @@ def render(mesh: TriangleMesh, pose: RigidPose,
     return _view([mesh], [pose.apply(mesh.vertices)], intrinsics)
 
 
-@dataclass(frozen=True)
-class RenderedBatch:
-    """One mesh rendered under B poses, as read-only stacks in pose order:
-    ``rgb`` is (B, H, W, 3) and ``depth`` (B, H, W) with 0 for background."""
-    rgb: np.ndarray
-    depth: np.ndarray
-
-    def __len__(self):
-        return len(self.rgb)
+def poses_per_pass(intrinsics: CameraIntrinsics) -> int:
+    """How many poses one ``render_batch`` pass draws at this image size:
+    up to 32, fewer for images over 2048 pixels, always at least one."""
+    return max(1, min(_MAX_IMAGES,
+                      _MAX_PIXELS // (intrinsics.width * intrinsics.height)))
 
 
 def render_batch(mesh: TriangleMesh, rotations, translations,
-                 intrinsics: CameraIntrinsics) -> RenderedBatch:
-    """Render one mesh under the poses of (B, 4) unit quaternion and (B, 3)
-    translation arrays into one image per pose.
+                 intrinsics: CameraIntrinsics) -> np.ndarray:
+    """The luminance of one mesh rendered under the poses of (B, 4) unit
+    quaternion and (B, 3) translation arrays, as one read-only C-contiguous
+    (B, H, W) stack in pose order.
 
     Amortizes the per-call rasterizer overhead: each rasterizer pass takes
-    the mesh under up to 64 poses (fewer for images over 1024 pixels) and
-    draws each pose alone into its own image of a stack. Back faces are
-    culled, so the mesh must be wound consistently outward, as every
-    built-in primitive is; image i is then the same, bit for bit, as
-    ``render`` of the ``RigidPose`` holding rotation i and translation i."""
+    the mesh under ``poses_per_pass`` poses and draws each pose alone into
+    its own image of a stack. Back faces are culled, so the mesh must be
+    wound consistently outward, as every built-in primitive is; image i is
+    then the same, bit for bit, as the (H, W, 3) colour of ``render`` of
+    the ``RigidPose`` holding rotation i and translation i, times
+    ``_LUMA``."""
     W, H = intrinsics.width, intrinsics.height
-    per_pass = max(1, min(_MAX_IMAGES, _MAX_PIXELS // (W * H)))
-    rgb = np.empty((len(rotations), H, W, 3))
-    depth = np.empty((len(rotations), H, W))
+    per_pass = poses_per_pass(intrinsics)
+    lum = np.empty((len(rotations), H, W))
     V, T = len(mesh.vertices), len(mesh.triangles)
     for c0 in range(0, len(rotations), per_pass):
         q, t = rotations[c0:c0 + per_pass], translations[c0:c0 + per_pass]
@@ -331,17 +351,14 @@ def render_batch(mesh: TriangleMesh, rotations, translations,
         tris = mesh.triangles + V * np.arange(B)[:, None, None]
         colors = (None if mesh.vertex_colors is None
                   else np.tile(mesh.vertex_colors, (B, 1)))
-        d, c, _ = _rasterize(vc.reshape(-1, 3), tris.reshape(-1, 3), colors,
-                             np.repeat(np.arange(B), T), intrinsics,
-                             cull=True, images=B)
-        depth[c0:c0 + B] = np.where(np.isfinite(d), d, 0.0)
-        rgb[c0:c0 + B] = c
-    # validated once, as one colour and one depth image over the stacked
-    # rows; the stacks stay C-contiguous, which grid_descriptor's rounding
-    # depends on
-    depth = DepthImage(depth.reshape(-1, W)).values.reshape(depth.shape)
-    rgb = ColorImage(rgb.reshape(-1, W, 3)).values.reshape(rgb.shape)
-    return RenderedBatch(rgb, depth)
+        pix, _, _, rgb = _winners(vc.reshape(-1, 3), tris.reshape(-1, 3),
+                                  colors, np.repeat(np.arange(B), T),
+                                  intrinsics, True, B)
+        out = lum[c0:c0 + B].reshape(-1)
+        out[:] = _BACKGROUND_LUMA
+        out[pix] = rgb @ _LUMA
+    lum.setflags(write=False)
+    return lum
 
 
 def render_scene(objects, view_pose: RigidPose,

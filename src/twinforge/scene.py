@@ -74,10 +74,18 @@ def _text(value):
     return value
 
 
-def _corner(value):
-    corner = tuple(float(x) for x in value)
+def _number(what, value):
+    """``value`` as a float if the JSON holds a number there; a string, a
+    bool or anything else raises TypeError naming ``what``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def _corner(what, value):
+    corner = tuple(_number(what, x) for x in value)
     if len(corner) != 3:
-        raise ValueError(f"workspace corner needs 3 values, got {value!r}")
+        raise ValueError(f"{what} needs 3 values, got {value!r}")
     return corner
 
 
@@ -97,11 +105,13 @@ def _sampler(section):
 
 
 def load_scene_spec(path) -> SceneSpec:
-    """Read a scene spec. A missing or mistyped field, a non-finite camera
-    value, an unknown role or goal predicate, a repeated object name, a goal
-    that names an undeclared object or takes the wrong number of them, a
-    workspace whose min exceeds its max on some axis, a seed that is not an
-    int >= 0, or a sampler key or value out of range raises RejectedInput."""
+    """Read a scene spec. A missing or mistyped field (a camera size that is
+    not an int >= 1, a camera or workspace number given as a string or a
+    bool), a non-finite camera value, an unknown role or goal predicate, a
+    repeated object name, a goal that names an undeclared object or takes
+    the wrong number of them, a workspace whose min exceeds its max on some
+    axis, a seed that is not an int >= 0, or a sampler key or value out of
+    range raises RejectedInput."""
     with open(path, "r") as f:
         doc = json.load(f)
     if not isinstance(doc, dict):
@@ -134,9 +144,9 @@ def load_scene_spec(path) -> SceneSpec:
 
 def _parse_scene_spec(doc, base_dir) -> SceneSpec:
     cam = doc["camera"]
-    intr = CameraIntrinsics(fx=float(cam["fx"]), fy=float(cam["fy"]),
-                            cx=float(cam["cx"]), cy=float(cam["cy"]),
-                            width=int(cam["width"]), height=int(cam["height"]))
+    intr = CameraIntrinsics(
+        *(_number(f"camera {k}", cam[k]) for k in ("fx", "fy", "cx", "cy")),
+        *(check_int(f"camera {k}", cam[k], 1) for k in ("width", "height")))
     objects = tuple(ObjectSpec(_text(o["name"]), _text(o["role"]),
                                _text(o["mesh"]), _text(o["mask"]),
                                _text(o.get("material", "default")))
@@ -152,7 +162,8 @@ def _parse_scene_spec(doc, base_dir) -> SceneSpec:
         objects=objects,
         instruction=_text(doc.get("instruction", "")),
         goal=(_text(goal["predicate"]), list(goal["args"])),
-        workspace=(_corner(ws[0]), _corner(ws[1])),
+        workspace=(_corner("workspace min", ws[0]),
+                   _corner("workspace max", ws[1])),
         grasps=None if grasps is None else _text(grasps),
         seed=check_int("seed", doc.get("seed", 0), 0),
         sampler=_sampler(doc.get("sampler", {})),

@@ -44,10 +44,16 @@ class _MeshBuilder:
         self._tol = weld_tol
 
     def vertex(self, p):
-        key = tuple(np.round(np.asarray(p, dtype=float) / self._tol).astype(np.int64))
+        # Python floats: round() rounds half to even, as np.round does
+        p = [float(c) for c in p]
+        try:
+            key = tuple(round(c / self._tol) for c in p)
+        except (ValueError, OverflowError):
+            # NaN, or too large to round: welds only to its exact copy
+            key = tuple(p)
         if key not in self._lookup:
             self._lookup[key] = len(self.verts)
-            self.verts.append(np.asarray(p, dtype=float))
+            self.verts.append(p)
         return self._lookup[key]
 
     def tri(self, a, b, c, label):
@@ -70,23 +76,25 @@ class _MeshBuilder:
 
     def build(self, colors=None, cell=0.02) -> TriangleMesh:
         verts = np.array(self.verts)
-        tris = np.array(self.tris, dtype=np.int64)
-        tris = _orient_outward(verts, tris)
+        tris = _orient_outward(verts, self.tris)
         vc = _checkerboard_colors(verts, colors, cell)
         return TriangleMesh(verts, tris, vc, face_labels=tuple(self.labels))
 
 
 def _orient_outward(verts, tris):
-    """Flip triangles so shared edges are traversed in opposite directions,
-    then make the global orientation outward (positive signed volume)."""
+    """Flip triangles, given as lists of three vertex indices, so shared
+    edges are traversed in opposite directions, then make the global
+    orientation outward (positive signed volume). Returns a (T, 3) array."""
+    def edges(t):
+        return ((t[0], t[1]), (t[1], t[2]), (t[2], t[0]))
+
     edge_map = {}
     for ti, t in enumerate(tris):
-        for k in range(3):
-            a, b = int(t[k]), int(t[(k + 1) % 3])
-            edge_map.setdefault((min(a, b), max(a, b)), []).append(ti)
+        for a, b in edges(t):
+            edge_map.setdefault((a, b) if a < b else (b, a), []).append(ti)
     n = len(tris)
-    out = tris.copy()
-    visited = np.zeros(n, dtype=bool)
+    out = list(tris)
+    visited = [False] * n
     for seed in range(n):
         if visited[seed]:
             continue
@@ -94,20 +102,17 @@ def _orient_outward(verts, tris):
         visited[seed] = True
         while stack:
             ti = stack.pop()
-            directed = {(int(out[ti][k]), int(out[ti][(k + 1) % 3])) for k in range(3)}
-            for k in range(3):
-                a, b = int(out[ti][k]), int(out[ti][(k + 1) % 3])
-                for tj in edge_map[(min(a, b), max(a, b))]:
+            directed = set(edges(out[ti]))
+            for a, b in edges(out[ti]):
+                for tj in edge_map[(a, b) if a < b else (b, a)]:
                     if tj == ti or visited[tj]:
                         continue
-                    other = {(int(out[tj][k2]), int(out[tj][(k2 + 1) % 3]))
-                             for k2 in range(3)}
-                    if directed & other:  # same direction -> inconsistent
-                        out[tj] = out[tj][::-1]
+                    if not directed.isdisjoint(edges(out[tj])):
+                        out[tj] = out[tj][::-1]  # same direction: inconsistent
                     visited[tj] = True
                     stack.append(tj)
-    mesh = TriangleMesh(verts, out)
-    if signed_volume(mesh) < 0:
+    out = np.array(out, dtype=np.int64)
+    if signed_volume(TriangleMesh(verts, out)) < 0:
         out = out[:, ::-1]
     return out
 

@@ -10,16 +10,18 @@ quaternion array. Kept only to cross-check ``grid_descriptor``,
 
 import numpy as np
 
-from twinforge.coarse import (_CELL_IDX, _LUMA, _PAD_IDX, _RESIZE_TO, _SOBEL,
-                              DESCRIPTOR_BINS, DESCRIPTOR_GRID,
-                              _cosine_similarities, _resize_weights,
-                              _scoring_intrinsics, grid_descriptor,
-                              mask_observation)
+from twinforge.coarse import (_CELL_IDX, _LUMA, _RESIZE_TO, DESCRIPTOR_BINS,
+                              DESCRIPTOR_GRID, _cosine_similarities, _describe,
+                              _resize_weights, _scoring_intrinsics,
+                              grid_descriptor, mask_observation)
 from twinforge import quaternions as quat
 from twinforge.errors import RejectedInput
 from twinforge.geometry import RigidPose
 from twinforge.render import render_batch
 from twinforge.strategy import UP, rest_orientations
+
+_SOBEL = np.array([[-1, 0, 1], [-2, 0, 2], [-1, 0, 1]], dtype=float)
+_PAD_IDX = np.clip(np.arange(-1, _RESIZE_TO + 1), 0, _RESIZE_TO - 1)
 
 
 def ref_grid_descriptor(image):
@@ -67,16 +69,16 @@ def ref_cosine_similarity(a, b):
 def ref_select_exhaustive(mesh, hypotheses, anchor, observation, obs_mask,
                           intrinsics):
     """The search before it went coarse to fine: render every hypothesis of
-    the (6, Y, 4) grid, as the pose it becomes, in one stack and score it;
-    take the argmax, ties to the lowest flat index rest * Y + yaw. Returns
-    (winner index, similarity of every hypothesis)."""
+    the (6, Y, 4) grid, as the pose it becomes, in one luminance stack and
+    score it; take the argmax, ties to the lowest flat index rest * Y + yaw.
+    Returns (winner index, similarity of every hypothesis)."""
     poses = [RigidPose(q, anchor) for q in hypotheses.reshape(-1, 4)]
     obs_feat = grid_descriptor(
         mask_observation(observation, obs_mask).values[None])[0]
-    views = render_batch(mesh, np.array([p.rotation for p in poses]),
-                         np.array([p.translation for p in poses]),
-                         _scoring_intrinsics(intrinsics))
-    sims = _cosine_similarities(grid_descriptor(views.rgb), obs_feat)
+    lum = render_batch(mesh, np.array([p.rotation for p in poses]),
+                       np.array([p.translation for p in poses]),
+                       _scoring_intrinsics(intrinsics))
+    sims = _cosine_similarities(_describe(lum), obs_feat)
     return int(np.argmax(sims)), sims
 
 

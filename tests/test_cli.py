@@ -199,6 +199,18 @@ def test_plan_rejects_incomplete_or_mistyped_spec(scene_dir, tmp_path, capsys,
             assert f"missing key {key!r}" in err
 
 
+def test_plan_rejects_a_fractional_camera_width(scene_dir, tmp_path, capsys):
+    # int() used to truncate it to 200 and plan with exit 0
+    doc = json.loads((scene_dir / "scene.json").read_text())
+    doc["camera"]["width"] = 200.7
+    shutil.copytree(scene_dir, tmp_path, dirs_exist_ok=True)
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(doc))
+    rc = main(["plan", "--scene", str(path), "--out", str(tmp_path / "out")])
+    assert rc == EXIT_INVALID_INPUT
+    assert "camera width must be an int >= 1, got 200.7" in capsys.readouterr().err
+
+
 def test_plan_reports_non_finite_mesh_vertex(scene_dir, tmp_path):
     shutil.copytree(scene_dir, tmp_path / "scene")
     ply = tmp_path / "scene" / "cube.ply"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -286,6 +288,28 @@ def test_two_level_search_breaks_ties_to_the_lower_index():
     assert rendered == len(scored) == 144
     assert len({s for _, s in result.all_scores}) == 1
     assert _same_pose(result.best_pose, RigidPose(q, [0.0, 0.0, 0.4]))
+
+
+def test_coarse_search_peak_memory_does_not_grow_with_hypotheses():
+    # each level is rendered, described and scored one render_batch pass at
+    # a time, so the traced peak at 1536 hypotheses stays within 10% of the
+    # peak at 96
+    mesh = primitive_from_spec("cup:0.035,0.09,0.005")
+    intr = default_intrinsics(size=120, focal=150.0)
+    obs = render(mesh, RigidPose(quat.random_quat(np.random.default_rng(5)),
+                                 [0.0, 0.0, 0.4]), intr)
+    mask = BinaryMask(obs.object_ids >= 0)
+    peaks = []
+    for count in (96, 1536):
+        hyps = generate_hypotheses(count)
+        tracemalloc.start()
+        try:
+            select_coarse_pose(mesh, hyps, [0.0, 0.01, 0.4], obs.rgb, mask,
+                               intr)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0], peaks
 
 
 def test_mask_observation_replaces_background():

@@ -7,9 +7,9 @@ from render_reference import ref_rasterize, ref_render_scene
 from solids_reference import ray_mesh_depth
 from twinforge import quaternions as quat
 from twinforge.camera import CameraIntrinsics, backproject
-from twinforge.coarse import grid_descriptor
+from twinforge.coarse import _describe, grid_descriptor
 from twinforge.geometry import RigidPose, TriangleMesh
-from twinforge.render import (BACKGROUND, NEAR, _rasterize, render,
+from twinforge.render import (_LUMA, BACKGROUND, NEAR, _rasterize, render,
                               render_batch, render_scene)
 from twinforge.solids import point_mesh_distance
 from twinforge.synth import (PRIMITIVES, make_box, make_cup, make_cylinder,
@@ -43,15 +43,16 @@ def test_background_and_empty_mesh():
     # has no triangles or a pose's triangles are all culled or clipped
     box = make_box([0.08, 0.06, 0.05])
     behind = RigidPose(quat.IDENTITY, [0.0, 0.0, -0.5])
+    background = view.rgb.values @ _LUMA
     for m, poses in ((mesh, [RigidPose.identity()] * 3),
                      (box, [behind, box_pose(2), behind])):
         batch = batch_of(m, poses, intr())
-        assert batch.rgb.shape == (3, 64, 64, 3)
+        assert batch.shape == (3, 64, 64)
         for i, pose in enumerate(poses):
-            single = render(m, pose, intr())
-            assert np.array_equal(batch.rgb[i], single.rgb.values)
-            assert np.array_equal(batch.depth[i], single.depth.values)
-    assert np.all(batch.depth[[0, 2]] == 0.0) and np.any(batch.depth[1] > 0)
+            assert np.array_equal(batch[i], render(m, pose, intr()).rgb.values
+                                  @ _LUMA)
+    assert np.array_equal(batch[[0, 2]], [background] * 2)
+    assert not np.array_equal(batch[1], background)
 
 
 def test_depth_matches_ray_oracle_on_box():
@@ -184,34 +185,49 @@ def test_backface_cull_image_identical():
                                  _rasterize(*args, cull=False))
 
 
-def test_render_batch_matches_single_renders():
-    # image i is the per-pose render of pose i, bit for bit, for every
-    # built-in primitive: culling back faces changes no pixel of these meshes
-    cam = intr()
+BATCH_SIZES = ((12, 9), (40, 37), (128, 128))
+
+
+def _ref_color(mesh, pose, cam, cull):
+    """The reference rasterizer's (H, W, 3) colour of one posed mesh."""
+    return ref_rasterize(pose.apply(mesh.vertices), mesh.triangles,
+                         mesh.vertex_colors,
+                         np.zeros(len(mesh.triangles), dtype=np.int64), cam,
+                         NEAR, BACKGROUND, cull=cull)[1]
+
+
+def _meshes_with_and_without_colours():
     for name, mesh in PRIMITIVE_MESHES.items():
-        poses = [box_pose(s, z=0.3) for s in range(9)]
-        views = batch_of(mesh, poses, cam)
-        assert len(views) == 9
-        assert views.rgb.shape == (9, cam.height, cam.width, 3)
-        assert views.depth.shape == (9, cam.height, cam.width)
-        assert views.rgb.flags.c_contiguous and views.depth.flags.c_contiguous
-        for pose, rgb, depth in zip(poses, views.rgb, views.depth):
-            single = render(mesh, pose, cam)
-            assert np.array_equal(single.depth.values, depth), name
-            assert np.array_equal(single.rgb.values, rgb), name
+        yield name, mesh
+        yield f"{name} uncoloured", TriangleMesh(mesh.vertices, mesh.triangles)
+
+
+def test_render_batch_matches_single_renders():
+    # image i is the luminance of pose i drawn alone with every face, bit
+    # for bit, for every built-in primitive: culling back faces changes no
+    # pixel of these meshes
+    poses = [box_pose(s, z=0.3) for s in range(9)]
+    for w, h in BATCH_SIZES:
+        cam = CameraIntrinsics(60.0, 60.0, w / 2, h / 2, w, h)
+        for name, mesh in _meshes_with_and_without_colours():
+            lum = batch_of(mesh, poses, cam)
+            assert lum.shape == (9, h, w) and lum.flags.c_contiguous
+            for pose, image in zip(poses, lum):
+                want = _ref_color(mesh, pose, cam, False) @ _LUMA
+                assert np.array_equal(image, want), (name, w, h)
 
 
 def test_batch_descriptors_equal_single_render_descriptors():
-    # grid_descriptor's images @ _LUMA rounds by the stack's memory layout,
-    # so the batch stack must give each image the descriptor its single
-    # render gives, bit for bit
-    cam = intr()
+    # the descriptor of a batch image is the descriptor grid_descriptor
+    # gives the reference colour image of its pose alone, bit for bit
     poses = [box_pose(s, z=0.3) for s in range(6)]
-    for name, mesh in PRIMITIVE_MESHES.items():
-        got = grid_descriptor(batch_of(mesh, poses, cam).rgb)
-        want = [grid_descriptor(render(mesh, p, cam).rgb.values[None])[0]
-                for p in poses]
-        assert np.array_equal(got, want), name
+    for w, h in BATCH_SIZES:
+        cam = CameraIntrinsics(60.0, 60.0, w / 2, h / 2, w, h)
+        for name, mesh in _meshes_with_and_without_colours():
+            got = _describe(batch_of(mesh, poses, cam))
+            want = [grid_descriptor(_ref_color(mesh, p, cam, True)[None])[0]
+                    for p in poses]
+            assert np.array_equal(got, want), (name, w, h)
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +367,7 @@ def test_exact_depth_ties_go_to_the_earliest_triangle():
 @settings(max_examples=25, deadline=None)
 @given(name=st.sampled_from(sorted(PRIMITIVE_MESHES)),
        pose_list=st.lists(poses, min_size=1, max_size=10),
-       size=st.sampled_from([(12, 9), (40, 37), (128, 128)]),
+       size=st.sampled_from(BATCH_SIZES),
        colored=st.booleans())
 def test_render_batch_matches_per_pose_reference(name, pose_list, size,
                                                  colored):
@@ -364,14 +380,10 @@ def test_render_batch_matches_per_pose_reference(name, pose_list, size,
     w, h = size
     cam = CameraIntrinsics(60.0, 60.0, w / 2, h / 2, w, h)
     got = batch_of(mesh, pose_list, cam)
-    assert len(got) == len(pose_list)
-    assert not (got.rgb.flags.writeable or got.depth.flags.writeable)
-    ids = np.zeros(len(mesh.triangles), dtype=np.int64)
-    for pose, depth, rgb in zip(pose_list, got.depth, got.rgb):
-        d, c, _ = ref_rasterize(pose.apply(mesh.vertices), mesh.triangles,
-                                mesh.vertex_colors, ids, cam, NEAR,
-                                BACKGROUND, cull=True)
-        _assert_same_buffers((depth, rgb), (np.where(np.isfinite(d), d, 0.0), c))
+    assert got.shape == (len(pose_list), h, w) and got.flags.c_contiguous
+    assert not got.flags.writeable
+    for pose, lum in zip(pose_list, got):
+        _assert_same_buffers([lum], [_ref_color(mesh, pose, cam, True) @ _LUMA])
 
 
 @settings(max_examples=40, deadline=None)

@@ -109,6 +109,38 @@ def test_scene_spec_rejects_non_finite_camera(tmp_path, changes):
         _load_with(tmp_path, **changes)
 
 
+def _camera(**changes):
+    return {"fx": 200.0, "fy": 210.0, "cx": 100.0, "cy": 99.5, "width": 200,
+            "height": 200, **changes}
+
+
+@pytest.mark.parametrize("changes, field", [
+    ({"camera": _camera(width=200.7)}, "camera width"),
+    ({"camera": _camera(width="200")}, "camera width"),
+    ({"camera": _camera(height=True)}, "camera height"),
+    ({"camera": _camera(width=0)}, "camera width"),
+    ({"camera": _camera(fx="230")}, "camera fx"),
+    ({"camera": _camera(fy=False)}, "camera fy"),
+    ({"camera": _camera(cx=True)}, "camera cx"),
+    ({"camera": _camera(cy="99.5")}, "camera cy"),
+    ({"workspace": [[-0.3, "-0.3", 0.0], [0.3, 0.3, 0.4]]}, "workspace min"),
+    ({"workspace": [[-0.3, -0.3, 0.0], [0.3, 0.3, True]]}, "workspace max")])
+def test_scene_spec_rejects_mistyped_camera_and_workspace_numbers(
+        tmp_path, changes, field):
+    # each would be truncated or coerced by int() or float(), or rejected
+    # with a message about some other field
+    with pytest.raises(RejectedInput, match=field):
+        _load_with(tmp_path, **changes)
+
+
+def test_scene_spec_takes_integral_camera_numbers(tmp_path):
+    spec = _load_with(tmp_path, camera=_camera(fx=200, cx=100),
+                      workspace=[[-1, 0, 0], [1, 1, 1]])
+    assert spec.intrinsics == CameraIntrinsics(200.0, 210.0, 100.0, 99.5,
+                                               200, 200)
+    assert spec.workspace == ((-1.0, 0.0, 0.0), (1.0, 1.0, 1.0))
+
+
 def test_run_report_dump_and_determinism_key(tmp_path):
     rep = RunReport(seed=3)
     rep.stages = ["a", "b"]

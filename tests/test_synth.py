@@ -1,8 +1,10 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
+from twinforge.benchmark import BENCHMARK_PRIMITIVES
 from twinforge.errors import RejectedInput
 from twinforge.fileio import load_color_ppm, load_depth_raw, load_mask_pgm
 from twinforge.camera import backproject
@@ -25,7 +27,42 @@ def test_primitive_from_spec_all_shapes():
         assert mesh.face_labels is not None
     with pytest.raises(RejectedInput):
         primitive_from_spec("torus:0.1")
+    for spec in ("box:nan,0.05,0.04", "cylinder:nan,0.1"):
+        with pytest.raises(RejectedInput, match="finite"):
+            primitive_from_spec(spec)
     assert set(PRIMITIVES) == {"box", "cylinder", "open_box", "cup", "ramp"}
+
+
+# sha256 of each primitive's vertex, triangle and colour bytes and its face
+# labels, as the mesh builder welded and oriented them when it still did so
+# with numpy rows
+PRIMITIVE_DIGESTS = {
+    "box": "95ce93129e490528c54c97a386961e5852c94f329ed8151d4aaaf97fc86bcdcd",
+    "cylinder":
+        "52e231029f37f3a4012250899c1e973c7751eac6c836f7ee4b41f82d3aad389b",
+    "open_box":
+        "f4922258f49a184f98c4b5db7231dcaecd5b2c7923692feaa1ffee1b3c8eba37",
+    "cup": "0b26d3ea1effdb499c7cc7b241d91066bd21c8037d2c30a89a2ef0dfc845324a",
+    "ramp": "8c77af00a2db2ceabbaf790e96aa2e4f337f63fd8fa4a7e20d41d48400874882",
+    "box:0.07,0.05,0.04":
+        "aa7572a4d0130f2c90eabfa05f1ebd57ff89ce80ba6e60f77c792345403c95f9",
+    "cylinder:0.03,0.1":
+        "52e231029f37f3a4012250899c1e973c7751eac6c836f7ee4b41f82d3aad389b",
+    "cup:0.035,0.09,0.005":
+        "2c6b284906b70eed6911ad105fab8f38468fd8a25fe910b344e471618bba44bf",
+    "open_box:0.12,0.1,0.06,0.012":
+        "5383a7ee2a64aebcf8a5e42451e0431cac2136e7c5c0fc87d3e6e5fd501b1f14",
+}
+
+
+@pytest.mark.parametrize("spec", PRIMITIVES + BENCHMARK_PRIMITIVES)
+def test_primitive_bytes_are_pinned(spec):
+    mesh = primitive_from_spec(spec)
+    h = hashlib.sha256()
+    for a in (mesh.vertices, mesh.triangles, mesh.vertex_colors):
+        h.update(a.tobytes())
+    h.update(repr(mesh.face_labels).encode())
+    assert h.hexdigest() == PRIMITIVE_DIGESTS[spec]
 
 
 def test_primitive_defaults():
