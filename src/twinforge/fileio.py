@@ -12,6 +12,7 @@ import numpy as np
 
 from .camera import BinaryMask, ColorImage, DepthImage
 from .geometry import RejectedInput, TriangleMesh
+from .solids import is_watertight, signed_volume
 
 DEFAULT_DEPTH_SCALE = 0.001
 
@@ -215,9 +216,18 @@ def save_ply(path, mesh: TriangleMesh):
 
 
 def load_mesh(path) -> TriangleMesh:
+    """An OBJ or PLY mesh. A closed mesh wound inward (negative signed
+    volume) comes back with each triangle reversed, so its faces point out
+    as the renderer's back-face culling assumes; any other mesh comes back
+    as stored."""
     path = str(path)
     if path.endswith(".obj"):
-        return load_obj(path)
-    if path.endswith(".ply"):
-        return load_ply(path)
-    raise RejectedInput(f"unsupported mesh format: {path}")
+        mesh = load_obj(path)
+    elif path.endswith(".ply"):
+        mesh = load_ply(path)
+    else:
+        raise RejectedInput(f"unsupported mesh format: {path}")
+    if is_watertight(mesh) and signed_volume(mesh) < 0:
+        return TriangleMesh(mesh.vertices, mesh.triangles[:, ::-1],
+                            mesh.vertex_colors, mesh.face_labels)
+    return mesh

@@ -103,14 +103,20 @@ def _load_observation(spec: SceneSpec):
 def _coarse_objects(spec: SceneSpec, align_config: AlignConfig, color, depth,
                     masks, meshes) -> dict:
     """The coarse step (hypothesis search and scale) of every object. Input
-    the step rejects fails coarse-align."""
-    try:
-        return {obj.name: coarse_align(meshes[obj.name], color, depth,
-                                       masks[obj.name], spec.intrinsics,
-                                       align_config, spec.camera_pose)
-                for obj in spec.objects}
-    except RejectedInput as exc:
-        raise StageFailureError("coarse-align", str(exc)) from exc
+    the step rejects fails coarse-align; a failure of the step itself
+    (such as ``scale-clamped``) names its object."""
+    coarse = {}
+    for obj in spec.objects:
+        try:
+            coarse[obj.name] = coarse_align(
+                meshes[obj.name], color, depth, masks[obj.name],
+                spec.intrinsics, align_config, spec.camera_pose)
+        except RejectedInput as exc:
+            raise StageFailureError("coarse-align", str(exc)) from exc
+        except StageFailureError as exc:
+            raise StageFailureError(exc.stage,
+                                    f"{exc.reason}:{obj.name}") from exc
+    return coarse
 
 
 def _register_objects(spec: SceneSpec, meshes, coarse: dict):

@@ -21,6 +21,7 @@ from .coarse import (CoarseAlignment, check_rotation_count,
 from .errors import RejectedInput, StageFailureError, check_int
 from .geometry import PointCloud, RigidPose, TriangleMesh, compute_aabb
 
+# the scales the coarse step accepts; one outside fails coarse-align
 SCALE_CLAMP = (0.2, 5.0)
 RMSE_INF = np.finfo(float).max
 # points per cloud for normals, FPFH, RANSAC and ICP, drawn with seeds 1
@@ -84,7 +85,7 @@ class RansacParams:
 def estimate_scale(rendered_partial: PointCloud, observed_partial: PointCloud) -> float:
     """One scale factor: the median ratio (observed / rendered) of the AABB
     extents in the shared camera frame, over the axes the rendered cloud
-    spans, clamped to SCALE_CLAMP."""
+    spans."""
     if len(rendered_partial) == 0 or len(observed_partial) == 0:
         raise RejectedInput("cannot estimate scale from an empty cloud")
     ren = compute_aabb(rendered_partial).extents
@@ -92,7 +93,7 @@ def estimate_scale(rendered_partial: PointCloud, observed_partial: PointCloud) -
     ok = ren >= 1e-4
     if not ok.any():
         raise RejectedInput("rendered cloud is degenerate on all axes")
-    return float(np.clip(np.median(obs[ok] / ren[ok]), *SCALE_CLAMP))
+    return float(np.median(obs[ok] / ren[ok]))
 
 
 # neighbours per point for a normal's covariance, not counting the point
@@ -673,8 +674,8 @@ def coarse_align(mesh: TriangleMesh, color: ColorImage, depth: DepthImage,
     """The coarse step: (observed camera-frame cloud, the best rest-pose
     hypothesis by appearance at the cloud's centroid, one scale for the
     mesh). ``world_from_camera`` gives gravity, see ``generate_hypotheses``.
-    StageFailureError when the mask is too small or the posed mesh is not
-    visible."""
+    StageFailureError when the mask is too small, the posed mesh is not
+    visible or the scale falls outside SCALE_CLAMP."""
     valid = depth.valid_mask() & mask.values
     if valid.sum() < MIN_MASK_PIXELS:
         raise StageFailureError("segmentation-load", "segmentation-too-small")
@@ -692,7 +693,10 @@ def coarse_align(mesh: TriangleMesh, color: ColorImage, depth: DepthImage,
                                     c_intr)
     if len(coarse.rendered_partial) == 0:
         raise StageFailureError("coarse-align", "mesh-not-visible")
-    return observed, coarse, estimate_scale(coarse.rendered_partial, observed)
+    scale = estimate_scale(coarse.rendered_partial, observed)
+    if not SCALE_CLAMP[0] <= scale <= SCALE_CLAMP[1]:
+        raise StageFailureError("coarse-align", "scale-clamped")
+    return observed, coarse, scale
 
 
 def fine_register(mesh: TriangleMesh, observed: PointCloud,

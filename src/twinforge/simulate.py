@@ -19,15 +19,16 @@ and the ground is analytic. A drop needs only the least of these distances,
 so it starts from the ground gap and casts only the samples whose lower
 bound on their hit can still beat the gap so far (``MeshIndex.first_hit``);
 a static sample further below the manipulated mesh's lowest vertex than the
-gap is not cast at all. Everything that depends only on the scene is built
-once per scene: surface samples, and for each static mesh in world
-coordinates a parity index and a down- and an up-cast index; the
-manipulated mesh gets a parity index in its own frame, for the static
-samples inside it. ``label_samples`` builds it once per labeling run, so a
-scene that cannot be simulated fails once. The context is read-only apart
-from one memo: the manipulated mesh's cast index per (rotation, cast
-direction), built on first use. An entry depends only on its key, so
-concurrent workers see the same answers whichever of them fills it.
+gap is not cast at all. A lift casts the same rays backwards, through the
+same indexes. Everything that depends only on the scene is built once per
+scene: surface samples, and for each static mesh in world coordinates a
+parity index and one vertical index along -z, which serves the drop, the
+lift and the contact band; the manipulated mesh gets a parity index in its
+own frame, for the static samples inside it. ``label_samples`` builds it
+once per labeling run, so a scene that cannot be simulated fails once. The
+context is read-only apart from one memo: the manipulated mesh's vertical
+index per rotation, built on first use. An entry depends only on its key,
+so concurrent workers see the same answers whichever of them fills it.
 
 The same put-down grounds an aligned twin (``ground_objects``), each object
 onto the ground or the objects grounded before it.
@@ -160,9 +161,8 @@ def checker_intrinsics(size: int) -> CameraIntrinsics:
 class _Static(NamedTuple):
     """One static object in world coordinates."""
     samples: np.ndarray     # surface samples
-    index: MeshIndex        # parity and contact band
-    down: MeshIndex         # casts along -z
-    up: MeshIndex           # casts along +z
+    index: MeshIndex        # parity
+    down: MeshIndex         # along -z: drop, lift (backwards), contact band
     box: tuple              # mesh bounding box padded for the inside tests
     band: tuple             # mesh bounding box padded for the contact band
 
@@ -176,7 +176,7 @@ def _in_box(points, box, dims=3):
 class _SettleContext:
     """Precomputed geometry for one scene: surface samples, mesh indexes and
     bounding boxes. Read-only once built apart from the memo of
-    manipulated cast indexes, whose entries depend only on their key, so
+    manipulated vertical indexes, whose entries depend only on their key, so
     one context serves every sample of a labeling run, from any number of
     workers."""
 
@@ -203,9 +203,7 @@ class _SettleContext:
             hi = world_mesh.vertices.max(axis=0)
             band = 2 * CONTACT_TOL
             self.others.append(_Static(
-                world_pts, MeshIndex(world_mesh),
-                MeshIndex(world_mesh, -UP, cast_only=True),
-                MeshIndex(world_mesh, UP, cast_only=True),
+                world_pts, MeshIndex(world_mesh), MeshIndex(world_mesh, -UP),
                 (lo - 1e-6, hi + 1e-6), (lo - band, hi + band)))
 
     def _inside(self, pose: RigidPose):
@@ -223,17 +221,16 @@ class _SettleContext:
                           theirs[self.local_index.inside(theirs)]))
         return pts, found
 
-    def _self_index(self, rotation, direction) -> MeshIndex:
-        """Cast index of the manipulated mesh, in its own frame, for rays
-        along the world direction at this rotation. Kept in a memo keyed by
-        (rotation, direction): an entry depends only on its key, so workers
+    def _self_index(self, rotation) -> MeshIndex:
+        """Index of the manipulated mesh, in its own frame, for rays along
+        world +z at this rotation (and, cast backwards, along -z). Kept in a
+        memo keyed by rotation: an entry depends only on its key, so workers
         that race to fill one store equal indexes."""
-        key = (rotation.tobytes(), direction.tobytes())
+        key = rotation.tobytes()
         index = self._self_casts.get(key)
         if index is None:
-            d = quat.quat_rotate(quat.quat_conjugate(rotation), direction)
-            index = self._self_casts.setdefault(
-                key, MeshIndex(self.mesh, d, cast_only=True))
+            d = quat.quat_rotate(quat.quat_conjugate(rotation), UP)
+            index = self._self_casts.setdefault(key, MeshIndex(self.mesh, d))
         return index
 
     def drop(self, pose: RigidPose) -> RigidPose:
@@ -261,7 +258,7 @@ class _SettleContext:
                                      & (s.samples[:, 2] > reach)]
                            for s in self.others] or [np.empty((0, 3))])
         if len(under):
-            gap = self._self_index(pose.rotation, UP).first_hit(
+            gap = self._self_index(pose.rotation).first_hit(
                 pose.inverse().apply(under), gap)
         return RigidPose(pose.rotation,
                          pose.translation - max(0.0, gap - _CLEARANCE) * UP)
@@ -281,10 +278,11 @@ class _SettleContext:
         while True:
             pts, found = self._inside(pose)
             exits = [-pts[pts[:, 2] < 0, 2]]
-            exits += [s.up.cast(mine) for s, mine, _ in found]
+            exits += [s.down.cast(mine, back=True) for s, mine, _ in found]
             theirs = np.vstack([t for *_, t in found] or [np.empty((0, 3))])
             if len(theirs):
-                exits.append(self._self_index(pose.rotation, -UP).cast(theirs))
+                exits.append(self._self_index(pose.rotation).cast(
+                    theirs, back=True))
             exits = np.concatenate(exits)
             if not len(exits):
                 return pose
@@ -310,7 +308,7 @@ class _SettleContext:
         for s in self.others:
             cand = _in_box(pts, s.band) & ~near
             if cand.any():
-                hit = s.index.within(pts[cand], CONTACT_TOL)
+                hit = s.down.within(pts[cand], CONTACT_TOL)
                 near[np.flatnonzero(cand)[hit]] = True
         return pts[near]
 

@@ -7,11 +7,11 @@ fixed up from the total volume).
 
 ``MeshIndex`` is built once per fixed mesh and direction and answers the
 queries the settle simulator repeats: the parity inside test, the first hit
-of a ray cast along the index's direction, the bounded least first hit over
-a set of rays (``first_hit``), and the contact band
-(``point_mesh_distance <= tol``). It buckets triangles in a 2-D grid so the
-exact per-pair arithmetic runs only on candidate pairs, and its answers are
-bit-identical to the brute-force point x triangle scans. Each cell also
+of a ray cast along the index's direction or against it, the bounded least
+first hit over a set of rays (``first_hit``), and the contact band
+(``point_mesh_distance <= tol``). It buckets every triangle in a 2-D grid so
+the exact per-pair arithmetic runs only on candidate pairs, and its answers
+are bit-identical to the brute-force point x triangle scans. Each cell also
 keeps the least projection onto the ray of the triangles it lists, a lower
 bound on the first hit of any ray from the cell; ``first_hit`` casts only
 the rays whose bound can still beat the answer.
@@ -149,14 +149,9 @@ class MeshIndex:
     in the cells it projects onto, so the exact per-pair arithmetic runs on
     those pairs only. Every query is bit-identical to a brute-force
     point x triangle scan.
-
-    With ``cast_only`` the index leaves out the triangles parallel to its
-    ray, which no ray along it can hit; ``inside``, ``cast`` and
-    ``first_hit`` are unchanged, and ``within`` is unavailable.
     """
 
-    def __init__(self, mesh: TriangleMesh, direction=PARITY_DIRECTION,
-                 cast_only: bool = False):
+    def __init__(self, mesh: TriangleMesh, direction=PARITY_DIRECTION):
         d = np.asarray(direction, dtype=float)
         tri = mesh.vertices[mesh.triangles]                  # (T, 3, 3)
         e1, e2 = tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]
@@ -166,10 +161,6 @@ class MeshIndex:
         pvec = np.cross(d, e2)
         det = np.einsum("tj,tj->t", e1, pvec)
         ok = np.abs(det) > _EPS
-        if cast_only:
-            tri, e1, e2, pvec, det, ok = (x[ok] for x in (tri, e1, e2, pvec,
-                                                           det, ok))
-        self.cast_only = cast_only
         self.a, self.b, self.c = tri[:, 0], tri[:, 1], tri[:, 2]
         self.lo, self.hi = tri.min(axis=1), tri.max(axis=1)
         self.d, self.e1, self.e2, self.pvec = d, e1, e2, pvec
@@ -242,10 +233,15 @@ class MeshIndex:
         ij = self._cells(points @ self.basis)
         return ij[:, 0] * self.shape[1] + ij[:, 1]
 
-    def _hits(self, points, cell):
+    def _hits(self, points, cell, back=False):
         """(point index, distance t) of every crossing with t > _EPS of the
         rays from the points, in cells ``cell``, along the index's
-        direction; t is in units of the direction's length."""
+        direction, or against it with ``back``; t is in units of the
+        direction's length.
+
+        Against the direction, Moller-Trumbore's u and v are unchanged and
+        t changes sign exactly, so negating t is bit for bit the crossing
+        an index built along the opposite direction computes."""
         pi, ti = self._listed(cell)
         inv_det = self.inv_det[ti]
         tvec = points[pi] - self.a[ti]
@@ -253,6 +249,8 @@ class MeshIndex:
         qvec = np.cross(tvec, self.e1[ti])
         v = np.einsum("pj,j->p", qvec, self.d) * inv_det
         t = np.einsum("pj,pj->p", qvec, self.e2[ti]) * inv_det
+        if back:
+            t = -t
         hit = (u >= 0) & (v >= 0) & (u + v <= 1) & (t > _EPS)
         return pi[hit], t[hit]
 
@@ -264,14 +262,14 @@ class MeshIndex:
         pi, _ = self._hits(points, self._cell_ids(points))
         return np.bincount(pi, minlength=len(points)) % 2 == 1
 
-    def cast(self, points) -> np.ndarray:
+    def cast(self, points, back: bool = False) -> np.ndarray:
         """First hit distance t > _EPS of the ray from each point along the
-        index's direction, in units of the direction's length; inf on a
-        miss."""
+        index's direction, or against it with ``back``, in units of the
+        direction's length; inf on a miss."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
         out = np.full(len(points), np.inf)
         if len(points):
-            pi, t = self._hits(points, self._cell_ids(points))
+            pi, t = self._hits(points, self._cell_ids(points), back)
             np.minimum.at(out, pi, t)
         return out
 
@@ -303,9 +301,6 @@ class MeshIndex:
     def within(self, points, tol: float) -> np.ndarray:
         """Whether each point lies within tol of the surface; equal to
         ``point_mesh_distance(points, mesh) <= tol``."""
-        if self.cast_only:
-            raise ValueError("within needs every triangle; the index was "
-                             "built with cast_only")
         points = np.atleast_2d(np.asarray(points, dtype=float))
         if tol < 0:
             return np.zeros(len(points), dtype=bool)

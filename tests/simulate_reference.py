@@ -27,7 +27,7 @@ from twinforge.solids import MeshIndex
 
 def _cast_self(ctx, pose, direction, local_points):
     d = quat.quat_rotate(quat.quat_conjugate(pose.rotation), direction)
-    return MeshIndex(ctx.mesh, d, cast_only=True).cast(local_points)
+    return MeshIndex(ctx.mesh, d).cast(local_points)
 
 
 def ref_drop(ctx, pose):

@@ -17,7 +17,7 @@ from twinforge.fileio import (load_color_ppm, load_depth_raw, load_mask_pgm,
                               save_ply)
 from twinforge.geometry import TriangleMesh
 from twinforge.camera import BinaryMask, ColorImage
-from twinforge.scene import load_scene_spec
+from twinforge.scene import load_scene_spec, report_determinism_key
 
 
 @pytest.fixture(scope="module")
@@ -512,9 +512,15 @@ def _verb_failures(scene, tmp_path, capsys, verbs):
      "segmentation-load",
      "image-size-mismatch:mask_cube.pgm is 150x150, camera "),
     ("cube-onto-cube", _blank_cube_depth, "segmentation-load",
-     "empty-mask:cube")],
+     "empty-mask:cube"),
+    # a base mesh 0.15 of the observed size needs a scale of about 7,
+    # outside SCALE_CLAMP: the twin would be wrong at any clamped scale
+    ("cube-onto-cube",
+     lambda scene: _damage_mesh(scene, "base", lambda m: m.scaled(0.15)),
+     "coarse-align", "scale-clamped:base")],
     ids=["truncated-depth", "50-pixel-cup-mask", "flat-cup-mesh",
-         "120px-rgb", "150px-cube-mask", "nan-and-zero-cube-depth"])
+         "120px-rgb", "150px-cube-mask", "nan-and-zero-cube-depth",
+         "0.15x-base-mesh"])
 def test_bad_observation_fails_segmentation_load_under_every_verb(
         tmp_path, capsys, task, damage, stage, reason):
     scene = tmp_path / "scene"
@@ -526,6 +532,26 @@ def test_bad_observation_fails_segmentation_load_under_every_verb(
     assert seen["plan"] == seen["align"] == seen["simulate"]
     assert seen["plan"][0] == stage
     assert seen["plan"][1].startswith(reason)
+
+
+def test_inward_wound_mesh_plans_as_wound_outward(tmp_path):
+    # the renderer culls back faces assuming outward winding: a closed mesh
+    # stored wound inward is turned outward on load, so the plan is the one
+    # of the mesh as generated
+    keys = []
+    for reverse in (False, True):
+        scene = tmp_path / f"scene_{reverse}"
+        assert main(["gen-scene", "--task", "cube-onto-cube", "--seed", "0",
+                     "--out", str(scene)]) == EXIT_OK
+        if reverse:
+            _damage_mesh(scene, "base", lambda m: TriangleMesh(
+                m.vertices, m.triangles[:, ::-1], m.vertex_colors))
+        out = tmp_path / f"plan_{reverse}"
+        assert main(["plan", "--scene", str(scene / "scene.json"),
+                     "--out", str(out)]) == EXIT_OK
+        keys.append(report_determinism_key(
+            json.loads((out / "report.json").read_text())))
+    assert keys[0] == keys[1]
 
 
 # a mesh with 10 triangles dropped still aligns, but the settle's parity

@@ -8,6 +8,7 @@ from twinforge.fileio import (load_color_ppm, load_depth_pgm, load_depth_raw,
                               save_color_ppm, save_depth_pgm, save_depth_raw,
                               save_mask_pgm, save_ply)
 from twinforge.geometry import TriangleMesh
+from twinforge.solids import signed_volume
 
 
 def test_color_ppm_roundtrip(tmp_path):
@@ -156,3 +157,18 @@ def test_load_mesh_dispatch(tmp_path):
     assert len(load_mesh(str(tmp_path / "a.ply")).triangles) == 2
     with pytest.raises(RejectedInput):
         load_mesh(str(tmp_path / "a.stl"))
+
+
+def test_load_mesh_turns_a_closed_inward_mesh_outward(tmp_path):
+    # a tetrahedron wound outward, the same wound inward, and an open
+    # inward sheet: only the closed inward one is reversed
+    verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], dtype=float)
+    out = TriangleMesh(verts, [[0, 2, 1], [0, 1, 3], [0, 3, 2], [1, 2, 3]])
+    assert signed_volume(out) > 0
+    for name, mesh, expect in (
+            ("out", out, out.triangles),
+            ("in", TriangleMesh(verts, out.triangles[:, ::-1]), out.triangles),
+            ("open", _mesh(), _mesh().triangles)):
+        save_ply(tmp_path / f"{name}.ply", mesh)
+        assert np.array_equal(
+            load_mesh(str(tmp_path / f"{name}.ply")).triangles, expect)

@@ -9,9 +9,10 @@ from twinforge import register
 from twinforge.errors import RejectedInput, StageFailureError
 from twinforge.geometry import PointCloud, RigidPose, sample_mesh_surface
 from twinforge.register import (AlignConfig, IcpParams, Neighbours,
-                                RMSE_INF, RansacParams, alignment_success,
-                                compute_fpfh, estimate_normals, estimate_scale,
-                                icp_refine, kabsch, mutual_correspondences,
+                                RMSE_INF, SCALE_CLAMP, RansacParams,
+                                alignment_success, compute_fpfh,
+                                estimate_normals, estimate_scale, icp_refine,
+                                kabsch, mutual_correspondences,
                                 ransac_register, two_stage_align)
 from twinforge.synth import make_ramp, synthetic_observation
 
@@ -44,9 +45,12 @@ def test_estimate_scale_degenerate_axis_falls_back_to_median():
 
 
 def test_estimate_scale_clamped():
+    # the ratio is not clipped: a scale outside SCALE_CLAMP reaches
+    # coarse_align, which fails on it
     scale = estimate_scale(_aabb_corner_cloud((1, 1, 1)),
                            _aabb_corner_cloud((100, 100, 100)))
-    assert scale == 5.0
+    assert scale == 100.0
+    assert not SCALE_CLAMP[0] <= scale <= SCALE_CLAMP[1]
     with pytest.raises(RejectedInput):
         estimate_scale(PointCloud(np.empty((0, 3))), _aabb_corner_cloud((1, 1, 1)))
 

@@ -73,6 +73,13 @@ def test_ray_mesh_depth_box_face():
     d = ray_mesh_depth([0.0, 0.0, -1.0], [0.0, 0.0, 1.0], box)
     assert d == pytest.approx(0.9, abs=1e-9)
     assert ray_mesh_depth([5.0, 5.0, -1.0], [0.0, 0.0, 1.0], box) == np.inf
+    # a vertical index casts down onto the top face, 0.02 above the origin,
+    # and backwards up onto the bottom face, 0.02 below it
+    index = MeshIndex(make_box([0.06, 0.05, 0.04]), (0.0, 0.0, -1.0))
+    assert index.cast([[0.0, 0.0, 0.1]])[0] == pytest.approx(0.08, abs=1e-12)
+    assert index.cast([[0.0, 0.0, -0.1]], back=True)[0] \
+        == pytest.approx(0.08, abs=1e-12)
+    assert index.cast(np.empty((0, 3))).shape == (0,)
 
 
 def test_point_mesh_distance_exact():
@@ -164,8 +171,11 @@ def test_mesh_index_matches_brute_force(name, pose, tol, seed):
     pts = _query_points(mesh, tol, seed)
     index = MeshIndex(mesh)
     assert np.array_equal(index.inside(pts), ref_points_inside(pts, mesh))
-    assert np.array_equal(index.within(pts, tol),
-                          point_mesh_distance(pts, mesh) <= tol)
+    expect = point_mesh_distance(pts, mesh) <= tol
+    assert np.array_equal(index.within(pts, tol), expect)
+    # the settle's contact band runs on its vertical index
+    vertical = MeshIndex(mesh, (0.0, 0.0, -1.0))
+    assert np.array_equal(vertical.within(pts, tol), expect)
 
 
 @settings(max_examples=20, deadline=None)
@@ -194,10 +204,14 @@ CAST_DIRECTIONS = [(0.0, 0.0, -1.0), (0.0, 0.0, 1.0), (0.3, -0.2, 0.9)]
 def test_cast_matches_brute_force_first_hit(name, pose, direction, gap, seed):
     mesh = MESHES[name].transformed(pose)
     pts = _query_points(mesh, gap, seed)
-    expect = ref_first_hit(pts, direction, mesh)
-    for cast_only in (False, True):
-        index = MeshIndex(mesh, direction, cast_only=cast_only)
-        assert np.array_equal(index.cast(pts), expect)
+    index = MeshIndex(mesh, direction)
+    assert np.array_equal(index.cast(pts), ref_first_hit(pts, direction, mesh))
+    # cast backwards, exactly as an index built along the opposite direction
+    back = np.negative(direction)
+    assert np.array_equal(index.cast(pts, back=True),
+                          ref_first_hit(pts, back, mesh))
+    assert np.array_equal(index.cast(pts, back=True),
+                          MeshIndex(mesh, back).cast(pts))
     # rays that start beside the mesh, off the index's grid, hit nothing;
     # the far query points sit 2.0 from the mesh centre, so shifting by 2.0
     # could bring one back over the mesh: shift well past that radius
@@ -206,20 +220,8 @@ def test_cast_matches_brute_force_first_hit(name, pose, direction, gap, seed):
     side /= np.linalg.norm(side)
     off = pts + 5.0 * side
     assert np.all(index.cast(off) == np.inf)
+    assert np.all(index.cast(off, back=True) == np.inf)
     assert np.all(ref_first_hit(off, direction, mesh) == np.inf)
-
-
-def test_cast_only_index_drops_parallel_triangles():
-    cup = make_cup(0.035, 0.09, 0.005)
-    box = make_box([0.06, 0.05, 0.04])
-    assert len(MeshIndex(cup, (0, 0, -1), cast_only=True).a) == 80
-    assert len(MeshIndex(box, (0, 0, 1), cast_only=True).a) == 64
-    index = MeshIndex(box, (0, 0, -1), cast_only=True)
-    # down onto the top face, 0.02 below the origin
-    assert index.cast([[0.0, 0.0, 0.1]])[0] == pytest.approx(0.08, abs=1e-12)
-    assert index.cast(np.empty((0, 3))).shape == (0,)
-    with pytest.raises(ValueError):
-        index.within([[0.0, 0.0, 0.0]], 0.001)
 
 
 # half turns about the axes keep faces square to the axis-aligned casts, so
@@ -255,13 +257,12 @@ def test_first_hit_matches_brute_force_min(name, pose, direction, gap,
     subsets = [np.arange(len(pts)), rng.choice(len(pts), 3, replace=False)]
     subsets += [rng.choice(len(pts), rng.integers(1, len(pts)), replace=False)
                 for _ in range(6)]
-    for cast_only in (False, True):
-        index = MeshIndex(mesh, direction, cast_only=cast_only)
-        for limit in (0.0, np.inf, between):
-            assert index.first_hit(np.empty((0, 3)), limit) == limit
-            for rows in subsets:
-                assert index.first_hit(pts[rows], limit) \
-                    == min(limit, expect[rows].min())
+    index = MeshIndex(mesh, direction)
+    for limit in (0.0, np.inf, between):
+        assert index.first_hit(np.empty((0, 3)), limit) == limit
+        for rows in subsets:
+            assert index.first_hit(pts[rows], limit) \
+                == min(limit, expect[rows].min())
 
 
 @settings(max_examples=40, deadline=None)
@@ -279,10 +280,9 @@ def test_first_hit_ties_on_a_face_square_to_the_ray(name, pose, direction,
     pts = rng.uniform(v.min(axis=0), v.max(axis=0), size=(200, 3))
     pts[:, 2] = (v @ direction).min() * direction[2] - gap * direction[2]
     expect = ref_first_hit(pts, direction, mesh)
-    for cast_only in (False, True):
-        index = MeshIndex(mesh, direction, cast_only=cast_only)
-        for limit in (np.inf, gap):
-            assert index.first_hit(pts, limit) == min(limit, expect.min())
+    index = MeshIndex(mesh, direction)
+    for limit in (np.inf, gap):
+        assert index.first_hit(pts, limit) == min(limit, expect.min())
 
 
 @settings(max_examples=50, deadline=None)
@@ -299,7 +299,7 @@ def test_first_hit_near_parallel_sliver(tilt, yaw, offset, seed):
     v = np.array([[0.0, 0.0, 0.0], [0.1, 0.0, 0.0],
                   [0.05, 0.1 * 10 ** tilt, 0.1]]) @ spin.T + offset
     mesh = TriangleMesh(v, [[0, 1, 2]])
-    index = MeshIndex(mesh, (0.0, 0.0, 1.0), cast_only=True)
+    index = MeshIndex(mesh, (0.0, 0.0, 1.0))
     w = np.random.default_rng(seed).dirichlet(np.ones(3), 200)
     w[:, 2] *= 1e-9
     w /= w.sum(axis=1, keepdims=True)
