@@ -140,6 +140,7 @@ def _register_objects(spec: SceneSpec, meshes, coarse: dict):
             "pose_world": pose_to_json(twin_obj.pose),
             "rmse": fit.registration.rmse,
             "converged": bool(fit.registration.converged),
+            "icp_iterations": fit.registration.iterations,
             "ransac_inlier_fraction": fit.ransac.inlier_fraction,
             "ransac_converged": bool(fit.ransac.converged),
             "ground_shift_m": shift,

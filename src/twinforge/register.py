@@ -1,5 +1,6 @@
 """Two-stage alignment of one object: ``coarse_align`` (rest-pose search and
-one similarity scale), then ``fine_register`` (FPFH + RANSAC, then ICP).
+one similarity scale), then ``fine_register`` (FPFH + RANSAC, then
+point-to-plane ICP).
 
 All randomized steps take explicit seeds and are deterministic.
 """
@@ -31,7 +32,6 @@ SUBSAMPLE = 1200
 MIN_MASK_PIXELS = 100
 # RANSAC trials scored per block
 _SCORE_BLOCK = 512
-_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -521,63 +521,43 @@ def ransac_register(source: PointCloud, target: PointCloud,
                               params.trials)
 
 
-class _Nearest:
-    """Each moving point's nearest target point, as ``tree.query(points)``
-    returns it (distance and index, bit for bit), querying the tree again
-    only where the nearest point may have changed.
-
-    Each point keeps its nearest point j and a lower bound on its distance
-    to every other target point: the second distance of a k=2 query, less
-    each later displacement of the point. While the distance to j, computed
-    as the tree computes it (sqrt((dx^2 + dy^2) + dz^2)), stays below the
-    bound, j is the tree's unique nearest point; the other points go back to
-    the tree. Where a k=2 query ties its two distances, a k=1 query gives
-    the tree's own choice. Every bound is also lowered by 32 eps times the
-    points' and target's extent, more than the rounding of the distances
-    and displacements.
-    """
-
-    def __init__(self, tree: cKDTree):
-        self.tree = tree
-        self.target = np.ascontiguousarray(tree.data.T)
-        self.extent = float(np.abs(tree.data).max())
-        self.points = None
-
-    def query(self, points):
-        coords = np.ascontiguousarray(points.T)
-        extent = float(np.abs(coords).max()) + self.extent
-        if self.points is None:
-            stale = np.arange(len(points))
-            self.dist = np.empty(len(points))
-            self.index = np.empty(len(points), dtype=int)
-            self.bound = np.empty(len(points))
-        else:
-            self.bound -= _norm(coords - self.points)
-            self.bound -= 32 * _EPS * (extent + self.moved_extent)
-            self.dist = _norm(coords - self.target.take(self.index, axis=1))
-            stale = np.flatnonzero(~(self.dist < self.bound))
-        if len(stale):
-            d, j = self.tree.query(points[stale], k=2)
-            self.dist[stale], self.index[stale] = d[:, 0], j[:, 0]
-            self.bound[stale] = d[:, 1] - 32 * _EPS * extent
-            tied = stale[d[:, 0] == d[:, 1]]
-            self.dist[tied], self.index[tied] = self.tree.query(points[tied])
-        self.points, self.moved_extent = coords, extent
-        return self.dist, self.index
+def _plane_step(p, q, n) -> RigidPose:
+    """One point-to-plane step from points ``p`` to the planes through
+    ``q`` with unit normals ``n``, all (M, 3): the least-squares x = (omega,
+    t) of the small-angle system [(p - c) x n, n] x = (q - p).n about the
+    centroid c of ``p`` (Low, UNC TR04-004, 2004), from its 6x6 normal
+    equations and minimum-norm where they are rank-deficient (a flat target
+    fixes no in-plane motion); the exact rotation of omega about c, then t."""
+    c = p.mean(axis=0)
+    rows = np.hstack([np.cross(p - c, n), n])
+    rhs = np.einsum("ni,ni->n", q - p, n)
+    x = np.linalg.lstsq(rows.T @ rows, rows.T @ rhs, rcond=None)[0]
+    angle = float(np.linalg.norm(x[:3]))
+    rot = quat.quat_from_axis_angle(x[:3], angle) if angle else quat.IDENTITY
+    return RigidPose(rot, c + x[3:] - quat.quat_rotate(rot, c))
 
 
 def icp_refine(source: PointCloud, target: PointCloud, init: RigidPose,
                params: IcpParams = IcpParams(),
-               neighbours: Neighbours | None = None) -> RegistrationResult:
-    """Point-to-point ICP with nearest-neighbor correspondences.
+               neighbours: Neighbours | None = None,
+               normals: tuple | None = None) -> RegistrationResult:
+    """Point-to-plane ICP (Chen & Medioni, IVC 1992): each iteration matches
+    each moved source point to its nearest target point within the cap, by
+    one k-d tree query bounded by it, and takes a ``_plane_step`` over the
+    matches whose target normal is valid; every match counts in the RMSE.
 
-    Stops on max iterations, RMSE change below tolerance, or an RMSE
-    increase (the previous pose is kept, so reported RMSE never worsens).
-    ``neighbours`` is the target's own, built here when not given.
+    Stops on max iterations, RMSE change below tolerance, an RMSE increase
+    (the previous pose is kept, so the reported point-to-point RMSE never
+    worsens) or no valid normal to step against (converged). ``neighbours``
+    is the target's own and ``normals`` its (normals, valid) pair from
+    ``estimate_normals``, each computed here when not given (RejectedInput
+    for a target of at most NORMAL_K points).
     """
     if len(source) == 0 or len(target) == 0:
         raise RejectedInput("ICP needs non-empty clouds")
-    nearest = _Nearest((neighbours or Neighbours.of(target)).tree)
+    neighbours = neighbours or Neighbours.of(target)
+    tn, tv = normals or estimate_normals(target, neighbours)
+    cap = params.max_correspondence_distance
     pose = init
     history = []
     best_pose, best_rmse, best_frac = init, None, 0.0
@@ -585,8 +565,11 @@ def icp_refine(source: PointCloud, target: PointCloud, init: RigidPose,
     iterations = 0
     for it in range(1, params.max_iterations + 1):
         moved = pose.apply(source.points)
-        d, j = nearest.query(moved)
-        mask = d <= params.max_correspondence_distance
+        # the tree keeps distances below its bound, so a point at exactly
+        # the cap matches; one with no match gets d = inf, j = len(target)
+        d, j = neighbours.tree.query(
+            moved, distance_upper_bound=np.nextafter(cap, np.inf))
+        mask = d <= cap
         if not mask.any():
             if best_rmse is None:
                 return RegistrationResult(init, RMSE_INF, 0.0, False, 0)
@@ -598,11 +581,13 @@ def icp_refine(source: PointCloud, target: PointCloud, init: RigidPose,
         best_pose, best_rmse, best_frac = pose, rmse, float(np.mean(mask))
         history.append(rmse)
         iterations = it
-        if delta is not None and abs(delta) < params.tolerance:
+        rows = np.flatnonzero(mask)[tv[j[mask]]]
+        if not len(rows) or (delta is not None
+                             and abs(delta) < params.tolerance):
             converged = True
             break
-        R, t = kabsch(moved[mask], target.points[j[mask]])
-        pose = RigidPose.from_rotation_matrix(R, t).compose(pose)
+        pose = _plane_step(moved[rows], target.points[j[rows]],
+                           tn[j[rows]]).compose(pose)
     return RegistrationResult(best_pose, best_rmse, best_frac, converged,
                               iterations, tuple(history))
 
@@ -702,8 +687,9 @@ def coarse_align(mesh: TriangleMesh, color: ColorImage, depth: DepthImage,
 def fine_register(mesh: TriangleMesh, observed: PointCloud,
                   coarse: CoarseAlignment, scale: float) -> TwoStageResult:
     """The fine step after ``coarse_align``: RANSAC over FPFH
-    correspondences, then ICP, from the scaled coarse partial cloud to the
-    observed one. The final pose maps the scaled mesh into the camera frame.
+    correspondences, then point-to-plane ICP on the target normals FPFH
+    used, from the scaled coarse partial cloud to the observed one. The
+    final pose maps the scaled mesh into the camera frame.
     StageFailureError when a cloud is too small to describe."""
     anchor = coarse.best_pose.translation
     scaled_partial = PointCloud(
@@ -727,7 +713,8 @@ def fine_register(mesh: TriangleMesh, observed: PointCloud,
     cap = IcpParams().max_correspondence_distance
     starts = ((RigidPose.identity(),) if ransac.rmse == RMSE_INF
               else (ransac.pose, RigidPose.identity()))
-    icp = min((icp_refine(src, tgt, init, neighbours=tgt_nb)
+    icp = min((icp_refine(src, tgt, init, neighbours=tgt_nb,
+                          normals=(tn, tv))
                for init in starts),
               key=lambda fit: fit.inlier_fraction
               * (min(fit.rmse, cap) ** 2 - cap ** 2))

@@ -12,12 +12,14 @@ whose source or target triangle is thin (``ref_thin``), scores none.
 ``ref_trial_inliers`` scores fits one output axis at a time.
 ``ref_mutual_correspondences`` queries every target
 descriptor back. ``ref_icp_refine`` queries the target's k-d tree for every
-point in every iteration.
+point in every iteration, with no distance bound, and solves each
+point-to-plane step from its dense normal equations.
 """
 
 import numpy as np
 from scipy.spatial import cKDTree
 
+from twinforge import quaternions as quat
 from twinforge.geometry import RigidPose
 from twinforge.register import (_BINS, RMSE_INF, IcpParams, RansacParams,
                                 RegistrationResult, _bin_index, kabsch,
@@ -186,9 +188,14 @@ def ref_ransac_register(source, target, source_desc, target_desc,
                               params.trials)
 
 
-def ref_icp_refine(source, target, init, params=IcpParams()):
-    """ICP as ``icp_refine`` computed it with one k=1 query per iteration."""
+def ref_icp_refine(source, target, init, normals, params=IcpParams()):
+    """Point-to-plane ICP as ``icp_refine`` computes it, with one unbounded
+    k=1 query of every point per iteration and the 6x6 normal equations of
+    the dense (M, 6) system formed from the matches with a valid normal.
+    ``normals`` is the target's (normals, valid) pair."""
     tree = cKDTree(target.points)
+    tn, tv = normals
+    cap = params.max_correspondence_distance
     pose = init
     history = []
     best_pose, best_rmse, best_frac = init, None, 0.0
@@ -197,7 +204,7 @@ def ref_icp_refine(source, target, init, params=IcpParams()):
     for it in range(1, params.max_iterations + 1):
         moved = pose.apply(source.points)
         d, j = tree.query(moved)
-        mask = d <= params.max_correspondence_distance
+        mask = d <= cap
         if not mask.any():
             if best_rmse is None:
                 return RegistrationResult(init, RMSE_INF, 0.0, False, 0)
@@ -212,7 +219,19 @@ def ref_icp_refine(source, target, init, params=IcpParams()):
         if delta is not None and abs(delta) < params.tolerance:
             converged = True
             break
-        R, t = kabsch(moved[mask], target.points[j[mask]])
-        pose = RigidPose.from_rotation_matrix(R, t).compose(pose)
+        rows = mask & tv[j]
+        if not rows.any():
+            converged = True
+            break
+        p, q, n = moved[rows], target.points[j[rows]], tn[j[rows]]
+        c = p.mean(axis=0)
+        a = np.concatenate([np.cross(p - c, n), n], axis=1)
+        b = np.einsum("ni,ni->n", q - p, n)
+        x = np.linalg.lstsq(a.T @ a, a.T @ b, rcond=None)[0]
+        angle = float(np.linalg.norm(x[:3]))
+        rot = (quat.quat_from_axis_angle(x[:3], angle) if angle > 0
+               else quat.IDENTITY)
+        step = RigidPose(rot, c + x[3:] - quat.quat_rotate(rot, c))
+        pose = step.compose(pose)
     return RegistrationResult(best_pose, best_rmse, best_frac, converged,
                               iterations, tuple(history))

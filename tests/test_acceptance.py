@@ -286,6 +286,16 @@ def test_seed_0_plan_choices(task_runs):
     assert known == [True] * 6
 
 
+def test_seed_0_reports_icp_iterations(task_runs):
+    # each object's alignment record gives the iterations of the winning
+    # ICP start, and every winning start took at least one
+    for task in TASKS:
+        alignment = task_runs[task][1].report.to_json()["data"]["alignment"]
+        counts = [rec["icp_iterations"] for rec in alignment.values()]
+        assert all(isinstance(k, int) and k >= 1 for k in counts), (task,
+                                                                    counts)
+
+
 def _contact_gap(obj, others):
     """Height of the object above what it rests on: the ground (its lowest
     vertex) or the nearest other object (surface samples and vertices of

@@ -443,6 +443,22 @@ def _keep_50_cup_mask_pixels(scene):
     save_mask_pgm(path, BinaryMask(small))
 
 
+def _tiny_cube(scene):
+    # the cube's mask cut to the 10x10 pixel block at its median pixel and
+    # its mesh to 0.1 of its size: the coarse scale, about 4.7, is within
+    # SCALE_CLAMP, but the mesh renders to 6 points, fewer than a normal
+    # needs
+    spec = load_scene_spec(scene / "scene.json")
+    cube = next(o for o in spec.objects if o.name == "cube")
+    mask = load_mask_pgm(spec.path(cube.mask)).values
+    rows, cols = np.nonzero(mask)
+    r, c = int(np.median(rows)), int(np.median(cols))
+    block = np.zeros_like(mask)
+    block[r - 5:r + 5, c - 5:c + 5] = mask[r - 5:r + 5, c - 5:c + 5]
+    save_mask_pgm(spec.path(cube.mask), BinaryMask(block))
+    _damage_mesh(scene, "cube", lambda m: m.scaled(0.1))
+
+
 def _damage_mesh(scene, name, damage):
     spec = load_scene_spec(scene / "scene.json")
     path = spec.path(next(o.mesh for o in spec.objects if o.name == name))
@@ -517,10 +533,12 @@ def _verb_failures(scene, tmp_path, capsys, verbs):
     # outside SCALE_CLAMP: the twin would be wrong at any clamped scale
     ("cube-onto-cube",
      lambda scene: _damage_mesh(scene, "base", lambda m: m.scaled(0.15)),
-     "coarse-align", "scale-clamped:base")],
+     "coarse-align", "scale-clamped:base"),
+    ("cube-onto-cube", _tiny_cube, "fine-register",
+     "too-few-points: need more than k=15 points")],
     ids=["truncated-depth", "50-pixel-cup-mask", "flat-cup-mesh",
          "120px-rgb", "150px-cube-mask", "nan-and-zero-cube-depth",
-         "0.15x-base-mesh"])
+         "0.15x-base-mesh", "100-pixel-cube-of-0.1x-mesh"])
 def test_bad_observation_fails_segmentation_load_under_every_verb(
         tmp_path, capsys, task, damage, stage, reason):
     scene = tmp_path / "scene"

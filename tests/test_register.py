@@ -8,7 +8,7 @@ from twinforge import quaternions as quat
 from twinforge import register
 from twinforge.errors import RejectedInput, StageFailureError
 from twinforge.geometry import PointCloud, RigidPose, sample_mesh_surface
-from twinforge.register import (AlignConfig, IcpParams, Neighbours,
+from twinforge.register import (NORMAL_K, AlignConfig, IcpParams, Neighbours,
                                 RMSE_INF, SCALE_CLAMP, RansacParams,
                                 alignment_success, compute_fpfh,
                                 estimate_normals, estimate_scale, icp_refine,
@@ -565,16 +565,21 @@ def _same_fit(got, want):
 
 
 @settings(max_examples=60, deadline=None)
-@given(n=st.integers(1, 150), seed=st.integers(0, 2**16),
+@given(n=st.integers(NORMAL_K + 1, 150), seed=st.integers(0, 2**16),
        duplicates=st.integers(0, 30), angle=st.floats(0.0, 0.6),
        shift=st.floats(0.0, 0.03), lattice=st.booleans(),
-       shared=st.booleans())
+       shared=st.booleans(), far=st.integers(0, 5), at_cap=st.booleans())
 def test_icp_matches_per_iteration_query_reference(n, seed, duplicates, angle,
-                                                   shift, lattice, shared):
+                                                   shift, lattice, shared,
+                                                   far, at_cap):
     # a target with exact duplicate points (tied nearest neighbours) and a
     # source started up to 34 degrees and 3 cm off, so points cross Voronoi
     # cells between iterations; on a lattice of binary-exact spacing some
-    # source points start on exact midpoints, tied between two points
+    # source points start on exact midpoints, tied between two points. Up to
+    # five source points lie a metre behind the rest, beyond the cap, where
+    # the bounded query returns index len(target); with ``at_cap`` the
+    # source starts in place with one more point exactly the cap beyond the
+    # target point of largest x, which matches as ``d <= cap`` does.
     rng = np.random.default_rng(seed)
     if lattice:
         g = np.arange(6) * 2.0 ** -7
@@ -586,36 +591,75 @@ def test_icp_matches_per_iteration_query_reference(n, seed, duplicates, angle,
         source = target[rng.permutation(n)[:max(1, n // 2)]]
         source = source + rng.normal(scale=0.002, size=source.shape)
     target = np.vstack([target, target[rng.integers(0, len(target), duplicates)]])
+    source = np.vstack([source, source[:far] + [0.0, 0.0, 1.0]])
     init = RigidPose(quat.quat_from_axis_angle(rng.normal(size=3), angle),
                      rng.normal(size=3) * shift)
     if lattice and seed % 2:
         init = RigidPose.identity()
+    cap = 0.03
+    if at_cap:
+        init = RigidPose.identity()
+        edge = target[np.argmax(target[:, 0])]
+        beyond = edge + [cap, 0.0, 0.0]
+        cap = float(beyond[0] - edge[0])  # exact, by Sterbenz's lemma
+        assert cKDTree(target).query(beyond)[0] == cap
+        source = np.vstack([source, beyond])
     src, tgt = PointCloud(source), PointCloud(target)
-    params = IcpParams(max_iterations=30, max_correspondence_distance=0.03)
+    params = IcpParams(max_iterations=30, max_correspondence_distance=cap)
+    normals = estimate_normals(tgt)
     got = icp_refine(src, tgt, init, params,
-                     Neighbours.of(tgt) if shared else None)
-    _same_fit(got, ref_icp_refine(src, tgt, init, params))
+                     Neighbours.of(tgt) if shared else None,
+                     normals if shared else None)
+    want = ref_icp_refine(src, tgt, init, normals, params)
+    _same_fit(got, want)
 
 
-def test_nearest_tracking_matches_the_tree_on_bisectors():
-    # pairs of target points 3 mm apart, 5 cm from every other pair; each
-    # point starts between its pair's two points and moves straight toward
-    # the farther one, onto the bisector give or take 3e-17 m. There the
-    # second distance less the move is exact to a few ulps only, and the
-    # rounding margin is what sends such a point back to the tree.
+def test_icp_keeps_a_planar_target_plane_and_stays_finite():
+    # source and target on the plane z = 0.6: the rows [(p - c) x n, n]
+    # have n = (0, 0, 1) and span only the out-of-plane rotations and the
+    # normal shift, rank 3 of 6. From a start 4 mm off the plane and tilted
+    # 3 degrees, the minimum-norm steps land the source on the plane and
+    # move it in no in-plane direction they cannot see.
     rng = np.random.default_rng(0)
-    n = 20000
-    grid = np.stack(np.meshgrid(*[np.arange(28)] * 3), axis=-1).reshape(-1, 3)
-    j = grid[:n] * 0.05 + [0.1, -0.05, 0.6]
-    q = j + rng.normal(scale=0.003, size=(n, 3))
-    tree = cKDTree(np.vstack([j, q]))
-    nearest = register._Nearest(tree)
-    nearest.query(j + rng.uniform(0.05, 0.45, (n, 1)) * (q - j))
-    axis = (q - j) / np.linalg.norm(q - j, axis=1, keepdims=True)
-    moved = (j + q) / 2 + rng.integers(-3, 4, (n, 1)) * 1e-17 * axis
-    d, idx = nearest.query(moved)
-    want_d, want_idx = tree.query(moved)
-    assert np.array_equal(d, want_d) and np.array_equal(idx, want_idx)
+    g = rng.uniform(-0.04, 0.04, size=(600, 2))
+    target = PointCloud(np.column_stack([g, np.full(600, 0.6)]))
+    source = PointCloud(target.points[::3])
+    centre = source.points.mean(axis=0)
+    tilt = quat.quat_from_axis_angle([1.0, 0.0, 0.0], np.deg2rad(3.0))
+    init = RigidPose(tilt, centre + [0.0, 0.0, 0.004]
+                     - quat.quat_rotate(tilt, centre))
+    res = icp_refine(source, target, init)
+    moved = res.pose.apply(source.points)
+    assert np.all(np.isfinite(res.pose.translation))
+    assert np.abs(moved[:, 2] - 0.6).max() < 1e-6
+    assert np.abs(moved[:, :2] - init.apply(source.points)[:, :2]).max() < 1e-4
+    assert res.rmse < 1e-3
+
+
+def test_icp_stops_converged_without_a_valid_target_normal():
+    # a target on one line has no valid normal: the first iteration's
+    # matches give the RMSE but no plane to step against
+    target = PointCloud(np.outer(np.linspace(0.0, 0.1, 50), [0.6, 0.8, 0.0])
+                        + [0.1, -0.05, 0.6])
+    assert not estimate_normals(target)[1].any()
+    init = RigidPose(quat.IDENTITY, [0.0, 0.0, 0.002])
+    res = icp_refine(target, target, init)
+    assert (res.converged, res.iterations) == (True, 1)
+    assert res.pose is init and res.rmse == pytest.approx(0.002)
+
+
+def test_icp_rejects_a_target_too_small_for_normals():
+    # normals need more than NORMAL_K points; given the target's normals,
+    # ICP runs on the small target itself
+    cloud = _ramp_cloud(n=100)
+    small = PointCloud(cloud.points[:NORMAL_K])
+    with pytest.raises(RejectedInput):
+        icp_refine(cloud, small, RigidPose.identity())
+    valid = np.ones(NORMAL_K, dtype=bool)
+    normals = np.tile([0.0, 0.0, 1.0], (NORMAL_K, 1))
+    res = icp_refine(small, small, RigidPose.identity(),
+                     normals=(normals, valid))
+    assert res.rmse == 0.0
 
 
 def test_icp_rejects_empty():
@@ -710,17 +754,21 @@ def test_fine_register_starts_icp_once_without_a_ransac_model(monkeypatch):
                         lambda a, b: (np.empty(0, int), np.empty(0, int)))
     calls = []
 
-    def recording(src, tgt, init, params=IcpParams(), neighbours=None):
-        calls.append((src, tgt, init))
-        return icp_refine(src, tgt, init, params, neighbours)
+    def recording(src, tgt, init, params=IcpParams(), neighbours=None,
+                  normals=None):
+        calls.append((src, tgt, init, normals))
+        return icp_refine(src, tgt, init, params, neighbours, normals)
 
     monkeypatch.setattr(register, "icp_refine", recording)
     res = register.fine_register(obs.unit_mesh, observed, coarse, scale)
     assert res.ransac.rmse == register.RMSE_INF
     assert len(calls) == 1
-    src, tgt, init = calls[0]
+    src, tgt, init, normals = calls[0]
     assert np.array_equal(init.rotation, quat.IDENTITY)
     assert np.array_equal(init.translation, np.zeros(3))
+    # the target normals FPFH used, as ICP would estimate them itself
+    for given, own in zip(normals, estimate_normals(tgt)):
+        assert np.array_equal(given, own)
     cap = IcpParams().max_correspondence_distance
     want = min((icp_refine(src, tgt, RigidPose.identity()) for _ in range(2)),
                key=lambda fit: fit.inlier_fraction
