@@ -45,8 +45,8 @@ def main():
     region = InteractionRegion(PointCloud(pts), pts.mean(axis=0))
 
     samples = sample_strategies(region, n_rotations=3, n_offsets=5,
-                                offset_radius=0.03, reach=None,
-                                vertical_offset=0.05)
+                                offset_radius=0.03, reach=lambda p: True,
+                                vertical_offset=lambda q: 0.05)
     print(f"sampled {len(samples)} candidate strategies")
 
     labeled = label_samples(twin, samples, ("inside", ("cube", "container")),

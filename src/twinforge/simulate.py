@@ -13,22 +13,23 @@ points along -z, and the ground plane z=0 is always present as an implicit
 static support.
 
 Drop and lift distances are closed form: surface samples are cast as rays
-along gravity against the meshes (``MeshIndex.cast``), manipulated samples
-down onto the static meshes and static samples up onto the manipulated mesh,
-and the ground is analytic. A drop needs only the least of these distances,
-so it starts from the ground gap and casts only the samples whose lower
-bound on their hit can still beat the gap so far (``MeshIndex.first_hit``);
-a static sample further below the manipulated mesh's lowest vertex than the
-gap is not cast at all. A lift casts the same rays backwards, through the
-same indexes. Everything that depends only on the scene is built once per
-scene: surface samples, and for each static mesh in world coordinates a
-parity index and one vertical index along -z, which serves the drop, the
-lift and the contact band; the manipulated mesh gets a parity index in its
-own frame, for the static samples inside it. ``label_samples`` builds it
-once per labeling run, so a scene that cannot be simulated fails once. The
-context is read-only apart from one memo: the manipulated mesh's vertical
-index per rotation, built on first use. An entry depends only on its key,
-so concurrent workers see the same answers whichever of them fills it.
+along gravity against the meshes, manipulated samples down onto the static
+meshes and static samples up onto the manipulated mesh, and the ground is
+analytic. A drop needs only the least of these distances, so it starts from
+the ground gap and casts only the samples whose lower bound on their hit can
+still beat the gap so far (``MeshIndex.first_hit``); a static sample further
+below the manipulated mesh's lowest vertex than the gap is not cast at all.
+A lift casts the same rays backwards, through the same indexes, and one
+cast answers both of its questions (``MeshIndex.exit``): an odd crossing
+count puts the sample inside, and the nearest crossing is its way out.
+Everything that depends only on the scene is built once per scene: surface
+samples, and for each static mesh in world coordinates one vertical index
+along -z, which serves the drop, the lift and the contact band.
+``label_samples`` builds it once per labeling run, so a scene that cannot be
+simulated fails once. The context is read-only apart from one memo: the
+manipulated mesh's vertical index per rotation, in its own frame, built on
+first use. An entry depends only on its key, so concurrent workers see the
+same answers whichever of them fills it.
 
 The same put-down grounds an aligned twin (``ground_objects``), each object
 onto the ground or the objects grounded before it.
@@ -161,7 +162,6 @@ def checker_intrinsics(size: int) -> CameraIntrinsics:
 class _Static(NamedTuple):
     """One static object in world coordinates."""
     samples: np.ndarray     # surface samples
-    index: MeshIndex        # parity
     down: MeshIndex         # along -z: drop, lift (backwards), contact band
     box: tuple              # mesh bounding box padded for the inside tests
     band: tuple             # mesh bounding box padded for the contact band
@@ -186,9 +186,8 @@ class _SettleContext:
         self.mesh = manip.mesh
         self.local_samples = sample_mesh_surface(
             manip.mesh, config.surface_samples, config.seed).points
-        self.local_index = MeshIndex(manip.mesh)
-        self.local_box = (self.local_samples.min(axis=0) - 1e-6,
-                          self.local_samples.max(axis=0) + 1e-6)
+        self.local_box = (manip.mesh.vertices.min(axis=0) - 1e-6,
+                          manip.mesh.vertices.max(axis=0) + 1e-6)
         _, self.local_com = volume_and_com(manip.mesh)
         self._self_casts = {}
         self.others = []
@@ -203,23 +202,8 @@ class _SettleContext:
             hi = world_mesh.vertices.max(axis=0)
             band = 2 * CONTACT_TOL
             self.others.append(_Static(
-                world_pts, MeshIndex(world_mesh), MeshIndex(world_mesh, -UP),
+                world_pts, MeshIndex(world_mesh, -UP),
                 (lo - 1e-6, hi + 1e-6), (lo - band, hi + band)))
-
-    def _inside(self, pose: RigidPose):
-        """The manipulated samples at this pose (world), and per static
-        object the manipulated samples inside it (world) and its samples
-        inside the manipulated solid (manipulated frame)."""
-        pts = pose.apply(self.local_samples)
-        inv = pose.inverse()
-        found = []
-        for s in self.others:
-            mine = pts[_in_box(pts, s.box)]
-            local_other = inv.apply(s.samples)
-            theirs = local_other[_in_box(local_other, self.local_box)]
-            found.append((s, mine[s.index.inside(mine)],
-                          theirs[self.local_index.inside(theirs)]))
-        return pts, found
 
     def _self_index(self, rotation) -> MeshIndex:
         """Index of the manipulated mesh, in its own frame, for rays along
@@ -271,22 +255,26 @@ class _SettleContext:
         are inside, plus _CLEARANCE: a manipulated sample below the ground
         exits at z=0, one inside a static mesh exits upward through that
         mesh, and a static sample inside the manipulated mesh exits
-        downward through it. Parity comes from ``MeshIndex.inside``; the
-        lifted pose is tested again, since a sample can rise into an
-        overhang."""
+        downward through it. Both come from ``MeshIndex.exit``, which is
+        inf for a sample that is not inside; the lifted pose is tested
+        again, since a sample can rise into an overhang."""
         lifted = 0.0
         while True:
-            pts, found = self._inside(pose)
+            pts = pose.apply(self.local_samples)
+            inv = pose.inverse()
             exits = [-pts[pts[:, 2] < 0, 2]]
-            exits += [s.down.cast(mine, back=True) for s, mine, _ in found]
-            theirs = np.vstack([t for *_, t in found] or [np.empty((0, 3))])
+            theirs = [np.empty((0, 3))]
+            for s in self.others:
+                exits.append(s.down.exit(pts[_in_box(pts, s.box)]))
+                local = inv.apply(s.samples)
+                theirs.append(local[_in_box(local, self.local_box)])
+            theirs = np.vstack(theirs)
             if len(theirs):
-                exits.append(self._self_index(pose.rotation).cast(
-                    theirs, back=True))
+                exits.append(self._self_index(pose.rotation).exit(theirs))
             exits = np.concatenate(exits)
+            exits = exits[np.isfinite(exits)]
             if not len(exits):
                 return pose
-            # an exit ray that finds no face makes the step inf: stuck
             step = float(exits.max()) + _CLEARANCE
             lifted += step
             if lifted > _MAX_LIFT:

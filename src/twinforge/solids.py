@@ -6,15 +6,16 @@ exact for watertight meshes with consistent outward orientation (sign is
 fixed up from the total volume).
 
 ``MeshIndex`` is built once per fixed mesh and direction and answers the
-queries the settle simulator repeats: the parity inside test, the first hit
-of a ray cast along the index's direction or against it, the bounded least
-first hit over a set of rays (``first_hit``), and the contact band
-(``point_mesh_distance <= tol``). It buckets every triangle in a 2-D grid so
-the exact per-pair arithmetic runs only on candidate pairs, and its answers
-are bit-identical to the brute-force point x triangle scans. Each cell also
-keeps the least projection onto the ray of the triangles it lists, a lower
-bound on the first hit of any ray from the cell; ``first_hit`` casts only
-the rays whose bound can still beat the answer.
+queries the settle simulator repeats: the parity inside test and the exit
+of a ray cast against the index's direction, in one pass (``exit``), the
+bounded least first hit over a set of rays cast along it (``first_hit``),
+and the contact band (``point_mesh_distance <= tol``). It buckets every
+triangle in a 2-D grid so the exact per-pair arithmetic runs only on
+candidate pairs, and its answers are bit-identical to the brute-force
+point x triangle scans. Each cell also keeps the least projection onto the
+ray of the triangles it lists, a lower bound on the first hit of any ray
+from the cell; ``first_hit`` casts only the rays whose bound can still beat
+the answer.
 """
 
 from __future__ import annotations
@@ -151,7 +152,7 @@ class MeshIndex:
     point x triangle scan.
     """
 
-    def __init__(self, mesh: TriangleMesh, direction=PARITY_DIRECTION):
+    def __init__(self, mesh: TriangleMesh, direction):
         d = np.asarray(direction, dtype=float)
         tri = mesh.vertices[mesh.triangles]                  # (T, 3, 3)
         e1, e2 = tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0]
@@ -254,28 +255,23 @@ class MeshIndex:
         hit = (u >= 0) & (v >= 0) & (u + v <= 1) & (t > _EPS)
         return pi[hit], t[hit]
 
-    def inside(self, points) -> np.ndarray:
-        """Parity inside test for each point (odd crossing count)."""
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        if not len(points):
-            return np.zeros(0, dtype=bool)
-        pi, _ = self._hits(points, self._cell_ids(points))
-        return np.bincount(pi, minlength=len(points)) % 2 == 1
-
-    def cast(self, points, back: bool = False) -> np.ndarray:
-        """First hit distance t > _EPS of the ray from each point along the
-        index's direction, or against it with ``back``, in units of the
-        direction's length; inf on a miss."""
+    def exit(self, points) -> np.ndarray:
+        """Per point, the distance t > _EPS to the first crossing of its ray
+        against the index's direction where that ray crosses the surface an
+        odd number of times (the point is inside by parity), else inf; t is
+        in units of the direction's length."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
         out = np.full(len(points), np.inf)
         if len(points):
-            pi, t = self._hits(points, self._cell_ids(points), back)
+            pi, t = self._hits(points, self._cell_ids(points), back=True)
             np.minimum.at(out, pi, t)
+            out[np.bincount(pi, minlength=len(points)) % 2 == 0] = np.inf
         return out
 
     def first_hit(self, points, limit: float = np.inf) -> float:
-        """``min(limit, cast(points).min())``, casting only the points that
-        can set it.
+        """The least of limit and the first hit distance t > _EPS of each
+        point's ray along the index's direction (in units of the
+        direction's length), casting only the points that can set it.
 
         A point's first hit is at least its cell's floor less its own
         projection onto the ray. The few points with the smallest bounds
@@ -322,5 +318,8 @@ class MeshIndex:
 
 
 def points_inside(points, mesh: TriangleMesh, direction=PARITY_DIRECTION):
-    """Parity test: odd crossing count along a fixed generic ray direction."""
-    return MeshIndex(mesh, direction).inside(points)
+    """Parity test: odd crossing count along a fixed generic ray direction.
+    The ray along it is the ray against an index built along its opposite,
+    so this is that index's ``exit``. Kept as a public function so
+    perfbench's tracer can time the inside test."""
+    return np.isfinite(MeshIndex(mesh, np.negative(direction)).exit(points))

@@ -120,12 +120,12 @@ def builtin_reachability(pose: RigidPose, workspace: Aabb) -> bool:
 
 def sample_strategies(region: InteractionRegion, n_rotations: int, n_offsets: int,
                       offset_radius: float, reach,
-                      vertical_offset=0.0) -> list[StrategySample]:
+                      vertical_offset) -> list[StrategySample]:
     """Deterministic 6-DoF placement samples near the region centroid.
 
-    vertical_offset may be a scalar (object half-height) or a callable
-    mapping a rotation quaternion to the rotated half-height along gravity;
-    each sample starts CLEARANCE above it. Samples failing the reachability predicate are dropped; surviving
+    vertical_offset maps a rotation quaternion to the object's rotated
+    half-height along gravity; each sample starts CLEARANCE above it.
+    Samples that fail reach, a predicate on poses, are dropped; surviving
     sample_ids are sequential.
     """
     if n_rotations < 1 or n_offsets < 1:
@@ -135,9 +135,9 @@ def sample_strategies(region: InteractionRegion, n_rotations: int, n_offsets: in
     offsets = halton_disc_offsets(n_offsets, offset_radius)
     samples = []
     for q in map(quat.quat_normalize, rest_yaw_grid(n_rotations).reshape(-1, 4)):
-        lift = vertical_offset(q) if callable(vertical_offset) else vertical_offset
+        lift = vertical_offset(q)
         for off in offsets:
             pose = RigidPose(q, region.centroid + off + (lift + CLEARANCE) * UP)
-            if reach is None or reach(pose):
+            if reach(pose):
                 samples.append(StrategySample(pose, len(samples)))
     return samples

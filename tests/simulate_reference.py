@@ -1,9 +1,9 @@
 """Reference drop and penetration depth for the settle simulator.
 
 ``ref_drop`` is ``_SettleContext.drop`` as it was before the bounded first
-hit: it casts every candidate sample in full and builds the manipulated
-mesh's cast index for each pose. Used to cross-check the bounded drop pose
-for pose, bit for bit.
+hit: it casts every candidate sample in full, by brute force over every
+triangle, with no index. Used to cross-check the bounded drop pose for pose,
+bit for bit.
 
 ``ref_point_in_hull`` and ``ref_nearest_hull_edge`` are the settle's
 support test and pivot as loops over a counter-clockwise hull's edges, as
@@ -13,7 +13,9 @@ check ``_tip`` against them, pivot for pivot and axis for axis, bit for bit.
 ``ref_penetration_depth`` is the start check the settle used before it
 asked ``lift_free``: the distance from each sample inside a solid to the
 nearest surface sample of that solid, so a shallow depth reads as up to
-the sample spacing.
+the sample spacing. Which samples are inside comes from the brute-force
+parity along ``PARITY_DIRECTION``, not from the settle's vertical indexes,
+so the lift tests judge freedom with a parity other than the one they test.
 """
 
 import numpy as np
@@ -22,21 +24,28 @@ from scipy.spatial import cKDTree
 from twinforge import quaternions as quat
 from twinforge.geometry import RigidPose
 from twinforge.simulate import _CLEARANCE, UP, _in_box
-from twinforge.solids import MeshIndex
+
+from solids_reference import ref_first_hit, ref_points_inside
 
 
 def _cast_self(ctx, pose, direction, local_points):
     d = quat.quat_rotate(quat.quat_conjugate(pose.rotation), direction)
-    return MeshIndex(ctx.mesh, d).cast(local_points)
+    return ref_first_hit(local_points, d, ctx.mesh)
+
+
+def _static_meshes(ctx):
+    """Each static mesh in world coordinates, in the order of ctx.others."""
+    return [o.mesh.transformed(o.pose) for o in ctx.scene.objects
+            if o.role != "manipulated"]
 
 
 def ref_drop(ctx, pose):
     pts = pose.apply(ctx.local_samples)
     gap = float(pts[:, 2].min())
-    for s in ctx.others:
+    for s, mesh in zip(ctx.others, _static_meshes(ctx)):
         cand = _in_box(pts, s.box, dims=2) & (pts[:, 2] >= s.box[0][2])
         if cand.any():
-            gap = min(gap, float(s.down.cast(pts[cand]).min()))
+            gap = min(gap, float(ref_first_hit(pts[cand], -UP, mesh).min()))
     verts = pose.apply(ctx.mesh.vertices)
     foot = (verts.min(axis=0) - 1e-6, verts.max(axis=0) + 1e-6)
     under = np.vstack([s.samples[_in_box(s.samples, foot, dims=2)
@@ -52,9 +61,13 @@ def ref_drop(ctx, pose):
 def ref_penetration_depth(ctx, pose):
     """Deepest interpenetration of the manipulated object at this pose
     against the ground and all other objects."""
-    pts, found = ctx._inside(pose)
+    pts = pose.apply(ctx.local_samples)
+    inv = pose.inverse()
     depth = max(0.0, float(-pts[:, 2].min()))
-    for s, mine, theirs in found:
+    for s, mesh in zip(ctx.others, _static_meshes(ctx)):
+        mine = pts[ref_points_inside(pts, mesh)]
+        theirs = inv.apply(s.samples)
+        theirs = theirs[ref_points_inside(theirs, ctx.mesh)]
         if len(mine):
             d, _ = cKDTree(s.samples).query(mine)
             depth = max(depth, float(d.max()))

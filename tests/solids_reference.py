@@ -1,4 +1,5 @@
-"""Brute-force references for the parity inside test and the ray cast.
+"""Brute-force references for the parity inside test, the ray cast and
+the exit of a point inside.
 
 Runs Moller-Trumbore on every (point, triangle) pair with no bucketing. Used
 to cross-check ``twinforge.solids.MeshIndex`` bit for bit, and, through
@@ -51,6 +52,13 @@ def ref_first_hit(origins, direction, mesh, eps=1e-12):
     direction's length; inf where the ray meets no triangle."""
     hit, t = _pair_hits(origins, direction, mesh, eps)
     return np.where(hit, t, np.inf).min(axis=1, initial=np.inf)
+
+
+def ref_exit(origins, direction, mesh, eps=1e-12):
+    """Smallest crossing distance t > eps per origin whose ray along the
+    direction crosses the mesh an odd number of times; inf elsewhere."""
+    odd = ray_triangle_hits(origins, direction, mesh, eps) % 2 == 1
+    return np.where(odd, ref_first_hit(origins, direction, mesh, eps), np.inf)
 
 
 def ray_mesh_depth(origin, direction, mesh: TriangleMesh, eps=1e-12):

@@ -14,6 +14,7 @@ from twinforge.simulate import (CONTACT_TOL, PENETRATION_TOL, RENDER_SIZE,
                                 checker_intrinsics, checker_viewpoint,
                                 geometric_evaluator, label_samples,
                                 render_outcome, settle_simulate)
+from twinforge.solids import MeshIndex
 from twinforge.strategy import StrategySample
 from twinforge.synth import make_box, make_cup, make_open_box
 
@@ -162,6 +163,38 @@ def test_lift_free_gives_up_when_no_free_height_within_cap():
     ctx = _SettleContext(twin, FAST)
     buried = RigidPose(quat.IDENTITY, [0.0, 0.0, 0.1])
     assert ctx.lift_free(buried) is None
+
+
+def test_lift_frees_a_static_solid_in_the_cup_wall_beyond_its_samples():
+    # a 10 micron box inside the cup's wall at its vertex on -x, past
+    # the reach of the cup's surface samples: only a manipulated box built
+    # from the mesh's vertices tests the box's samples at all. Each exits
+    # down through the cup's bottom, 45 mm below the cup's centre.
+    cup = SceneObject("cup", make_cup(0.035, 0.09, 0.005),
+                      RigidPose(quat.IDENTITY, [0.0, 0.0, 0.1]),
+                      role="manipulated")
+    speck = SceneObject("speck", make_box([1e-5, 5e-6, 1e-5]),
+                        RigidPose(quat.IDENTITY, [-0.03498, 3.5e-6, 0.1]),
+                        role="static")
+    ctx = _SettleContext(scene_with(cup, speck), SimConfig())
+    assert ctx.local_samples[:, 0].min() > -0.03498 + 5e-6
+    free = ctx.lift_free(cup.pose)
+    assert free.translation[2] - 0.1 == pytest.approx(0.045, abs=2e-5)
+    assert ref_penetration_depth(ctx, cup.pose) > 0
+    assert ref_penetration_depth(ctx, free) == 0.0
+
+
+def test_context_builds_one_vertical_index_per_static_object(monkeypatch):
+    built = []
+
+    def counted(mesh, direction):
+        built.append(np.asarray(direction, dtype=float))
+        return MeshIndex(mesh, direction)
+
+    monkeypatch.setattr(simulate, "MeshIndex", counted)
+    ctx = _SettleContext(tall_wall_scene(), FAST)
+    assert len(built) == len(ctx.others) == 2
+    assert all(np.array_equal(d, -simulate.UP) for d in built)
 
 
 def test_topple_into_a_tall_wall_ends_as_penetration():

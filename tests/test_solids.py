@@ -11,7 +11,8 @@ from twinforge.solids import (PARITY_DIRECTION, MeshIndex, is_watertight,
                               signed_volume, volume_and_com)
 from twinforge.synth import make_box, make_cup, make_cylinder, make_open_box, make_ramp
 
-from solids_reference import ray_mesh_depth, ref_first_hit, ref_points_inside
+from solids_reference import (ray_mesh_depth, ref_exit, ref_first_hit,
+                              ref_points_inside)
 
 
 def test_box_is_watertight_with_correct_volume():
@@ -73,13 +74,14 @@ def test_ray_mesh_depth_box_face():
     d = ray_mesh_depth([0.0, 0.0, -1.0], [0.0, 0.0, 1.0], box)
     assert d == pytest.approx(0.9, abs=1e-9)
     assert ray_mesh_depth([5.0, 5.0, -1.0], [0.0, 0.0, 1.0], box) == np.inf
-    # a vertical index casts down onto the top face, 0.02 above the origin,
-    # and backwards up onto the bottom face, 0.02 below it
+    # a point inside a down index's box exits upward through the top face,
+    # 0.02 above the origin; a point above or below the box has no exit.
+    # The rays run off the diagonals that split each face in two.
     index = MeshIndex(make_box([0.06, 0.05, 0.04]), (0.0, 0.0, -1.0))
-    assert index.cast([[0.0, 0.0, 0.1]])[0] == pytest.approx(0.08, abs=1e-12)
-    assert index.cast([[0.0, 0.0, -0.1]], back=True)[0] \
-        == pytest.approx(0.08, abs=1e-12)
-    assert index.cast(np.empty((0, 3))).shape == (0,)
+    exits = index.exit([[0.01, 0.004, z] for z in (0.01, -0.01, 0.1, -0.1)])
+    assert exits[:2] == pytest.approx([0.01, 0.03], abs=1e-12)
+    assert np.all(exits[2:] == np.inf)
+    assert index.exit(np.empty((0, 3))).shape == (0,)
 
 
 def test_point_mesh_distance_exact():
@@ -137,6 +139,13 @@ poses = st.builds(
     st.tuples(_unit, _unit, _unit, _unit).filter(
         lambda q: np.linalg.norm(q) > 0.1),
     st.tuples(*[st.floats(-0.3, 0.3)] * 3))
+# half turns about the axes keep faces square to the axis-aligned casts, so
+# rays from points just off a flat face tie on its distance up to rounding:
+# the cases where a bound with no slack would skip the nearest hit
+square_poses = st.builds(
+    lambda q, t: RigidPose(np.array(q, dtype=float), np.array(t)),
+    st.sampled_from([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]),
+    st.tuples(*[st.floats(-0.3, 0.3)] * 3))
 
 
 def _query_points(mesh, tol, seed, per_kind=80):
@@ -169,8 +178,9 @@ def _query_points(mesh, tol, seed, per_kind=80):
 def test_mesh_index_matches_brute_force(name, pose, tol, seed):
     mesh = MESHES[name].transformed(pose)
     pts = _query_points(mesh, tol, seed)
-    index = MeshIndex(mesh)
-    assert np.array_equal(index.inside(pts), ref_points_inside(pts, mesh))
+    index = MeshIndex(mesh, PARITY_DIRECTION)
+    assert np.array_equal(index.exit(pts),
+                          ref_exit(pts, np.negative(PARITY_DIRECTION), mesh))
     expect = point_mesh_distance(pts, mesh) <= tol
     assert np.array_equal(index.within(pts, tol), expect)
     # the settle's contact band runs on its vertical index
@@ -197,40 +207,60 @@ CAST_DIRECTIONS = [(0.0, 0.0, -1.0), (0.0, 0.0, 1.0), (0.3, -0.2, 0.9)]
 
 
 @settings(max_examples=40, deadline=None)
-@given(name=st.sampled_from(sorted(MESHES)), pose=poses,
+@given(name=st.sampled_from(sorted(MESHES)), pose=poses | square_poses,
        direction=st.sampled_from(CAST_DIRECTIONS),
        gap=st.sampled_from([1e-9, 1e-6, 1e-3]),
        seed=st.integers(0, 2**16))
-def test_cast_matches_brute_force_first_hit(name, pose, direction, gap, seed):
+def test_exit_matches_brute_force(name, pose, direction, gap, seed):
+    # the exit ray runs against the index's direction
     mesh = MESHES[name].transformed(pose)
     pts = _query_points(mesh, gap, seed)
     index = MeshIndex(mesh, direction)
-    assert np.array_equal(index.cast(pts), ref_first_hit(pts, direction, mesh))
-    # cast backwards, exactly as an index built along the opposite direction
     back = np.negative(direction)
-    assert np.array_equal(index.cast(pts, back=True),
-                          ref_first_hit(pts, back, mesh))
-    assert np.array_equal(index.cast(pts, back=True),
-                          MeshIndex(mesh, back).cast(pts))
-    # rays that start beside the mesh, off the index's grid, hit nothing;
+    assert np.array_equal(index.exit(pts), ref_exit(pts, back, mesh))
+    assert index.exit(np.empty((0, 3))).shape == (0,)
+    # rays that start beside the mesh, off the index's grid, have no exit;
     # the far query points sit 2.0 from the mesh centre, so shifting by 2.0
     # could bring one back over the mesh: shift well past that radius
     d = np.asarray(direction) / np.linalg.norm(direction)
     side = np.cross(d, [1.0, 0.0, 0.0] if abs(d[0]) < 0.9 else [0.0, 1.0, 0.0])
     side /= np.linalg.norm(side)
     off = pts + 5.0 * side
-    assert np.all(index.cast(off) == np.inf)
-    assert np.all(index.cast(off, back=True) == np.inf)
-    assert np.all(ref_first_hit(off, direction, mesh) == np.inf)
+    assert np.all(index.exit(off) == np.inf)
+    assert np.all(ref_first_hit(off, back, mesh) == np.inf)
 
 
-# half turns about the axes keep faces square to the axis-aligned casts, so
-# rays from points just off a flat face tie on its distance up to rounding:
-# the cases where a bound with no slack would skip the nearest hit
-square_poses = st.builds(
-    lambda q, t: RigidPose(np.array(q, dtype=float), np.array(t)),
-    st.sampled_from([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]),
-    st.tuples(*[st.floats(-0.3, 0.3)] * 3))
+CLOSED = sorted(name for name, mesh in MESHES.items() if is_watertight(mesh))
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(CLOSED), pose=poses | square_poses,
+       direction=st.sampled_from(CAST_DIRECTIONS[:2]),
+       gap=st.sampled_from([1e-6, 3e-3]) | st.floats(1e-6, 3e-3),
+       seed=st.integers(0, 2**16))
+def test_vertical_exit_is_finite_exactly_inside(name, pose, direction, gap,
+                                                seed):
+    # parity along any ray in general position gives the same answer on a
+    # closed mesh: a vertical index's exit is finite exactly where the
+    # generic parity direction says inside. Points in general position only:
+    # face points moved gap along the face normal either way and uniform
+    # points in the bounding box; a vertical ray from a vertex or an edge
+    # midpoint can run along the surface.
+    mesh = MESHES[name].transformed(pose)
+    rng = np.random.default_rng(seed)
+    tri = mesh.vertices[mesh.triangles]
+    normal = np.cross(tri[:, 1] - tri[:, 0], tri[:, 2] - tri[:, 0])
+    normal /= np.linalg.norm(normal, axis=1, keepdims=True)
+    rows = rng.choice(len(tri), 200)
+    faces = np.einsum("tk,tkj->tj", rng.dirichlet(np.ones(3), 200), tri[rows])
+    sign = rng.choice([-1.0, 1.0], size=(200, 1))
+    v = mesh.vertices
+    pts = np.vstack([faces + sign * gap * normal[rows],
+                     rng.uniform(v.min(axis=0), v.max(axis=0), (200, 3))])
+    inside = ref_points_inside(pts, mesh)
+    assert inside.any()
+    assert np.array_equal(np.isfinite(MeshIndex(mesh, direction).exit(pts)),
+                          inside)
 
 
 @settings(max_examples=60, deadline=None)

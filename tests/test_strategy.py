@@ -77,8 +77,8 @@ def region_at(center):
 def test_sample_strategies_count_and_ids():
     region = region_at([0.0, 0.0, 0.1])
     samples = sample_strategies(region, n_rotations=3, n_offsets=4,
-                                offset_radius=0.02, reach=None,
-                                vertical_offset=0.05)
+                                offset_radius=0.02, reach=lambda p: True,
+                                vertical_offset=lambda q: 0.05)
     assert len(samples) == 6 * 3 * 4
     assert [s.sample_id for s in samples] == list(range(len(samples)))
     # identity-rotation samples sit lift+clearance above the centroid
@@ -95,7 +95,7 @@ def test_sample_strategies_callable_vertical_offset():
         return 0.02
 
     samples = sample_strategies(region, n_rotations=2, n_offsets=1,
-                                offset_radius=0.0, reach=None,
+                                offset_radius=0.0, reach=lambda p: True,
                                 vertical_offset=lift)
     assert len(seen) == 12  # once per rotation
     assert all(s.object_pose.translation[2] == pytest.approx(0.025)
@@ -104,11 +104,13 @@ def test_sample_strategies_callable_vertical_offset():
 
 def test_sample_strategies_reachability_drops():
     region = region_at([0.0, 0.0, 0.1])
-    keep_none = sample_strategies(region, 2, 2, 0.01, reach=lambda p: False)
+    keep_none = sample_strategies(region, 2, 2, 0.01, lambda p: False,
+                                  lambda q: 0.0)
     assert keep_none == []
     ws = Aabb([-1, -1, 0], [1, 1, 1])
     kept = sample_strategies(region, 2, 2, 0.01,
-                             reach=lambda p: builtin_reachability(p, ws))
+                             lambda p: builtin_reachability(p, ws),
+                             lambda q: 0.0)
     assert len(kept) > 0
     assert [s.sample_id for s in kept] == list(range(len(kept)))
 
@@ -150,14 +152,14 @@ def test_sample_strategies_match_scalar_loop(n_rotations):
 def test_sample_strategies_validation():
     region = region_at([0, 0, 0])
     with pytest.raises(RejectedInput):
-        sample_strategies(region, 0, 1, 0.01, None)
+        sample_strategies(region, 0, 1, 0.01, lambda p: True, lambda q: 0.0)
     with pytest.raises(RejectedInput):
-        sample_strategies(region, 1, 1, -0.01, None)
+        sample_strategies(region, 1, 1, -0.01, lambda p: True, lambda q: 0.0)
 
 
 def test_sample_with_outcome_and_prob():
     region = region_at([0, 0, 0])
-    s = sample_strategies(region, 1, 1, 0.0, None)[0]
+    s = sample_strategies(region, 1, 1, 0.0, lambda p: True, lambda q: 0.0)[0]
     labeled = s.with_outcome("outcome", True)
     assert labeled.weak_label is True and labeled.outcome == "outcome"
     ranked = labeled.with_prob(0.75)
