@@ -13,7 +13,9 @@ geometric stages cannot (and need not) distinguish symmetric orientations.
 The plan benchmark plans ten scene seeds of every synthetic task and scores
 each plan against the scene's ground truth: the error of every twin object
 (symmetric mean surface distance to the true posed mesh) and whether the
-selected strategy, settled in the ground-truth twin, meets the goal.
+selected strategy, settled in the ground-truth twin, meets the goal. Per
+task it also summarizes the plans' cost: median plan and stage times and
+median minor page faults per plan.
 """
 
 from __future__ import annotations
@@ -21,13 +23,18 @@ from __future__ import annotations
 import csv
 import json
 import os
+import platform
+import resource
 import tempfile
 import time
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy
 
+from . import HEAP_POLICY
 from . import quaternions as quat
+from ._parallel import worker_count
 from .errors import RejectedInput, StageFailureError, check_int
 from .fileio import load_mesh
 from .geometry import sample_mesh_surface
@@ -239,6 +246,8 @@ class PlanRow:
     twin_err_mm: dict       # object name -> surface distance to the truth
     positive: int           # positive labels (0 when labelling never ran)
     plan_s: float
+    timings: dict           # stage name -> seconds, as the report has them
+    minor_faults: int       # minor page faults taken by run_pipeline
 
     @property
     def twin_good(self) -> bool:
@@ -250,9 +259,11 @@ def plan_trial(task: str, spec, config: PipelineConfig | None = None) -> PlanRow
     """Plan one generated scene of the task and score the plan against its
     truth."""
     config = config or PipelineConfig()
+    faults0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     t0 = time.perf_counter()
     result = run_pipeline(spec, config)
     plan_s = time.perf_counter() - t0
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults0
     report = result.report
     truth = truth_twin(spec)
     errors = {o.name: surface_distance_mm(o.mesh, o.pose,
@@ -266,7 +277,7 @@ def plan_trial(task: str, spec, config: PipelineConfig | None = None) -> PlanRow
         goal = bool(GeometricEvaluator(spec.goal)(settled))
     return PlanRow(task, spec.seed, report.status, report.failed_stage, goal,
                    errors, report.data.get("labels", {}).get("positive", 0),
-                   plan_s)
+                   plan_s, dict(report.timings), faults)
 
 
 def plan_benchmark(seed0: int = 0,
@@ -297,3 +308,33 @@ def write_plan_csv(path: str, rows) -> None:
             w.writerow([r.task, r.seed, r.status, r.failed_stage or "",
                         int(r.goal_met), errs, f"{worst:.2f}", r.positive,
                         f"{r.plan_s:.2f}"])
+
+
+def plan_summary(rows) -> dict:
+    """BENCH_plan.json: per task, the median plan time, the median time of
+    each stage over the plans that ran it, the median minor page faults per
+    plan and the total positive labels; and the environment the plans ran
+    in."""
+    tasks = {}
+    for task in dict.fromkeys(r.task for r in rows):
+        mine = [r for r in rows if r.task == task]
+        stages = dict.fromkeys(name for r in mine for name in r.timings)
+        tasks[task] = {
+            "plans": len(mine),
+            "plan_s": float(np.median([r.plan_s for r in mine])),
+            "stage_s": {name: float(np.median([r.timings[name] for r in mine
+                                               if name in r.timings]))
+                        for name in stages},
+            "minor_faults": float(np.median([r.minor_faults for r in mine])),
+            "positive_labels": sum(r.positive for r in mine),
+        }
+    env = {"python": platform.python_version(), "numpy": np.__version__,
+           "scipy": scipy.__version__, "cpu_count": os.cpu_count(),
+           "TWINFORGE_THREADS": worker_count(), "heap_policy": HEAP_POLICY}
+    return {"env": env, "tasks": tasks}
+
+
+def write_plan_json(path: str, rows) -> None:
+    with open(path, "w") as f:
+        json.dump(plan_summary(rows), f, indent=2)
+        f.write("\n")

@@ -19,7 +19,7 @@ import numpy as np
 
 from .benchmark import (BENCHMARK_PRIMITIVES, GOOD_TWIN_MM, PLAN_SEEDS,
                         alignment_benchmark, plan_benchmark,
-                        write_benchmark_csv, write_plan_csv)
+                        write_benchmark_csv, write_plan_csv, write_plan_json)
 from .errors import RejectedInput, StageFailureError
 from .geometry import RigidPose
 from .pipeline import PipelineConfig, align_scene, run_and_write
@@ -143,6 +143,8 @@ def cmd_bench_plan(args) -> int:
     os.makedirs(out, exist_ok=True)
     path = os.path.join(out, "bench_plan.csv")
     write_plan_csv(path, rows)
+    summary = os.path.join(out, "BENCH_plan.json")
+    write_plan_json(summary, rows)
     for task in dict.fromkeys(r.task for r in rows):
         mine = [r for r in rows if r.task == task]
         worst = [max(r.twin_err_mm.values()) for r in mine if r.twin_err_mm]
@@ -154,7 +156,7 @@ def cmd_bench_plan(args) -> int:
           f"{sum(r.goal_met for r in rows)}/{len(rows)}, every object < "
           f"{GOOD_TWIN_MM:g} mm {sum(r.twin_good for r in rows)}/{len(rows)}, "
           f"{elapsed:.0f} s")
-    print(f"benchmark written: {path}")
+    print(f"benchmark written: {path}, {summary}")
     return EXIT_OK
 
 

@@ -30,12 +30,11 @@ def is_watertight(mesh: TriangleMesh) -> bool:
     """Every undirected edge shared by exactly two triangles."""
     if len(mesh.triangles) == 0:
         return False
-    edges = {}
-    for tri in mesh.triangles:
-        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-            key = (min(a, b), max(a, b))
-            edges[key] = edges.get(key, 0) + 1
-    return all(c == 2 for c in edges.values())
+    edges = np.sort(mesh.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2),
+                    axis=1)
+    _, counts = np.unique(edges[:, 0] * len(mesh.vertices) + edges[:, 1],
+                          return_counts=True)
+    return bool(np.all(counts == 2))
 
 
 def signed_volume(mesh: TriangleMesh) -> float:

@@ -1,5 +1,5 @@
-"""Brute-force references for the parity inside test, the ray cast and
-the exit of a point inside.
+"""Brute-force references for the parity inside test, the ray cast, the
+exit of a point inside and the watertightness check.
 
 Runs Moller-Trumbore on every (point, triangle) pair with no bucketing. Used
 to cross-check ``twinforge.solids.MeshIndex`` bit for bit, and, through
@@ -79,3 +79,16 @@ def ray_mesh_depth(origin, direction, mesh: TriangleMesh, eps=1e-12):
     t = np.einsum("tj,tj->t", qvec, e2) * inv_det
     hit = ok & (u >= -eps) & (v >= -eps) & (u + v <= 1 + eps) & (t > eps)
     return float(t[hit].min()) if hit.any() else np.inf
+
+
+def ref_is_watertight(mesh: TriangleMesh) -> bool:
+    """Every undirected edge shared by exactly two triangles, counted one
+    triangle at a time."""
+    if len(mesh.triangles) == 0:
+        return False
+    edges = {}
+    for tri in mesh.triangles:
+        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
+            key = (min(a, b), max(a, b))
+            edges[key] = edges.get(key, 0) + 1
+    return all(c == 2 for c in edges.values())

@@ -1,15 +1,16 @@
 import csv
+import json
 
 import numpy as np
 import pytest
 
 from twinforge import quaternions as quat
 from twinforge.benchmark import (BENCHMARK_PRIMITIVES, BenchmarkReport,
-                                 BenchmarkRow, alignment_benchmark,
+                                 BenchmarkRow, PlanRow, alignment_benchmark,
                                  plan_trial, surface_distance_mm,
                                  symmetry_aware_success, symmetry_group,
                                  truth_twin, write_benchmark_csv,
-                                 write_plan_csv)
+                                 write_plan_csv, write_plan_json)
 from twinforge.geometry import RigidPose
 from twinforge.register import AlignConfig
 from twinforge.scene import load_scene_spec
@@ -90,6 +91,7 @@ def test_plan_trial_scores_a_plan_against_its_truth(tmp_path):
         "cube-onto-cube", 2, "success", None)
     assert set(row.twin_err_mm) == {"cube", "base"}
     assert row.goal_met and row.twin_good and row.positive > 0
+    assert "simulation" in row.timings and row.minor_faults >= 0
     path = tmp_path / "bench_plan.csv"
     write_plan_csv(path, [row])
     with open(path) as f:
@@ -99,3 +101,36 @@ def test_plan_trial_scores_a_plan_against_its_truth(tmp_path):
                        "plan_s"]
     assert rows[1][:5] == ["cube-onto-cube", "2", "success", "", "1"]
     assert rows[1][5].startswith("cube=") and ";base=" in rows[1][5]
+
+
+def test_plan_summary_medians_per_task(tmp_path):
+    def row(task, seed, plan_s, stages, faults, positive):
+        return PlanRow(task, seed, "success", None, True, {"cube": 1.0},
+                       positive, plan_s, stages, faults)
+
+    rows = [row("cube-onto-cube", 0, 0.5, {"grasp": 0.1, "select": 0.2},
+                900, 45),
+            row("cube-onto-cube", 1, 0.7, {"grasp": 0.3, "select": 0.4},
+                100, 45),
+            row("cube-onto-cube", 2, 0.6, {"grasp": 0.2}, 500, 0),
+            row("cup-on-box", 0, 0.4, {"grasp": 0.05}, 20, 5)]
+    path = tmp_path / "BENCH_plan.json"
+    write_plan_json(path, rows)
+    with open(path) as f:
+        doc = json.load(f)
+    assert list(doc["tasks"]) == ["cube-onto-cube", "cup-on-box"]
+    cube = doc["tasks"]["cube-onto-cube"]
+    assert cube["plans"] == 3
+    assert cube["plan_s"] == pytest.approx(0.6)
+    # a stage's median is over the plans that ran it
+    assert cube["stage_s"] == pytest.approx({"grasp": 0.2, "select": 0.3})
+    assert cube["minor_faults"] == 500
+    assert cube["positive_labels"] == 90
+    assert doc["tasks"]["cup-on-box"] == {
+        "plans": 1, "plan_s": 0.4, "stage_s": {"grasp": 0.05},
+        "minor_faults": 20, "positive_labels": 5}
+    env = doc["env"]
+    assert set(env) == {"python", "numpy", "scipy", "cpu_count",
+                        "TWINFORGE_THREADS", "heap_policy"}
+    assert env["numpy"] == np.__version__
+    assert isinstance(env["heap_policy"], bool)

@@ -12,7 +12,7 @@ from twinforge.solids import (PARITY_DIRECTION, MeshIndex, is_watertight,
 from twinforge.synth import make_box, make_cup, make_cylinder, make_open_box, make_ramp
 
 from solids_reference import (ray_mesh_depth, ref_exit, ref_first_hit,
-                              ref_points_inside)
+                              ref_is_watertight, ref_points_inside)
 
 
 def test_box_is_watertight_with_correct_volume():
@@ -231,6 +231,27 @@ def test_exit_matches_brute_force(name, pose, direction, gap, seed):
 
 
 CLOSED = sorted(name for name, mesh in MESHES.items() if is_watertight(mesh))
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(MESHES)),
+       edit=st.sampled_from(["none", "remove", "duplicate", "empty"]),
+       row=st.integers(0, 2**16))
+def test_is_watertight_matches_edge_loop(name, edit, row):
+    # one triangle removed leaves its edges shared once, one duplicated
+    # shares them three times, and the empty mesh has no edges to share
+    mesh = MESHES[name]
+    tris = mesh.triangles
+    row %= len(tris)
+    if edit == "remove":
+        tris = np.delete(tris, row, axis=0)
+    elif edit == "duplicate":
+        tris = np.vstack([tris, tris[row:row + 1]])
+    elif edit == "empty":
+        tris = tris[:0]
+    edited = TriangleMesh(mesh.vertices, tris)
+    assert is_watertight(edited) == ref_is_watertight(edited)
+    assert is_watertight(edited) == (name in CLOSED and edit == "none")
 
 
 @settings(max_examples=40, deadline=None)
