@@ -12,10 +12,10 @@ geometric stages cannot (and need not) distinguish symmetric orientations.
 
 The plan benchmark plans ten scene seeds of every synthetic task and scores
 each plan against the scene's ground truth: the error of every twin object
-(symmetric mean surface distance to the true posed mesh) and whether the
-selected strategy, settled in the ground-truth twin, meets the goal. Per
-task it also summarizes the plans' cost: median plan and stage times and
-median minor page faults per plan.
+(symmetric mean surface distance to the true posed mesh), and every label
+against the same strategy settled in the ground-truth twin, the selected
+one's included. Per task it also summarizes the plans' cost: median plan
+and stage times and median minor page faults per plan.
 """
 
 from __future__ import annotations
@@ -42,8 +42,7 @@ from .materials import material_lookup
 from .pipeline import PipelineConfig, run_pipeline
 from .register import AlignConfig, alignment_success, two_stage_align
 from .scene import load_scene_spec, pose_from_json
-from .simulate import (GeometricEvaluator, SceneObject, SceneTwin,
-                       settle_simulate)
+from .simulate import SceneObject, SceneTwin, label_samples
 from .solids import point_mesh_distance
 from .strategy import StrategySample
 from .synth import (TASKS, generate_synthetic_scene, primitive_from_spec,
@@ -245,6 +244,9 @@ class PlanRow:
     goal_met: bool          # selected strategy settled in the truth twin
     twin_err_mm: dict       # object name -> surface distance to the truth
     positive: int           # positive labels (0 when labelling never ran)
+    truth_positive: int     # labelled strategies that succeed in the truth
+    both_positive: int      # ... and are positive in the twin too
+    top5_truth: int         # truth successes among the top 5 positives
     plan_s: float
     timings: dict           # stage name -> seconds, as the report has them
     minor_faults: int       # minor page faults taken by run_pipeline
@@ -257,7 +259,9 @@ class PlanRow:
 
 def plan_trial(task: str, spec, config: PipelineConfig | None = None) -> PlanRow:
     """Plan one generated scene of the task and score the plan against its
-    truth."""
+    truth. Every strategy the plan labelled is settled again, as a fresh
+    sample, in the truth twin with the same settings; a plan that stopped
+    before its labels scores zeros."""
     config = config or PipelineConfig()
     faults0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     t0 = time.perf_counter()
@@ -270,14 +274,21 @@ def plan_trial(task: str, spec, config: PipelineConfig | None = None) -> PlanRow
                                           truth.by_name(o.name).mesh,
                                           truth.by_name(o.name).pose)
               for o in (result.twin.objects if result.twin else ())}
-    goal = False
-    if result.selected is not None:
-        settled = settle_simulate(
-            truth, StrategySample(result.selected.object_pose, 0), config.sim)
-        goal = bool(GeometricEvaluator(spec.goal)(settled))
-    return PlanRow(task, spec.seed, report.status, report.failed_stage, goal,
-                   errors, report.data.get("labels", {}).get("positive", 0),
-                   plan_s, dict(report.timings), faults)
+    truth_ok = {}
+    if result.labeled:
+        fresh = [StrategySample(s.object_pose, s.sample_id)
+                 for s in result.labeled]
+        truth_ok = {s.sample_id: s.weak_label
+                    for s in label_samples(truth, fresh, spec.goal, config.sim)}
+    goal = result.selected is not None and truth_ok[result.selected.sample_id]
+    top5 = result.ranking.priority[:5] if result.ranking else []
+    return PlanRow(
+        task, spec.seed, report.status, report.failed_stage, goal, errors,
+        report.data.get("labels", {}).get("positive", 0),
+        sum(truth_ok.values()),
+        sum(truth_ok[s.sample_id] for s in result.labeled if s.weak_label),
+        sum(truth_ok[s.sample_id] for s in top5),
+        plan_s, dict(report.timings), faults)
 
 
 def plan_benchmark(seed0: int = 0,
@@ -301,24 +312,30 @@ def write_plan_csv(path: str, rows) -> None:
         w = csv.writer(f)
         w.writerow(["task", "seed", "status", "failed_stage", "goal_met",
                     "twin_err_mm", "worst_err_mm", "positive_labels",
+                    "truth_positive", "both_positive", "top5_truth",
                     "plan_s"])
         for r in rows:
             errs = ";".join(f"{k}={v:.2f}" for k, v in r.twin_err_mm.items())
             worst = max(r.twin_err_mm.values(), default=float("nan"))
             w.writerow([r.task, r.seed, r.status, r.failed_stage or "",
                         int(r.goal_met), errs, f"{worst:.2f}", r.positive,
+                        r.truth_positive, r.both_positive, r.top5_truth,
                         f"{r.plan_s:.2f}"])
 
 
 def plan_summary(rows) -> dict:
     """BENCH_plan.json: per task, the median plan time, the median time of
     each stage over the plans that ran it, the median minor page faults per
-    plan and the total positive labels; and the environment the plans ran
-    in."""
+    plan, the sums of the rows' label counts, and the twin's precision
+    (both / twin positive) and recall (both / truth positive), None over 0;
+    and the environment the plans ran in."""
     tasks = {}
     for task in dict.fromkeys(r.task for r in rows):
         mine = [r for r in rows if r.task == task]
         stages = dict.fromkeys(name for r in mine for name in r.timings)
+        twin_pos = sum(r.positive for r in mine)
+        truth_pos = sum(r.truth_positive for r in mine)
+        both = sum(r.both_positive for r in mine)
         tasks[task] = {
             "plans": len(mine),
             "plan_s": float(np.median([r.plan_s for r in mine])),
@@ -326,7 +343,12 @@ def plan_summary(rows) -> dict:
                                                if name in r.timings]))
                         for name in stages},
             "minor_faults": float(np.median([r.minor_faults for r in mine])),
-            "positive_labels": sum(r.positive for r in mine),
+            "positive_labels": twin_pos,
+            "truth_positive": truth_pos,
+            "both_positive": both,
+            "top5_truth": sum(r.top5_truth for r in mine),
+            "precision": both / twin_pos if twin_pos else None,
+            "recall": both / truth_pos if truth_pos else None,
         }
     env = {"python": platform.python_version(), "numpy": np.__version__,
            "scipy": scipy.__version__, "cpu_count": os.cpu_count(),

@@ -49,6 +49,7 @@ class PipelineConfig:
 class PipelineResult:
     report: RunReport
     twin: SceneTwin | None = None
+    labeled: list = field(default_factory=list)
     selected: object = None
     ranking: object = None
 
@@ -291,7 +292,8 @@ def _run_stages(spec: SceneSpec, config: PipelineConfig, seed: int,
         report.data["sampling"] = {"count": len(samples)}
 
     with _stage(report, "simulation"):
-        labeled = label_samples(twin, samples, spec.goal, config.sim)
+        result.labeled = labeled = label_samples(twin, samples, spec.goal,
+                                                 config.sim)
         report.data["labels"] = {
             "total": len(labeled),
             "positive": sum(1 for s in labeled if s.weak_label),

@@ -24,7 +24,8 @@ cast answers both of its questions (``MeshIndex.exit``): an odd crossing
 count puts the sample inside, and the nearest crossing is its way out.
 Everything that depends only on the scene is built once per scene: surface
 samples, and for each static mesh in world coordinates one vertical index
-along -z, which serves the drop, the lift and the contact band.
+along -z, which serves the drop, the lift and the contacts, where only
+faces that push up hold the object (``contact_points``).
 ``label_samples`` builds it once per labeling run, so a scene that cannot be
 simulated fails once. The context is read-only apart from one memo: the
 manipulated mesh's vertical index per rotation, in its own frame, built on
@@ -67,9 +68,9 @@ UP = np.array([0.0, 0.0, 1.0])
 _CLEARANCE = 1e-6
 # highest a lift may raise the object before the pose counts as stuck
 _MAX_LIFT = 0.1
-# contact band, meters: a sample this close to the ground or a static mesh
-# supports the object. Wide enough to absorb residual reconstruction error
-# in an aligned twin.
+# contact depth, meters: a sample this close above the ground, or this
+# far above the inside of a static solid, supports the object. Wide enough
+# to absorb residual reconstruction error in an aligned twin.
 CONTACT_TOL = 0.003
 # a start pose that must rise more than this (meters) to be free counts as
 # penetrating
@@ -162,9 +163,8 @@ def checker_intrinsics(size: int) -> CameraIntrinsics:
 class _Static(NamedTuple):
     """One static object in world coordinates."""
     samples: np.ndarray     # surface samples
-    down: MeshIndex         # along -z: drop, lift (backwards), contact band
+    down: MeshIndex         # along -z: drop, lift and contacts (backwards)
     box: tuple              # mesh bounding box padded for the inside tests
-    band: tuple             # mesh bounding box padded for the contact band
 
 
 def _in_box(points, box, dims=3):
@@ -198,12 +198,10 @@ class _SettleContext:
             pts = sample_mesh_surface(obj.mesh, config.surface_samples,
                                       config.seed + 1 + oi).points
             world_pts = obj.pose.apply(pts)
-            lo = world_mesh.vertices.min(axis=0)
-            hi = world_mesh.vertices.max(axis=0)
-            band = 2 * CONTACT_TOL
             self.others.append(_Static(
                 world_pts, MeshIndex(world_mesh, -UP),
-                (lo - 1e-6, hi + 1e-6), (lo - band, hi + band)))
+                (world_mesh.vertices.min(axis=0) - 1e-6,
+                 world_mesh.vertices.max(axis=0) + 1e-6)))
 
     def _self_index(self, rotation) -> MeshIndex:
         """Index of the manipulated mesh, in its own frame, for rays along
@@ -291,12 +289,20 @@ class _SettleContext:
         return self.drop(free)
 
     def contact_points(self, pose: RigidPose) -> np.ndarray:
+        """Samples within CONTACT_TOL of the ground, and those whose point
+        CONTACT_TOL straight below is inside a static solid (the vertical
+        index's ``exit``): only faces that push up support the object, never
+        a wall beside it. Unlike "a down-cast hits within CONTACT_TOL", a
+        static sheet thinner than CONTACT_TOL under a sample is crossed
+        twice and gives no contact; the thinnest static parts the synthetic
+        tasks make, the open box's walls and floor, are 10 mm or more."""
         pts = pose.apply(self.local_samples)
         near = pts[:, 2] <= CONTACT_TOL
+        low = pts - CONTACT_TOL * UP
         for s in self.others:
-            cand = _in_box(pts, s.band) & ~near
+            cand = _in_box(low, s.box) & ~near
             if cand.any():
-                hit = s.down.within(pts[cand], CONTACT_TOL)
+                hit = np.isfinite(s.down.exit(low[cand]))
                 near[np.flatnonzero(cand)[hit]] = True
         return pts[near]
 

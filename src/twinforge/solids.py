@@ -7,15 +7,14 @@ fixed up from the total volume).
 
 ``MeshIndex`` is built once per fixed mesh and direction and answers the
 queries the settle simulator repeats: the parity inside test and the exit
-of a ray cast against the index's direction, in one pass (``exit``), the
-bounded least first hit over a set of rays cast along it (``first_hit``),
-and the contact band (``point_mesh_distance <= tol``). It buckets every
-triangle in a 2-D grid so the exact per-pair arithmetic runs only on
-candidate pairs, and its answers are bit-identical to the brute-force
-point x triangle scans. Each cell also keeps the least projection onto the
-ray of the triangles it lists, a lower bound on the first hit of any ray
-from the cell; ``first_hit`` casts only the rays whose bound can still beat
-the answer.
+of a ray cast against the index's direction, in one pass (``exit``), and
+the bounded least first hit over a set of rays cast along it
+(``first_hit``). It buckets every triangle in a 2-D grid so the exact
+per-pair arithmetic runs only on candidate pairs, and its answers are
+bit-identical to the brute-force point x triangle scans. Each cell also
+keeps the least projection onto the ray of the triangles it lists, a lower
+bound on the first hit of any ray from the cell; ``first_hit`` casts only
+the rays whose bound can still beat the answer.
 """
 
 from __future__ import annotations
@@ -122,8 +121,7 @@ PARITY_DIRECTION = (0.37139, 0.55708, 0.74278)
 # Absolute slack (meters) added to every bucketing bound, and taken off
 # every first-hit bound. Measured on 0.1 m triangles: a parity hit found by
 # the per-pair test lies within 3e-13 m of the triangle's projected box,
-# down to 1e-12 rad from edge-on, and a computed closest point lies inside
-# the triangle's box, zero-area triangles included.
+# down to 1e-12 rad from edge-on.
 _PAD = 1e-9
 # parallel-ray determinant threshold and minimum hit distance of a ray
 _EPS = 1e-12
@@ -144,11 +142,10 @@ class MeshIndex:
     Triangles are bucketed in a uniform 2-D grid over the plane orthogonal
     to the index's ray direction, each under every cell its projected
     bounding box (padded by a tiny absolute slack) touches (Ericson,
-    Real-Time Collision Detection, ch. 7). A ray along that direction, or a
-    ball whose radius is the query tolerance, can only meet triangles listed
-    in the cells it projects onto, so the exact per-pair arithmetic runs on
-    those pairs only. Every query is bit-identical to a brute-force
-    point x triangle scan.
+    Real-Time Collision Detection, ch. 7). A ray along that direction can
+    only meet triangles listed in the cell it projects onto, so the exact
+    per-pair arithmetic runs on those pairs only. Every query is
+    bit-identical to a brute-force point x triangle scan.
     """
 
     def __init__(self, mesh: TriangleMesh, direction):
@@ -161,8 +158,7 @@ class MeshIndex:
         pvec = np.cross(d, e2)
         det = np.einsum("tj,tj->t", e1, pvec)
         ok = np.abs(det) > _EPS
-        self.a, self.b, self.c = tri[:, 0], tri[:, 1], tri[:, 2]
-        self.lo, self.hi = tri.min(axis=1), tri.max(axis=1)
+        self.a = tri[:, 0]
         self.d, self.e1, self.e2, self.pvec = d, e1, e2, pvec
         self.inv_det = np.zeros_like(det)
         self.inv_det[ok] = 1.0 / det[ok]
@@ -292,28 +288,6 @@ class MeshIndex:
                 _, t = self._hits(points[part], cell[part])
                 best = min(best, float(t.min(initial=np.inf)))
         return best
-
-    def within(self, points, tol: float) -> np.ndarray:
-        """Whether each point lies within tol of the surface; equal to
-        ``point_mesh_distance(points, mesh) <= tol``."""
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        if tol < 0:
-            return np.zeros(len(points), dtype=bool)
-        reach = tol + _PAD
-        q = points @ self.basis
-        query, cell = self._rect_cells(self._cells(q - reach),
-                                       self._cells(q + reach))
-        pi, ti = self._listed(cell)
-        pi = query[pi]
-        p = points[pi]
-        gap = np.maximum(np.maximum(self.lo[ti] - p, p - self.hi[ti]), 0.0)
-        near = np.einsum("pj,pj->p", gap, gap) <= reach * reach
-        pi, ti, p = pi[near], ti[near], p[near]
-        closest = _closest_on_triangles(p, self.a[ti], self.b[ti], self.c[ti])
-        d = np.linalg.norm(p - closest, axis=1)
-        out = np.zeros(len(points), dtype=bool)
-        out[pi[d <= tol]] = True
-        return out
 
 
 def points_inside(points, mesh: TriangleMesh, direction=PARITY_DIRECTION):

@@ -5,6 +5,12 @@ hit: it casts every candidate sample in full, by brute force over every
 triangle, with no index. Used to cross-check the bounded drop pose for pose,
 bit for bit.
 
+``ref_contact_points`` is the settle's contact rule by brute force: the
+samples within ``CONTACT_TOL`` of the ground, and those whose point
+``CONTACT_TOL`` straight below lies inside a static mesh by the parity
+along ``PARITY_DIRECTION``, not by the vertical index's ``exit``. Used to
+check ``_SettleContext.contact_points`` bit for bit.
+
 ``ref_point_in_hull`` and ``ref_nearest_hull_edge`` are the settle's
 support test and pivot as loops over a counter-clockwise hull's edges, as
 they were before ``simulate._tip`` took them in one array pass. Used to
@@ -23,7 +29,7 @@ from scipy.spatial import cKDTree
 
 from twinforge import quaternions as quat
 from twinforge.geometry import RigidPose
-from twinforge.simulate import _CLEARANCE, UP, _in_box
+from twinforge.simulate import _CLEARANCE, CONTACT_TOL, UP, _in_box
 
 from solids_reference import ref_first_hit, ref_points_inside
 
@@ -56,6 +62,14 @@ def ref_drop(ctx, pose):
             ctx, pose, UP, pose.inverse().apply(under)).min()))
     return RigidPose(pose.rotation,
                      pose.translation - max(0.0, gap - _CLEARANCE) * UP)
+
+
+def ref_contact_points(ctx, pose):
+    pts = pose.apply(ctx.local_samples)
+    near = pts[:, 2] <= CONTACT_TOL
+    for mesh in _static_meshes(ctx):
+        near |= ref_points_inside(pts - CONTACT_TOL * UP, mesh)
+    return pts[near]
 
 
 def ref_penetration_depth(ctx, pose):

@@ -267,7 +267,7 @@ def test_criterion_6_selected_strategy_robust(task_runs):
 # The determinism keys are not pinned: they hold floats whose last bit can
 # differ between numpy builds. Each selected strategy meets its goal in the
 # ground-truth twin (test_seed_0_twins_are_true_and_grounded).
-PLAN_CHOICES = {"cube-into-box": (38, 45, 6, False),
+PLAN_CHOICES = {"cube-into-box": (36, 45, 1, False),
                 "cube-onto-cube": (45, 45, 0, True),
                 "cup-on-box": (5, 45, 43, False)}
 

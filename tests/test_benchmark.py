@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from twinforge import pipeline
 from twinforge import quaternions as quat
 from twinforge.benchmark import (BENCHMARK_PRIMITIVES, BenchmarkReport,
                                  BenchmarkRow, PlanRow, alignment_benchmark,
@@ -14,6 +15,7 @@ from twinforge.benchmark import (BENCHMARK_PRIMITIVES, BenchmarkReport,
 from twinforge.geometry import RigidPose
 from twinforge.register import AlignConfig
 from twinforge.scene import load_scene_spec
+from twinforge.simulate import label_samples
 from twinforge.synth import generate_synthetic_scene
 
 
@@ -78,7 +80,7 @@ def test_benchmark_row_structure():
     assert row.two_stage_rate > row.direct_rate
 
 
-def test_plan_trial_scores_a_plan_against_its_truth(tmp_path):
+def test_plan_trial_scores_a_plan_against_its_truth(tmp_path, monkeypatch):
     spec = load_scene_spec(generate_synthetic_scene(
         "cube-onto-cube", str(tmp_path / "scene"), seed=2))
     truth = truth_twin(spec)
@@ -91,6 +93,8 @@ def test_plan_trial_scores_a_plan_against_its_truth(tmp_path):
         "cube-onto-cube", 2, "success", None)
     assert set(row.twin_err_mm) == {"cube", "base"}
     assert row.goal_met and row.twin_good and row.positive > 0
+    assert row.both_positive <= min(row.positive, row.truth_positive)
+    assert 1 <= row.top5_truth <= 5
     assert "simulation" in row.timings and row.minor_faults >= 0
     path = tmp_path / "bench_plan.csv"
     write_plan_csv(path, [row])
@@ -98,20 +102,46 @@ def test_plan_trial_scores_a_plan_against_its_truth(tmp_path):
         rows = list(csv.reader(f))
     assert rows[0] == ["task", "seed", "status", "failed_stage", "goal_met",
                        "twin_err_mm", "worst_err_mm", "positive_labels",
+                       "truth_positive", "both_positive", "top5_truth",
                        "plan_s"]
     assert rows[1][:5] == ["cube-onto-cube", "2", "success", "", "1"]
     assert rows[1][5].startswith("cube=") and ";base=" in rows[1][5]
+    assert rows[1][8:11] == [str(row.truth_positive), str(row.both_positive),
+                             str(row.top5_truth)]
+
+    # label the plan's strategies in the truth twin itself: every twin label
+    # is then a truth label, and the top five are truth successes
+    def on_truth(twin, samples, goal, config):
+        return label_samples(truth, samples, goal, config)
+
+    monkeypatch.setattr(pipeline, "label_samples", on_truth)
+    row = plan_trial("cube-onto-cube", spec)
+    assert row.positive > 0 and row.goal_met
+    assert row.both_positive == row.positive == row.truth_positive
+    assert row.top5_truth == min(5, row.positive)
+
+
+def test_plan_trial_of_a_plan_without_labels_scores_zeros(tmp_path):
+    # a plan that stops before simulation settles nothing in the truth
+    spec = load_scene_spec(generate_synthetic_scene(
+        "cube-onto-cube", str(tmp_path / "scene"), seed=2))
+    with open(spec.path("depth.f32"), "r+b") as f:
+        f.truncate(8)
+    row = plan_trial("cube-onto-cube", spec)
+    assert row.status == "failure" and row.failed_stage == "segmentation-load"
+    assert (row.goal_met, row.positive, row.truth_positive, row.both_positive,
+            row.top5_truth) == (False, 0, 0, 0, 0)
 
 
 def test_plan_summary_medians_per_task(tmp_path):
-    def row(task, seed, plan_s, stages, faults, positive):
+    def row(task, seed, plan_s, stages, faults, positive, truth=(0, 0, 0)):
         return PlanRow(task, seed, "success", None, True, {"cube": 1.0},
-                       positive, plan_s, stages, faults)
+                       positive, *truth, plan_s, stages, faults)
 
     rows = [row("cube-onto-cube", 0, 0.5, {"grasp": 0.1, "select": 0.2},
-                900, 45),
+                900, 45, (40, 36, 5)),
             row("cube-onto-cube", 1, 0.7, {"grasp": 0.3, "select": 0.4},
-                100, 45),
+                100, 45, (42, 40, 4)),
             row("cube-onto-cube", 2, 0.6, {"grasp": 0.2}, 500, 0),
             row("cup-on-box", 0, 0.4, {"grasp": 0.05}, 20, 5)]
     path = tmp_path / "BENCH_plan.json"
@@ -125,10 +155,18 @@ def test_plan_summary_medians_per_task(tmp_path):
     # a stage's median is over the plans that ran it
     assert cube["stage_s"] == pytest.approx({"grasp": 0.2, "select": 0.3})
     assert cube["minor_faults"] == 500
-    assert cube["positive_labels"] == 90
+    # label counts are sums; precision is over the twin's positives and
+    # recall over the truth's
+    assert (cube["positive_labels"], cube["truth_positive"],
+            cube["both_positive"], cube["top5_truth"]) == (90, 82, 76, 9)
+    assert cube["precision"] == pytest.approx(76 / 90)
+    assert cube["recall"] == pytest.approx(76 / 82)
+    # with no truth success, recall has no denominator
     assert doc["tasks"]["cup-on-box"] == {
         "plans": 1, "plan_s": 0.4, "stage_s": {"grasp": 0.05},
-        "minor_faults": 20, "positive_labels": 5}
+        "minor_faults": 20, "positive_labels": 5, "truth_positive": 0,
+        "both_positive": 0, "top5_truth": 0, "precision": 0.0,
+        "recall": None}
     env = doc["env"]
     assert set(env) == {"python", "numpy", "scipy", "cpu_count",
                         "TWINFORGE_THREADS", "heap_policy"}

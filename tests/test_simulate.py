@@ -18,8 +18,9 @@ from twinforge.solids import MeshIndex
 from twinforge.strategy import StrategySample
 from twinforge.synth import make_box, make_cup, make_open_box
 
-from simulate_reference import (ref_drop, ref_nearest_hull_edge,
-                                ref_penetration_depth, ref_point_in_hull)
+from simulate_reference import (ref_contact_points, ref_drop,
+                                ref_nearest_hull_edge, ref_penetration_depth,
+                                ref_point_in_hull)
 
 FAST = SimConfig(surface_samples=900)
 
@@ -289,7 +290,8 @@ _angle = st.floats(-np.pi, np.pi)
        z=st.floats(-0.02, 0.25))
 def test_drop_matches_reference(drop_contexts, name, tilt, axis, yaw, xy, z):
     # tilted, upside-down and overhanging starts over each support, lifted
-    # free first, as settle_simulate does
+    # free first, as settle_simulate does; the contacts where the drop
+    # lands match the reference too
     ctx = drop_contexts[name]
     horizontal = np.array([axis[0], axis[1], 0.0])
     assume(np.linalg.norm(horizontal) > 0.1)
@@ -301,6 +303,29 @@ def test_drop_matches_reference(drop_contexts, name, tilt, axis, yaw, xy, z):
     landed, expect = ctx.drop(pose), ref_drop(ctx, pose)
     assert np.array_equal(landed.translation, expect.translation)
     assert np.array_equal(landed.rotation, expect.rotation)
+    assert np.array_equal(ctx.contact_points(landed),
+                          ref_contact_points(ctx, landed))
+
+
+@pytest.mark.parametrize("lean_deg", [10, 20, 30])
+def test_a_wall_beside_a_leaning_cube_does_not_hold_it_up(lean_deg):
+    # a cube rests on one bottom edge and leans its opposite bottom edge
+    # 0.1 mm off the face of a thin wall. A wall cannot push up, so the
+    # ground edge alone is its support: it tips into the wall, and no lift
+    # within the cap frees it
+    q = quat.quat_from_axis_angle([0, 1, 0], -np.deg2rad(lean_deg))
+    mesh = make_box([0.05] * 3)
+    verts = RigidPose(q, np.zeros(3)).apply(mesh.vertices)
+    start = RigidPose(q, [0.0, 0.0, -verts[:, 2].min()])
+    wall = SceneObject("wall", make_box([0.02, 0.2, 0.2]),
+                       RigidPose(quat.IDENTITY,
+                                 [verts[:, 0].max() + 1e-4 + 0.01, 0.0, 0.1]),
+                       role="static")
+    twin = scene_with(SceneObject("cube", mesh, start, role="manipulated"),
+                      wall)
+    out = settle_simulate(twin, sample_at(start), FAST)
+    assert out.penetration and not out.stable
+    assert out.topple_steps == 1
 
 
 def test_initial_penetration_rejected():

@@ -181,11 +181,6 @@ def test_mesh_index_matches_brute_force(name, pose, tol, seed):
     index = MeshIndex(mesh, PARITY_DIRECTION)
     assert np.array_equal(index.exit(pts),
                           ref_exit(pts, np.negative(PARITY_DIRECTION), mesh))
-    expect = point_mesh_distance(pts, mesh) <= tol
-    assert np.array_equal(index.within(pts, tol), expect)
-    # the settle's contact band runs on its vertical index
-    vertical = MeshIndex(mesh, (0.0, 0.0, -1.0))
-    assert np.array_equal(vertical.within(pts, tol), expect)
 
 
 @settings(max_examples=20, deadline=None)
