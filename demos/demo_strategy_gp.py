@@ -55,7 +55,8 @@ def main():
     print(f"simulation labels: {positives} positive / "
           f"{len(labeled) - positives} negative")
 
-    model = fit(labeled)
+    model = fit([s.object_pose for s in labeled],
+                [s.weak_label for s in labeled])
     ranking = rank_and_select(model, labeled)
     print("top five strategies:")
     for s in ranking.ranked[:5]:

@@ -14,6 +14,11 @@ import numpy as np
 
 from .errors import RejectedInput
 
+# Newton steps of the Laplace fit: at most MAX_NEWTON, ending once no
+# latent value moves by NEWTON_TOL or more
+MAX_NEWTON = 100
+NEWTON_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class Se3KernelParams:
@@ -68,24 +73,17 @@ class GpModel:
     newton_iterations: int = 0
 
 
-def fit(samples_or_poses, labels=None,
-        params: Se3KernelParams = Se3KernelParams(),
-        max_newton: int = 100, tol: float = 1e-8) -> GpModel:
-    """Laplace fit. Accepts StrategySample objects with weak labels, or an
-    explicit (poses, labels) pair.
+def fit(poses, labels, params: Se3KernelParams = Se3KernelParams()) -> GpModel:
+    """Laplace fit of one label per pose, success when truthy.
 
     Single-class label sets yield a degenerate model that predicts the
     smoothed empirical rate (sum(y)+1)/(n+2) everywhere.
     """
-    if labels is None:
-        poses = [s.object_pose for s in samples_or_poses]
-        labels = [s.weak_label for s in samples_or_poses]
-        if any(l is None for l in labels):
-            raise RejectedInput("all samples must carry weak labels before fitting")
-    else:
-        poses = list(samples_or_poses)
+    poses = list(poses)
     y01 = np.asarray([1 if l else 0 for l in labels], dtype=float)
     n = len(poses)
+    if len(y01) != n:
+        raise RejectedInput(f"{n} poses but {len(y01)} labels")
     if n < 2:
         raise RejectedInput("need at least 2 labeled samples")
     if y01.min() == y01.max():
@@ -105,7 +103,7 @@ def fit(samples_or_poses, labels=None,
         sw = np.sqrt(W)
         B = np.eye(n) + sw[:, None] * K * sw[None, :]
         L = np.linalg.cholesky(B)
-        if delta < tol or iters >= max_newton:
+        if delta < NEWTON_TOL or iters >= MAX_NEWTON:
             break
         b = W * f + grad
         v = np.linalg.solve(L, sw * (K @ b))

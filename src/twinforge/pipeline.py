@@ -34,8 +34,6 @@ from .simulate import (SceneObject, SceneTwin, SimConfig, ground_objects,
 from .strategy import (DEFAULT_OFFSET_RADIUS, builtin_reachability,
                        interaction_region, sample_strategies)
 
-GRASP_ATTEMPTS = 3  # grasp batches tried before the grasp stage fails
-
 
 @dataclass
 class PipelineConfig:
@@ -216,26 +214,21 @@ def _run_stages(spec: SceneSpec, config: PipelineConfig, seed: int,
         report.data["segmentation"] = {
             o.name: masks[o.name].count() for o in spec.objects}
 
-    # the spec's grasp file first, when it has one, then synthetic batches:
+    # one batch, the spec's grasp file when it names one, else synthetic:
     # the most confident candidate near the object cloud whose world point
     # lies in the workspace
     with _stage(report, "grasp"):
         workspace = Aabb(*spec.workspace)
-        for attempt in range(GRASP_ATTEMPTS):
-            if spec.grasps and attempt == 0:
-                batch = load_grasp_candidates(spec.path(spec.grasps))
-            else:
-                batch = synthetic_grasp_provider(observed, seed=seed + attempt)
-            batch = filter_by_object_proximity(top_k_by_confidence(batch),
-                                               observed)
-            grasp = next((c for c in batch if workspace.contains(
-                spec.camera_pose.apply(c.grasp_point))[0]), None)
-            if grasp is not None:
-                break
+        if spec.grasps:
+            batch = load_grasp_candidates(spec.path(spec.grasps))
         else:
+            batch = synthetic_grasp_provider(observed, seed=seed)
+        near = filter_by_object_proximity(top_k_by_confidence(batch), observed)
+        grasp = next((c for c in near if workspace.contains(
+            spec.camera_pose.apply(c.grasp_point))[0]), None)
+        if grasp is None:
             raise StageFailureError(
-                "grasp", f"no feasible grasp after {GRASP_ATTEMPTS} attempts "
-                f"(last batch had {len(batch)} candidates)")
+                "grasp", f"no-feasible-grasp:{len(near)} near the object")
         report.data["grasp"] = {
             "pose": pose_to_json(grasp.pose),
             "width": grasp.width,
@@ -302,7 +295,8 @@ def _run_stages(spec: SceneSpec, config: PipelineConfig, seed: int,
         }
 
     with _stage(report, "gp-rank"):
-        model = gpclassify.fit(labeled)
+        model = gpclassify.fit([s.object_pose for s in labeled],
+                               [s.weak_label for s in labeled])
         result.ranking = gpclassify.rank_and_select(model, labeled)
         report.data["gp"] = {
             "degenerate": model.degenerate,

@@ -476,9 +476,12 @@ def geometric_evaluator(outcome: SimOutcome, predicate) -> bool:
     """Deterministic placement predicates over the settled scene.
 
     predicate is (name, args), e.g. ("inside", ["cube", "box"]). All
-    predicates require a stable, penetration-free outcome.
+    predicates require a stable, penetration-free outcome. A name the
+    settled scene lacks raises RejectedInput, whatever the outcome.
     """
     name, args = check_predicate(predicate)
+    for a in args:
+        outcome.scene.by_name(a)
     if outcome.penetration or not outcome.stable:
         return False
 
@@ -562,21 +565,21 @@ class GeometricEvaluator:
 def label_samples(scene: SceneTwin, samples, goal,
                   config: SimConfig = SimConfig()) -> list[StrategySample]:
     """Settle every sample on one settle context and label it by the goal
-    predicate. The context is built before any settle, so a scene that
-    cannot be simulated fails once; per-sample failures become label=False
-    with a reason instead of aborting the batch."""
+    predicate; the failure reason is "penetration" or None. The goal's
+    object names and the context are checked before any settle, so a goal
+    naming an object the scene lacks, or a scene that cannot be simulated,
+    fails once."""
     if not samples:
         raise RejectedInput("no samples to label")
     goal = check_predicate(goal)
+    for name in goal[1]:
+        scene.by_name(name)
     ctx = _solid_context(scene, config)
 
     def one(sample):
-        try:
-            outcome = settle_simulate(scene, sample, _ctx=ctx)
-            label = bool(geometric_evaluator(outcome, goal))
-            reason = "penetration" if outcome.penetration else None
-            return sample.with_outcome(outcome, label, reason)
-        except (StageFailureError, RejectedInput) as exc:
-            return sample.with_outcome(None, False, str(exc))
+        outcome = settle_simulate(scene, sample, _ctx=ctx)
+        return sample.with_outcome(
+            outcome, geometric_evaluator(outcome, goal),
+            "penetration" if outcome.penetration else None)
 
     return parallel_map(one, samples)

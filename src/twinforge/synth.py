@@ -2,15 +2,16 @@
 
 Primitives are built in a canonical frame (z up, centered at the origin)
 with checkerboard vertex colors so rendered views are orientation
-discriminative. Triangle windings are re-oriented consistently outward, so
-parity tests and volume integrals are well defined.
+discriminative. Every face is wound outward where it is built, so parity
+tests and volume integrals are well defined; a size that is not > 0 is
+rejected.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -21,7 +22,6 @@ from .fileio import (save_color_ppm, save_depth_raw, save_mask_pgm, save_ply)
 from .geometry import RigidPose, TriangleMesh
 from .render import render_scene
 from .simulate import checker_viewpoint
-from .solids import signed_volume
 from .strategy import rest_orientations
 
 PRIMITIVES = ("box", "cylinder", "open_box", "cup", "ramp")
@@ -34,7 +34,10 @@ _PALETTE = np.array([
 
 
 class _MeshBuilder:
-    """Accumulates labeled quads/triangles, welding shared vertices."""
+    """Accumulates labeled quads/triangles, welding shared vertices. A face
+    keeps the winding of its corners as given, reversed where its call
+    passes flip=True; the callers choose flip so every face winds outward,
+    and nothing re-orients them afterwards."""
 
     def __init__(self, weld_tol=1e-9):
         self.verts = []
@@ -56,65 +59,34 @@ class _MeshBuilder:
             self.verts.append(p)
         return self._lookup[key]
 
-    def tri(self, a, b, c, label):
-        self.tris.append([self.vertex(a), self.vertex(b), self.vertex(c)])
+    def tri(self, a, b, c, label, flip=False):
+        # vertices are looked up in a, b, c order either way, so a flip
+        # changes the winding and nothing else
+        t = [self.vertex(a), self.vertex(b), self.vertex(c)]
+        self.tris.append(t[::-1] if flip else t)
         self.labels.append(label)
 
-    def quad(self, a, b, c, d, label):
-        self.tri(a, b, c, label)
-        self.tri(a, c, d, label)
+    def quad(self, a, b, c, d, label, flip=False):
+        self.tri(a, b, c, label, flip)
+        self.tri(a, c, d, label, flip)
 
-    def grid_quad(self, corner, eu, ev, nu, nv, label):
-        """Subdivided quad spanned by edge vectors eu, ev from corner."""
+    def grid_quad(self, corner, eu, ev, nu, nv, label, flip=False):
+        """Subdivided quad spanned by edge vectors eu, ev from corner, wound
+        along eu x ev unless flipped."""
         for i in range(nu):
             for j in range(nv):
                 p00 = corner + eu * (i / nu) + ev * (j / nv)
                 p10 = corner + eu * ((i + 1) / nu) + ev * (j / nv)
                 p11 = corner + eu * ((i + 1) / nu) + ev * ((j + 1) / nv)
                 p01 = corner + eu * (i / nu) + ev * ((j + 1) / nv)
-                self.quad(p00, p10, p11, p01, label)
+                self.quad(p00, p10, p11, p01, label, flip)
 
     def build(self, colors=None, cell=0.02) -> TriangleMesh:
-        verts = np.array(self.verts)
-        tris = _orient_outward(verts, self.tris)
-        vc = _checkerboard_colors(verts, colors, cell)
-        return TriangleMesh(verts, tris, vc, face_labels=tuple(self.labels))
-
-
-def _orient_outward(verts, tris):
-    """Flip triangles, given as lists of three vertex indices, so shared
-    edges are traversed in opposite directions, then make the global
-    orientation outward (positive signed volume). Returns a (T, 3) array."""
-    def edges(t):
-        return ((t[0], t[1]), (t[1], t[2]), (t[2], t[0]))
-
-    edge_map = {}
-    for ti, t in enumerate(tris):
-        for a, b in edges(t):
-            edge_map.setdefault((a, b) if a < b else (b, a), []).append(ti)
-    n = len(tris)
-    out = list(tris)
-    visited = [False] * n
-    for seed in range(n):
-        if visited[seed]:
-            continue
-        stack = [seed]
-        visited[seed] = True
-        while stack:
-            ti = stack.pop()
-            directed = set(edges(out[ti]))
-            for a, b in edges(out[ti]):
-                for tj in edge_map[(a, b) if a < b else (b, a)]:
-                    if tj == ti or visited[tj]:
-                        continue
-                    if not directed.isdisjoint(edges(out[tj])):
-                        out[tj] = out[tj][::-1]  # same direction: inconsistent
-                    visited[tj] = True
-                    stack.append(tj)
-    out = np.array(out, dtype=np.int64)
-    if signed_volume(TriangleMesh(verts, out)) < 0:
-        out = out[:, ::-1]
-    return out
+        # the mesh first: a non-finite size fails here, before colouring
+        mesh = TriangleMesh(self.verts, self.tris,
+                            face_labels=tuple(self.labels))
+        return replace(mesh, vertex_colors=_checkerboard_colors(
+            mesh.vertices, colors, cell))
 
 
 def _checkerboard_colors(verts, colors, cell):
@@ -131,16 +103,17 @@ def make_box(extents, colors=None, cell=0.02, subdiv=4) -> TriangleMesh:
     hx, hy, hz = ex / 2, ey / 2, ez / 2
     b = _MeshBuilder()
     X, Y, Z = np.eye(3)
+    # eu x ev points out of the top, -y and +x faces, into the others
     faces = [
-        ((-hx, -hy, -hz), X * ex, Y * ey, "bottom"),
-        ((-hx, -hy, hz), X * ex, Y * ey, "top"),
-        ((-hx, -hy, -hz), X * ex, Z * ez, "side"),
-        ((-hx, hy, -hz), X * ex, Z * ez, "side"),
-        ((-hx, -hy, -hz), Y * ey, Z * ez, "side"),
-        ((hx, -hy, -hz), Y * ey, Z * ez, "side"),
+        ((-hx, -hy, -hz), X * ex, Y * ey, "bottom", True),
+        ((-hx, -hy, hz), X * ex, Y * ey, "top", False),
+        ((-hx, -hy, -hz), X * ex, Z * ez, "side", False),
+        ((-hx, hy, -hz), X * ex, Z * ez, "side", True),
+        ((-hx, -hy, -hz), Y * ey, Z * ez, "side", True),
+        ((hx, -hy, -hz), Y * ey, Z * ez, "side", False),
     ]
-    for corner, eu, ev, label in faces:
-        b.grid_quad(np.array(corner), eu, ev, subdiv, subdiv, label)
+    for corner, eu, ev, label, flip in faces:
+        b.grid_quad(np.array(corner), eu, ev, subdiv, subdiv, label, flip)
     return b.build(colors, cell)
 
 
@@ -163,7 +136,8 @@ def make_cylinder(radius, height, colors=None, cell=0.02,
         center = [0.0, 0.0, z]
         for s in range(segments):
             s2 = (s + 1) % segments
-            b.tri(center, [*ring[s], z], [*ring[s2], z], label)
+            b.tri(center, [*ring[s], z], [*ring[s2], z], label,
+                  flip=label == "bottom")
     return b.build(colors, cell)
 
 
@@ -178,12 +152,13 @@ def make_open_box(extents, wall=0.008, colors=None, cell=0.02) -> TriangleMesh:
     b = _MeshBuilder()
     X, Y, Z = np.eye(3)
     # outer shell minus top
-    b.grid_quad(np.array([-hx, -hy, -hz]), X * ex, Y * ey, 4, 4, "bottom")
-    for corner, eu, ev in [((-hx, -hy, -hz), X * ex, Z * ez),
-                           ((-hx, hy, -hz), X * ex, Z * ez),
-                           ((-hx, -hy, -hz), Y * ey, Z * ez),
-                           ((hx, -hy, -hz), Y * ey, Z * ez)]:
-        b.grid_quad(np.array(corner), eu, ev, 4, 4, "side")
+    b.grid_quad(np.array([-hx, -hy, -hz]), X * ex, Y * ey, 4, 4, "bottom",
+                flip=True)
+    for corner, eu, ev, flip in [((-hx, -hy, -hz), X * ex, Z * ez, False),
+                                 ((-hx, hy, -hz), X * ex, Z * ez, True),
+                                 ((-hx, -hy, -hz), Y * ey, Z * ez, True),
+                                 ((hx, -hy, -hz), Y * ey, Z * ez, False)]:
+        b.grid_quad(np.array(corner), eu, ev, 4, 4, "side", flip)
     # rim ring at z = hz between outer and inner rectangles
     oc = np.array([(-hx, -hy), (hx, -hy), (hx, hy), (-hx, hy)])
     icorners = np.array([(-ix, -iy), (ix, -iy), (ix, iy), (-ix, iy)])
@@ -196,13 +171,13 @@ def make_open_box(extents, wall=0.008, colors=None, cell=0.02) -> TriangleMesh:
             i0 = icorners[k] + (icorners[k2] - icorners[k]) * (s / 4)
             i1 = icorners[k] + (icorners[k2] - icorners[k]) * ((s + 1) / 4)
             b.quad([*o0, hz], [*o1, hz], [*i1, hz], [*i0, hz], "rim")
-    # inner walls from rim down to interior floor
+    # inner walls from rim down to interior floor, facing the cavity
     depth = hz - iz
-    for corner, eu, ev in [((-ix, -iy, iz), X * 2 * ix, Z * depth),
-                           ((-ix, iy, iz), X * 2 * ix, Z * depth),
-                           ((-ix, -iy, iz), Y * 2 * iy, Z * depth),
-                           ((ix, -iy, iz), Y * 2 * iy, Z * depth)]:
-        b.grid_quad(np.array(corner), eu, ev, 4, 3, "inner_side")
+    for corner, eu, ev, flip in [((-ix, -iy, iz), X * 2 * ix, Z * depth, True),
+                                 ((-ix, iy, iz), X * 2 * ix, Z * depth, False),
+                                 ((-ix, -iy, iz), Y * 2 * iy, Z * depth, False),
+                                 ((ix, -iy, iz), Y * 2 * iy, Z * depth, True)]:
+        b.grid_quad(np.array(corner), eu, ev, 4, 3, "inner_side", flip)
     b.grid_quad(np.array([-ix, -iy, iz]), X * 2 * ix, Y * 2 * iy, 4, 4,
                 "interior_bottom")
     return b.build(colors, cell)
@@ -214,8 +189,8 @@ def make_cup(radius, height, wall=0.004, colors=None, cell=0.015,
     r, h = float(radius), float(height)
     ri = r - wall
     zi = -h / 2 + wall
-    if ri <= 0:
-        raise RejectedInput("wall too thick for the cup radius")
+    if ri <= 0 or zi >= h / 2:
+        raise RejectedInput("wall too thick for the cup extents")
     b = _MeshBuilder()
     ang = np.linspace(0, 2 * np.pi, segments, endpoint=False)
     outer = np.stack([r * np.cos(ang), r * np.sin(ang)], axis=1)
@@ -232,12 +207,13 @@ def make_cup(radius, height, wall=0.004, colors=None, cell=0.015,
             s2 = (s + 1) % segments
             b.quad([*inner[s], zs_in[zk]], [*inner[s2], zs_in[zk]],
                    [*inner[s2], zs_in[zk + 1]], [*inner[s], zs_in[zk + 1]],
-                   "inner_side")
+                   "inner_side", flip=True)
     for s in range(segments):
         s2 = (s + 1) % segments
         b.quad([*outer[s], h / 2], [*outer[s2], h / 2],
                [*inner[s2], h / 2], [*inner[s], h / 2], "rim")
-        b.tri([0, 0, -h / 2], [*outer[s], -h / 2], [*outer[s2], -h / 2], "bottom")
+        b.tri([0, 0, -h / 2], [*outer[s], -h / 2], [*outer[s2], -h / 2],
+              "bottom", flip=True)
         b.tri([0, 0, zi], [*inner[s], zi], [*inner[s2], zi], "interior_bottom")
     return b.build(colors, cell)
 
@@ -250,19 +226,21 @@ def make_ramp(extents, colors=None, cell=0.02) -> TriangleMesh:
     lo = [[-hx, -hy, -hz], [hx, -hy, -hz], [hx, hy, -hz], [-hx, hy, -hz]]
     topA = [-hx, -hy, hz]
     topB = [-hx, hy, hz]
-    b.quad(lo[0], lo[1], lo[2], lo[3], "bottom")
+    b.quad(lo[0], lo[1], lo[2], lo[3], "bottom", flip=True)
     b.tri(lo[0], lo[1], topA, "side")
-    b.tri(lo[3], lo[2], topB, "side")
-    b.quad(lo[0], lo[3], topB, topA, "back")
+    b.tri(lo[3], lo[2], topB, "side", flip=True)
+    b.quad(lo[0], lo[3], topB, topA, "back", flip=True)
     b.quad(lo[1], lo[2], topB, topA, "slope")
     return b.build(colors, cell)
 
 
 def primitive_from_spec(spec: str, colors=None) -> TriangleMesh:
     """Parse 'box:0.1,0.08,0.06' / 'cylinder:0.03,0.1' / 'open_box:...,wall' /
-    'cup:radius,height[,wall]' / 'ramp:ex,ey,ez'."""
+    'cup:radius,height[,wall]' / 'ramp:ex,ey,ez'. Every size must be > 0."""
     name, _, rest = spec.partition(":")
     args = [float(x) for x in rest.split(",")] if rest else []
+    if any(a <= 0 for a in args):
+        raise RejectedInput(f"primitive sizes must be > 0, got {spec!r}")
     if name == "box":
         return make_box(args[:3] or [0.06, 0.06, 0.06], colors)
     if name == "cylinder":

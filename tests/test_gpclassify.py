@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from twinforge import quaternions as quat
 from twinforge.errors import RejectedInput
 from twinforge.geometry import RigidPose
-from twinforge.gpclassify import (GpModel, Se3KernelParams, fit, gram_matrix,
+from twinforge.gpclassify import (Se3KernelParams, fit, gram_matrix,
                                   predict_prob_batch, rank_and_select)
 from twinforge.strategy import StrategySample
 
@@ -52,6 +52,9 @@ def test_fit_requires_enough_labels():
     poses = random_poses(1)
     with pytest.raises(RejectedInput):
         fit(poses, [1])
+    # one label per pose: a short list is not read as a single class
+    with pytest.raises(RejectedInput, match="3 poses but 1 labels"):
+        fit(random_poses(3), [1])
 
 
 def test_degenerate_all_positive_rate():
@@ -142,17 +145,6 @@ def test_predictions_in_unit_interval_and_training_consistency():
     # training points predict toward their own labels
     agree = np.mean((probs > 0.5) == np.asarray(labels, dtype=bool))
     assert agree >= 0.9
-
-
-def test_fit_from_strategy_samples():
-    poses = random_poses(6, seed=13)
-    samples = [StrategySample(p, i).with_outcome(None, i % 2)
-               for i, p in enumerate(poses)]
-    model = fit(samples)
-    assert isinstance(model, GpModel)
-    unlabeled = [StrategySample(poses[0], 0)]
-    with pytest.raises(RejectedInput):
-        fit(unlabeled)
 
 
 def test_rank_and_select_orders_and_breaks_ties():

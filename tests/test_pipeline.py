@@ -10,9 +10,7 @@ from twinforge.camera import BinaryMask, backproject
 from twinforge.cli import EXIT_STAGE_FAILURE, main
 from twinforge.fileio import (load_depth_raw, load_mask_pgm, load_mesh,
                               save_mask_pgm, save_ply)
-from twinforge.geometry import Aabb, TriangleMesh
-from twinforge.grasp import (filter_by_object_proximity,
-                             synthetic_grasp_provider, top_k_by_confidence)
+from twinforge.geometry import TriangleMesh
 from twinforge.pipeline import PipelineConfig, run_and_write, run_pipeline
 from twinforge.register import AlignConfig
 from twinforge.simulate import SimConfig
@@ -90,24 +88,17 @@ def test_grasp_stage_skips_a_confident_grasp_outside_the_workspace(tmp_path):
                        high)
 
 
-def test_grasp_stage_falls_back_to_synthetic_grasps(tmp_path):
+def test_grasp_stage_fails_when_no_file_grasp_is_feasible(tmp_path):
     spec = _quick_spec("cube-onto-cube", tmp_path)
     low, _ = _lowest_and_highest(spec)
+    # both candidates are near the object but under the workspace floor,
+    # and the file is the stage's one batch: no synthetic grasp stands in
     spec = _with_grasp_file(spec, [(low - [0, 0, 0.005], 0.9),
                                    (low - [0, 0, 0.006], 0.5)])
     rep = run_pipeline(spec, QUICK).report
-    assert rep.status == "success"
-    # no file candidate is feasible, so the second attempt's synthetic
-    # batch (seed + 1) gives its most confident candidate in the workspace
-    cloud = _observed(spec)
-    batch = filter_by_object_proximity(top_k_by_confidence(
-        synthetic_grasp_provider(cloud, seed=spec.seed + 1)), cloud)
-    workspace = Aabb(*spec.workspace)
-    expected = next(c for c in batch if workspace.contains(
-        spec.camera_pose.apply(c.grasp_point))[0])
-    assert rep.data["grasp"]["confidence"] == expected.confidence
-    assert rep.data["grasp"]["pose"]["translation"] == \
-        expected.pose.translation.tolist()
+    assert (rep.status, rep.failed_stage, rep.failure_reason) == (
+        "failure", "grasp", "no-feasible-grasp:2 near the object")
+    assert rep.stages == ["segmentation-load", "grasp"]
 
 
 def test_grasp_stage_fails_when_the_workspace_excludes_the_object(tmp_path,
@@ -120,7 +111,7 @@ def test_grasp_stage_fails_when_the_workspace_excludes_the_object(tmp_path,
     out = tmp_path / "out"
     assert main(["plan", "--scene", scene_path,
                  "--out", str(out)]) == EXIT_STAGE_FAILURE
-    reason = "no feasible grasp after 3 attempts (last batch had 50 candidates)"
+    reason = "no-feasible-grasp:50 near the object"
     assert capsys.readouterr().out.strip().splitlines()[-1] == \
         f"plan failed at grasp: {reason}"
     doc = json.loads((out / "report.json").read_text())

@@ -654,3 +654,23 @@ def test_label_samples():
     # a bad goal fails the batch, not each sample
     with pytest.raises(RejectedInput):
         label_samples(twin, samples, ("levitates", ["cube"]), FAST)
+
+
+@pytest.mark.parametrize("goal", [("upright", ["nope"]),
+                                  ("inside", ["cube", "nope"])])
+def test_a_goal_naming_a_missing_object_is_rejected(goal, monkeypatch):
+    twin = scene_with(cube())
+    flat = settled(twin, RigidPose(quat.IDENTITY, [0, 0, 0.1]))
+    buried = settled(twin, RigidPose(quat.IDENTITY, [0.0, 0.0, 0.0]))
+    # the names are looked up before an unstable outcome returns False
+    for outcome in (flat, buried):
+        with pytest.raises(RejectedInput, match="no object named 'nope'"):
+            geometric_evaluator(outcome, goal)
+
+    def no_settle(*args, **kwargs):
+        raise AssertionError("settled a sample under a goal naming nope")
+
+    monkeypatch.setattr(simulate, "settle_simulate", no_settle)
+    with pytest.raises(RejectedInput, match="no object named 'nope'"):
+        label_samples(twin, [sample_at(flat.settled_poses["cube"])], goal,
+                      FAST)

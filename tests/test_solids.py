@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twinforge import quaternions as quat
@@ -249,7 +249,25 @@ def test_is_watertight_matches_edge_loop(name, edit, row):
     assert is_watertight(edited) == (name in CLOSED and edit == "none")
 
 
+def _off_vertical_edges(points, mesh, tol=1e-9):
+    """Points whose vertical line passes farther than tol from every mesh
+    edge, as seen from above."""
+    t = mesh.triangles
+    ends = mesh.vertices[np.concatenate([t[:, [0, 1]], t[:, [1, 2]],
+                                         t[:, [2, 0]]])][:, :, :2]
+    a, ab = ends[:, 0], ends[:, 1] - ends[:, 0]
+    ap = points[:, None, :2] - a
+    length2 = np.einsum("ej,ej->e", ab, ab)
+    s = np.einsum("nej,ej->ne", ap, ab) / np.where(length2 > 0, length2, 1.0)
+    d = ap - np.clip(s, 0.0, 1.0)[..., None] * ab
+    return np.einsum("nej,nej->ne", d, d).min(axis=1) > tol * tol
+
+
 @settings(max_examples=40, deadline=None)
+@example(name="open_box",
+         pose=RigidPose(quat.quat_normalize(np.array([0.0, 0.0, 1.0, 1.0])),
+                        np.zeros(3)),
+         direction=CAST_DIRECTIONS[0], gap=3e-3, seed=0)
 @given(name=st.sampled_from(CLOSED), pose=poses | square_poses,
        direction=st.sampled_from(CAST_DIRECTIONS[:2]),
        gap=st.sampled_from([1e-6, 3e-3]) | st.floats(1e-6, 3e-3),
@@ -260,8 +278,11 @@ def test_vertical_exit_is_finite_exactly_inside(name, pose, direction, gap,
     # closed mesh: a vertical index's exit is finite exactly where the
     # generic parity direction says inside. Points in general position only:
     # face points moved gap along the face normal either way and uniform
-    # points in the bounding box; a vertical ray from a vertex or an edge
-    # midpoint can run along the surface.
+    # points in the bounding box, less those whose vertical line passes
+    # within 1e-9 m of an edge. Such a ray crosses two triangles at their
+    # shared edge and counts it twice (the example below: an open_box
+    # interior_bottom point moved 3 mm lands on an outer wall's grid line),
+    # or runs along the surface.
     mesh = MESHES[name].transformed(pose)
     rng = np.random.default_rng(seed)
     tri = mesh.vertices[mesh.triangles]
@@ -273,6 +294,7 @@ def test_vertical_exit_is_finite_exactly_inside(name, pose, direction, gap,
     v = mesh.vertices
     pts = np.vstack([faces + sign * gap * normal[rows],
                      rng.uniform(v.min(axis=0), v.max(axis=0), (200, 3))])
+    pts = pts[_off_vertical_edges(pts, mesh)]
     inside = ref_points_inside(pts, mesh)
     assert inside.any()
     assert np.array_equal(np.isfinite(MeshIndex(mesh, direction).exit(pts)),

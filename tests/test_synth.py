@@ -10,7 +10,7 @@ from twinforge.fileio import load_color_ppm, load_depth_raw, load_mask_pgm
 from twinforge.camera import backproject
 from twinforge.scene import load_scene_spec
 from twinforge.solids import is_watertight, point_mesh_distance, signed_volume
-from twinforge.synth import (PRIMITIVES, TASKS, canonical_mesh,
+from twinforge.synth import (_TASK_TABLE, PRIMITIVES, TASKS, canonical_mesh,
                              generate_synthetic_scene, label_submesh,
                              mesh_diameter, primitive_from_spec,
                              synthetic_observation)
@@ -63,6 +63,39 @@ def test_primitive_bytes_are_pinned(spec):
         h.update(a.tobytes())
     h.update(repr(mesh.face_labels).encode())
     assert h.hexdigest() == PRIMITIVE_DIGESTS[spec]
+
+
+TASK_PRIMITIVES = tuple(cfg[role][1] for cfg in _TASK_TABLE.values()
+                        for role in ("manipulated", "other"))
+
+
+@pytest.mark.parametrize(
+    "spec", sorted(set(PRIMITIVES + BENCHMARK_PRIMITIVES + TASK_PRIMITIVES)))
+def test_primitive_is_closed_and_wound_outward(spec):
+    # each face is wound where it is built: every directed edge occurs once
+    # and its reverse once, so neighbours agree, and the volume is positive
+    mesh = primitive_from_spec(spec)
+    t = mesh.triangles
+    edges = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
+    directed = {tuple(e) for e in edges.tolist()}
+    assert len(directed) == len(edges)
+    assert directed == {(b, a) for a, b in directed}
+    assert signed_volume(mesh) > 0
+
+
+@pytest.mark.parametrize("spec", ["box:0,0.05,0.05", "box:-0.05,0.05,0.05",
+                                  "cup:0.035,-0.09,0.005", "cylinder:0.03,-0.0",
+                                  "open_box:0.12,0.1,0.06,0"])
+def test_primitive_size_must_be_positive(spec):
+    with pytest.raises(RejectedInput, match="must be > 0"):
+        primitive_from_spec(spec)
+
+
+def test_wall_as_thick_as_the_primitive_is_rejected():
+    for spec in ("cup:0.035,0.09,0.09", "cup:0.035,0.09,0.035",
+                 "open_box:0.12,0.1,0.06,0.06", "open_box:0.12,0.1,0.06,0.05"):
+        with pytest.raises(RejectedInput, match="wall too thick"):
+            primitive_from_spec(spec)
 
 
 def test_primitive_defaults():
